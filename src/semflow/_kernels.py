@@ -1,10 +1,13 @@
-"""Sequential feedback/convolution loops, the hot paths of the package.
+"""Feedback/convolution kernels, the hot paths of the package.
 
-Each kernel has a pure-numpy implementation (vectorized inner reads, python
-loop over time) and, when numba is available, an njit-compiled twin with
-explicit loops.  Setting ``SEMFLOW_DISABLE_NUMBA=1`` in the environment forces
-the numpy path; ``benchmarks/bench_kernels.py`` times both, and the test suite
-pins them to agree to machine precision.
+Matrix bases: every loop is one linear recurrence, evaluated by the
+vectorized numpy scan ``causal_scan`` on every backend.
+
+Delay-line and neutral kernels: each has a pure-numpy implementation
+(vectorized inner reads, python loop over time) and, when numba is available,
+an njit-compiled twin with explicit loops.  Setting ``SEMFLOW_DISABLE_NUMBA=1``
+in the environment forces the numpy path; ``NUMBA_ENABLED`` says which one
+runs, and the test suite pins both to agree to machine precision.
 
 Discretization: the inner quadrature of every causal convolution is the
 left-endpoint rule, so the input-output map reads strictly past samples and
@@ -43,89 +46,43 @@ except ImportError:
 # ---------------------------------------------------------------------------
 # matrix-exponential convolution kernels
 # ---------------------------------------------------------------------------
-# (F u)_k = h * C @ z_k with z_k = sum_{j<k} E^(k-j) B u_j; the solve variant
-# is forward substitution for (I - F) w = v and also emits bt_k = h * z_k,
-# the control map of the solved signal up to t_k.  The compiled twins spell
-# out the tiny matrix products, which numba turns into register code.
+# Every matrix-base loop is the discrete LTI recurrence z_{k+1} = M z_k + f_k.
+# (F u)_k = h * C @ z_k with z_k = sum_{j<k} E^(k-j) B u_j, i.e. M = E and
+# f = E B u.  The solve variant is forward substitution for (I - F) w = v:
+# with w_k = v_k + h C z_k and z_{k+1} = E (z_k + B w_k) the state obeys the
+# closed-loop recurrence M = E (I + h B C), f = E B v, and bt_k = h * z_k is
+# the control map of the solved signal up to t_k.
 
-def _matrix_volterra_apply_np(E, B, C, u, h):
-    n1 = u.shape[0]
-    d = E.shape[0]
-    out = np.zeros((n1, C.shape[0]))
-    z = np.zeros(d)
-    for k in range(n1):
-        out[k] = h * (C @ z)
-        z = E @ (z + B @ u[k])
-    return out
+def causal_scan(M, f, z0=None):
+    """Rows z_0..z_{n-1} of z_{k+1} = M z_k + f_k, with z_0 = z0 (zero if omitted).
 
-
-def _matrix_volterra_apply_nb(E, B, C, u, h):
-    n1 = u.shape[0]
-    d = E.shape[0]
-    du = u.shape[1]
-    do = C.shape[0]
-    out = np.zeros((n1, do))
-    z = np.zeros(d)
-    tmp = np.zeros(d)
-    for k in range(n1):
-        for r in range(do):
-            acc = 0.0
-            for c in range(d):
-                acc += C[r, c] * z[c]
-            out[k, r] = h * acc
-        for r in range(d):
-            acc = z[r]
-            for c in range(du):
-                acc += B[r, c] * u[k, c]
-            tmp[r] = acc
-        for r in range(d):
-            acc = 0.0
-            for c in range(d):
-                acc += E[r, c] * tmp[c]
-            z[r] = acc
-    return out
+    ``f`` has shape (n, d); its last row never enters.  A log-depth doubling
+    (Hillis-Steele) scan: after the pass with shift s every row holds its
+    partial sum over the last 2s inputs, so ceil(log2 n) vectorized passes
+    replace the sequential loop.
+    """
+    n = f.shape[0]
+    z = np.empty((n, M.shape[0]))
+    z[:1] = 0.0 if z0 is None else z0
+    z[1:] = f[:-1]
+    s, P = 1, M
+    while s < n:
+        z[s:] += z[:-s] @ P.T
+        s *= 2
+        if s < n:
+            P = P @ P
+    return z
 
 
-def _matrix_volterra_solve_np(E, B, C, v, h):
-    n1 = v.shape[0]
-    d = E.shape[0]
-    w = np.zeros_like(v)
-    bt = np.zeros((n1, d))
-    z = np.zeros(d)
-    for k in range(n1):
-        bt[k] = h * z
-        w[k] = v[k] + h * (C @ z)
-        z = E @ (z + B @ w[k])
-    return w, bt
+def matrix_volterra_apply(E, B, C, u, h):
+    z = causal_scan(E, u @ (E @ B).T)
+    return h * (z @ C.T)
 
 
-def _matrix_volterra_solve_nb(E, B, C, v, h):
-    n1 = v.shape[0]
-    d = E.shape[0]
-    du = v.shape[1]
-    w = np.zeros_like(v)
-    bt = np.zeros((n1, d))
-    z = np.zeros(d)
-    tmp = np.zeros(d)
-    for k in range(n1):
-        for r in range(d):
-            bt[k, r] = h * z[r]
-        for r in range(du):
-            acc = 0.0
-            for c in range(d):
-                acc += C[r, c] * z[c]
-            w[k, r] = v[k, r] + h * acc
-        for r in range(d):
-            acc = z[r]
-            for c in range(du):
-                acc += B[r, c] * w[k, c]
-            tmp[r] = acc
-        for r in range(d):
-            acc = 0.0
-            for c in range(d):
-                acc += E[r, c] * tmp[c]
-            z[r] = acc
-    return w, bt
+def matrix_volterra_solve(E, B, C, v, h):
+    M = E @ (np.eye(E.shape[0]) + h * (B @ C))
+    bt = h * causal_scan(M, v @ (E @ B).T)
+    return v + bt @ C.T, bt
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +305,8 @@ def _mos_loop_nb(E, C, prow, krow, f0, y, h, n):
     return zs, X
 
 
-# uncompiled numpy references, also used by the backend benchmark
+# uncompiled numpy implementations of the delay-line and neutral kernels
 PLAIN = {
-    "matrix_volterra_apply": _matrix_volterra_apply_np,
-    "matrix_volterra_solve": _matrix_volterra_solve_np,
     "delay_volterra_apply": _delay_volterra_apply_np,
     "delay_volterra_solve": _delay_volterra_solve_np,
     "neutral_feedback_loop": _neutral_feedback_loop_np,
@@ -360,16 +315,12 @@ PLAIN = {
 }
 
 if NUMBA_ENABLED:
-    matrix_volterra_apply = njit(cache=True)(_matrix_volterra_apply_nb)
-    matrix_volterra_solve = njit(cache=True)(_matrix_volterra_solve_nb)
     delay_volterra_apply = njit(cache=True)(_delay_volterra_apply_nb)
     delay_volterra_solve = njit(cache=True)(_delay_volterra_solve_nb)
     neutral_feedback_loop = njit(cache=True)(_neutral_feedback_loop_nb)
     neutral_volterra_apply = njit(cache=True)(_neutral_volterra_apply_nb)
     mos_loop = njit(cache=True)(_mos_loop_nb)
     COMPILED = {
-        "matrix_volterra_apply": matrix_volterra_apply,
-        "matrix_volterra_solve": matrix_volterra_solve,
         "delay_volterra_apply": delay_volterra_apply,
         "delay_volterra_solve": delay_volterra_solve,
         "neutral_feedback_loop": neutral_feedback_loop,
@@ -377,8 +328,6 @@ if NUMBA_ENABLED:
         "mos_loop": mos_loop,
     }
 else:
-    matrix_volterra_apply = _matrix_volterra_apply_np
-    matrix_volterra_solve = _matrix_volterra_solve_np
     delay_volterra_apply = _delay_volterra_apply_np
     delay_volterra_solve = _delay_volterra_solve_np
     neutral_feedback_loop = _neutral_feedback_loop_np

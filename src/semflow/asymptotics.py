@@ -179,8 +179,8 @@ def check_uniformly_ergodic(orb: OrbitSeries, window: float, tol: float = 1e-2,
         return (cum[tn: tn + wk + 1] - cum[: wk + 1]) / (tn * orb.grid.step)
 
     d = shifted_means(T) - shifted_means(Th)
-    res = max(orb.space.norm(row) for row in d) / ref
-    sup_limit = max(orb.space.norm(row) for row in shifted_means(T))
+    res = float(np.max(orb.space.rows_norm(d))) / ref
+    sup_limit = np.max(orb.space.rows_norm(shifted_means(T)))
     witness = {"residual": float(res), "limit_sup_norm": float(sup_limit)}
     return AsymptoticVerdict("UNIFORMLY_ERGODIC", _three_way(res, tol), witness)
 
@@ -192,8 +192,10 @@ def cesaro_residual_track(orb: OrbitSeries) -> np.ndarray:
     out = np.zeros(orb.grid.count + 1)
     if ref == 0.0:
         return out
-    for k in range(2, orb.grid.count + 1):
-        out[k] = orb.space.norm(cum[k] / ts[k] - cum[k // 2] / ts[k // 2]) / ref
+    k = np.arange(2, orb.grid.count + 1)
+    diff = cum[k] / ts[k, None]
+    diff -= cum[k // 2] / ts[k // 2, None]
+    out[2:] = orb.space.rows_norm(diff) / ref
     return out
 
 

@@ -290,6 +290,10 @@ def observation_map(triple: PerturbationTriple, t: float, x: StateVector,
     if x.space != triple.base.space:
         raise DimensionError("state does not live in the base space")
     grid = _resolve_grid(triple, t, step)
+    if isinstance(triple.base, MatrixSemigroup):
+        e = matexp(triple.base.a, grid.step)
+        states = _kernels.causal_scan(e, np.zeros((grid.count + 1, e.shape[0])), x.coords)
+        return InputSignal(grid, states @ triple.observe.T, triple.u_space)
     stepper = triple.base.stepper(grid.step)
     vals = np.empty((grid.count + 1, triple.observe.shape[0]))
     c = np.array(x.coords, dtype=float)
@@ -456,11 +460,7 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
     if isinstance(triple.control, (BoundedControl, IdentityControl)):
         e = matexp(triple.base.a, h)
         d = triple.base.space.dim
-        states = np.empty((n + 1, d))
-        c = np.array(x.coords, dtype=float)
-        for k in range(n + 1):
-            states[k] = c
-            c = e @ c
+        states = _kernels.causal_scan(e, np.zeros((n + 1, d)), x.coords)
         v = states @ triple.observe.T
         if isinstance(method, DirectSolve):
             w, bt = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe,

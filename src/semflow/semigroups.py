@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import causal_scan
 from .core import Grid, L1Space, ProductSpace, Space, StateVector, SupSpace, matexp
 from .errors import DimensionError, DomainError, GridAlignmentError
 
@@ -198,11 +199,16 @@ def apply(sg: Semigroup, t: float, x: StateVector) -> StateVector:
 
 
 def orbit(sg: Semigroup, x: StateVector, grid: Grid) -> OrbitSeries:
-    """Sampled orbit on ``grid`` (must start at 0), by stepwise composition."""
+    """Sampled orbit on ``grid`` (must start at 0): the causal scan for a
+    matrix base, stepwise composition otherwise."""
     if abs(grid.start) > 1e-12:
         raise DomainError("orbit grids must start at t = 0")
     if x.space != sg.space:
         raise DimensionError("state does not live in the semigroup's space")
+    if isinstance(sg, MatrixSemigroup):
+        e = matexp(sg.a, grid.step)
+        states = causal_scan(e, np.zeros((grid.count + 1, sg.space.dim)), x.coords)
+        return orbit_from_states(grid, states, sg.space)
     step = sg.stepper(grid.step)
     states = np.empty((grid.count + 1, sg.space.dim))
     c = np.array(x.coords, dtype=float)

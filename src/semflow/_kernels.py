@@ -1,13 +1,16 @@
 """Feedback/convolution kernels, the hot paths of the package.
 
 Matrix bases: every loop is one linear recurrence, evaluated by the
-vectorized numpy scan ``causal_scan`` on every backend.
+vectorized numpy scan ``causal_scan`` on every backend.  The neutral
+input-output map ``neutral_volterra_apply`` is likewise one numpy
+implementation: a shift-and-add over its nonzero history taps plus a scan.
 
-Delay-line and neutral kernels: each has a pure-numpy implementation
-(vectorized inner reads, python loop over time) and, when numba is available,
-an njit-compiled twin with explicit loops.  Setting ``SEMFLOW_DISABLE_NUMBA=1``
-in the environment forces the numpy path; ``NUMBA_ENABLED`` says which one
-runs, and the test suite pins both to agree to machine precision.
+The delay-line loops, ``neutral_feedback_loop`` and ``mos_loop`` are
+sequential in time.  Each has a pure-numpy implementation (vectorized reads,
+python loop over time) and, when numba is available, an njit-compiled twin
+with explicit loops.  Setting ``SEMFLOW_DISABLE_NUMBA=1`` in the environment
+forces the numpy path; ``NUMBA_ENABLED`` says which one runs, and the test
+suite pins both to agree to machine precision.
 
 Discretization: the inner quadrature of every causal convolution is the
 left-endpoint rule, so the input-output map reads strictly past samples and
@@ -146,34 +149,31 @@ def _delay_volterra_solve_nb(lag, v):
 # history window; they carry no weight at offset 0 (kernels have no mass in
 # 0), so every step only touches strictly past values.
 
-def _neutral_feedback_loop_np(E, C, prow, krow, f0, y, h, n):
+def _neutral_feedback_loop_np(E, C, prow, krow, f0, y, h, n, v):
+    # v is an external right-hand side (n+1, 2d): w1[k] gets v[k, :d] and
+    # w2[k] gets v[k, d:]; each step reads the history window in one product
     d = E.shape[0]
     N = prow.shape[0]
     X = np.zeros((n + N + 1, d))
     X[: N + 1] = f0
-    w1 = np.zeros((n + 1, d))
-    w2 = np.zeros((n + 1, d))
+    w = np.array(v, dtype=float)
     zs = np.zeros((n + 1, d))
     zy = y.copy()
     zc = np.zeros(d)
-    pr = prow.transpose(0, 2, 1).reshape(N * d, d)
-    kr = krow.transpose(0, 2, 1).reshape(N * d, d)
+    rows = np.concatenate([prow, krow], axis=1).transpose(0, 2, 1).reshape(N * d, 2 * d)
     for k in range(n + 1):
-        win = X[k: k + N].reshape(N * d)
-        a1 = win @ pr
-        a2 = win @ kr
         z = zy + h * zc
         zs[k] = z
-        w1[k] = a1
-        w2[k] = C @ z + a2
+        w[k] += X[k: k + N].reshape(N * d) @ rows
+        w[k, d:] += C @ z
         if k >= 1:
-            X[N + k] = w2[k]
-        zc = E @ (zc + w1[k])
+            X[N + k] = w[k, d:]
+        zc = E @ (zc + w[k, :d])
         zy = E @ zy
-    return w1, w2, zs, X
+    return w[:, :d], w[:, d:], zs, X
 
 
-def _neutral_feedback_loop_nb(E, C, prow, krow, f0, y, h, n):
+def _neutral_feedback_loop_nb(E, C, prow, krow, f0, y, h, n, v):
     d = E.shape[0]
     N = prow.shape[0]
     X = np.zeros((n + N + 1, d))
@@ -192,8 +192,8 @@ def _neutral_feedback_loop_nb(E, C, prow, krow, f0, y, h, n):
                     x = X[k + i, c]
                     s1 += prow[i, r, c] * x
                     s2 += krow[i, r, c] * x
-            w1[k, r] = s1
-            w2[k, r] = s2
+            w1[k, r] = s1 + v[k, r]
+            w2[k, r] = s2 + v[k, d + r]
         for r in range(d):
             zs[k, r] = zy[r] + h * zc[r]
             for c in range(d):
@@ -205,52 +205,23 @@ def _neutral_feedback_loop_nb(E, C, prow, krow, f0, y, h, n):
     return w1, w2, zs, X
 
 
-def _neutral_volterra_apply_np(E, C, prow, krow, u1, u2, h):
-    # pure input-output map of the neutral perturbation: zero initial data,
-    # the placed channel carries u2, the convolution channel is driven by u1
+def neutral_volterra_apply(E, C, prow, krow, u1, u2, h):
+    """Input-output map of the neutral perturbation: zero initial data, the
+    placed channel carries u2, the convolution channel is driven by u1.
+
+    The history reads are a shift-and-add over the taps that carry weight;
+    the convolution state is the scan zc_{k+1} = E (zc_k + u1_k).
+    """
     d = E.shape[0]
     N = prow.shape[0]
     n1 = u1.shape[0]
     X = np.zeros((n1 + N, d))
     X[N + 1:] = u2[1:]
     out1 = np.zeros((n1, d))
-    out2 = np.zeros((n1, d))
-    zc = np.zeros(d)
-    pr = prow.transpose(0, 2, 1).reshape(N * d, d)
-    kr = krow.transpose(0, 2, 1).reshape(N * d, d)
-    for k in range(n1):
-        win = X[k: k + N].reshape(N * d)
-        out1[k] = win @ pr
-        out2[k] = C @ (h * zc) + win @ kr
-        zc = E @ (zc + u1[k])
-    return out1, out2
-
-
-def _neutral_volterra_apply_nb(E, C, prow, krow, u1, u2, h):
-    d = E.shape[0]
-    N = prow.shape[0]
-    n1 = u1.shape[0]
-    X = np.zeros((n1 + N, d))
-    for k in range(1, n1):
-        X[N + k] = u2[k]
-    out1 = np.zeros((n1, d))
-    out2 = np.zeros((n1, d))
-    zc = np.zeros(d)
-    for k in range(n1):
-        for r in range(d):
-            s1 = 0.0
-            s2 = 0.0
-            for i in range(N):
-                for c in range(d):
-                    x = X[k + i, c]
-                    s1 += prow[i, r, c] * x
-                    s2 += krow[i, r, c] * x
-            out1[k, r] = s1
-            acc = 0.0
-            for c in range(d):
-                acc += C[r, c] * zc[c]
-            out2[k, r] = s2 + h * acc
-        zc = E @ (zc + u1[k])
+    out2 = h * (causal_scan(E, u1 @ E.T) @ C.T)
+    for out, row in ((out1, prow), (out2, krow)):
+        for i in np.flatnonzero(np.any(row != 0.0, axis=(1, 2))):
+            out += X[i: i + n1] @ row[i].T
     return out1, out2
 
 
@@ -305,12 +276,11 @@ def _mos_loop_nb(E, C, prow, krow, f0, y, h, n):
     return zs, X
 
 
-# uncompiled numpy implementations of the delay-line and neutral kernels
+# uncompiled numpy implementations of the sequential delay-line and neutral loops
 PLAIN = {
     "delay_volterra_apply": _delay_volterra_apply_np,
     "delay_volterra_solve": _delay_volterra_solve_np,
     "neutral_feedback_loop": _neutral_feedback_loop_np,
-    "neutral_volterra_apply": _neutral_volterra_apply_np,
     "mos_loop": _mos_loop_np,
 }
 
@@ -318,19 +288,16 @@ if NUMBA_ENABLED:
     delay_volterra_apply = njit(cache=True)(_delay_volterra_apply_nb)
     delay_volterra_solve = njit(cache=True)(_delay_volterra_solve_nb)
     neutral_feedback_loop = njit(cache=True)(_neutral_feedback_loop_nb)
-    neutral_volterra_apply = njit(cache=True)(_neutral_volterra_apply_nb)
     mos_loop = njit(cache=True)(_mos_loop_nb)
     COMPILED = {
         "delay_volterra_apply": delay_volterra_apply,
         "delay_volterra_solve": delay_volterra_solve,
         "neutral_feedback_loop": neutral_feedback_loop,
-        "neutral_volterra_apply": neutral_volterra_apply,
         "mos_loop": mos_loop,
     }
 else:
     delay_volterra_apply = _delay_volterra_apply_np
     delay_volterra_solve = _delay_volterra_solve_np
     neutral_feedback_loop = _neutral_feedback_loop_np
-    neutral_volterra_apply = _neutral_volterra_apply_np
     mos_loop = _mos_loop_np
     COMPILED = {}

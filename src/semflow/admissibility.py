@@ -17,7 +17,7 @@ from .core import Grid, InputSignal, StateVector, opnorm_sup, time_grid
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
                    NeutralBoundaryControl, PerturbationTriple, _apply_io,
-                   estimate_io_norm, invert_io, observation_map)
+                   _sliding_l1, estimate_io_norm, invert_io, observation_map)
 from .semigroups import Semigroup, orbit
 
 STABILITY_REL_CHANGE = 0.05
@@ -108,14 +108,11 @@ def _control_track_norms(triple: PerturbationTriple, u: InputSignal) -> np.ndarr
         bt1 = _kernels.matrix_volterra_apply(e, np.eye(d), np.eye(d), u1, h)
         q = np.concatenate([np.zeros((N + 1, d)), u2[1:]])
         pn = np.max(np.abs(q), axis=1)
-        c = np.concatenate([[0.0], np.cumsum(pn[: u.grid.count + N])])
-        l1 = h * (c[N:] - c[: u.grid.count + 1])
-        return np.max(np.abs(bt1), axis=1) + l1
+        return np.max(np.abs(bt1), axis=1) + _sliding_l1(pn[: u.grid.count + N], N, h)
     # boundary translation: the control map places the signal on [-t, 0]
     N = triple.base.grid.count
     q = np.concatenate([np.zeros(N + 1), u.values[1:, 0]])
-    c = np.concatenate([[0.0], np.cumsum(np.abs(q)[: u.grid.count + N])])
-    return h * (c[N:] - c[: u.grid.count + 1])
+    return _sliding_l1(np.abs(q)[: u.grid.count + N], N, h)
 
 
 def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -52,13 +53,43 @@ def _reject_unknown(d: dict, allowed: set, where: str):
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _reject_constant(name: str):
+    raise ConfigurationError(f"config holds the non-finite number {name}; "
+                             "every number must be finite")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
+def _check_grid(grid) -> None:
+    """grid.step and grid.horizon, where given, must be finite and positive."""
+    if not isinstance(grid, dict):
+        raise ConfigurationError("'grid' must be a JSON object")
+    _reject_unknown(grid, {"step", "horizon"}, "grid")
+    for key in ("step", "horizon"):
+        if key not in grid:
+            continue
+        try:
+            value = float(grid[key])
+        except (TypeError, ValueError):
+            value = math.nan
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigurationError(
+                f"grid.{key} must be a finite positive number, got {grid[key]!r}")
+
+
 def load_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     with open(p, "r", encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant,
+                            parse_float=_finite_float)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -73,7 +104,7 @@ def load_config(path: str) -> dict:
     _reject_unknown(system, _SYSTEM_KEYS[kind], "system")
     if "grid" not in cfg:
         raise ConfigurationError("config needs a 'grid' object")
-    _reject_unknown(cfg["grid"], {"step", "horizon"}, "grid")
+    _check_grid(cfg["grid"])
     return cfg
 
 
@@ -431,6 +462,7 @@ def main(argv=None) -> int:
             cfg["grid"]["step"] = args.step
         if args.method is not None:
             cfg["method"] = args.method
+        _check_grid(cfg["grid"])
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
         cfg["seed"] = seed
         out = Path(args.out)

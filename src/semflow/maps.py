@@ -405,29 +405,14 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
 
 def _neutral_direct_solve(triple, vals, h):
     """Forward substitution for the neutral variant with an externally given
-    right-hand side (zero initial data in the placed channel)."""
+    right-hand side (zero initial data in both channels)."""
     c_block, prow, krow = triple.neutral_blocks()
     e = matexp(triple.base.parts[0].a, h)
     d = c_block.shape[0]
-    v1, v2 = _split_channels(triple, vals)
-    n = vals.shape[0] - 1
     N = prow.shape[0]
-    X = np.zeros((n + N + 1, d))
-    w1 = np.zeros((n + 1, d))
-    w2 = np.zeros((n + 1, d))
-    zc = np.zeros(d)
-    for k in range(n + 1):
-        a1 = np.zeros(d)
-        a2 = np.zeros(d)
-        for i in range(N):
-            xi = X[k + i]
-            a1 += prow[i] @ xi
-            a2 += krow[i] @ xi
-        w1[k] = v1[k] + a1
-        w2[k] = v2[k] + c_block @ (h * zc) + a2
-        if k >= 1:
-            X[N + k] = w2[k]
-        zc = e @ (zc + w1[k])
+    w1, w2, _, _ = _kernels.neutral_feedback_loop(
+        e, c_block, prow, krow, np.zeros((N + 1, d)), np.zeros(d), h,
+        vals.shape[0] - 1, np.ascontiguousarray(vals))
     return np.hstack([w1, w2])
 
 
@@ -488,34 +473,36 @@ def _neutral_perturbed_orbit(triple, x, grid, method):
     y, fpart = base.space.split(x.coords)
     f0 = fpart.reshape(N + 1, d)
     if isinstance(method, DirectSolve):
-        w1, w2, zs, X = _kernels.neutral_feedback_loop(
+        _, _, zs, X = _kernels.neutral_feedback_loop(
             e, c_block, prow, krow, np.ascontiguousarray(f0),
-            np.ascontiguousarray(y), h, n)
+            np.ascontiguousarray(y), h, n, np.zeros((n + 1, 2 * d)))
     else:
         v = _neutral_observation(e, triple.observe, f0, y, n, N, d)
         w = invert_io(triple, grid.end, InputSignal(grid, v, triple.u_space),
                       method).values
         w1, w2 = _split_channels(triple, w)
-        zs = np.empty((n + 1, d))
-        zy = y.copy()
-        zc = np.zeros(d)
-        for k in range(n + 1):
-            zs[k] = zy + h * zc
-            zc = e @ (zc + w1[k])
-            zy = e @ zy
+        # zs_k = E^k y + h zc_k with zc_{k+1} = E (zc_k + w1_k)
+        zs = _kernels.causal_scan(e, h * (w1 @ e.T), y)
         X = np.zeros((n + N + 1, d))
         X[: N + 1] = f0
         X[N + 1:] = w2[1:]
-    # assemble history channels and norms
-    pn = np.max(np.abs(X), axis=1)
-    fnorms = _sliding_l1(pn[: n + N], N, h)
-    znorms = np.max(np.abs(zs), axis=1)
+    return _neutral_block_orbit(grid, zs, X, N, base.space)
+
+
+def _neutral_block_orbit(grid: Grid, zs: np.ndarray, X: np.ndarray, N: int,
+                         space: Space) -> OrbitSeries:
+    """Block orbit (z_k, x_{t_k}) from the matrix channel ``zs`` and the
+    trajectory ``X``, whose rows k..k+N are the history window at t_k."""
+    n = grid.count
+    d = zs.shape[1]
     states = np.empty((n + 1, d + (N + 1) * d))
-    for k in range(n + 1):
-        states[k, :d] = zs[k]
-        states[k, d:] = X[k: k + N + 1].ravel()
-    norms = znorms + fnorms
-    return OrbitSeries(grid, states, norms, base.space)
+    states[:, :d] = zs
+    # window k*d of the flattened trajectory is X[k:k+N+1]
+    states[:, d:] = np.lib.stride_tricks.sliding_window_view(
+        X.ravel(), (N + 1) * d)[::d][: n + 1]
+    pn = np.max(np.abs(X), axis=1)
+    norms = np.max(np.abs(zs), axis=1) + _sliding_l1(pn[: n + N], N, grid.step)
+    return OrbitSeries(grid, states, norms, space)
 
 
 def _neutral_observation(e, observe, f0, y, n, N, d):
@@ -524,11 +511,8 @@ def _neutral_observation(e, observe, f0, y, n, N, d):
     windows = np.lib.stride_tricks.sliding_window_view(xpad[: n + N], (N, d))[:, 0]
     prow_flat = observe[:, d:].reshape(observe.shape[0], N + 1, d)[:, :-1]
     v = np.einsum("uid,kid->ku", prow_flat, windows)
-    zy = y.copy()
-    for k in range(n + 1):
-        v[k] += observe[:, :d] @ zy
-        zy = e @ zy
-    return v
+    zy = _kernels.causal_scan(e, np.zeros((n + 1, d)), y)
+    return v + zy @ observe[:, :d].T
 
 
 def _dirichlet_perturbed_orbit(triple, x, grid, method):

@@ -22,7 +22,7 @@ from . import _kernels
 from .core import Grid, L1Space, StateVector, matexp
 from .errors import ConfigurationError, DimensionError, DomainError, GridAlignmentError
 from .maps import (DirectSolve, Method, NeutralBoundaryControl,
-                   PerturbationTriple, perturbed_orbit)
+                   PerturbationTriple, _neutral_block_orbit, perturbed_orbit)
 from .semigroups import BlockDiag, MatrixSemigroup, NilpotentShift, OrbitSeries
 from .translation import MeasureSpec
 
@@ -185,23 +185,8 @@ def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeri
     zs, X = _kernels.mos_loop(e, np.ascontiguousarray(sys.c), prow, krow,
                               np.ascontiguousarray(f), np.ascontiguousarray(y),
                               grid.step, grid.count)
-    return _assemble_block_orbit(sys, grid, zs, X)
-
-
-def _assemble_block_orbit(sys: NeutralSystem, grid: Grid, zs, X) -> OrbitSeries:
-    d = sys.dim
-    N = sys.history_grid.count
-    n = grid.count
-    h = grid.step
-    pn = np.max(np.abs(X), axis=1)
-    c = np.concatenate([[0.0], np.cumsum(pn[: n + N])])
-    fnorms = h * (c[N:] - c[: n + 1])
-    norms = np.max(np.abs(zs), axis=1) + fnorms
-    states = np.empty((n + 1, d + (N + 1) * d))
-    for k in range(n + 1):
-        states[k, :d] = zs[k]
-        states[k, d:] = X[k: k + N + 1].ravel()
-    return OrbitSeries(grid, states, norms, build_a0(sys).space)
+    return _neutral_block_orbit(grid, zs, X, sys.history_grid.count,
+                                build_a0(sys).space)
 
 
 def history_segment(sys: NeutralSystem, orb: OrbitSeries, k: int) -> StateVector:

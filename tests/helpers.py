@@ -63,3 +63,17 @@ def block_deviation(sys0, orb_a, orb_b):
     df = np.abs(orb_a.states[:, d:] - orb_b.states[:, d:])
     df = df.reshape(orb_a.states.shape[0], N + 1, d).max(axis=2)
     return float(np.max(dz + h * np.sum(df[:, :N], axis=1)))
+
+
+def mixed_system(p=0.3, k=0.25, p_density=0.2, k_density=0.1, q=1.0, n_hist=40,
+                 a=((-1.0, 0.3), (0.0, -1.5))):
+    """2x2 neutral system whose kernels mix an atom at -1 with a density that
+    reaches s = 0, so the oldest and the newest history taps both carry
+    weight; C = q * ((0.5, 0), (0.1, 0.4))."""
+    hist = sf.Grid(-1.0, 1.0 / n_hist, n_hist)
+    return nt.NeutralSystem(
+        a=np.asarray(a, dtype=float),
+        p_kernel=sf.MeasureSpec(atoms=((-1.0, p),), density=((-0.25, 0.0, p_density),)),
+        k_kernel=sf.MeasureSpec(atoms=((-1.0, k),), density=((-0.5, 0.0, k_density),)),
+        c=q * np.array([[0.5, 0.0], [0.1, 0.4]]),
+        history_grid=hist)

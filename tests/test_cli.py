@@ -212,3 +212,39 @@ def test_simulate_translation_system(tmp_path):
     assert manifest["diagnostics"]["truncation_exact"] is True
     _, rows = read_csv(tmp_path / "orbit.csv")
     assert rows.shape[0] == 601
+
+
+@pytest.mark.parametrize("value, token", [(float("inf"), "Infinity"),
+                                          (float("-inf"), "-Infinity"),
+                                          (float("nan"), "NaN"),
+                                          ("1e999", "1e999")])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, value, token):
+    cfg = scalar_cfg(c=0.5)
+    cfg["probes"] = {"count": 1}
+    cfg["grid"]["horizon"] = "HORIZON"
+    path = tmp_path / "cfg.json"
+    # json.dumps writes inf and nan as bare tokens; 1e999 overflows a float
+    path.write_text(json.dumps(cfg).replace('"HORIZON"', token))
+    assert main(["admissibility", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"non-finite number {token}" in capsys.readouterr().err
+    assert not (tmp_path / "admissibility.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("step", 0), ("step", -1e-3),
+                                        ("horizon", 0.0), ("step", "fast")])
+def test_nonpositive_grid_value_exits_2(tmp_path, capsys, key, value):
+    cfg = scalar_cfg()
+    cfg["grid"][key] = value
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"validation failure: grid.{key} must be a finite positive number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "orbit.csv").exists()
+
+
+def test_zero_step_flag_exits_2(tmp_path, capsys):
+    path = write_cfg(tmp_path / "cfg.json", scalar_cfg())
+    assert main(["simulate", "--config", path, "--out", str(tmp_path),
+                 "--step", "0"]) == 2
+    assert "grid.step must be a finite positive number" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 """The kernels must agree with independent implementations.
 
-The matrix kernels are one vectorized scan on every backend; they are checked
-against the sequential loops in ``oracles.py``.  The delay-line and neutral
-kernels are checked against the explicit-loop ``_*_nb`` functions, called
+The matrix kernels and ``neutral_volterra_apply`` are one vectorized numpy
+implementation on every backend; they are checked against the sequential
+loops in ``oracles.py``.  The delay-line loops, ``neutral_feedback_loop`` and
+``mos_loop`` are checked against the explicit-loop ``_*_nb`` functions, called
 uncompiled: where numba runs they check the compiled twins, elsewhere the
 numpy fallbacks.  ``test_backend_selection_reported`` checks which backend
 runs.
@@ -22,11 +23,12 @@ from semflow import _kernels as K
 from semflow.core import matexp
 
 from oracles import (causal_scan_loop, matrix_volterra_apply_loop,
-                     matrix_volterra_solve_loop)
+                     matrix_volterra_solve_loop, neutral_volterra_apply_loop)
 
-MATRIX_KERNELS = ("matrix_volterra_apply", "matrix_volterra_solve")
+SCAN_KERNELS = ("matrix_volterra_apply", "matrix_volterra_solve",
+                "neutral_volterra_apply")
 TABLE_KERNELS = ("delay_volterra_apply", "delay_volterra_solve",
-                 "neutral_feedback_loop", "neutral_volterra_apply", "mos_loop")
+                 "neutral_feedback_loop", "mos_loop")
 
 
 @pytest.fixture(scope="module")
@@ -103,19 +105,22 @@ def test_neutral_kernels_agree(data):
     prow = np.zeros((N, d, d))
     prow[0] = 0.3 * np.eye(d)
     prow[7] = 0.05 * rng.standard_normal((d, d))
+    prow[N - 1] = 0.1 * rng.standard_normal((d, d))  # lag 1: reads the last step
     krow = np.zeros((N, d, d))
     krow[0] = 0.25 * np.eye(d)
+    krow[N - 1] = 0.1 * rng.standard_normal((d, d))
     f0 = rng.standard_normal((N + 1, d))
     y = rng.standard_normal(d)
     n = 300
-    fast = K.neutral_feedback_loop(e, c, prow, krow, f0, y, h, n)
-    loop = K._neutral_feedback_loop_nb(e, c, prow, krow, f0, y, h, n)
+    v = rng.standard_normal((n + 1, 2 * d))
+    fast = K.neutral_feedback_loop(e, c, prow, krow, f0, y, h, n, v)
+    loop = K._neutral_feedback_loop_nb(e, c, prow, krow, f0, y, h, n, v)
     for a_, b_ in zip(fast, loop):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
     u1 = rng.standard_normal((n + 1, d))
     u2 = rng.standard_normal((n + 1, d))
     fa = K.neutral_volterra_apply(e, c, prow, krow, u1, u2, h)
-    la = K._neutral_volterra_apply_nb(e, c, prow, krow, u1, u2, h)
+    la = neutral_volterra_apply_loop(e, c, prow, krow, u1, u2, h)
     for a_, b_ in zip(fa, la):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
     fm = K.mos_loop(e, c, prow, krow, f0, y, h, n)
@@ -133,10 +138,11 @@ print(json.dumps({
     "disabled": K.NUMBA_DISABLED, "enabled": K.NUMBA_ENABLED,
     "delay_solve_from_table": K.delay_volterra_solve is table["delay_volterra_solve"],
     "delay_solve_plain": K.delay_volterra_solve is K.PLAIN["delay_volterra_solve"],
-    "matrix_scan": [type(getattr(K, n)) is types.FunctionType
-                    and "causal_scan" in getattr(K, n).__code__.co_names
-                    and n not in K.PLAIN and n not in K.COMPILED
-                    for n in ("matrix_volterra_apply", "matrix_volterra_solve")],
+    "scan": [type(getattr(K, n)) is types.FunctionType
+             and "causal_scan" in getattr(K, n).__code__.co_names
+             and n not in K.PLAIN and n not in K.COMPILED
+             for n in ("matrix_volterra_apply", "matrix_volterra_solve",
+                       "neutral_volterra_apply")],
 }))
 """
 
@@ -158,30 +164,31 @@ def test_backend_selection_reported():
     assert K.NUMBA_ENABLED == (not K.NUMBA_DISABLED and numba_found)
     assert semflow.NUMBA_ENABLED == K.NUMBA_ENABLED
     assert bool(K.COMPILED) == K.NUMBA_ENABLED
-    # numba only ever compiles the delay-line and neutral loops
+    # numba only ever compiles the sequential delay-line and neutral loops
     assert set(K.PLAIN) == set(TABLE_KERNELS)
     assert set(K.COMPILED) <= set(TABLE_KERNELS)
     chosen = K.COMPILED if K.NUMBA_ENABLED else K.PLAIN
     for name in TABLE_KERNELS:
         assert getattr(K, name) is chosen[name], name
-    # the matrix kernels are the one scan implementation on every backend
-    for name in MATRIX_KERNELS:
+    # the matrix kernels and the neutral input-output map are the one scan
+    # implementation on every backend
+    for name in SCAN_KERNELS:
         fn = getattr(K, name)
         assert fn.__module__ == "semflow._kernels", name
         assert "causal_scan" in fn.__code__.co_names, name
 
     # the forced fallback is read at import, so check it in a fresh process,
-    # and check that the flag leaves the matrix kernels alone either way
+    # and check that the flag leaves the scan kernels alone either way
     forced = _probe_backend("1")
     assert forced == {"disabled": True, "enabled": False,
                       "delay_solve_from_table": True, "delay_solve_plain": True,
-                      "matrix_scan": [True, True]}
+                      "scan": [True, True, True]}
     free = _probe_backend("0")
     assert free["disabled"] is False
     assert free["enabled"] == numba_found
     assert free["delay_solve_from_table"] is True
     assert free["delay_solve_plain"] is (not numba_found)
-    assert free["matrix_scan"] == [True, True]
+    assert free["scan"] == [True, True, True]
 
 
 def test_strict_causality_of_discrete_io():

@@ -7,7 +7,8 @@ import semflow as sf
 from semflow import admissibility as adm
 from semflow import neutral as nt
 from semflow.errors import ConfigurationError, DomainError, GridAlignmentError
-from helpers import atom_system, block_deviation, neutral_initial
+from helpers import atom_system, block_deviation, mixed_system, neutral_initial
+from oracles import neutral_direct_solve_loop
 
 
 def test_build_a0_block_structure():
@@ -290,3 +291,43 @@ def test_history_segment_shift_consistency():
     b = nt.history_segment(sys0, orb, 11)
     assert np.allclose(a.coords[1:], b.coords[:-1])
     assert a.norm() > 0.0
+
+
+def test_direct_solve_matches_oracle():
+    # forward substitution through the kernel against the tap-by-tap loop,
+    # with weight on the oldest (atoms at -1) and newest (densities) taps
+    sys0 = mixed_system()
+    triple = nt.build_perturbation(sys0)
+    h = sys0.history_grid.step
+    c_block, prow, krow = triple.neutral_blocks()
+    assert np.any(prow[-1] != 0.0) and np.any(krow[-1] != 0.0)
+    grid = sf.time_grid(3.0, h)
+    rng = np.random.default_rng(5)
+    v = sf.InputSignal(grid, rng.standard_normal((grid.count + 1, 4)), triple.u_space)
+    w = sf.invert_io(triple, grid.end, v, sf.DirectSolve()).values
+    ref = neutral_direct_solve_loop(sf.matexp(sys0.a, h), c_block, prow, krow,
+                                    v.values, h)
+    assert np.max(np.abs(w - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("route", ["formula", "oracle"])
+def test_block_orbit_rows_window_the_trajectory(route):
+    # state k holds (z_k, x(t_k + s)) for s on the history grid, so the
+    # history blocks of consecutive states overlap by one shift, row 0 is the
+    # initial state, and the norm is sup|z| + h * sum of the left-point sups
+    sys0 = mixed_system(n_hist=16)
+    d = sys0.dim
+    N = sys0.history_grid.count
+    h = sys0.history_grid.step
+    y, f = neutral_initial(sys0, seed=4)
+    grid = sf.time_grid(2.0, h)
+    if route == "formula":
+        orb = nt.neutral_orbit(sys0, (y, f), grid).orbit
+    else:
+        orb = nt.method_of_steps(sys0, (y, f), grid)
+    hist = orb.states[:, d:].reshape(grid.count + 1, N + 1, d)
+    assert np.array_equal(orb.states[0], np.concatenate([y, f.ravel()]))
+    assert np.array_equal(hist[1:, :-1], hist[:-1, 1:])
+    norms = np.max(np.abs(orb.states[:, :d]), axis=1) \
+        + h * np.sum(np.max(np.abs(hist[:, :N]), axis=2), axis=1)
+    assert np.allclose(orb.norms, norms, rtol=1e-12, atol=0.0)

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import neutral as nt
 from .core import Grid, StateVector, time_grid
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence,
-                     PreconditionError, SemflowError)
+                     NumericalFailure, PreconditionError, SemflowError)
 from .maps import (BoundedControl, DirectSolve, DirichletControl,
                    IdentityControl, Neumann, PerturbationTriple,
                    perturbed_orbit)
@@ -33,8 +34,8 @@ from .translation import DirichletSpec, MeasureSpec
 
 _VALIDATION_ERRORS = (ConfigurationError, DimensionError, DomainError,
                       GridAlignmentError, KeyError, TypeError, ValueError)
-_NUMERICAL_ERRORS = (ContractionViolation, NoConvergence, PreconditionError,
-                     FloatingPointError, np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (ContractionViolation, NoConvergence, NumericalFailure,
+                     PreconditionError, FloatingPointError, np.linalg.LinAlgError)
 
 _TOP_KEYS = {"system", "grid", "method", "neumann", "seed", "initial", "probes",
              "signals", "admissibility", "asymptotics"}
@@ -240,18 +241,51 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path: Path, header, columns):
-    cols = [np.asarray(c, dtype=float) for c in columns]
+def write_csv(path: Path, header, columns, *, trajectory=None, stride=1):
+    """One row per sample of ``columns``, each value formatted by ``fmt``.
+
+    With a ``trajectory``, the trailing columns are windows of it: row k's
+    are ``trajectory[k*stride : k*stride + width]``, the last window ending
+    the trajectory.  Each trajectory value is then formatted once and row k's
+    window is one slice of the joined text; only the leading columns (at
+    least one) are formatted per row.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        if trajectory is None:
+            cols = [np.asarray(c, dtype=float) for c in columns]
+            for row in zip(*cols):
+                fh.write(",".join(fmt(v) for v in row) + "\n")
+            return
+        rows = len(columns[0])
+        width = len(trajectory) - (rows - 1) * stride
+        head = [np.asarray(c, dtype=float) for c in columns[: len(columns) - width]]
+        cells = [fmt(v) for v in trajectory.tolist()]
+        text = ",".join(cells)
+        # starts[i] is the offset of cell i in text, starts[-1] = len(text) + 1
+        starts = list(accumulate((len(c) + 1 for c in cells), initial=0))
+        for k, row in enumerate(zip(*head)):
+            a = k * stride
+            fh.write("".join(fmt(v) + "," for v in row)
+                     + text[starts[a]: starts[a + width] - 1] + "\n")
 
 
-def write_json(path: Path, obj: dict):
+def write_json(path: Path, obj: dict, *, allow_nan=True):
+    """Sorted-key JSON; with ``allow_nan=False`` an inf or nan anywhere in
+    ``obj`` is a numerical failure and nothing is written."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=allow_nan)
+    except ValueError as exc:
+        raise NumericalFailure(f"{path.name} would hold a non-finite number") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _require_finite(*orbits):
+    """Refuse to write an orbit holding inf or nan."""
+    if not all(orb.all_finite() for orb in orbits):
+        raise NumericalFailure("the orbit is not finite (overflow or nan); "
+                               "nothing is written")
 
 
 def _orbit_csv(path: Path, orb):
@@ -260,7 +294,7 @@ def _orbit_csv(path: Path, orb):
     for j in range(orb.states.shape[1]):
         header.append(f"x{j}")
         cols.append(orb.states[:, j])
-    write_csv(path, header, cols)
+    write_csv(path, header, cols, trajectory=orb.trajectory, stride=orb.stride)
 
 
 def _manifest(cfg, seed, grid, diagnostics, started):
@@ -283,6 +317,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         initial = build_initial(cfg, target)
         res = nt.neutral_orbit(target, initial, grid, method=method)
         oracle = nt.method_of_steps(target, initial, grid)
+        _require_finite(res.orbit, oracle)
         _orbit_csv(out / "orbit_formula.csv", res.orbit)
         _orbit_csv(out / "orbit_oracle.csv", oracle)
         diagnostics = {
@@ -294,12 +329,14 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     else:
         x = build_initial(cfg, target)
         orb = perturbed_orbit(target, x, grid, method=method)
+        _require_finite(orb)
         _orbit_csv(out / "orbit.csv", orb)
         diagnostics = {"initial_norm": orb.initial_norm(),
                        "final_norm": float(orb.norms[-1])}
         if isinstance(target.base, LeftTranslation):
             diagnostics["truncation_exact"] = bool(grid.end <= target.base.horizon)
-    write_json(out / "manifest.json", _manifest(cfg, seed, grid, diagnostics, started))
+    write_json(out / "manifest.json", _manifest(cfg, seed, grid, diagnostics, started),
+               allow_nan=False)
     return 0
 
 
@@ -413,7 +450,7 @@ def cmd_neutral_compare(cfg: dict, out: Path, seed: int) -> int:
     step = float(cfg["grid"]["step"])
     horizon = float(cfg["grid"]["horizon"])
     method = method_from(cfg)
-    devs = {}
+    runs = {}
     for tag, factor in (("coarse", 1), ("fine", 2)):
         sys_f = target if factor == 1 else nt.NeutralSystem(
             target.a, target.p_kernel, target.k_kernel, target.c,
@@ -421,14 +458,20 @@ def cmd_neutral_compare(cfg: dict, out: Path, seed: int) -> int:
         grid = time_grid(horizon, step / factor)
         initial = build_initial(cfg, sys_f)
         res = nt.neutral_orbit(sys_f, initial, grid, method=method)
-        oracle = nt.method_of_steps(sys_f, initial, grid)
-        _orbit_csv(out / f"orbit_formula_{tag}.csv", res.orbit)
+        runs[tag] = (res.orbit, nt.method_of_steps(sys_f, initial, grid))
+    _require_finite(*(orb for pair in runs.values() for orb in pair))
+    devs = {}
+    for tag, (formula, oracle) in runs.items():
+        _orbit_csv(out / f"orbit_formula_{tag}.csv", formula)
         _orbit_csv(out / f"orbit_oracle_{tag}.csv", oracle)
-        devs[tag] = float(np.max(np.abs(res.orbit.norms - oracle.norms)))
-    order = float(np.log2(devs["coarse"] / devs["fine"])) if devs["fine"] > 0 else np.inf
+        devs[tag] = float(np.max(np.abs(formula.norms - oracle.norms)))
+    # undefined (null) when a route agrees exactly with the oracle
+    order = float(np.log2(devs["coarse"] / devs["fine"])) \
+        if devs["coarse"] > 0 and devs["fine"] > 0 else None
     diagnostics = {"deviation": devs, "empirical_order": order}
     write_json(out / "manifest.json",
-               _manifest(cfg, seed, time_grid(horizon, step), diagnostics, started))
+               _manifest(cfg, seed, time_grid(horizon, step), diagnostics, started),
+               allow_nan=False)
     return 0
 
 

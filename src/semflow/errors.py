@@ -29,6 +29,10 @@ class PreconditionError(SemflowError):
         self.diagnostics = diagnostics
 
 
+class NumericalFailure(SemflowError):
+    """A computed result is not finite, so it is not written."""
+
+
 class ContractionViolation(SemflowError):
     """Neumann inversion refused: the input-output map is not a contraction."""
 

@@ -34,7 +34,7 @@ from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence)
 from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
                          NilpotentShift, OrbitSeries, Semigroup,
-                         orbit_from_states)
+                         orbit_from_states, orbit_from_trajectory)
 from .translation import DirichletSpec
 
 
@@ -495,14 +495,10 @@ def _neutral_block_orbit(grid: Grid, zs: np.ndarray, X: np.ndarray, N: int,
     trajectory ``X``, whose rows k..k+N are the history window at t_k."""
     n = grid.count
     d = zs.shape[1]
-    states = np.empty((n + 1, d + (N + 1) * d))
-    states[:, :d] = zs
-    # window k*d of the flattened trajectory is X[k:k+N+1]
-    states[:, d:] = np.lib.stride_tricks.sliding_window_view(
-        X.ravel(), (N + 1) * d)[::d][: n + 1]
     pn = np.max(np.abs(X), axis=1)
     norms = np.max(np.abs(zs), axis=1) + _sliding_l1(pn[: n + N], N, grid.step)
-    return OrbitSeries(grid, states, norms, space)
+    # window k*d of the flattened trajectory is X[k:k+N+1]
+    return orbit_from_trajectory(grid, X.ravel(), d, norms, space, head=zs[: n + 1])
 
 
 def _neutral_observation(e, observe, f0, y, n, N, d):
@@ -532,12 +528,11 @@ def _dirichlet_perturbed_orbit(triple, x, grid, method):
         w = _kernels.delay_volterra_solve(lag, np.ascontiguousarray(v))
     else:
         w = invert_io(triple, grid.end, sig, method).values[:, 0]
-    # state at t_k: initial profile shifted (arguments < 0) plus the solved
-    # boundary signal placed on [-t_k, 0]
+    # state at t_k is the window q[k:k+N+1]: the initial profile shifted
+    # (arguments < 0) plus the solved boundary signal placed on [-t_k, 0]
     q = np.concatenate([f0[:N], [0.0], w[1:]])
-    states = np.lib.stride_tricks.sliding_window_view(q, N + 1)[: n + 1]
     norms = _sliding_l1(np.abs(q)[: n + N], N, h)
-    return OrbitSeries(grid, np.ascontiguousarray(states), norms, base.space)
+    return orbit_from_trajectory(grid, q, 1, norms, base.space)
 
 
 def perturbed_apply(triple: PerturbationTriple, t: float, x: StateVector,

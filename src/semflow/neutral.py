@@ -127,7 +127,11 @@ def compatible_y(sys: NeutralSystem, f_values) -> np.ndarray:
     if f.ndim == 1:
         f = f[:, None]
     rhs = f[-1] - apply_kernel(sys, "k", f)
-    return np.linalg.solve(sys.c, rhs)
+    try:
+        return np.linalg.solve(sys.c, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigurationError(
+            f"a compatible y needs an invertible C ({exc}); give 'y' explicitly") from exc
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ step, and the left-endpoint L1 norm commutes with the shift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import causal_scan
 from .core import Grid, L1Space, ProductSpace, Space, StateVector, SupSpace, matexp
@@ -166,18 +168,46 @@ class BlockDiag(Semigroup):
 
 @dataclass(frozen=True)
 class OrbitSeries:
-    """Sampled orbit t_k -> T(t_k)x with its norm track."""
+    """Sampled orbit t_k -> T(t_k)x with its norm track.
+
+    On a shift base the state at t_k is a window of one flat trajectory.  Such
+    an orbit records that ``trajectory`` and the window ``stride``: the
+    trailing ``width`` columns of ``states[k]`` are
+    ``trajectory[k*stride : k*stride + width]``, where the last window ends
+    the trajectory, and the ``head`` columns before them (the matrix block of
+    a neutral orbit, none on a translation base) are stored per row.  Without
+    a trajectory, ``states`` is all there is.
+    """
 
     grid: Grid
     states: np.ndarray  # (count+1, dim)
     norms: np.ndarray
     space: Space
+    trajectory: Optional[np.ndarray] = None
+    stride: int = 1
 
     def __post_init__(self):
         if self.states.shape != (self.grid.count + 1, self.space.dim):
             raise DimensionError("orbit states do not match grid/space")
         if self.norms.shape[0] != self.grid.count + 1:
             raise DimensionError("orbit norms do not match grid")
+        if self.trajectory is not None and not 0 < self.width <= self.space.dim:
+            raise DimensionError("orbit trajectory does not match its windows")
+
+    @property
+    def width(self) -> int:
+        """Number of trailing state columns read from the trajectory."""
+        return self.trajectory.shape[0] - self.grid.count * self.stride
+
+    @property
+    def head(self) -> int:
+        """Number of leading state columns stored per row."""
+        return self.space.dim - self.width
+
+    @property
+    def windows(self) -> np.ndarray:
+        """Row k is the view ``trajectory[k*stride : k*stride + width]``."""
+        return sliding_window_view(self.trajectory, self.width)[:: self.stride]
 
     def state(self, k: int) -> StateVector:
         return StateVector(self.states[k], self.space)
@@ -185,10 +215,37 @@ class OrbitSeries:
     def initial_norm(self) -> float:
         return float(self.norms[0])
 
+    def all_finite(self) -> bool:
+        """Whether every state value and norm is finite; a windowed orbit
+        checks its trajectory and head columns, not every window."""
+        if self.trajectory is None:
+            parts = (self.norms, self.states)
+        else:
+            parts = (self.norms, self.trajectory, self.states[:, : self.head])
+        return all(bool(np.all(np.isfinite(p))) for p in parts)
+
 
 def orbit_from_states(grid: Grid, states: np.ndarray, space: Space) -> OrbitSeries:
     states = np.asarray(states, dtype=float)
     return OrbitSeries(grid, states, space.rows_norm(states), space)
+
+
+def orbit_from_trajectory(grid: Grid, trajectory: np.ndarray, stride: int,
+                          norms: np.ndarray, space: Space,
+                          head: Optional[np.ndarray] = None) -> OrbitSeries:
+    """Windowed orbit: state k is ``head[k]`` (if given) followed by the
+    window of ``trajectory`` at ``k*stride``.  Without a head, ``states`` is
+    the lazy window view itself; with one, the rows are assembled once."""
+    width = space.dim - (0 if head is None else head.shape[1])
+    trajectory = trajectory[: grid.count * stride + width]
+    windows = sliding_window_view(trajectory, width)[::stride]
+    if head is None:
+        states = windows
+    else:
+        states = np.empty((grid.count + 1, space.dim))
+        states[:, : head.shape[1]] = head
+        states[:, head.shape[1]:] = windows
+    return OrbitSeries(grid, states, norms, space, trajectory, stride)
 
 
 def apply(sg: Semigroup, t: float, x: StateVector) -> StateVector:

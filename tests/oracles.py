@@ -1,8 +1,9 @@
-"""Sequential reference loops for the vectorized kernels.
+"""Sequential reference loops for the vectorized kernels and writers.
 
 They step each recurrence one sample at a time, and read the history one tap
 at a time, exactly as the definitions in ``semflow._kernels`` and
-``semflow.maps`` read; they serve only as test oracles.
+``semflow.maps`` read; the orbit CSV oracle formats every value of every row.
+They serve only as test oracles.
 """
 
 import numpy as np
@@ -82,3 +83,14 @@ def neutral_direct_solve_loop(E, C, prow, krow, v, h):
             X[N + k] = w2[k]
         zc = E @ (zc + w1[k])
     return np.hstack([w1, w2])
+
+
+def orbit_csv_rows_loop(path, orb):
+    """Write ``t, norm, x0..`` for every orbit row, formatting each value of
+    the dense states with ``.17g`` one at a time."""
+    header = ["t", "norm"] + [f"x{j}" for j in range(orb.states.shape[1])]
+    states = np.array(orb.states)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, norm, row in zip(orb.grid.points(), orb.norms, states):
+            fh.write(",".join(f"{float(v):.17g}" for v in (t, norm, *row)) + "\n")

@@ -248,3 +248,63 @@ def test_zero_step_flag_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", path, "--out", str(tmp_path),
                  "--step", "0"]) == 2
     assert "grid.step must be a finite positive number" in capsys.readouterr().err
+
+
+def test_non_finite_translation_orbit_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = {
+        "system": {"kind": "translation", "lambda": 1.0, "L": 4.0,
+                   "atoms": [[-1.0, 0.5]], "density": [[-3.0, -0.5, 0.1]]},
+        "grid": {"step": 0.002, "horizon": 1.0},
+        "initial": {"f_kind": "exp", "amplitude": 1e308},
+    }
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: the orbit is not finite" in err
+    assert "Traceback" not in err
+    assert not (out / "orbit.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def neutral_cfg(**system):
+    cfg = {
+        "system": {"kind": "neutral", "a": [[-1.0, 0.3], [0.0, -1.5]],
+                   "c": [[0.5, 0.0], [0.1, 0.4]], "p_atoms": [[-1.0, 0.3]],
+                   "k_atoms": [[-1.0, 0.25]], "history_steps": 16},
+        "grid": {"step": 0.0625, "horizon": 1.0},
+        "initial": {"f_kind": "cosine"},
+    }
+    cfg["system"].update(system)
+    return cfg
+
+
+def test_non_finite_neutral_compare_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = neutral_cfg()
+    cfg["initial"]["amplitude"] = 1e308
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["neutral-compare", "--config", path, "--out", str(out)]) == 1
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_singular_c_with_compatible_y_exits_2(tmp_path, capsys):
+    path = write_cfg(tmp_path / "cfg.json", neutral_cfg(c=[[1.0, 0.0], [0.0, 0.0]]))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation failure: a compatible y needs an invertible C" in err
+    assert not (tmp_path / "orbit_formula.csv").exists()
+
+
+def test_neutral_compare_exact_agreement_writes_null_order(tmp_path):
+    # zero data: both routes give the zero orbit, so the order is undefined
+    cfg = neutral_cfg()
+    cfg["initial"].update({"amplitude": 0.0, "offset": 0.0})
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    assert main(["neutral-compare", "--config", path, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "manifest.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    manifest = json.loads(text)
+    assert manifest["diagnostics"]["deviation"] == {"coarse": 0.0, "fine": 0.0}
+    assert manifest["diagnostics"]["empirical_order"] is None

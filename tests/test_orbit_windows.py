@@ -1,0 +1,148 @@
+"""Shift-base orbits as one trajectory plus windows: the window structure of
+the states, the memory it saves, and the orbit CSV writer that formats each
+trajectory value once yet writes the same bytes as the row-by-row loop."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import semflow as sf
+from semflow import cli
+from semflow import neutral as nt
+from semflow.maps import perturbed_orbit
+from helpers import mixed_system, neutral_initial
+from oracles import orbit_csv_rows_loop
+
+
+def translation_cfg(horizon, step, L, initial):
+    return {
+        "system": {"kind": "translation", "lambda": 1.0, "L": L,
+                   "atoms": [[-1.0, 0.5]], "density": [[-3.0, -0.5, 0.1]]},
+        "grid": {"step": step, "horizon": horizon},
+        "initial": initial,
+    }
+
+
+def translation_orbit(cfg):
+    target = cli.build_system(cfg)
+    grid = sf.time_grid(cfg["grid"]["horizon"], cfg["grid"]["step"])
+    return perturbed_orbit(target, cli.build_initial(cfg, target), grid)
+
+
+# f(-L..0) on 17 points: -0.0, a subnormal and values printed in exponent form
+SPECIAL_VALUES = [-0.0, 5e-324, 1e-7, -2.5e-12, 1.5e22, -3.25e-300, 0.1, 1.0 / 3.0,
+                  -7.0, 123456789.123, 2.0 ** -1074 * 3, 1e16, -0.0, 0.0, 6.02e23,
+                  -1e-5, 0.0]
+
+
+def neutral_orbits(d_hist=16, horizon=2.0):
+    sys0 = mixed_system(n_hist=d_hist)
+    y, f = neutral_initial(sys0, seed=4)
+    grid = sf.time_grid(horizon, sys0.history_grid.step)
+    return (nt.neutral_orbit(sys0, (y, f), grid).orbit,
+            nt.method_of_steps(sys0, (y, f), grid))
+
+
+def assert_rows_are_windows(orb, stride):
+    assert orb.stride == stride
+    traj = orb.trajectory
+    assert np.shares_memory(orb.windows, traj)
+    for k in range(orb.grid.count + 1):
+        window = traj[k * stride: k * stride + orb.width]
+        assert orb.states[k, orb.head:].tobytes() == window.tobytes()
+    assert orb.states.shape[1] == orb.head + orb.width
+
+
+def test_translation_states_are_windows_of_the_trajectory():
+    cfg = translation_cfg(2.0, 0.125, 2.0, {"f_kind": "exp", "amplitude": 1.0})
+    orb = translation_orbit(cfg)
+    assert orb.head == 0 and orb.width == 17
+    assert_rows_are_windows(orb, 1)
+    # no dense copy: the states are the window view itself
+    assert np.shares_memory(orb.states, orb.trajectory)
+
+
+@pytest.mark.parametrize("route", [0, 1], ids=["formula", "oracle"])
+def test_neutral_history_blocks_are_windows_of_the_trajectory(route):
+    orb = neutral_orbits()[route]
+    d = 2
+    assert orb.head == d and orb.width == 17 * d
+    assert_rows_are_windows(orb, d)
+
+
+def test_translation_orbit_memory_does_not_scale_with_window_count():
+    # the benchmark's translation system at T = 80: states is (40001, 2001),
+    # 640 MB if copied densely
+    cfg = translation_cfg(80.0, 0.002, 4.0, {"f_kind": "exp", "amplitude": 1.0})
+    target = cli.build_system(cfg)
+    x = cli.build_initial(cfg, target)
+    grid = sf.time_grid(80.0, 0.002)
+    tracemalloc.start()
+    try:
+        orb = perturbed_orbit(target, x, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orb.states.shape == (40001, 2001)
+    assert peak < 16e6
+
+
+def test_orbit_csv_matches_row_loop_on_special_values(tmp_path):
+    cfg = translation_cfg(2.0, 0.125, 2.0, {"f_kind": "values",
+                                             "values": SPECIAL_VALUES})
+    orb = translation_orbit(cfg)
+    assert orb.trajectory is not None
+    cli._orbit_csv(tmp_path / "fast.csv", orb)
+    orbit_csv_rows_loop(tmp_path / "loop.csv", orb)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "loop.csv").read_bytes()
+    for token in (b",-0,", b"e-324,", b"e+22,", b"e-300,"):
+        assert token in fast
+
+
+def test_neutral_orbit_csvs_match_row_loop(tmp_path):
+    cfg = {
+        "system": {"kind": "neutral", "a": [[-1.0, 0.3], [0.0, -1.5]],
+                   "c": [[0.5, 0.0], [0.1, 0.4]],
+                   "p_atoms": [[-1.0, 0.3]], "p_density": [[-0.75, -0.25, 0.2]],
+                   "k_atoms": [[-1.0, 0.25]], "k_density": [[-1.0, -0.5, 0.1]],
+                   "history_steps": 16},
+        "grid": {"step": 0.0625, "horizon": 2.0},
+        "initial": {"f_kind": "cosine"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    target = cli.build_system(cfg)
+    initial = cli.build_initial(cfg, target)
+    grid = sf.time_grid(2.0, 0.0625)
+    orbits = {"orbit_formula": nt.neutral_orbit(target, initial, grid).orbit,
+              "orbit_oracle": nt.method_of_steps(target, initial, grid)}
+    for name, orb in orbits.items():
+        assert orb.stride == 2
+        orbit_csv_rows_loop(tmp_path / f"{name}_loop.csv", orb)
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}_loop.csv").read_bytes()
+
+
+def test_orbit_csv_goes_through_write_csv(tmp_path, monkeypatch):
+    # the traced benchmark layer reads the path and the columns of write_csv
+    calls = []
+    write_csv = cli.write_csv
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return write_csv(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_csv", spy)
+    cfg = translation_cfg(3.0, 0.125, 2.0, {"f_kind": "exp", "amplitude": 1.0})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    (args,) = calls
+    N, n = 16, 24
+    assert args[0] == tmp_path / "orbit.csv"
+    assert len(args[1]) == N + 3 and len(args[2]) == N + 3
+    assert all(len(col) == n + 1 for col in args[2])

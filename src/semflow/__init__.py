@@ -13,8 +13,8 @@ from .translation import (DirichletSpec, MeasureSpec, boundary_control_closed_fo
                           dirichlet_apply, io_infty_closed_form, measure_observation)
 from .admissibility import (AdmissibilityReport, check_desch_schappacher,
                             check_miyadera_voigt, estimate_constants, favard_norm)
-from .asymptotics import (AsymptoticVerdict, RobustnessConfig, check_bounded,
-                          check_mean_ergodic, check_strongly_stable,
+from .asymptotics import (AsymptoticVerdict, RobustnessConfig, asymptotics_run,
+                          check_bounded, check_mean_ergodic, check_strongly_stable,
                           check_uniformly_ergodic, check_weakly_stable,
                           robustness_experiment)
 from .neutral import (NeutralSystem, build_a0, build_perturbation,
@@ -34,7 +34,7 @@ __all__ = [
     "dirichlet_apply", "io_infty_closed_form", "measure_observation",
     "AdmissibilityReport", "check_desch_schappacher", "check_miyadera_voigt",
     "estimate_constants", "favard_norm", "AsymptoticVerdict", "RobustnessConfig",
-    "check_bounded", "check_mean_ergodic", "check_strongly_stable",
+    "asymptotics_run", "check_bounded", "check_mean_ergodic", "check_strongly_stable",
     "check_uniformly_ergodic", "check_weakly_stable", "robustness_experiment",
     "NeutralSystem", "build_a0", "build_perturbation", "method_of_steps",
     "neutral_orbit", "scaling_conjugation", "__version__",

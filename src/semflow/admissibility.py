@@ -16,7 +16,7 @@ import numpy as np
 from .core import Grid, InputSignal, StateVector, opnorm_sup, time_grid
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
-                   NeutralBoundaryControl, PerturbationTriple, _apply_io,
+                   NeutralBoundaryControl, Neumann, PerturbationTriple, _apply_io,
                    _sliding_l1, estimate_io_norm, invert_io, observation_map)
 from .semigroups import Semigroup, orbit
 
@@ -136,13 +136,16 @@ def _constants_at(triple, probes, signals, grid, method):
             io_ratio = max(io_ratio, fu.l1_norm() / uu.l1_norm())
     m_c = 0.0
     sup_inv = 0.0
+    # one contraction estimate of F on this grid serves every Neumann solve
+    est = estimate_io_norm(triple, grid.end, step=grid.step) \
+        if isinstance(method, Neumann) else None
     for x in probes:
         nx = x.norm()
         if nx <= RATIO_FLOOR:
             continue
         v = observation_map(triple, grid.end, x, step=grid.step)
         m_c = max(m_c, float(v.running_l1()[-1]) / nx)
-        w = invert_io(triple, grid.end, v, method)
+        w = invert_io(triple, grid.end, v, method, contraction_estimate=est)
         sup_inv = max(sup_inv, float(np.max(w.running_l1())) / nx)
     return m_b, m_c, m_bc, io_ratio, sup_inv
 

@@ -13,7 +13,7 @@ requires of an asymptotic subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -235,6 +235,23 @@ class RobustnessReport:
     n_synthetic: int
 
 
+@dataclass(frozen=True)
+class ProbeTracks:
+    """Plot data of one probe: the norms and Cesaro residual tracks of its
+    base and perturbed orbits."""
+    base_norms: np.ndarray
+    pert_norms: np.ndarray
+    base_cesaro: np.ndarray
+    pert_cesaro: np.ndarray
+
+
+@dataclass(frozen=True)
+class AsymptoticsRun:
+    """What one ``asymptotics_run`` computes."""
+    reports: Dict[str, RobustnessReport]  # one per distinct requested property
+    tracks: List[ProbeTracks]  # one per probe, when requested
+
+
 def _functionals_for(space_dim: int, count: int, seed: int) -> List[np.ndarray]:
     rng = np.random.default_rng(seed)
     out = [np.eye(space_dim)[i] for i in range(min(space_dim, 3))]
@@ -275,12 +292,14 @@ def shift_orbit(orb: OrbitSeries, b: float) -> OrbitSeries:
 
 
 def synthetic_orbits(count: int, grid: Grid, seed: int = 42,
-                     dim: int = 2) -> List[OrbitSeries]:
+                     dim: int = 2) -> Iterator[OrbitSeries]:
     """Deterministic zoo of sampled orbit shapes: decays, bumps, constants,
-    rotations, slow growth, damped oscillations, hard cutoffs, offsets."""
+    rotations, slow growth, damped oscillations, hard cutoffs, offsets.
+
+    The orbits are yielded one at a time, so a single pass over the zoo
+    never holds all of it."""
     rng = np.random.default_rng(seed)
     t = grid.points()
-    out = []
     for i in range(count):
         kind = i % 8
         a = float(rng.uniform(0.5, 2.0))
@@ -315,51 +334,31 @@ def synthetic_orbits(count: int, grid: Grid, seed: int = 42,
         else:  # constant plus transient
             r = rng.uniform(0.3, 1.0)
             states[:, 0] = a * (0.5 + np.exp(-r * t))
-        out.append(orbit_from_states(grid, states, StateVector.sup(states[0]).space))
-    return out
+        yield orbit_from_states(grid, states, StateVector.sup(states[0]).space)
 
 
-def biinvariance_harness(checkers: Dict[str, Callable], orbits: Sequence[OrbitSeries],
+def biinvariance_harness(checkers: Dict[str, Callable], orbits: Iterable[OrbitSeries],
                          shifts: Sequence[float]) -> List[dict]:
-    """Check shifted-PASS => full-PASS for every checker on every orbit."""
-    violations = []
-    for name, ch in checkers.items():
-        for i, orb in enumerate(orbits):
+    """Check shifted-PASS => full-PASS for every checker on every orbit.
+
+    ``orbits`` is read once, each orbit by every checker in turn, so it may
+    be a stream; violations are listed by checker, then orbit, then shift."""
+    found = {name: [] for name in checkers}
+    for i, orb in enumerate(orbits):
+        shifted = [(b, shift_orbit(orb, b)) for b in shifts]
+        for name, ch in checkers.items():
             full = ch(orb)
-            for b in shifts:
-                shifted = ch(shift_orbit(orb, b))
-                if shifted.verdict == "PASS" and full.verdict != "PASS":
-                    violations.append({"checker": name, "orbit": i, "shift": b,
-                                       "shifted": shifted.verdict,
-                                       "full": full.verdict})
-    return violations
+            for b, sh in shifted:
+                v = ch(sh)
+                if v.verdict == "PASS" and full.verdict != "PASS":
+                    found[name].append({"checker": name, "orbit": i, "shift": b,
+                                        "shifted": v.verdict, "full": full.verdict})
+    return [v for name in checkers for v in found[name]]
 
 
-def robustness_experiment(triple: PerturbationTriple, prop: str,
-                          probes: Sequence[StateVector],
-                          config: RobustnessConfig = RobustnessConfig()) -> RobustnessReport:
-    """Run a checker on base and perturbed orbits of every probe; the report
-    passes when every base-PASS probe also passes after the perturbation, and
-    the checker family itself honours translation biinvariance on a synthetic
-    orbit zoo."""
-    if prop not in PROPERTIES:
-        raise ConfigurationError(f"unknown property {prop!r}")
-    if not probes:
-        raise ConfigurationError("empty probe set")
-    grid = Grid(0.0, config.step, int(round(config.horizon / config.step)))
-    checker = make_checker(prop, config, triple.base.space.dim)
-    per_probe = []
-    all_ok = True
-    for x in probes:
-        base = checker(orbit(triple.base, x, grid))
-        pert = checker(perturbed_orbit(triple, x, grid, method=config.method))
-        if base.verdict == "PASS":
-            ok = pert.verdict == "PASS" or (config.allow_inconclusive
-                                            and pert.verdict != "FAIL")
-        else:
-            ok = True
-        all_ok &= ok
-        per_probe.append({"base": base, "perturbed": pert, "ok": ok})
+def _harness_violations(config: RobustnessConfig) -> List[dict]:
+    """The biinvariance harness of every checker on the seeded synthetic zoo,
+    streamed: one synthetic orbit is alive at a time."""
     sgrid = Grid(0.0, config.synthetic_step,
                  int(round(config.synthetic_horizon / config.synthetic_step)))
     zoo = synthetic_orbits(config.n_synthetic, sgrid, seed=config.seed)
@@ -370,6 +369,63 @@ def robustness_experiment(triple: PerturbationTriple, prop: str,
                    0.5 * (config.synthetic_horizon - max_shift))
     syn_cfg = replace(config, tail_window=syn_tail)
     checkers = {p: make_checker(p, syn_cfg, 2) for p in PROPERTIES}
-    violations = biinvariance_harness(checkers, zoo, config.shifts)
-    return RobustnessReport(prop, all_ok and not violations, per_probe,
-                            violations, config.n_synthetic)
+    return biinvariance_harness(checkers, zoo, config.shifts)
+
+
+def asymptotics_run(triple: PerturbationTriple, properties: Sequence[str],
+                    probes: Sequence[StateVector],
+                    config: RobustnessConfig = RobustnessConfig(),
+                    tracks: bool = False) -> AsymptoticsRun:
+    """Robustness reports for several properties, and optionally the plot
+    tracks of every probe, from one harness run and one pair of orbits per
+    probe.
+
+    The biinvariance harness runs once, for the whole checker family, before
+    any probe orbit is built.  Each probe's base and perturbed orbits are
+    then built once, every requested checker reads them, and only the plot
+    tracks (when ``tracks``) outlive them.
+    """
+    for prop in properties:
+        if prop not in PROPERTIES:
+            raise ConfigurationError(f"unknown property {prop!r}")
+    if not probes:
+        raise ConfigurationError("empty probe set")
+    violations = _harness_violations(config) if properties else []
+    grid = Grid(0.0, config.step, int(round(config.horizon / config.step)))
+    checkers = {p: make_checker(p, config, triple.base.space.dim) for p in properties}
+    rows = {p: [] for p in checkers}
+    plot = []
+    for x in probes:
+        base = orbit(triple.base, x, grid)
+        pert = perturbed_orbit(triple, x, grid, method=config.method)
+        for prop, checker in checkers.items():
+            vb, vp = checker(base), checker(pert)
+            # a base PASS must survive the perturbation
+            ok = vb.verdict != "PASS" or vp.verdict == "PASS" or (
+                config.allow_inconclusive and vp.verdict != "FAIL")
+            rows[prop].append({"base": vb, "perturbed": vp, "ok": ok})
+        if tracks:
+            plot.append(ProbeTracks(base.norms, pert.norms,
+                                    cesaro_residual_track(base),
+                                    cesaro_residual_track(pert)))
+        del base, pert
+    reports = {p: RobustnessReport(p, all(r["ok"] for r in rs) and not violations,
+                                   rs, list(violations), config.n_synthetic)
+               for p, rs in rows.items()}
+    return AsymptoticsRun(reports, plot)
+
+
+def robustness_experiment(triple: PerturbationTriple, prop: str,
+                          probes: Sequence[StateVector],
+                          config: RobustnessConfig = RobustnessConfig()) -> RobustnessReport:
+    """Run a checker on base and perturbed orbits of every probe; the report
+    passes when every base-PASS probe also passes after the perturbation, and
+    the checker family itself honours translation biinvariance on a synthetic
+    orbit zoo.
+
+    This is ``asymptotics_run`` for one property.  To check several
+    properties, call ``asymptotics_run`` once: it runs the harness once and
+    builds each probe's orbits once, with the same reports as one call here
+    per property.
+    """
+    return asymptotics_run(triple, (prop,), probes, config).reports[prop]

@@ -29,7 +29,7 @@ from .errors import (ConfigurationError, ContractionViolation, DimensionError,
 from .maps import (BoundedControl, DirectSolve, DirichletControl,
                    IdentityControl, Neumann, PerturbationTriple,
                    perturbed_orbit)
-from .semigroups import LeftTranslation, MatrixSemigroup, orbit
+from .semigroups import LeftTranslation, MatrixSemigroup
 from .translation import DirichletSpec, MeasureSpec
 
 _VALIDATION_ERRORS = (ConfigurationError, DimensionError, DomainError,
@@ -241,6 +241,9 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+_CSV_BLOCK_ROWS = 128
+
+
 def write_csv(path: Path, header, columns, *, trajectory=None, stride=1):
     """One row per sample of ``columns``, each value formatted by ``fmt``.
 
@@ -253,9 +256,13 @@ def write_csv(path: Path, header, columns, *, trajectory=None, stride=1):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         if trajectory is None:
+            # "%.17g" % v is fmt(v) for every float; the columns become
+            # python floats one block of rows at a time, to bound memory
+            line = ",".join(["%.17g"] * len(columns)) + "\n"
             cols = [np.asarray(c, dtype=float) for c in columns]
-            for row in zip(*cols):
-                fh.write(",".join(fmt(v) for v in row) + "\n")
+            for a in range(0, len(cols[0]) if cols else 0, _CSV_BLOCK_ROWS):
+                block = [c[a: a + _CSV_BLOCK_ROWS].tolist() for c in cols]
+                fh.writelines(line % row for row in zip(*block))
             return
         rows = len(columns[0])
         width = len(trajectory) - (rows - 1) * stride
@@ -411,10 +418,11 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
         n_synthetic=int(acfg.get("n_synthetic", 50)),
         seed=seed, method=method_from(cfg))
     grid = time_grid(config.horizon, config.step)
+    run = asy.asymptotics_run(triple, props, probes, config, tracks=True)
     matrix = {}
     all_pass = True
     for prop in props:
-        rep = asy.robustness_experiment(triple, prop, probes, config)
+        rep = run.reports[prop]
         matrix[prop] = {
             "passes": bool(rep.passes),
             "per_probe": [{"base": _verdict_dict(p["base"]),
@@ -427,12 +435,10 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
     ts = grid.points()
     norm_cols, norm_head = [ts], ["t"]
     ces_cols, ces_head = [ts], ["t"]
-    for i, x in enumerate(probes):
-        base = orbit(triple.base, x, grid)
-        pert = perturbed_orbit(triple, x, grid, method=config.method)
-        norm_cols += [base.norms, pert.norms]
+    for i, tr in enumerate(run.tracks):
+        norm_cols += [tr.base_norms, tr.pert_norms]
         norm_head += [f"base_norm_{i}", f"pert_norm_{i}"]
-        ces_cols += [asy.cesaro_residual_track(base), asy.cesaro_residual_track(pert)]
+        ces_cols += [tr.base_cesaro, tr.pert_cesaro]
         ces_head += [f"base_cesaro_{i}", f"pert_cesaro_{i}"]
     write_csv(out / "plot_norms.csv", norm_head, norm_cols)
     write_csv(out / "plot_cesaro.csv", ces_head, ces_cols)

@@ -416,12 +416,16 @@ def _neutral_direct_solve(triple, vals, h):
     return np.hstack([w1, w2])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sliding_l1(point_norms: np.ndarray, window: int, h: float) -> np.ndarray:
     """h * sum of `window` consecutive point norms, for every start index."""
     c = np.concatenate([[0.0], np.cumsum(point_norms)])
     return h * (c[window:] - c[: c.shape[0] - window])
 
 
+# overflow runs to inf or nan without numpy warnings: callers that write an
+# orbit check it with OrbitSeries.all_finite and report the failure once
+@np.errstate(over="ignore", invalid="ignore")
 def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
                     method: Method = DirectSolve()) -> OrbitSeries:
     """Orbit of the perturbed semigroup T_BC on the time grid.

@@ -152,6 +152,8 @@ def _check_time_grid(sys: NeutralSystem, grid: Grid):
             "(unit delay divided evenly)")
 
 
+# quiet on overflow, as maps.perturbed_orbit
+@np.errstate(over="ignore", invalid="ignore")
 def neutral_orbit(sys: NeutralSystem, initial: Tuple, grid: Grid,
                   method: Method = DirectSolve()) -> NeutralOrbitResult:
     """Orbit of the neutral semigroup through the feedback composition formula.
@@ -172,6 +174,7 @@ def neutral_orbit(sys: NeutralSystem, initial: Tuple, grid: Grid,
     return NeutralOrbitResult(orb, resid, resid <= COMPAT_TOL * scale)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeries:
     """Independent oracle: exponential-trapezoid stepping of z' = A z + P x_t
     with the explicit recovery x(t) = C z(t) + K x_t.

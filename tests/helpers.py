@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import sys
+
 import numpy as np
 
 import semflow as sf
@@ -77,3 +79,21 @@ def mixed_system(p=0.3, k=0.25, p_density=0.2, k_density=0.1, q=1.0, n_hist=40,
         k_kernel=sf.MeasureSpec(atoms=((-1.0, k),), density=((-0.5, 0.0, k_density),)),
         c=q * np.array([[0.5, 0.0], [0.1, 0.4]]),
         history_grid=hist)
+
+
+def count_calls(monkeypatch, fn):
+    """Replace ``fn`` under every name a semflow module binds it to by a
+    wrapper that records each call; returns the list of recorded calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if not getattr(mod, "__name__", "").startswith("semflow"):
+            continue
+        for name, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls

@@ -1,12 +1,21 @@
-"""Sequential reference loops for the vectorized kernels and writers.
+"""Sequential reference loops for the vectorized kernels, the writers and the
+robustness experiment.
 
 They step each recurrence one sample at a time, and read the history one tap
 at a time, exactly as the definitions in ``semflow._kernels`` and
-``semflow.maps`` read; the orbit CSV oracle formats every value of every row.
+``semflow.maps`` read; the CSV oracles format every value of every row; the
+robustness oracles build fresh orbits and a fresh harness for one property.
 They serve only as test oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from semflow import asymptotics as asy
+from semflow.core import Grid
+from semflow.maps import perturbed_orbit
+from semflow.semigroups import orbit
 
 
 def matrix_volterra_apply_loop(E, B, C, u, h):
@@ -94,3 +103,59 @@ def orbit_csv_rows_loop(path, orb):
         fh.write(",".join(header) + "\n")
         for t, norm, row in zip(orb.grid.points(), orb.norms, states):
             fh.write(",".join(f"{float(v):.17g}" for v in (t, norm, *row)) + "\n")
+
+
+def csv_rows_loop(path, header, columns):
+    """Write one row per sample of ``columns``, formatting each value with
+    ``.17g`` one at a time."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+
+
+def biinvariance_harness_loop(checkers, orbits, shifts):
+    """Shifted-PASS => full-PASS, one checker at a time over the whole list
+    of orbits, shifting each orbit anew for every checker."""
+    violations = []
+    for name, ch in checkers.items():
+        for i, orb in enumerate(orbits):
+            full = ch(orb)
+            for b in shifts:
+                shifted = ch(asy.shift_orbit(orb, b))
+                if shifted.verdict == "PASS" and full.verdict != "PASS":
+                    violations.append({"checker": name, "orbit": i, "shift": b,
+                                       "shifted": shifted.verdict,
+                                       "full": full.verdict})
+    return violations
+
+
+def robustness_experiment_loop(triple, prop, probes, config):
+    """One property on its own: the checker on newly built base and perturbed
+    orbits of every probe, then the harness of the whole checker family on a
+    newly built synthetic zoo."""
+    grid = Grid(0.0, config.step, int(round(config.horizon / config.step)))
+    checker = asy.make_checker(prop, config, triple.base.space.dim)
+    per_probe = []
+    all_ok = True
+    for x in probes:
+        base = checker(orbit(triple.base, x, grid))
+        pert = checker(perturbed_orbit(triple, x, grid, method=config.method))
+        if base.verdict == "PASS":
+            ok = pert.verdict == "PASS" or (config.allow_inconclusive
+                                            and pert.verdict != "FAIL")
+        else:
+            ok = True
+        all_ok &= ok
+        per_probe.append({"base": base, "perturbed": pert, "ok": ok})
+    sgrid = Grid(0.0, config.synthetic_step,
+                 int(round(config.synthetic_horizon / config.synthetic_step)))
+    zoo = list(asy.synthetic_orbits(config.n_synthetic, sgrid, seed=config.seed))
+    max_shift = max(config.shifts) if config.shifts else 0.0
+    syn_cfg = replace(config, tail_window=min(
+        config.tail_window, 0.5 * (config.synthetic_horizon - max_shift)))
+    checkers = {p: asy.make_checker(p, syn_cfg, 2) for p in asy.PROPERTIES}
+    violations = biinvariance_harness_loop(checkers, zoo, config.shifts)
+    return asy.RobustnessReport(prop, all_ok and not violations, per_probe,
+                                violations, config.n_synthetic)

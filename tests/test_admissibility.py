@@ -3,8 +3,9 @@ import pytest
 
 import semflow as sf
 from semflow import admissibility as adm
+from semflow import maps
 from semflow.errors import ConfigurationError, DomainError, PreconditionError
-from helpers import scalar_mv
+from helpers import count_calls, scalar_mv
 
 
 def test_estimate_constants_zero_control():
@@ -37,6 +38,19 @@ def test_estimate_constants_scalar_mv():
     rep_small = adm.estimate_constants(triple, [x], sigs[:1], 20.0, step=h)
     assert rep_small.m_b_est <= rep.m_b_est + 1e-15
     assert rep_small.m_bc_est <= rep.m_bc_est + 1e-15
+
+
+def test_neumann_estimates_the_contraction_once_per_horizon(monkeypatch):
+    triple = scalar_mv(0.5)
+    probes = [sf.StateVector.sup([v]) for v in (1.0, -2.0, 0.5)]
+    sigs = adm.probe_signals(triple, sf.time_grid(5.0, 0.01), 2, seed=0)
+    direct = adm.estimate_constants(triple, probes, sigs, 5.0, step=0.01)
+    calls = count_calls(monkeypatch, maps.estimate_io_norm)
+    rep = adm.estimate_constants(triple, probes, sigs, 5.0, step=0.01,
+                                 method=sf.Neumann(tol=1e-12))
+    # the 5 s and 10 s grids, then the final estimate at 10 s
+    assert [c[1] for c in calls] == [5.0, 10.0, 10.0]
+    assert rep.sup_inv_obs_est == pytest.approx(direct.sup_inv_obs_est, rel=1e-9)
 
 
 def test_estimate_constants_translation_atom():

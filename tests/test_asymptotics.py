@@ -4,8 +4,10 @@ import pytest
 import semflow as sf
 from semflow import asymptotics as asy
 from semflow.errors import ConfigurationError, DomainError
-from semflow.semigroups import orbit_from_states
-from helpers import scalar_mv
+from semflow.maps import perturbed_orbit
+from semflow.semigroups import orbit, orbit_from_states
+from helpers import count_calls, scalar_mv
+from oracles import biinvariance_harness_loop, robustness_experiment_loop
 
 
 def make_orbit(fn, horizon=50.0, step=0.01, dim=1):
@@ -150,6 +152,26 @@ def test_biinvariance_on_synthetic_zoo():
     assert violations == []
 
 
+def test_harness_streams_the_zoo_in_the_checker_by_checker_order():
+    grid = sf.time_grid(40.0, 0.02)
+
+    def passes_below(count):
+        # PASS exactly on orbits shorter than `count` steps: shifts violate
+        return lambda o: asy.AsymptoticVerdict(
+            "X", "PASS" if o.grid.count < count else "FAIL", {})
+
+    checkers = {"late": passes_below(1600), "early": passes_below(1800),
+                "never": passes_below(0)}
+    shifts = (5.0, 10.0)
+    streamed = asy.biinvariance_harness(
+        checkers, asy.synthetic_orbits(3, grid, seed=1), shifts)
+    assert streamed == biinvariance_harness_loop(
+        checkers, list(asy.synthetic_orbits(3, grid, seed=1)), shifts)
+    assert [(v["checker"], v["orbit"], v["shift"]) for v in streamed] == \
+        [("late", i, 10.0) for i in range(3)] + \
+        [("early", i, b) for i in range(3) for b in shifts]
+
+
 def test_shift_orbit():
     orb = decay_orbit(1.0, horizon=10.0)
     sh = asy.shift_orbit(orb, 2.0)
@@ -211,6 +233,79 @@ def test_robustness_rejects_unknown_property():
     with pytest.raises(ConfigurationError):
         asy.robustness_experiment(scalar_mv(0.1), "COMPACT",
                                   [sf.StateVector.sup([1.0])])
+    with pytest.raises(ConfigurationError):
+        asy.asymptotics_run(scalar_mv(0.1), ["BOUNDED", "COMPACT"],
+                            [sf.StateVector.sup([1.0])])
+    with pytest.raises(ConfigurationError):
+        asy.asymptotics_run(scalar_mv(0.1), ["BOUNDED"], [])
+
+
+def assert_same_report(a, b):
+    assert (a.property, a.passes, a.n_synthetic) == (b.property, b.passes, b.n_synthetic)
+    assert a.biinvariance_violations == b.biinvariance_violations
+    assert len(a.per_probe) == len(b.per_probe)
+    for ra, rb in zip(a.per_probe, b.per_probe):
+        assert ra["ok"] == rb["ok"]
+        for side in ("base", "perturbed"):
+            va, vb = ra[side], rb[side]
+            assert (va.property, va.verdict) == (vb.property, vb.verdict)
+            assert va.witness.keys() == vb.witness.keys()
+            for key in va.witness:
+                assert np.array_equal(va.witness[key], vb.witness[key]), key
+
+
+def test_one_pass_matches_one_property_experiments():
+    triple = rotation_damped_triple()
+    probes = [sf.StateVector.sup(v) for v in ([1.0, 0.0, 1.0], [0.0, 1.0, -1.0],
+                                              [0.3, -0.2, 0.0])]
+    cfg = asy.RobustnessConfig(horizon=120.0, step=0.05, tail_window=30.0,
+                               ergodic_tol=2e-2, n_synthetic=8)
+    run = asy.asymptotics_run(triple, asy.PROPERTIES, probes, cfg, tracks=True)
+    assert list(run.reports) == list(asy.PROPERTIES)
+    verdicts = set()
+    for prop in asy.PROPERTIES:
+        one = asy.robustness_experiment(triple, prop, probes, cfg)
+        assert_same_report(one, run.reports[prop])
+        assert_same_report(robustness_experiment_loop(triple, prop, probes, cfg),
+                           run.reports[prop])
+        verdicts |= {r[s].verdict for r in one.per_probe for s in ("base", "perturbed")}
+    assert {"PASS", "FAIL"} <= verdicts
+    grid = sf.time_grid(cfg.horizon, cfg.step)
+    assert len(run.tracks) == len(probes)
+    for x, tr in zip(probes, run.tracks):
+        base = orbit(triple.base, x, grid)
+        pert = perturbed_orbit(triple, x, grid)
+        assert np.array_equal(tr.base_norms, base.norms)
+        assert np.array_equal(tr.pert_norms, pert.norms)
+        assert np.array_equal(tr.base_cesaro, asy.cesaro_residual_track(base))
+        assert np.array_equal(tr.pert_cesaro, asy.cesaro_residual_track(pert))
+    assert asy.asymptotics_run(triple, ["BOUNDED"], probes, cfg).tracks == []
+
+
+def test_one_pass_without_properties_builds_only_the_tracks(monkeypatch):
+    cfg = asy.RobustnessConfig(horizon=20.0, step=0.01, tail_window=5.0,
+                               n_synthetic=6)
+    harness = count_calls(monkeypatch, asy.biinvariance_harness)
+    pert = count_calls(monkeypatch, perturbed_orbit)
+    run = asy.asymptotics_run(scalar_mv(0.5), [], [sf.StateVector.sup([1.0]),
+                                                   sf.StateVector.sup([-2.0])],
+                              cfg, tracks=True)
+    assert (run.reports, len(run.tracks)) == ({}, 2)
+    assert (len(harness), len(pert)) == (0, 2)
+
+
+def test_harness_violation_fails_every_report(monkeypatch):
+    found = [{"checker": "BOUNDED", "orbit": 0, "shift": 5.0,
+              "shifted": "PASS", "full": "FAIL"}]
+    monkeypatch.setattr(asy, "biinvariance_harness", lambda *args: list(found))
+    cfg = asy.RobustnessConfig(horizon=20.0, step=0.01, tail_window=5.0,
+                               n_synthetic=6)
+    run = asy.asymptotics_run(scalar_mv(0.5), ["BOUNDED", "STRONGLY_STABLE"],
+                              [sf.StateVector.sup([1.0])], cfg)
+    for rep in run.reports.values():
+        assert all(r["ok"] for r in rep.per_probe)
+        assert not rep.passes
+        assert rep.biinvariance_violations == found
 
 
 def test_cesaro_residual_track_shape():

@@ -1,11 +1,16 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from semflow.cli import main
+from semflow import asymptotics as asy
+from semflow import maps, semigroups
+from semflow.cli import build_probes, build_system, main
+from semflow.core import time_grid
+from helpers import count_calls
 
 
 def write_cfg(path, cfg):
@@ -127,6 +132,36 @@ def test_asymptotics_verdict_matrix_and_plots(tmp_path):
     assert header[0] == "t" and "base_norm_0" in header
     header2, _ = read_csv(tmp_path / "plot_cesaro.csv")
     assert "pert_cesaro_0" in header2
+
+
+def test_asymptotics_runs_harness_and_each_orbit_once(tmp_path, monkeypatch):
+    cfg = scalar_cfg(c=0.5, horizon=20.0, step=0.01)
+    del cfg["initial"]
+    cfg["probes"] = {"count": 3}
+    cfg["asymptotics"] = {"properties": list(asy.PROPERTIES), "tail_window": 5.0,
+                          "n_synthetic": 6}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    harness = count_calls(monkeypatch, asy.biinvariance_harness)
+    base = count_calls(monkeypatch, semigroups.orbit)
+    pert = count_calls(monkeypatch, maps.perturbed_orbit)
+    assert main(["asymptotics", "--config", path, "--out", str(tmp_path)]) == 0
+    assert (len(harness), len(base), len(pert)) == (1, 3, 3)
+    rep = json.loads((tmp_path / "asymptotics.json").read_text())
+    assert sorted(rep["verdicts"]) == sorted(asy.PROPERTIES)
+    assert all(len(v["per_probe"]) == 3 for v in rep["verdicts"].values())
+    # every plot column is the track of its own orbit
+    triple = build_system(cfg)
+    grid = time_grid(20.0, 0.01)
+    _, norms = read_csv(tmp_path / "plot_norms.csv")
+    _, cesaro = read_csv(tmp_path / "plot_cesaro.csv")
+    assert norms.shape == cesaro.shape == (2001, 7)
+    for i, x in enumerate(build_probes(cfg, triple, 42)):
+        orbs = (semigroups.orbit(triple.base, x, grid),
+                maps.perturbed_orbit(triple, x, grid))
+        for j, orb in enumerate(orbs):
+            assert np.array_equal(norms[:, 1 + 2 * i + j], orb.norms)
+            assert np.array_equal(cesaro[:, 1 + 2 * i + j],
+                                  asy.cesaro_residual_track(orb))
 
 
 def test_asymptotics_empty_probes_exit_2(tmp_path):
@@ -259,10 +294,13 @@ def test_non_finite_translation_orbit_exits_1_and_writes_nothing(tmp_path, capsy
     }
     path = write_cfg(tmp_path / "cfg.json", cfg)
     out = tmp_path / "out"
-    assert main(["simulate", "--config", path, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "numerical failure: the orbit is not finite" in err
-    assert "Traceback" not in err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+    # outside a test harness a numpy warning would print to stderr as well
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("numerical failure: the orbit is not finite "
+                                       "(overflow or nan); nothing is written\n")
     assert not (out / "orbit.csv").exists()
     assert not (out / "manifest.json").exists()
 
@@ -284,8 +322,12 @@ def test_non_finite_neutral_compare_exits_1_and_writes_nothing(tmp_path, capsys)
     cfg["initial"]["amplitude"] = 1e308
     path = write_cfg(tmp_path / "cfg.json", cfg)
     out = tmp_path / "out"
-    assert main(["neutral-compare", "--config", path, "--out", str(out)]) == 1
-    assert "numerical failure" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["neutral-compare", "--config", path, "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("numerical failure: the orbit is not finite "
+                                       "(overflow or nan); nothing is written\n")
     assert list(out.iterdir()) == []
 
 

@@ -1,6 +1,7 @@
 """Shift-base orbits as one trajectory plus windows: the window structure of
 the states, the memory it saves, and the orbit CSV writer that formats each
-trajectory value once yet writes the same bytes as the row-by-row loop."""
+trajectory value once yet writes the same bytes as the row-by-row loop.  The
+plain CSV path, one format operation per row, writes those bytes too."""
 
 import json
 import tracemalloc
@@ -13,7 +14,7 @@ from semflow import cli
 from semflow import neutral as nt
 from semflow.maps import perturbed_orbit
 from helpers import mixed_system, neutral_initial
-from oracles import orbit_csv_rows_loop
+from oracles import csv_rows_loop, orbit_csv_rows_loop
 
 
 def translation_cfg(horizon, step, L, initial):
@@ -99,6 +100,18 @@ def test_orbit_csv_matches_row_loop_on_special_values(tmp_path):
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "loop.csv").read_bytes()
     for token in (b",-0,", b"e-324,", b"e+22,", b"e-300,"):
+        assert token in fast
+
+
+def test_plain_csv_matches_row_loop_on_special_values(tmp_path):
+    vals = np.array(SPECIAL_VALUES + [1e300, -1e300, np.inf, -np.inf, np.nan])
+    columns = [np.arange(vals.size), vals, vals[::-1] * -3.0, list(vals)]
+    header = ["k", "a", "b", "c"]
+    cli.write_csv(tmp_path / "fast.csv", header, columns)
+    csv_rows_loop(tmp_path / "loop.csv", header, columns)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "loop.csv").read_bytes()
+    for token in (b",-0,", b"e-324,", b"e+300,", b",inf,", b",nan,"):
         assert token in fast
 
 

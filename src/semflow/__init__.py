@@ -1,6 +1,5 @@
 """semflow: C0-semigroup simulation under admissible feedback perturbations."""
 
-from ._kernels import NUMBA_ENABLED
 from .core import (Grid, InputSignal, L1Space, ProductSpace, StateVector,
                    SupSpace, matexp, opnorm_sup, quad, time_grid)
 from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
@@ -21,6 +20,9 @@ from .neutral import (NeutralSystem, build_a0, build_perturbation,
                       method_of_steps, neutral_orbit, scaling_conjugation)
 
 __version__ = "0.1.0"
+
+# read by provenance records; every kernel is plain numpy, none is compiled
+NUMBA_ENABLED = False
 
 __all__ = [
     "NUMBA_ENABLED", "Grid", "InputSignal", "L1Space", "ProductSpace",

@@ -1,16 +1,20 @@
 """Feedback/convolution kernels, the hot paths of the package.
 
 Matrix bases: every loop is one linear recurrence, evaluated by the
-vectorized numpy scan ``causal_scan`` on every backend.  The neutral
-input-output map ``neutral_volterra_apply`` is likewise one numpy
-implementation: a shift-and-add over its nonzero history taps plus a scan.
+vectorized numpy scan ``causal_scan``; the neutral input-output map
+``neutral_volterra_apply`` is a shift-and-add over its nonzero taps plus a
+scan, and the delay-line input-output map is one ``np.convolve``.
 
-The delay-line loops, ``neutral_feedback_loop`` and ``mos_loop`` are
-sequential in time.  Each has a pure-numpy implementation (vectorized reads,
-python loop over time) and, when numba is available, an njit-compiled twin
-with explicit loops.  Setting ``SEMFLOW_DISABLE_NUMBA=1`` in the environment
-forces the numpy path; ``NUMBA_ENABLED`` says which one runs, and the test
-suite pins both to agree to machine precision.
+The delay-line solve, ``neutral_feedback_loop`` and ``mos_loop`` run by the
+blocked method of steps (Bellen & Zennaro, *Numerical Methods for Delay
+Differential Equations*, OUP 2003).  Delay kernels put no mass at 0, so a
+step reads the trajectory m or more steps back, m >= 1 being the smallest
+delay that carries weight: the first nonzero ``lag[j]`` with j >= 1 for a
+delay line, N minus the last nonzero history row of ``prow``/``krow`` for
+the neutral loops.  The outputs of m consecutive steps thus read only values
+from before them, and each block of m steps takes one sliding-window product
+for its history reads, one ``causal_scan`` for the ODE state and one slice
+assignment placing the recovered values.  m comes from the taps alone.
 
 Discretization: the inner quadrature of every causal convolution is the
 left-endpoint rule, so the input-output map reads strictly past samples and
@@ -20,30 +24,8 @@ exact solve.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("SEMFLOW_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in {"1", "true", "yes", "on"}
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):  # no-op decorator
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -89,56 +71,58 @@ def matrix_volterra_solve(E, B, C, v, h):
 
 
 # ---------------------------------------------------------------------------
-# delay-line kernels (scalar channel)
+# the blocked method of steps
 # ---------------------------------------------------------------------------
 
-def _delay_volterra_apply_np(lag, u):
-    n1 = u.shape[0]
+def _blocks(X, rows, m, n1):
+    """Steps 0..n1-1 in blocks [b, e) of at most m, each with the reads of
+    its windows: window k is X[k:k+L] flattened (L*d = len(rows)) times
+    ``rows``.  Reads are taken as a block is yielded, so they see the rows the
+    caller placed in X for the blocks before (X is C-contiguous, so the
+    windows are a view of it); window k must end m steps before the value
+    recovered at step k."""
+    d = X.shape[1]
+    win = sliding_window_view(X.reshape(-1), rows.shape[0])[::d]
+    for b in range(0, n1, m):
+        e = min(b + m, n1)
+        yield b, e, win[b:e] @ rows
+
+
+def _neutral_start(prow, krow, f0, y, n):
+    """Trajectory X with the history f0 in rows 0..N, states zs with zs[0] = y,
+    and the blocks of steps 0..n.  m and the reads (L*d, 2d) come from the P
+    and K rows up to the last nonzero one; all-zero taps read one zero row."""
+    N, d = prow.shape[:2]
+    live = np.flatnonzero(np.any((prow != 0.0) | (krow != 0.0), axis=(1, 2)))
+    L = live[-1] + 1 if live.size else 1
+    rows = np.concatenate([prow[:L], krow[:L]], axis=1).transpose(0, 2, 1)
+    X = np.zeros((n + N + 1, d))
+    X[: N + 1] = f0
+    zs = np.empty((n + 1, d))
+    zs[0] = y
+    return N, X, zs, _blocks(X, rows.reshape(L * d, 2 * d), N + 1 - L, n + 1)
+
+
+# ---------------------------------------------------------------------------
+# delay-line kernels (scalar channel)
+# ---------------------------------------------------------------------------
+# lag[j] weighs the sample j steps back; lag[0] is never read.
+
+def delay_volterra_apply(lag, u):
+    return np.convolve(u, np.concatenate([[0.0], lag[1:]]))[: u.shape[0]]
+
+
+def delay_volterra_solve(lag, v):
     W = lag.shape[0] - 1
-    out = np.zeros(n1)
-    rev = lag[1:][::-1]  # rev pairs lag[j] with u[k-j]
-    for k in range(1, n1):
-        jmax = min(k, W)
-        out[k] = rev[W - jmax:] @ u[k - jmax: k]
-    return out
-
-
-def _delay_volterra_apply_nb(lag, u):
-    n1 = u.shape[0]
-    W = lag.shape[0] - 1
-    out = np.zeros(n1)
-    for k in range(n1):
-        acc = 0.0
-        jmax = min(k, W)
-        for j in range(1, jmax + 1):
-            acc += lag[j] * u[k - j]
-        out[k] = acc
-    return out
-
-
-def _delay_volterra_solve_np(lag, v):
-    n1 = v.shape[0]
-    W = lag.shape[0] - 1
-    w = np.zeros(n1)
-    w[0] = v[0]
-    lagl = lag[1:]
-    for k in range(1, n1):
-        jmax = min(k, W)
-        w[k] = v[k] + lagl[:jmax] @ w[k - 1:: -1][:jmax]
-    return w
-
-
-def _delay_volterra_solve_nb(lag, v):
-    n1 = v.shape[0]
-    W = lag.shape[0] - 1
-    w = np.zeros(n1)
-    for k in range(n1):
-        acc = 0.0
-        jmax = min(k, W)
-        for j in range(1, jmax + 1):
-            acc += lag[j] * w[k - j]
-        w[k] = v[k] + acc
-    return w
+    taps = np.flatnonzero(lag[1:])
+    if not taps.size:
+        return np.array(v, dtype=float)
+    m = taps[0] + 1
+    # X[W + k] = w_k behind W zero rows; window k = w_{k-W} .. w_{k-m}
+    X = np.zeros((W + v.shape[0], 1))
+    for b, e, reads in _blocks(X, lag[W:m - 1:-1, None], m, v.shape[0]):
+        X[W + b: W + e, 0] = v[b:e] + reads[:, 0]
+    return X[W:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,63 +130,24 @@ def _delay_volterra_solve_nb(lag, v):
 # ---------------------------------------------------------------------------
 # X[j] holds the trajectory: X[0..N] the initial history, X[N+k] (k>=1) the
 # recovered state at t_k.  prow/krow are (N, d, d) read weights over the
-# history window; they carry no weight at offset 0 (kernels have no mass in
-# 0), so every step only touches strictly past values.
+# history window X[k:k+N]; they carry no weight at offset 0 (kernels have no
+# mass in 0), so every step only touches strictly past values.
 
-def _neutral_feedback_loop_np(E, C, prow, krow, f0, y, h, n, v):
-    # v is an external right-hand side (n+1, 2d): w1[k] gets v[k, :d] and
-    # w2[k] gets v[k, d:]; each step reads the history window in one product
+def neutral_feedback_loop(E, C, prow, krow, f0, y, h, n, v):
+    """Forward substitution with initial data (y, f0) and right-hand side v
+    (n+1, 2d): w1_k = v1_k + P x_{t_k}, w2_k = v2_k + K x_{t_k} + C z_k and
+    x(t_k) = w2_k for k >= 1, where z_{k+1} = E z_k + h E w1_k, z_0 = y."""
     d = E.shape[0]
-    N = prow.shape[0]
-    X = np.zeros((n + N + 1, d))
-    X[: N + 1] = f0
+    N, X, zs, blocks = _neutral_start(prow, krow, f0, y, n)
     w = np.array(v, dtype=float)
-    zs = np.zeros((n + 1, d))
-    zy = y.copy()
-    zc = np.zeros(d)
-    rows = np.concatenate([prow, krow], axis=1).transpose(0, 2, 1).reshape(N * d, 2 * d)
-    for k in range(n + 1):
-        z = zy + h * zc
-        zs[k] = z
-        w[k] += X[k: k + N].reshape(N * d) @ rows
-        w[k, d:] += C @ z
-        if k >= 1:
-            X[N + k] = w[k, d:]
-        zc = E @ (zc + w[k, :d])
-        zy = E @ zy
+    for b, e, reads in blocks:
+        w[b:e] += reads
+        # z_{k+1} = E z_k + h E w1_k; row e of w never enters the scan
+        zs[b: e + 1] = causal_scan(E, h * (w[b: e + 1, :d] @ E.T), zs[b])
+        w[b:e, d:] += zs[b:e] @ C.T
+        s = max(b, 1)
+        X[N + s: N + e] = w[s:e, d:]
     return w[:, :d], w[:, d:], zs, X
-
-
-def _neutral_feedback_loop_nb(E, C, prow, krow, f0, y, h, n, v):
-    d = E.shape[0]
-    N = prow.shape[0]
-    X = np.zeros((n + N + 1, d))
-    X[: N + 1] = f0
-    w1 = np.zeros((n + 1, d))
-    w2 = np.zeros((n + 1, d))
-    zs = np.zeros((n + 1, d))
-    zy = y.copy()
-    zc = np.zeros(d)
-    for k in range(n + 1):
-        for r in range(d):
-            s1 = 0.0
-            s2 = 0.0
-            for i in range(N):
-                for c in range(d):
-                    x = X[k + i, c]
-                    s1 += prow[i, r, c] * x
-                    s2 += krow[i, r, c] * x
-            w1[k, r] = s1 + v[k, r]
-            w2[k, r] = s2 + v[k, d + r]
-        for r in range(d):
-            zs[k, r] = zy[r] + h * zc[r]
-            for c in range(d):
-                w2[k, r] += C[r, c] * (zy[c] + h * zc[c])
-        if k >= 1:
-            X[N + k] = w2[k]
-        zc = E @ (zc + w1[k])
-        zy = E @ zy
-    return w1, w2, zs, X
 
 
 def neutral_volterra_apply(E, C, prow, krow, u1, u2, h):
@@ -225,79 +170,19 @@ def neutral_volterra_apply(E, C, prow, krow, u1, u2, h):
     return out1, out2
 
 
-def _mos_loop_np(E, C, prow, krow, f0, y, h, n):
-    # method of steps: exponential-trapezoid step on z' = A z + P x_t,
-    # explicit recovery x(t) = C z(t) + K x_t
+def mos_loop(E, C, prow, krow, f0, y, h, n):
+    """Method of steps: exponential-trapezoid step on z' = A z + P x_t,
+    z_{k+1} = E z_k + h/2 (E P x_{t_k} + P x_{t_{k+1}}), with the explicit
+    recovery x(t_k) = C z_k + K x_{t_k} for k >= 1."""
     d = E.shape[0]
-    N = prow.shape[0]
-    X = np.zeros((n + N + 1, d))
-    X[: N + 1] = f0
-    zs = np.zeros((n + 1, d))
-    z = y.copy()
-    zs[0] = z
-    pr = prow.transpose(0, 2, 1).reshape(N * d, d)
-    kr = krow.transpose(0, 2, 1).reshape(N * d, d)
-    for k in range(n):
-        g0 = X[k: k + N].reshape(N * d) @ pr
-        g1 = X[k + 1: k + 1 + N].reshape(N * d) @ pr
-        z = E @ z + 0.5 * h * (E @ g0 + g1)
-        X[N + k + 1] = C @ z + X[k + 1: k + 1 + N].reshape(N * d) @ kr
-        zs[k + 1] = z
+    N, X, zs, blocks = _neutral_start(prow, krow, f0, y, n)
+    G = np.zeros((n + 2, 2 * d))  # (P x_{t_k}, K x_{t_k}); row n+1 stays zero
+    for b, e, reads in blocks:
+        G[b:e] = reads
+        # steps s -> e-1 need P x_t up to t_{e-1}; row e of G never enters
+        s = max(b - 1, 0)
+        f = 0.5 * h * (G[s:e, :d] @ E.T + G[s + 1: e + 1, :d])
+        zs[s:e] = causal_scan(E, f, zs[s])
+        s = max(b, 1)
+        X[N + s: N + e] = zs[s:e] @ C.T + G[s:e, d:]
     return zs, X
-
-
-def _mos_loop_nb(E, C, prow, krow, f0, y, h, n):
-    d = E.shape[0]
-    N = prow.shape[0]
-    X = np.zeros((n + N + 1, d))
-    X[: N + 1] = f0
-    zs = np.zeros((n + 1, d))
-    z = y.copy()
-    zs[0] = z
-    g0 = np.zeros(d)
-    g1 = np.zeros(d)
-    a2 = np.zeros(d)
-    for k in range(n):
-        for r in range(d):
-            s0 = 0.0
-            s1 = 0.0
-            s2 = 0.0
-            for i in range(N):
-                for c in range(d):
-                    s0 += prow[i, r, c] * X[k + i, c]
-                    s1 += prow[i, r, c] * X[k + 1 + i, c]
-                    s2 += krow[i, r, c] * X[k + 1 + i, c]
-            g0[r] = s0
-            g1[r] = s1
-            a2[r] = s2
-        z = E @ z + 0.5 * h * (E @ g0 + g1)
-        X[N + k + 1] = C @ z + a2
-        zs[k + 1] = z
-    return zs, X
-
-
-# uncompiled numpy implementations of the sequential delay-line and neutral loops
-PLAIN = {
-    "delay_volterra_apply": _delay_volterra_apply_np,
-    "delay_volterra_solve": _delay_volterra_solve_np,
-    "neutral_feedback_loop": _neutral_feedback_loop_np,
-    "mos_loop": _mos_loop_np,
-}
-
-if NUMBA_ENABLED:
-    delay_volterra_apply = njit(cache=True)(_delay_volterra_apply_nb)
-    delay_volterra_solve = njit(cache=True)(_delay_volterra_solve_nb)
-    neutral_feedback_loop = njit(cache=True)(_neutral_feedback_loop_nb)
-    mos_loop = njit(cache=True)(_mos_loop_nb)
-    COMPILED = {
-        "delay_volterra_apply": delay_volterra_apply,
-        "delay_volterra_solve": delay_volterra_solve,
-        "neutral_feedback_loop": neutral_feedback_loop,
-        "mos_loop": mos_loop,
-    }
-else:
-    delay_volterra_apply = _delay_volterra_apply_np
-    delay_volterra_solve = _delay_volterra_solve_np
-    neutral_feedback_loop = _neutral_feedback_loop_np
-    mos_loop = _mos_loop_np
-    COMPILED = {}

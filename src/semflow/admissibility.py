@@ -96,16 +96,14 @@ def _control_track_norms(triple: PerturbationTriple, u: InputSignal) -> np.ndarr
     if isinstance(triple.control, (BoundedControl, IdentityControl)):
         d = triple.base.space.dim
         e = matexp(triple.base.a, h)
-        bt = _kernels.matrix_volterra_apply(e, triple.b_matrix, np.eye(d),
-                                            np.ascontiguousarray(u.values), h)
+        bt = _kernels.matrix_volterra_apply(e, triple.b_matrix, np.eye(d), u.values, h)
         return np.max(np.abs(bt), axis=1)
     if isinstance(triple.control, NeutralBoundaryControl):
         d = triple.base.parts[0].space.dim
         N = triple.base.parts[1].grid.count
         e = matexp(triple.base.parts[0].a, h)
-        u1 = np.ascontiguousarray(u.values[:, :d])
         u2 = u.values[:, d:]
-        bt1 = _kernels.matrix_volterra_apply(e, np.eye(d), np.eye(d), u1, h)
+        bt1 = _kernels.matrix_volterra_apply(e, np.eye(d), np.eye(d), u.values[:, :d], h)
         q = np.concatenate([np.zeros((N + 1, d)), u2[1:]])
         pn = np.max(np.abs(q), axis=1)
         return np.max(np.abs(bt1), axis=1) + _sliding_l1(pn[: u.grid.count + N], N, h)

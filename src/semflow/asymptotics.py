@@ -55,22 +55,27 @@ def check_bounded(orb: OrbitSeries, bound_hint: Optional[float] = None,
                   slope_tol: float = 1e-3, tail_window: Optional[float] = None,
                   tail_fraction: float = 0.5) -> AsymptoticVerdict:
     """Boundedness: norms below the hint (if given) and no growth trend in the
-    fitted log-slope of the tail."""
+    fitted log-slope of the tail.
+
+    A tail that has already decayed to zero has no slope to fit: its witness
+    holds ``log_slope = None`` and ``tail_decayed = True``, so that it stays
+    finite JSON.
+    """
     if orb.norms.shape[0] == 0:
         raise DomainError("empty orbit")
     ref = float(np.max(orb.norms))
     if ref == 0.0:
-        return AsymptoticVerdict("BOUNDED", "PASS", {"sup": 0.0, "log_slope": -np.inf})
+        return AsymptoticVerdict("BOUNDED", "PASS", {"sup": 0.0, "log_slope": None,
+                                                     "tail_decayed": True})
     k0 = _tail_start(orb, tail_window, tail_fraction)
     ts = orb.grid.points()[k0:]
     norms = orb.norms[k0:]
     mask = norms > 1e-14 * ref
-    if np.count_nonzero(mask) < 3:
-        slope = -np.inf  # tail already decayed to zero
-    else:
-        slope = float(np.polyfit(ts[mask], np.log(norms[mask]), 1)[0])
+    decayed = np.count_nonzero(mask) < 3
+    slope = -np.inf if decayed else float(np.polyfit(ts[mask], np.log(norms[mask]), 1)[0])
     sup = float(np.max(orb.norms))
-    witness = {"sup": sup, "log_slope": slope, "bound_hint": bound_hint}
+    witness = {"sup": sup, "log_slope": None if decayed else slope,
+               "tail_decayed": bool(decayed), "bound_hint": bound_hint}
     hint_fail = bound_hint is not None and sup > 1.1 * bound_hint
     hint_pass = bound_hint is None or sup <= bound_hint
     if hint_fail or slope > FAIL_FACTOR * slope_tol:

@@ -277,11 +277,11 @@ def write_csv(path: Path, header, columns, *, trajectory=None, stride=1):
                      + text[starts[a]: starts[a + width] - 1] + "\n")
 
 
-def write_json(path: Path, obj: dict, *, allow_nan=True):
-    """Sorted-key JSON; with ``allow_nan=False`` an inf or nan anywhere in
-    ``obj`` is a numerical failure and nothing is written."""
+def write_json(path: Path, obj: dict):
+    """Sorted-key strict JSON: an inf or nan anywhere in ``obj`` is a
+    numerical failure and nothing is written."""
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=allow_nan)
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericalFailure(f"{path.name} would hold a non-finite number") from exc
     with open(path, "w", encoding="utf-8") as fh:
@@ -342,8 +342,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
                        "final_norm": float(orb.norms[-1])}
         if isinstance(target.base, LeftTranslation):
             diagnostics["truncation_exact"] = bool(grid.end <= target.base.horizon)
-    write_json(out / "manifest.json", _manifest(cfg, seed, grid, diagnostics, started),
-               allow_nan=False)
+    write_json(out / "manifest.json", _manifest(cfg, seed, grid, diagnostics, started))
     return 0
 
 
@@ -476,8 +475,7 @@ def cmd_neutral_compare(cfg: dict, out: Path, seed: int) -> int:
         if devs["coarse"] > 0 and devs["fine"] > 0 else None
     diagnostics = {"deviation": devs, "empirical_order": order}
     write_json(out / "manifest.json",
-               _manifest(cfg, seed, time_grid(horizon, step), diagnostics, started),
-               allow_nan=False)
+               _manifest(cfg, seed, time_grid(horizon, step), diagnostics, started))
     return 0
 
 

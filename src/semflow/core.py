@@ -273,10 +273,14 @@ def matexp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     if t < 0.0:
         raise DomainError(f"matexp is only evaluated for t >= 0, got t={t}")
     n = a.shape[0]
-    m = t * a
-    nrm = float(np.max(np.sum(np.abs(m), axis=1))) if n else 0.0
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        m = t * a
+        nrm = float(np.max(np.sum(np.abs(m), axis=1))) if n else 0.0
     if nrm == 0.0:
         return np.eye(n)
+    if not nrm <= 2.0 ** 1022:  # also catches inf and nan
+        raise DomainError(f"matrix exponential out of range: ||t*a|| = {nrm:.3g} "
+                          "is not finite or exceeds 2^1022")
     s = max(0, int(math.ceil(math.log2(nrm / 0.5))))
     x = m / (2.0 ** s)
     eye = np.eye(n)

@@ -201,8 +201,7 @@ class PerturbationTriple:
         c_block = obs[d:, :d]
         prow = obs[:d, d:].reshape(d, npts, d).transpose(1, 0, 2)[:-1]
         krow = obs[d:, d:].reshape(d, npts, d).transpose(1, 0, 2)[:-1]
-        return np.ascontiguousarray(c_block), np.ascontiguousarray(prow), \
-            np.ascontiguousarray(krow)
+        return c_block, prow, krow
 
 
 def _resolve_grid(triple: PerturbationTriple, t: float, step: Optional[float]) -> Grid:
@@ -224,7 +223,7 @@ def _check_signal(triple: PerturbationTriple, u: InputSignal):
 
 def _split_channels(triple: PerturbationTriple, values: np.ndarray):
     d = triple.base.parts[0].space.dim
-    return np.ascontiguousarray(values[:, :d]), np.ascontiguousarray(values[:, d:])
+    return values[:, :d], values[:, d:]
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +307,11 @@ def _apply_io(triple: PerturbationTriple, values: np.ndarray, h: float) -> np.nd
     """Discrete F applied to raw signal samples (left-endpoint rule inside)."""
     if isinstance(triple.control, (BoundedControl, IdentityControl)):
         e = matexp(triple.base.a, h)
-        return _kernels.matrix_volterra_apply(e, triple.b_matrix, triple.observe,
-                                              np.ascontiguousarray(values), h)
+        return _kernels.matrix_volterra_apply(e, triple.b_matrix, triple.observe, values, h)
     if isinstance(triple.control, DirichletControl):
         row = triple.observe[0]
-        lag = np.ascontiguousarray(row[::-1])  # lag j reads weight at s = -j*h
-        out = _kernels.delay_volterra_apply(lag, np.ascontiguousarray(values[:, 0]))
+        lag = row[::-1]  # lag j reads weight at s = -j*h
+        out = _kernels.delay_volterra_apply(lag, values[:, 0])
         return out[:, None]
     c_block, prow, krow = triple.neutral_blocks()
     e = matexp(triple.base.parts[0].a, h)
@@ -370,11 +368,10 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
     if isinstance(method, DirectSolve):
         if isinstance(triple.control, (BoundedControl, IdentityControl)):
             e = matexp(triple.base.a, h)
-            w, _ = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe,
-                                                  np.ascontiguousarray(vals), h)
+            w, _ = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe, vals, h)
         elif isinstance(triple.control, DirichletControl):
-            lag = np.ascontiguousarray(triple.observe[0][::-1])
-            w = _kernels.delay_volterra_solve(lag, np.ascontiguousarray(vals[:, 0]))[:, None]
+            lag = triple.observe[0][::-1]
+            w = _kernels.delay_volterra_solve(lag, vals[:, 0])[:, None]
         else:
             w = _neutral_direct_solve(triple, vals, h)
         return InputSignal(grid, w, triple.u_space)
@@ -412,7 +409,7 @@ def _neutral_direct_solve(triple, vals, h):
     N = prow.shape[0]
     w1, w2, _, _ = _kernels.neutral_feedback_loop(
         e, c_block, prow, krow, np.zeros((N + 1, d)), np.zeros(d), h,
-        vals.shape[0] - 1, np.ascontiguousarray(vals))
+        vals.shape[0] - 1, vals)
     return np.hstack([w1, w2])
 
 
@@ -452,13 +449,11 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
         states = _kernels.causal_scan(e, np.zeros((n + 1, d)), x.coords)
         v = states @ triple.observe.T
         if isinstance(method, DirectSolve):
-            w, bt = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe,
-                                                   np.ascontiguousarray(v), h)
+            w, bt = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe, v, h)
         else:
             w = invert_io(triple, grid.end, InputSignal(grid, v, triple.u_space),
                           method).values
-            bt = _kernels.matrix_volterra_apply(e, triple.b_matrix, np.eye(d),
-                                                np.ascontiguousarray(w), h)
+            bt = _kernels.matrix_volterra_apply(e, triple.b_matrix, np.eye(d), w, h)
         return orbit_from_states(grid, states + bt, triple.base.space)
     if isinstance(triple.control, NeutralBoundaryControl):
         return _neutral_perturbed_orbit(triple, x, grid, method)
@@ -478,8 +473,7 @@ def _neutral_perturbed_orbit(triple, x, grid, method):
     f0 = fpart.reshape(N + 1, d)
     if isinstance(method, DirectSolve):
         _, _, zs, X = _kernels.neutral_feedback_loop(
-            e, c_block, prow, krow, np.ascontiguousarray(f0),
-            np.ascontiguousarray(y), h, n, np.zeros((n + 1, 2 * d)))
+            e, c_block, prow, krow, f0, y, h, n, np.zeros((n + 1, 2 * d)))
     else:
         v = _neutral_observation(e, triple.observe, f0, y, n, N, d)
         w = invert_io(triple, grid.end, InputSignal(grid, v, triple.u_space),
@@ -528,8 +522,7 @@ def _dirichlet_perturbed_orbit(triple, x, grid, method):
     v = win @ row[:N]
     sig = InputSignal.scalar(grid, v)
     if isinstance(method, DirectSolve):
-        lag = np.ascontiguousarray(row[::-1])
-        w = _kernels.delay_volterra_solve(lag, np.ascontiguousarray(v))
+        w = _kernels.delay_volterra_solve(row[::-1], v)
     else:
         w = invert_io(triple, grid.end, sig, method).values[:, 0]
     # state at t_k is the window q[k:k+N+1]: the initial profile shifted

@@ -70,7 +70,7 @@ class NeutralSystem:
         krow = self.k_kernel.observation_row(self.history_grid, point_dim=d)
         pr = prow.reshape(d, npts, d).transpose(1, 0, 2)[:-1]
         kr = krow.reshape(d, npts, d).transpose(1, 0, 2)[:-1]
-        return np.ascontiguousarray(pr), np.ascontiguousarray(kr)
+        return pr, kr
 
 
 def build_a0(sys: NeutralSystem) -> BlockDiag:
@@ -189,9 +189,7 @@ def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeri
     f = f.reshape(sys.history_grid.count + 1, sys.dim)
     prow, krow = sys.rows()
     e = matexp(sys.a, grid.step)
-    zs, X = _kernels.mos_loop(e, np.ascontiguousarray(sys.c), prow, krow,
-                              np.ascontiguousarray(f), np.ascontiguousarray(y),
-                              grid.step, grid.count)
+    zs, X = _kernels.mos_loop(e, sys.c, prow, krow, f, y, grid.step, grid.count)
     return _neutral_block_orbit(grid, zs, X, sys.history_grid.count,
                                 build_a0(sys).space)
 

@@ -1,5 +1,5 @@
-"""Sequential reference loops for the vectorized kernels, the writers and the
-robustness experiment.
+"""Sequential reference loops for the vectorized and blocked kernels, the
+writers and the robustness experiment.
 
 They step each recurrence one sample at a time, and read the history one tap
 at a time, exactly as the definitions in ``semflow._kernels`` and
@@ -92,6 +92,86 @@ def neutral_direct_solve_loop(E, C, prow, krow, v, h):
             X[N + k] = w2[k]
         zc = E @ (zc + w1[k])
     return np.hstack([w1, w2])
+
+
+def delay_volterra_apply_loop(lag, u):
+    """out_k = sum_{j=1}^{min(k, W)} lag_j u_{k-j}, one tap at a time."""
+    W = lag.shape[0] - 1
+    out = np.zeros(u.shape[0])
+    for k in range(u.shape[0]):
+        for j in range(1, min(k, W) + 1):
+            out[k] += lag[j] * u[k - j]
+    return out
+
+
+def delay_volterra_solve_loop(lag, v):
+    """Forward substitution w_k = v_k + sum_{j=1}^{min(k, W)} lag_j w_{k-j}."""
+    W = lag.shape[0] - 1
+    w = np.zeros(v.shape[0])
+    for k in range(v.shape[0]):
+        acc = 0.0
+        for j in range(1, min(k, W) + 1):
+            acc += lag[j] * w[k - j]
+        w[k] = v[k] + acc
+    return w
+
+
+def neutral_feedback_step_loop(E, C, prow, krow, f0, y, h, n, v):
+    """The neutral feedback loop one step at a time: with the window
+    X[k:k+N], w1_k = v1_k + sum_i P_i X_{k+i}, w2_k = v2_k + sum_i K_i X_{k+i}
+    + C z_k, X_{N+k} = w2_k for k >= 1, z_k = zy_k + h zc_k, zy_{k+1} = E zy_k,
+    zy_0 = y and zc_{k+1} = E (zc_k + w1_k)."""
+    d = E.shape[0]
+    N = prow.shape[0]
+    X = np.zeros((n + N + 1, d))
+    X[: N + 1] = f0
+    w1 = np.zeros((n + 1, d))
+    w2 = np.zeros((n + 1, d))
+    zs = np.zeros((n + 1, d))
+    zy = np.array(y, dtype=float)
+    zc = np.zeros(d)
+    for k in range(n + 1):
+        for r in range(d):
+            s1 = 0.0
+            s2 = 0.0
+            for i in range(N):
+                for c in range(d):
+                    s1 += prow[i, r, c] * X[k + i, c]
+                    s2 += krow[i, r, c] * X[k + i, c]
+            w1[k, r] = s1 + v[k, r]
+            w2[k, r] = s2 + v[k, d + r]
+        zs[k] = zy + h * zc
+        w2[k] += C @ zs[k]
+        if k >= 1:
+            X[N + k] = w2[k]
+        zc = E @ (zc + w1[k])
+        zy = E @ zy
+    return w1, w2, zs, X
+
+
+def mos_step_loop(E, C, prow, krow, f0, y, h, n):
+    """Method of steps one step at a time: z_{k+1} = E z_k + h/2 (E g0 + g1)
+    with g0, g1 the P reads of the windows at t_k and t_{k+1}, and
+    X_{N+k+1} = C z_{k+1} + the K read of the window at t_{k+1}."""
+    d = E.shape[0]
+    N = prow.shape[0]
+    X = np.zeros((n + N + 1, d))
+    X[: N + 1] = f0
+    zs = np.zeros((n + 1, d))
+    z = np.array(y, dtype=float)
+    zs[0] = z
+    for k in range(n):
+        g0 = np.zeros(d)
+        g1 = np.zeros(d)
+        a2 = np.zeros(d)
+        for i in range(N):
+            g0 += prow[i] @ X[k + i]
+            g1 += prow[i] @ X[k + 1 + i]
+            a2 += krow[i] @ X[k + 1 + i]
+        z = E @ z + 0.5 * h * (E @ g0 + g1)
+        X[N + k + 1] = C @ z + a2
+        zs[k + 1] = z
+    return zs, X
 
 
 def orbit_csv_rows_loop(path, orb):

@@ -128,10 +128,37 @@ def test_asymptotics_verdict_matrix_and_plots(tmp_path):
     assert rep["all_pass"] is True
     for prop in ("BOUNDED", "STRONGLY_STABLE", "MEAN_ERGODIC"):
         assert rep["verdicts"][prop]["passes"] is True
+    # on [0, 60] the tail is still above 1e-14 of the peak: a slope is fitted
+    witness = rep["verdicts"]["BOUNDED"]["per_probe"][0]["perturbed"]["witness"]
+    assert witness["tail_decayed"] is False and witness["log_slope"] < 0.0
     header, rows = read_csv(tmp_path / "plot_norms.csv")
     assert header[0] == "t" and "base_norm_0" in header
     header2, _ = read_csv(tmp_path / "plot_cesaro.csv")
     assert "pert_cesaro_0" in header2
+
+
+def _no_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+def test_decayed_tail_writes_strict_json(tmp_path):
+    # on [0, 100] the orbit's tail falls below 1e-14 of its peak, so the
+    # bounded checker has no slope to fit and reports the decay instead
+    cfg = scalar_cfg(c=0.5, horizon=100.0, step=0.05)
+    del cfg["initial"]
+    cfg["probes"] = {"count": 1}
+    cfg["asymptotics"] = {"properties": ["BOUNDED"], "tail_window": 25.0,
+                          "n_synthetic": 10}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    assert main(["asymptotics", "--config", path, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "asymptotics.json").read_text(),
+                     parse_constant=_no_constant)
+    probe = rep["verdicts"]["BOUNDED"]["per_probe"][0]
+    for side in ("base", "perturbed"):
+        assert probe[side]["verdict"] == "PASS"
+        assert probe[side]["witness"]["log_slope"] is None
+        assert probe[side]["witness"]["tail_decayed"] is True
+    assert rep["all_pass"] is True
 
 
 def test_asymptotics_runs_harness_and_each_orbit_once(tmp_path, monkeypatch):
@@ -283,6 +310,24 @@ def test_zero_step_flag_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", path, "--out", str(tmp_path),
                  "--step", "0"]) == 2
     assert "grid.step must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, a", [("simulate", 1e308), ("admissibility", -1e308)])
+def test_out_of_range_matrix_exponential_exits_2(tmp_path, capsys, command, a):
+    # exp(t*a) for ||t*a|| near the float limit cannot be scaled and squared;
+    # a finite config that gets there is rejected, not a traceback
+    cfg = {"system": {"kind": "matrix", "a": [[a]], "b": "identity", "c": [[0.5]]},
+           "grid": {"step": 1.0, "horizon": 2.0}, "method": "direct"}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: matrix exponential out of range")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_non_finite_translation_orbit_exits_1_and_writes_nothing(tmp_path, capsys):

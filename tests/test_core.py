@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def test_matexp_identity_at_zero():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(sf.matexp(a, 0.0), np.eye(2))
     assert np.allclose(sf.matexp(0.0 * a, 1.0), np.eye(2))
+
+
+@pytest.mark.parametrize("a, t", [(1e308, 2.0), (-1e308, 1.0), (1e308, 1.0)])
+def test_matexp_out_of_range_norm_raises_domain_error(a, t):
+    # ||t*a|| is inf, or too large for the 2^-s scaling to be a float; the
+    # error is the only report, with no overflow warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="matrix exponential out of range"):
+            sf.matexp(np.array([[a]]), t)
+    # the largest norm it accepts still scales: exp(-2^1022) underflows to 0
+    assert sf.matexp(np.array([[-(2.0 ** 1022)]]), 1.0)[0, 0] == 0.0
 
 
 def test_matexp_scalar_series_oracle():

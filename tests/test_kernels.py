@@ -1,34 +1,22 @@
 """The kernels must agree with independent implementations.
 
-The matrix kernels and ``neutral_volterra_apply`` are one vectorized numpy
-implementation on every backend; they are checked against the sequential
-loops in ``oracles.py``.  The delay-line loops, ``neutral_feedback_loop`` and
-``mos_loop`` are checked against the explicit-loop ``_*_nb`` functions, called
-uncompiled: where numba runs they check the compiled twins, elsewhere the
-numpy fallbacks.  ``test_backend_selection_reported`` checks which backend
-runs.
+Every kernel is one numpy implementation: the matrix kernels and
+``neutral_volterra_apply`` run on the vectorized scan, the delay-line solve,
+``neutral_feedback_loop`` and ``mos_loop`` on the blocked method of steps.
+Each is checked against the sequential loops in ``oracles.py``, the blocked
+ones at lengths around their block edges.
 """
-
-import importlib.util
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import semflow
 from semflow import _kernels as K
 from semflow.core import matexp
 
-from oracles import (causal_scan_loop, matrix_volterra_apply_loop,
-                     matrix_volterra_solve_loop, neutral_volterra_apply_loop)
-
-SCAN_KERNELS = ("matrix_volterra_apply", "matrix_volterra_solve",
-                "neutral_volterra_apply")
-TABLE_KERNELS = ("delay_volterra_apply", "delay_volterra_solve",
-                 "neutral_feedback_loop", "mos_loop")
+from oracles import (causal_scan_loop, delay_volterra_apply_loop,
+                     delay_volterra_solve_loop, matrix_volterra_apply_loop,
+                     matrix_volterra_solve_loop, mos_step_loop,
+                     neutral_feedback_step_loop, neutral_volterra_apply_loop)
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +82,9 @@ def test_delay_kernels_agree(data):
     lag[1:40] = 1e-3 * rng.standard_normal(39)
     v = rng.standard_normal(500)
     assert np.max(np.abs(K.delay_volterra_apply(lag, v)
-                         - K._delay_volterra_apply_nb(lag, v))) <= 1e-13
+                         - delay_volterra_apply_loop(lag, v))) <= 1e-13
     assert np.max(np.abs(K.delay_volterra_solve(lag, v)
-                         - K._delay_volterra_solve_nb(lag, v))) <= 1e-13
+                         - delay_volterra_solve_loop(lag, v))) <= 1e-13
 
 
 def test_neutral_kernels_agree(data):
@@ -114,7 +102,7 @@ def test_neutral_kernels_agree(data):
     n = 300
     v = rng.standard_normal((n + 1, 2 * d))
     fast = K.neutral_feedback_loop(e, c, prow, krow, f0, y, h, n, v)
-    loop = K._neutral_feedback_loop_nb(e, c, prow, krow, f0, y, h, n, v)
+    loop = neutral_feedback_step_loop(e, c, prow, krow, f0, y, h, n, v)
     for a_, b_ in zip(fast, loop):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
     u1 = rng.standard_normal((n + 1, d))
@@ -124,71 +112,65 @@ def test_neutral_kernels_agree(data):
     for a_, b_ in zip(fa, la):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
     fm = K.mos_loop(e, c, prow, krow, f0, y, h, n)
-    lm = K._mos_loop_nb(e, c, prow, krow, f0, y, h, n)
+    lm = mos_step_loop(e, c, prow, krow, f0, y, h, n)
     for a_, b_ in zip(fm, lm):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
 
 
-# run in a fresh process: the backend is chosen when semflow._kernels is imported
-BACKEND_PROBE = """
-import json, types
-from semflow import _kernels as K
-table = K.COMPILED if K.NUMBA_ENABLED else K.PLAIN
-print(json.dumps({
-    "disabled": K.NUMBA_DISABLED, "enabled": K.NUMBA_ENABLED,
-    "delay_solve_from_table": K.delay_volterra_solve is table["delay_volterra_solve"],
-    "delay_solve_plain": K.delay_volterra_solve is K.PLAIN["delay_volterra_solve"],
-    "scan": [type(getattr(K, n)) is types.FunctionType
-             and "causal_scan" in getattr(K, n).__code__.co_names
-             and n not in K.PLAIN and n not in K.COMPILED
-             for n in ("matrix_volterra_apply", "matrix_volterra_solve",
-                       "neutral_volterra_apply")],
-}))
-"""
+def _taps(rng, N, d, m):
+    """(N, d, d) P and K rows whose smallest delay is m steps (row N - m is
+    the newest that carries weight, in P for odd m and in K for even m);
+    m = 0 gives all-zero taps."""
+    prow = np.zeros((N, d, d))
+    krow = np.zeros((N, d, d))
+    if m:
+        prow[0] = 0.2 * rng.standard_normal((d, d))
+        prow[N // 3] = 0.2 * rng.standard_normal((d, d))
+        krow[0] = 0.25 * np.eye(d)
+        (prow if m % 2 else krow)[N - m] = 0.15 * rng.standard_normal((d, d))
+    return prow, krow
 
 
-def _probe_backend(flag):
-    env = dict(os.environ, SEMFLOW_DISABLE_NUMBA=flag,
-               PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", BACKEND_PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+# step counts n+1 around the edges of blocks of m steps
+LENGTHS = {"1": lambda m: 1, "m-1": lambda m: m - 1, "m": lambda m: m,
+           "m+1": lambda m: m + 1, "2m": lambda m: 2 * m, "2m+1": lambda m: 2 * m + 1}
+SMALLEST_LAGS = {"m1": 1, "m2": 2, "quarter": 8, "zero": 0}  # N = 32
 
 
-def test_backend_selection_reported():
-    # the backend flags must tell the truth about which kernels run: numba is
-    # used only when it is importable and not disabled by the environment
-    flag = os.environ.get("SEMFLOW_DISABLE_NUMBA", "").strip().lower()
-    assert K.NUMBA_DISABLED == (flag in {"1", "true", "yes", "on"})
-    numba_found = importlib.util.find_spec("numba") is not None
-    assert K.NUMBA_ENABLED == (not K.NUMBA_DISABLED and numba_found)
-    assert semflow.NUMBA_ENABLED == K.NUMBA_ENABLED
-    assert bool(K.COMPILED) == K.NUMBA_ENABLED
-    # numba only ever compiles the sequential delay-line and neutral loops
-    assert set(K.PLAIN) == set(TABLE_KERNELS)
-    assert set(K.COMPILED) <= set(TABLE_KERNELS)
-    chosen = K.COMPILED if K.NUMBA_ENABLED else K.PLAIN
-    for name in TABLE_KERNELS:
-        assert getattr(K, name) is chosen[name], name
-    # the matrix kernels and the neutral input-output map are the one scan
-    # implementation on every backend
-    for name in SCAN_KERNELS:
-        fn = getattr(K, name)
-        assert fn.__module__ == "semflow._kernels", name
-        assert "causal_scan" in fn.__code__.co_names, name
-
-    # the forced fallback is read at import, so check it in a fresh process,
-    # and check that the flag leaves the scan kernels alone either way
-    forced = _probe_backend("1")
-    assert forced == {"disabled": True, "enabled": False,
-                      "delay_solve_from_table": True, "delay_solve_plain": True,
-                      "scan": [True, True, True]}
-    free = _probe_backend("0")
-    assert free["disabled"] is False
-    assert free["enabled"] == numba_found
-    assert free["delay_solve_from_table"] is True
-    assert free["delay_solve_plain"] is (not numba_found)
-    assert free["scan"] == [True, True, True]
+@pytest.mark.parametrize("taps,length", [
+    (t, n) for t in SMALLEST_LAGS for n in LENGTHS if (t, n) != ("m1", "m-1")])
+def test_blocked_kernels_agree_around_block_edges(data, taps, length):
+    # blocks of m steps: lengths on both sides of one and two block edges,
+    # against the step-by-step oracles; all-zero taps run in blocks of N
+    rng, h, d, e, b, c = data
+    N = 32
+    m = SMALLEST_LAGS[taps]
+    n1 = LENGTHS[length](m or N)
+    prow, krow = _taps(rng, N, d, m)
+    f0 = rng.standard_normal((N + 1, d))
+    y = rng.standard_normal(d)
+    v = rng.standard_normal((n1, 2 * d))
+    fast = K.neutral_feedback_loop(e, c, prow, krow, f0, y, h, n1 - 1, v)
+    loop = neutral_feedback_step_loop(e, c, prow, krow, f0, y, h, n1 - 1, v)
+    for a_, b_ in zip(fast, loop):
+        assert a_.shape == b_.shape
+        assert np.max(np.abs(a_ - b_)) <= 1e-12
+    fast = K.mos_loop(e, c, prow, krow, f0, y, h, n1 - 1)
+    loop = mos_step_loop(e, c, prow, krow, f0, y, h, n1 - 1)
+    for a_, b_ in zip(fast, loop):
+        assert a_.shape == b_.shape
+        assert np.max(np.abs(a_ - b_)) <= 1e-12
+    # the delay line on W = N lags; lag[0] carries weight the kernels never read
+    lag = np.zeros(N + 1)
+    lag[0] = 1.0
+    if m:
+        lag[m] = 0.5
+        lag[m + 1:] = 1e-2 * rng.standard_normal(N - m)
+    for kernel, oracle in ((K.delay_volterra_apply, delay_volterra_apply_loop),
+                           (K.delay_volterra_solve, delay_volterra_solve_loop)):
+        out = kernel(lag, v[:, 0])
+        assert out.shape == (n1,)
+        assert np.max(np.abs(out - oracle(lag, v[:, 0]))) <= 1e-13
 
 
 def test_strict_causality_of_discrete_io():

@@ -17,8 +17,8 @@ from .core import Grid, InputSignal, StateVector, opnorm_sup, time_grid
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
                    NeutralBoundaryControl, Neumann, PerturbationTriple, _apply_io,
-                   _sliding_l1, estimate_io_norm, invert_io, observation_map)
-from .semigroups import Semigroup, orbit
+                   estimate_io_norm, invert_io, observation_map)
+from .semigroups import Semigroup, _sliding_l1, orbit
 
 STABILITY_REL_CHANGE = 0.05
 RATIO_FLOOR = 1e-12

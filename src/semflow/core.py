@@ -23,6 +23,13 @@ from .errors import DimensionError, DomainError, GridAlignmentError
 ALIGN_RTOL = 1e-6
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` itself, once every entry is known to be finite."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} has non-finite entries")
+    return values
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid ``start + k*step`` for ``k = 0..count``."""
@@ -32,9 +39,11 @@ class Grid:
     count: int
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise DomainError(f"grid step must be positive, got {self.step}")
-        if int(self.count) != self.count or self.count < 1:
+        if not math.isfinite(self.start):
+            raise DomainError(f"grid start must be finite, got {self.start}")
+        if not (self.step > 0.0 and math.isfinite(self.step)):
+            raise DomainError(f"grid step must be finite and positive, got {self.step}")
+        if not (math.isfinite(self.count) and int(self.count) == self.count >= 1):
             raise DomainError(f"grid count must be a positive integer, got {self.count}")
         object.__setattr__(self, "count", int(self.count))
 
@@ -137,22 +146,18 @@ class L1Space(Space):
         coords = self.check(coords)
         return coords.reshape(self.grid.count + 1, self.point_dim)
 
-    def point_norms(self, coords) -> np.ndarray:
-        vals = self.values(coords)
+    def point_norms(self, vals: np.ndarray) -> np.ndarray:
+        """Point norms of samples laid out along the last axis."""
         if self.point_norm == "euclid":
-            return np.sqrt(np.sum(vals * vals, axis=1))
-        return np.max(np.abs(vals), axis=1)
+            return np.sqrt(np.sum(vals * vals, axis=-1))
+        return np.max(np.abs(vals), axis=-1)
 
     def norm(self, coords):
-        return float(self.grid.step * np.sum(self.point_norms(coords)[:-1]))
+        return float(self.grid.step * np.sum(self.point_norms(self.values(coords))[:-1]))
 
     def rows_norm(self, rows):
         vals = rows.reshape(rows.shape[0], self.grid.count + 1, self.point_dim)
-        if self.point_norm == "euclid":
-            pn = np.sqrt(np.sum(vals * vals, axis=2))
-        else:
-            pn = np.max(np.abs(vals), axis=2)
-        return self.grid.step * np.sum(pn[:, :-1], axis=1)
+        return self.grid.step * np.sum(self.point_norms(vals)[:, :-1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -200,12 +205,12 @@ class StateVector:
 
     @staticmethod
     def sup(coords) -> "StateVector":
-        coords = np.asarray(coords, dtype=float).ravel()
+        coords = _finite(np.asarray(coords, dtype=float).ravel(), "state")
         return StateVector(coords, SupSpace(coords.shape[0]))
 
     @staticmethod
     def grid_function(values, grid: Grid, point_norm: str = "sup") -> "StateVector":
-        values = np.asarray(values, dtype=float)
+        values = _finite(np.asarray(values, dtype=float), "grid function")
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != grid.count + 1:

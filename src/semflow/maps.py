@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .core import (Grid, InputSignal, ProductSpace, Space, StateVector,
@@ -33,8 +34,9 @@ from .core import (Grid, InputSignal, ProductSpace, Space, StateVector,
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence)
 from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
-                         NilpotentShift, OrbitSeries, Semigroup,
-                         orbit_from_states, orbit_from_trajectory)
+                         NilpotentShift, OrbitSeries, Semigroup, _sliding_l1,
+                         orbit as base_orbit, orbit_from_states,
+                         orbit_from_trajectory)
 from .translation import DirichletSpec
 
 
@@ -238,23 +240,15 @@ def control_map(triple: PerturbationTriple, t: float, u: InputSignal,
     standalone accuracy, "left" for the staggered rule used inside the
     feedback loop); the boundary variants are closed forms and ignore it.
     """
+    if rule not in ("trapezoid", "left"):
+        raise ConfigurationError(
+            f"unknown quadrature rule {rule!r}; use 'trapezoid' or 'left'")
     _check_signal(triple, u)
     k = u.grid.index_of(t)
     h = u.grid.step
-
-    def weights():
-        g = Grid(0.0, h, k)
-        return g.trapezoid_weights() if rule == "trapezoid" else g.left_weights()
-
+    vals = u.values[: k + 1]
     if isinstance(triple.control, (BoundedControl, IdentityControl)):
-        if k == 0:
-            return StateVector(np.zeros(triple.base.space.dim), triple.base.space)
-        b = triple.b_matrix
-        e = matexp(triple.base.a, h)
-        w = weights()
-        acc = np.zeros(triple.base.space.dim)
-        for j in range(k + 1):
-            acc = e @ acc + w[j] * (b @ u.values[j])
+        acc = _quadrature_scan(triple.base.a, vals @ triple.b_matrix.T, h, rule)
         return StateVector(acc, triple.base.space)
     if isinstance(triple.control, DirichletControl):
         if k == 0:
@@ -265,41 +259,63 @@ def control_map(triple: PerturbationTriple, t: float, u: InputSignal,
                                             triple.base.grid)
     # neutral: quadrature on the matrix channel, shift placement on the other
     base = triple.base
-    d = base.parts[0].space.dim
-    hist = base.parts[1].grid
-    npts = hist.count + 1
-    u1, u2 = _split_channels(triple, u.values[: k + 1])
-    acc = np.zeros(d)
-    if k > 0:
-        e = matexp(base.parts[0].a, h)
-        wts = weights()
-        for j in range(k + 1):
-            acc = e @ acc + wts[j] * u1[j]
-    placed = np.zeros((npts, d))
-    for i in range(npts):
-        j = k + i - hist.count
-        if j >= 1:
-            placed[i] = u2[j]
+    N = base.parts[1].grid.count
+    u1, u2 = _split_channels(triple, vals)
+    acc = _quadrature_scan(base.parts[0].a, u1, h, rule)
+    # window k of the history [0]*(N+1) followed by u2_1, u2_2, ...
+    placed = np.concatenate([np.zeros((N + 1, u2.shape[1])), u2[1:]])[k: k + N + 1]
     return StateVector(np.concatenate([acc, placed.ravel()]), base.space)
+
+
+def _quadrature_scan(a: np.ndarray, g: np.ndarray, h: float, rule: str) -> np.ndarray:
+    """sum_j w_j exp((k - j) h a) g_j over the samples g_0..g_k, with the
+    weights of ``rule`` on [0, k h]: the last row of one causal scan."""
+    k = g.shape[0] - 1
+    if k == 0:
+        return np.zeros(a.shape[0])
+    grid = Grid(0.0, h, k)
+    w = grid.trapezoid_weights() if rule == "trapezoid" else grid.left_weights()
+    f = np.vstack([w[:, None] * g, np.zeros((1, a.shape[0]))])  # the last row never enters
+    return _kernels.causal_scan(matexp(a, h), f)[-1]
 
 
 def observation_map(triple: PerturbationTriple, t: float, x: StateVector,
                     step: Optional[float] = None) -> InputSignal:
-    """Sample s -> C T(s) x on [0, t]."""
+    """Sample s -> C T(s) x on [0, t], read from the structure of the base.
+
+    Matrix base: the causal scan of the orbit.  Translation base: windows over
+    the trajectory ``[f[:N], 0, 0, ...]``, which drops f(0) as the shift
+    does.  Neutral base: windows over ``[f, 0, 0, ...]``, which read f(0) as
+    x(0), as every neutral orbit route does, plus the matrix block's scan.
+    """
     if x.space != triple.base.space:
         raise DimensionError("state does not live in the base space")
     grid = _resolve_grid(triple, t, step)
-    if isinstance(triple.base, MatrixSemigroup):
-        e = matexp(triple.base.a, grid.step)
-        states = _kernels.causal_scan(e, np.zeros((grid.count + 1, e.shape[0])), x.coords)
-        return InputSignal(grid, states @ triple.observe.T, triple.u_space)
-    stepper = triple.base.stepper(grid.step)
-    vals = np.empty((grid.count + 1, triple.observe.shape[0]))
-    c = np.array(x.coords, dtype=float)
-    for k in range(grid.count + 1):
-        vals[k] = triple.observe @ c
-        if k < grid.count:
-            c = stepper(c)
+    n = grid.count
+    base = triple.base
+    obs = triple.observe
+    if isinstance(base, MatrixSemigroup):
+        e = matexp(base.a, grid.step)
+        states = _kernels.causal_scan(e, np.zeros((n + 1, e.shape[0])), x.coords)
+        return InputSignal(grid, states @ obs.T, triple.u_space)
+    if isinstance(base, LeftTranslation):
+        N, d = base.grid.count, base.point_dim
+        traj = np.concatenate([x.coords[: N * d], np.zeros((n + 1) * d)])
+        rows = obs[:, : N * d]
+    else:
+        mat, shift = base.parts
+        N, d = shift.grid.count, mat.space.dim
+        y, f = base.space.split(x.coords)
+        traj = np.concatenate([f, np.zeros(n * d)])
+        rows = obs[:, d: d + N * d]
+    # row k reads the window of N points traj[k*d : (k+N)*d], one
+    # matrix-vector product per observation row (a matrix product would copy
+    # the overlapping windows)
+    win = sliding_window_view(traj, N * d)[::d][: n + 1]
+    vals = np.stack([win @ r for r in rows], axis=1)
+    if isinstance(base, BlockDiag):
+        e = matexp(mat.a, grid.step)
+        vals += _kernels.causal_scan(e, np.zeros((n + 1, d)), y) @ obs[:, :d].T
     return InputSignal(grid, vals, triple.u_space)
 
 
@@ -413,13 +429,6 @@ def _neutral_direct_solve(triple, vals, h):
     return np.hstack([w1, w2])
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _sliding_l1(point_norms: np.ndarray, window: int, h: float) -> np.ndarray:
-    """h * sum of `window` consecutive point norms, for every start index."""
-    c = np.concatenate([[0.0], np.cumsum(point_norms)])
-    return h * (c[window:] - c[: c.shape[0] - window])
-
-
 # overflow runs to inf or nan without numpy warnings: callers that write an
 # orbit check it with OrbitSeries.all_finite and report the failure once
 @np.errstate(over="ignore", invalid="ignore")
@@ -434,8 +443,6 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
         raise DimensionError("state does not live in the base space")
     if abs(grid.start) > 1e-12:
         raise DomainError("orbit grids must start at t = 0")
-    from .semigroups import orbit as base_orbit
-
     if triple.is_zero():
         return base_orbit(triple.base, x, grid)
     base_step = triple.default_step()
@@ -463,8 +470,7 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
 def _neutral_perturbed_orbit(triple, x, grid, method):
     base = triple.base
     d = base.parts[0].space.dim
-    hist = base.parts[1].grid
-    N = hist.count
+    N = base.parts[1].grid.count
     h = grid.step
     n = grid.count
     c_block, prow, krow = triple.neutral_blocks()
@@ -475,15 +481,11 @@ def _neutral_perturbed_orbit(triple, x, grid, method):
         _, _, zs, X = _kernels.neutral_feedback_loop(
             e, c_block, prow, krow, f0, y, h, n, np.zeros((n + 1, 2 * d)))
     else:
-        v = _neutral_observation(e, triple.observe, f0, y, n, N, d)
-        w = invert_io(triple, grid.end, InputSignal(grid, v, triple.u_space),
-                      method).values
-        w1, w2 = _split_channels(triple, w)
+        v = observation_map(triple, grid.end, x, step=h)
+        w1, w2 = _split_channels(triple, invert_io(triple, grid.end, v, method).values)
         # zs_k = E^k y + h zc_k with zc_{k+1} = E (zc_k + w1_k)
         zs = _kernels.causal_scan(e, h * (w1 @ e.T), y)
-        X = np.zeros((n + N + 1, d))
-        X[: N + 1] = f0
-        X[N + 1:] = w2[1:]
+        X = np.concatenate([f0, w2[1:]])
     return _neutral_block_orbit(grid, zs, X, N, base.space)
 
 
@@ -499,35 +501,19 @@ def _neutral_block_orbit(grid: Grid, zs: np.ndarray, X: np.ndarray, N: int,
     return orbit_from_trajectory(grid, X.ravel(), d, norms, space, head=zs[: n + 1])
 
 
-def _neutral_observation(e, observe, f0, y, n, N, d):
-    """Samples of the block observation along the unperturbed orbit."""
-    xpad = np.vstack([f0, np.zeros((n, d))])
-    windows = np.lib.stride_tricks.sliding_window_view(xpad[: n + N], (N, d))[:, 0]
-    prow_flat = observe[:, d:].reshape(observe.shape[0], N + 1, d)[:, :-1]
-    v = np.einsum("uid,kid->ku", prow_flat, windows)
-    zy = _kernels.causal_scan(e, np.zeros((n + 1, d)), y)
-    return v + zy @ observe[:, :d].T
-
-
 def _dirichlet_perturbed_orbit(triple, x, grid, method):
     base = triple.base
     N = base.grid.count
     h = grid.step
     n = grid.count
-    f0 = x.coords
-    row = triple.observe[0]
-    # observation of the base orbit: shifted reads of the initial profile
-    pad = np.concatenate([f0[:N], np.zeros(n + 1)])
-    win = np.lib.stride_tricks.sliding_window_view(pad, N)[: n + 1]
-    v = win @ row[:N]
-    sig = InputSignal.scalar(grid, v)
+    sig = observation_map(triple, grid.end, x, step=h)
     if isinstance(method, DirectSolve):
-        w = _kernels.delay_volterra_solve(row[::-1], v)
+        w = _kernels.delay_volterra_solve(triple.observe[0, ::-1], sig.values[:, 0])
     else:
         w = invert_io(triple, grid.end, sig, method).values[:, 0]
     # state at t_k is the window q[k:k+N+1]: the initial profile shifted
     # (arguments < 0) plus the solved boundary signal placed on [-t_k, 0]
-    q = np.concatenate([f0[:N], [0.0], w[1:]])
+    q = np.concatenate([x.coords[:N], [0.0], w[1:]])
     norms = _sliding_l1(np.abs(q)[: n + N], N, h)
     return orbit_from_trajectory(grid, q, 1, norms, base.space)
 

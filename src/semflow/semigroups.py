@@ -14,7 +14,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import causal_scan
-from .core import Grid, L1Space, ProductSpace, Space, StateVector, SupSpace, matexp
+from .core import (Grid, L1Space, ProductSpace, Space, StateVector, SupSpace, _finite,
+                   matexp)
 from .errors import DimensionError, DomainError, GridAlignmentError
 
 
@@ -24,10 +25,6 @@ class Semigroup:
     space: Space
 
     def apply_coords(self, t: float, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def stepper(self, h: float):
-        """Return a callable advancing coordinates by one step of size h."""
         raise NotImplementedError
 
 
@@ -42,7 +39,7 @@ class MatrixSemigroup(Semigroup):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         if a.shape[0] != a.shape[1]:
             raise DimensionError(f"generator must be square, got shape {a.shape}")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _finite(a, "generator"))
         if self.space is None:
             object.__setattr__(self, "space", SupSpace(a.shape[0]))
 
@@ -52,10 +49,6 @@ class MatrixSemigroup(Semigroup):
         if t == 0.0:
             return np.array(coords, dtype=float)
         return matexp(self.a, t) @ coords
-
-    def stepper(self, h):
-        e = matexp(self.a, h)
-        return lambda c: e @ c
 
 
 def _shift_coords(values: np.ndarray, m: int) -> np.ndarray:
@@ -102,15 +95,6 @@ class NilpotentShift(Semigroup):
         vals = self.space.values(coords)
         return _shift_coords(vals, m).ravel()
 
-    def stepper(self, h):
-        m = self.shift_count(h)
-        npts = self.grid.count + 1
-
-        def step(c):
-            return _shift_coords(c.reshape(npts, self.point_dim), m).ravel()
-
-        return step
-
 
 @dataclass(frozen=True)
 class LeftTranslation(Semigroup):
@@ -137,7 +121,6 @@ class LeftTranslation(Semigroup):
 
     shift_count = NilpotentShift.shift_count
     apply_coords = NilpotentShift.apply_coords
-    stepper = NilpotentShift.stepper
 
 
 @dataclass(frozen=True)
@@ -154,16 +137,6 @@ class BlockDiag(Semigroup):
     def apply_coords(self, t, coords):
         pieces = self.space.split(coords)
         return np.concatenate([p.apply_coords(t, c) for p, c in zip(self.parts, pieces)])
-
-    def stepper(self, h):
-        steps = [p.stepper(h) for p in self.parts]
-        offs = self.space.offsets()
-
-        def step(c):
-            return np.concatenate(
-                [s(c[offs[i]:offs[i + 1]]) for i, s in enumerate(steps)])
-
-        return step
 
 
 @dataclass(frozen=True)
@@ -248,6 +221,13 @@ def orbit_from_trajectory(grid: Grid, trajectory: np.ndarray, stride: int,
     return OrbitSeries(grid, states, norms, space, trajectory, stride)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _sliding_l1(point_norms: np.ndarray, window: int, h: float) -> np.ndarray:
+    """h * sum of `window` consecutive point norms, for every start index."""
+    c = np.concatenate([[0.0], np.cumsum(point_norms)])
+    return h * (c[window:] - c[: c.shape[0] - window])
+
+
 def apply(sg: Semigroup, t: float, x: StateVector) -> StateVector:
     """Evaluate T(t)x."""
     if x.space != sg.space:
@@ -257,20 +237,46 @@ def apply(sg: Semigroup, t: float, x: StateVector) -> StateVector:
 
 def orbit(sg: Semigroup, x: StateVector, grid: Grid) -> OrbitSeries:
     """Sampled orbit on ``grid`` (must start at 0): the causal scan for a
-    matrix base, stepwise composition otherwise."""
+    matrix base, one trajectory plus windows for a shift base, and the
+    blocks' orbits side by side for a block base."""
     if abs(grid.start) > 1e-12:
         raise DomainError("orbit grids must start at t = 0")
     if x.space != sg.space:
         raise DimensionError("state does not live in the semigroup's space")
+    return _orbit(sg, x.coords, grid)
+
+
+def _orbit(sg: Semigroup, coords: np.ndarray, grid: Grid) -> OrbitSeries:
     if isinstance(sg, MatrixSemigroup):
         e = matexp(sg.a, grid.step)
-        states = causal_scan(e, np.zeros((grid.count + 1, sg.space.dim)), x.coords)
+        states = causal_scan(e, np.zeros((grid.count + 1, sg.space.dim)), coords)
         return orbit_from_states(grid, states, sg.space)
-    step = sg.stepper(grid.step)
-    states = np.empty((grid.count + 1, sg.space.dim))
-    c = np.array(x.coords, dtype=float)
-    states[0] = c
-    for k in range(grid.count):
-        c = step(c)
-        states[k + 1] = c
-    return orbit_from_states(grid, states, sg.space)
+    if isinstance(sg, (NilpotentShift, LeftTranslation)):
+        return _shift_orbit(sg, coords, grid)
+    if not isinstance(sg, BlockDiag):
+        raise NotImplementedError(f"no orbit for semigroup type {type(sg).__name__}")
+    parts = [_orbit(p, c, grid) for p, c in zip(sg.parts, sg.space.split(coords))]
+    norms = sum(o.norms for o in parts)
+    *front, last = parts
+    if front and last.trajectory is not None and last.head == 0:
+        return orbit_from_trajectory(grid, last.trajectory, last.stride, norms,
+                                     sg.space, head=np.hstack([o.states for o in front]))
+    return OrbitSeries(grid, np.hstack([o.states for o in parts]), norms, sg.space)
+
+
+def _shift_orbit(sg, coords: np.ndarray, grid: Grid) -> OrbitSeries:
+    """Windows over the trajectory ``[f[:N], 0, 0, ...]``: state k is
+    ``_shift_coords(f, k*m)`` for m grid points per time step, except that
+    the window at t = 0 reads zero at s = 0 too, a sample the left-endpoint
+    L1 norm does not weigh."""
+    m = sg.shift_count(grid.step)
+    if m == 0:
+        raise GridAlignmentError(
+            f"time step {grid.step} is below the shift grid step {sg.grid.step}")
+    N = sg.grid.count
+    n = grid.count
+    traj = np.zeros((n * m + N + 1, sg.point_dim))
+    traj[:N] = sg.space.values(coords)[:N]
+    pn = sg.space.point_norms(traj)
+    norms = _sliding_l1(pn[: n * m + N], N, sg.grid.step)[::m]
+    return orbit_from_trajectory(grid, traj.ravel(), m * sg.point_dim, norms, sg.space)

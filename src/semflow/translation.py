@@ -45,11 +45,15 @@ class MeasureSpec:
 
     def __post_init__(self):
         atoms = tuple((float(loc), w) for loc, w in self.atoms)
-        for loc, _ in atoms:
+        for loc, w in atoms:
+            if not (np.isfinite(loc) and np.all(np.isfinite(w))):
+                raise DomainError(f"atom ({loc}, {w}) is not finite")
             if loc > 1e-12:
                 raise DomainError(f"atom location must be <= 0, got {loc}")
         dens = tuple((float(a), float(b), v) for a, b, v in self.density)
-        for a, b, _ in dens:
+        for a, b, v in dens:
+            if not np.all(np.isfinite([a, b])) or not np.all(np.isfinite(v)):
+                raise DomainError(f"density segment ({a}, {b}, {v}) is not finite")
             if not (a < b <= 1e-12):
                 raise DomainError(f"density segment must satisfy a < b <= 0, got ({a}, {b})")
         object.__setattr__(self, "atoms", atoms)
@@ -171,14 +175,9 @@ def boundary_control_closed_form(spec: DirichletSpec, t0: float, u: InputSignal,
         warnings.warn("boundary control input has u(0) != 0; the closed form is "
                       "only the L1 limit of the vanishing-at-zero class", stacklevel=2)
     uvals = u.values[:, 0]
-    pts = grid.points()
-    out = np.zeros(grid.count + 1, dtype=complex)
-    for i in range(grid.count + 1):
-        j = i - grid.count + k0  # index of s_i + t0 on the input grid
-        if j >= 0:
-            out[i] = uvals[j]
-        else:
-            out[i] = np.exp(spec.lam * (pts[i] + t0)) * uvals[0]
+    j = np.arange(grid.count + 1) - grid.count + k0  # index of s_i + t0 on the input grid
+    lift = np.exp(spec.lam * np.minimum(grid.points() + t0, 0.0))
+    out = np.where(j >= 0, uvals[np.maximum(j, 0)], lift * uvals[0])
     if spec.is_real:
         return StateVector.grid_function(out.real, grid)
     return _pack_complex(out, grid)

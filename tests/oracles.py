@@ -1,11 +1,11 @@
 """Sequential reference loops for the vectorized and blocked kernels, the
-writers and the robustness experiment.
+base orbits and maps, the writers and the robustness experiment.
 
 They step each recurrence one sample at a time, and read the history one tap
-at a time, exactly as the definitions in ``semflow._kernels`` and
-``semflow.maps`` read; the CSV oracles format every value of every row; the
-robustness oracles build fresh orbits and a fresh harness for one property.
-They serve only as test oracles.
+at a time, exactly as the definitions in ``semflow._kernels``,
+``semflow.semigroups`` and ``semflow.maps`` read; the CSV oracles format every
+value of every row; the robustness oracles build fresh orbits and a fresh
+harness for one property.  They serve only as test oracles.
 """
 
 from dataclasses import replace
@@ -13,9 +13,87 @@ from dataclasses import replace
 import numpy as np
 
 from semflow import asymptotics as asy
-from semflow.core import Grid
-from semflow.maps import perturbed_orbit
-from semflow.semigroups import orbit
+from semflow.core import Grid, matexp
+from semflow.maps import NeutralBoundaryControl, perturbed_orbit
+from semflow.semigroups import BlockDiag, MatrixSemigroup, orbit
+
+
+def orbit_step_loop(sg, x, grid):
+    """States T(t_k) x, each the previous one advanced by T(h)."""
+    states = np.empty((grid.count + 1, sg.space.dim))
+    c = np.array(x.coords, dtype=float)
+    states[0] = c
+    for k in range(grid.count):
+        c = sg.apply_coords(grid.step, c)
+        states[k + 1] = c
+    return states
+
+
+def observation_step_loop(triple, grid, x):
+    """C T(t_k) x with the state stepped one sample at a time as the orbit
+    route steps it: the matrix block by exp(hA), the history one point to
+    the left with a zero entering at s = 0.  On the neutral base f(0) moves
+    along as x(0); on the translation base it leaves the state at the first
+    step, as the shift drops it."""
+    base = triple.base
+    if isinstance(base, MatrixSemigroup):
+        mat, shift = base, None
+    elif isinstance(base, BlockDiag):
+        mat, shift = base.parts
+    else:
+        mat, shift = None, base
+    d = mat.space.dim if mat is not None else 0
+    e = matexp(mat.a, grid.step) if mat is not None else None
+    keep = isinstance(triple.control, NeutralBoundaryControl)
+    c = np.array(x.coords, dtype=float)
+    vals = np.empty((grid.count + 1, triple.observe.shape[0]))
+    for k in range(grid.count + 1):
+        vals[k] = triple.observe @ c
+        if d:
+            c[:d] = e @ c[:d]
+        if shift is not None:
+            f = c[d:].reshape(-1, shift.point_dim)
+            g = np.zeros_like(f)
+            if keep:
+                g[:-1] = f[1:]
+            else:
+                g[:-2] = f[1:-1]
+            c[d:] = g.ravel()
+    return vals
+
+
+def control_map_loop(triple, k, u, rule):
+    """B_{t_k} u of the bounded and neutral variants: the quadrature sum
+    acc <- E acc + w_j B u_j one sample at a time, and the placed channel
+    one history point at a time."""
+    h = u.grid.step
+    if k == 0:
+        w = np.zeros(1)
+    else:
+        g = Grid(0.0, h, k)
+        w = g.trapezoid_weights() if rule == "trapezoid" else g.left_weights()
+    if isinstance(triple.control, NeutralBoundaryControl):
+        a = triple.base.parts[0].a
+        d = a.shape[0]
+        b = np.eye(d)
+        u1 = u.values[:, :d]
+    else:
+        a = triple.base.a
+        b = triple.b_matrix
+        u1 = u.values
+    e = matexp(a, h)
+    acc = np.zeros(a.shape[0])
+    for j in range(k + 1):
+        acc = e @ acc + w[j] * (b @ u1[j])
+    if not isinstance(triple.control, NeutralBoundaryControl):
+        return acc
+    N = triple.base.parts[1].grid.count
+    placed = np.zeros((N + 1, d))
+    for i in range(N + 1):
+        j = k + i - N
+        if j >= 1:
+            placed[i] = u.values[j, d:]
+    return np.concatenate([acc, placed.ravel()])
 
 
 def matrix_volterra_apply_loop(E, B, C, u, h):

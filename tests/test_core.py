@@ -24,6 +24,26 @@ def test_grid_basics():
         sf.Grid(0.0, 0.1, 0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sf.Grid(NAN, 0.1, 10),
+    lambda: sf.Grid(0.0, INF, 10),
+    lambda: sf.Grid(0.0, 0.1, NAN),
+    lambda: sf.MatrixSemigroup([[NAN]]),
+    lambda: sf.StateVector.sup([NAN]),
+    lambda: sf.StateVector.grid_function([0.0, INF], sf.Grid(-1.0, 1.0, 1)),
+    lambda: sf.MeasureSpec(atoms=((NAN, 1.0),)),
+    lambda: sf.MeasureSpec(atoms=((-1.0, INF),)),
+    lambda: sf.MeasureSpec(density=((-1.0, -0.5, NAN),)),
+], ids=["grid-start", "grid-step", "grid-count", "generator", "sup-state", "grid-function",
+        "atom-location", "atom-weight", "density-value"])
+def test_non_finite_input_rejected_at_construction(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 @pytest.mark.parametrize("count,step", [(7, 0.1), (100, 1e-3), (1, 2.0)])
 def test_grid_weights_sum(count, step):
     g = sf.Grid(0.0, step, count)

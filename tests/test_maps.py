@@ -5,8 +5,11 @@ import pytest
 import scipy.linalg
 
 import semflow as sf
-from semflow.errors import ContractionViolation, NoConvergence
-from helpers import scalar_mv, smooth_signal
+from semflow import _kernels
+from semflow import neutral as nt
+from semflow.errors import ConfigurationError, ContractionViolation, NoConvergence
+from helpers import mixed_system, neutral_initial, scalar_mv, smooth_signal
+from oracles import control_map_loop, observation_step_loop
 
 
 def const_signal(grid, value=1.0, dim=1):
@@ -72,9 +75,83 @@ def test_control_map_shift_property():
     assert np.max(np.abs(lhs.coords - rhs.coords)) <= 5 * h * np.max(np.abs(uvec))
 
 
+def test_control_map_unknown_rule_rejected():
+    triple = scalar_mv(0.5)
+    grid = sf.time_grid(1.0, 0.01)
+    with pytest.raises(ConfigurationError, match="trapz"):
+        sf.control_map(triple, 1.0, const_signal(grid), rule="trapz")
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "left"])
+@pytest.mark.parametrize("k", [0, 1, 37, 150])
+def test_control_map_matches_step_loop(rule, k):
+    # bounded variant on a 2x2 base, and the neutral pair with both channels
+    bounded = sf.PerturbationTriple(
+        sf.MatrixSemigroup([[-1.0, 0.3], [-0.2, -0.5]]),
+        sf.BoundedControl([[1.0, 0.0], [0.5, -1.0]]), np.eye(2))
+    neutral = nt.build_perturbation(mixed_system())
+    for triple in (bounded, neutral):
+        grid = sf.Grid(0.0, 1.0 / 40, 150)
+        u = smooth_signal(grid, seed=k, dim=triple.u_dim)
+        u = sf.InputSignal(grid, u.values, triple.u_space)
+        got = sf.control_map(triple, k * grid.step, u, rule=rule).coords
+        ref = control_map_loop(triple, k, u, rule)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # observation map
 # ---------------------------------------------------------------------------
+
+def observation_case(name):
+    """(triple, state, horizon) on the matrix, translation or neutral base."""
+    matrix = sf.PerturbationTriple(
+        sf.MatrixSemigroup([[-1.0, 0.3], [-0.2, -0.5]]),
+        sf.BoundedControl([[1.0], [0.5]]), [[0.7, -0.4]])
+    g = sf.Grid(-2.0, 0.05, 40)
+    mu = sf.MeasureSpec(atoms=((-1.0, 0.6),), density=((-1.5, -0.25, 0.3),))
+    translation = sf.PerturbationTriple(
+        sf.LeftTranslation(g), sf.DirichletControl(sf.DirichletSpec(1.0)),
+        mu.observation_row(g))
+    sys0 = mixed_system()
+    y, f = neutral_initial(sys0, seed=3)
+    return {
+        "matrix": (matrix, sf.StateVector.sup([1.0, -2.0]), 5.0),
+        "translation": (translation,
+                        sf.StateVector.grid_function(np.cos(3.0 * g.points()) + 1.5, g),
+                        3.0),
+        "neutral": (nt.build_perturbation(sys0), nt.pack_initial(sys0, y, f), 3.0),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["matrix", "translation", "neutral"])
+def test_observation_map_matches_step_loop(name):
+    # the structured read of each base equals the history stepped one sample
+    # at a time as the orbit route steps it (measured at most 5.2e-16)
+    triple, x, horizon = observation_case(name)
+    step = 0.01 if isinstance(triple.base, sf.MatrixSemigroup) else None
+    v = sf.observation_map(triple, horizon, x, step=step)
+    ref = observation_step_loop(triple, v.grid, x)
+    assert np.max(np.abs(v.values - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_observation_map_is_what_the_neutral_direct_loop_inverts():
+    # (I - F)^{-1} C_t x equals the (w1, w2) of the feedback loop run from the
+    # initial data (y, f) with a zero right-hand side (measured 1.9e-16)
+    sys0 = mixed_system()
+    y, f = neutral_initial(sys0, seed=3)
+    triple = nt.build_perturbation(sys0)
+    grid = sf.time_grid(3.0, sys0.history_grid.step)
+    v = sf.observation_map(triple, grid.end, nt.pack_initial(sys0, y, f))
+    w = sf.invert_io(triple, grid.end, v, sf.DirectSolve())
+    c_block, prow, krow = triple.neutral_blocks()
+    e = sf.matexp(sys0.a, grid.step)
+    w1, w2, _, _ = _kernels.neutral_feedback_loop(
+        e, c_block, prow, krow, f, y, grid.step, grid.count,
+        np.zeros((grid.count + 1, 2 * sys0.dim)))
+    ref = np.hstack([w1, w2])
+    assert np.max(np.abs(w.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
 
 def test_observation_map_zero_operator():
     triple = scalar_mv(0.0)
@@ -93,7 +170,8 @@ def test_observation_map_scalar_l1_analytic():
 
 
 def test_observation_map_shift_endpoint_read():
-    # C = read at s=-1 over the nilpotent shift: signal s -> f(s-1), zero after 1
+    # C = read at s=-1 over the nilpotent shift: signal s -> f(s-1) up to t = 1,
+    # where it reads f(0) = x(0) as the orbit routes do, and zero after 1
     n = 64
     grid = sf.Grid(-1.0, 1.0 / n, n)
     base = sf.BlockDiag((sf.MatrixSemigroup([[-1.0]]), sf.NilpotentShift(grid)))
@@ -106,7 +184,8 @@ def test_observation_map_shift_endpoint_read():
     ts = v.grid.points()
     inside = (ts >= 1.0 / n) & (ts < 1.0)
     assert np.allclose(v.values[inside, 0], np.cos(2.0 * (ts[inside] - 1.0)))
-    assert np.all(v.values[ts >= 1.0, 0] == 0.0)
+    assert v.values[n, 0] == 1.0  # t = 1 exactly reads f(0) = cos(0)
+    assert np.all(v.values[ts > 1.0, 0] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import semflow as sf
-from semflow import cli
+from semflow import cli, semigroups
 from semflow import neutral as nt
 from semflow.maps import perturbed_orbit
 from helpers import mixed_system, neutral_initial
-from oracles import csv_rows_loop, orbit_csv_rows_loop
+from oracles import csv_rows_loop, orbit_csv_rows_loop, orbit_step_loop
 
 
 def translation_cfg(horizon, step, L, initial):
@@ -87,6 +87,50 @@ def test_translation_orbit_memory_does_not_scale_with_window_count():
     finally:
         tracemalloc.stop()
     assert orb.states.shape == (40001, 2001)
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("kind", ["translation", "neutral"])
+def test_zero_perturbation_orbit_is_windows_of_the_stepped_base(kind):
+    # perturbed_orbit with a zero observation is the base orbit: windows of
+    # one trajectory, equal from t_1 on to the base stepped one step at a
+    # time (the matrix block of the neutral base to round-off)
+    if kind == "translation":
+        cfg = translation_cfg(3.0, 0.125, 2.0, {"f_kind": "exp", "amplitude": 1.0})
+        cfg["system"].update(atoms=[], density=[])
+        triple = cli.build_system(cfg)
+        x = cli.build_initial(cfg, triple)
+        grid, head = sf.time_grid(3.0, 0.125), 0
+    else:
+        sys0 = mixed_system(n_hist=16)
+        triple = nt.build_perturbation(sys0)
+        triple = sf.PerturbationTriple(triple.base, triple.control, 0.0 * triple.observe)
+        x = nt.pack_initial(sys0, *neutral_initial(sys0, seed=4))
+        grid, head = sf.time_grid(3.0, sys0.history_grid.step), sys0.dim
+    orb = perturbed_orbit(triple, x, grid)
+    ref = orbit_step_loop(triple.base, x, grid)
+    assert_rows_are_windows(orb, orb.stride)
+    assert orb.head == head
+    assert np.array_equal(orb.states[1:, head:], ref[1:, head:])
+    assert np.max(np.abs(orb.states[:, :head] - ref[:, :head]), initial=0.0) <= 1e-15
+    norms = triple.base.space.rows_norm(ref)
+    assert np.max(np.abs(orb.norms - norms)) <= 1e-14 * np.max(norms)
+
+
+def test_unperturbed_translation_orbit_memory_does_not_scale_with_window_count():
+    # the same system's base orbit at T = 80: windows of one trajectory too
+    cfg = translation_cfg(80.0, 0.002, 4.0, {"f_kind": "exp", "amplitude": 1.0})
+    target = cli.build_system(cfg)
+    x = cli.build_initial(cfg, target)
+    grid = sf.time_grid(80.0, 0.002)
+    tracemalloc.start()
+    try:
+        orb = semigroups.orbit(target.base, x, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orb.states.shape == (40001, 2001)
+    assert np.shares_memory(orb.states, orb.trajectory)
     assert peak < 16e6
 
 

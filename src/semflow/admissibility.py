@@ -13,11 +13,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Grid, InputSignal, StateVector, opnorm_sup, time_grid
+from .core import Grid, InputSignal, StateVector, opnorm_sup, row_sup, time_grid
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
                    NeutralBoundaryControl, Neumann, PerturbationTriple, _apply_io,
-                   estimate_io_norm, invert_io, observation_map)
+                   _io_exp, estimate_io_norm, invert_io, observation_map)
 from .semigroups import Semigroup, _sliding_l1, orbit
 
 STABILITY_REL_CHANGE = 0.05
@@ -90,23 +90,18 @@ def _extend_signal(u: InputSignal, grid: Grid) -> InputSignal:
 def _control_track_norms(triple: PerturbationTriple, u: InputSignal) -> np.ndarray:
     """State norms of the left-endpoint control map B_t u for every grid t."""
     from . import _kernels
-    from .core import matexp
 
     h = u.grid.step
+    e = _io_exp(triple, h)
     if isinstance(triple.control, (BoundedControl, IdentityControl)):
-        d = triple.base.space.dim
-        e = matexp(triple.base.a, h)
-        bt = _kernels.matrix_volterra_apply(e, triple.b_matrix, np.eye(d), u.values, h)
-        return np.max(np.abs(bt), axis=1)
+        return row_sup(_kernels.matrix_volterra_apply(e, triple.b_matrix, None, u.values, h))
     if isinstance(triple.control, NeutralBoundaryControl):
         d = triple.base.parts[0].space.dim
         N = triple.base.parts[1].grid.count
-        e = matexp(triple.base.parts[0].a, h)
         u2 = u.values[:, d:]
-        bt1 = _kernels.matrix_volterra_apply(e, np.eye(d), np.eye(d), u.values[:, :d], h)
+        bt1 = _kernels.matrix_volterra_apply(e, np.eye(d), None, u.values[:, :d], h)
         q = np.concatenate([np.zeros((N + 1, d)), u2[1:]])
-        pn = np.max(np.abs(q), axis=1)
-        return np.max(np.abs(bt1), axis=1) + _sliding_l1(pn[: u.grid.count + N], N, h)
+        return row_sup(bt1) + _sliding_l1(row_sup(q)[: u.grid.count + N], N, h)
     # boundary translation: the control map places the signal on [-t, 0]
     N = triple.base.grid.count
     q = np.concatenate([np.zeros(N + 1), u.values[1:, 0]])
@@ -121,6 +116,7 @@ def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
 
 
 def _constants_at(triple, probes, signals, grid, method):
+    e = _io_exp(triple, grid.step)
     m_b = 0.0
     m_bc = 0.0
     io_ratio = 0.0
@@ -128,7 +124,7 @@ def _constants_at(triple, probes, signals, grid, method):
         uu = _extend_signal(u, grid) if u.grid.count < grid.count else u
         run_u = uu.running_l1()
         m_b = max(m_b, _max_ratio(_control_track_norms(triple, uu), run_u))
-        fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step), triple.u_space)
+        fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step, e), triple.u_space)
         m_bc = max(m_bc, _max_ratio(fu.running_l1(), run_u))
         if run_u[-1] > RATIO_FLOOR:
             io_ratio = max(io_ratio, fu.l1_norm() / uu.l1_norm())
@@ -295,6 +291,7 @@ def check_desch_schappacher(triple: PerturbationTriple, probes: Sequence[StateVe
                                       np.full_like(ts, x.norm())))
     b_norm = opnorm_sup(triple.control.matrix)
     rho = m * b_norm / omega
+    e = _io_exp(triple, step)
     per_probe = []
     ok = rho < 1.0
     for x, orb in zip(probes, orbits):
@@ -309,7 +306,7 @@ def check_desch_schappacher(triple: PerturbationTriple, probes: Sequence[StateVe
             margins.append(bound + term_tol - tn)
             if tn > bound + term_tol:
                 ok = False
-            term = _apply_io(triple, term, step)
+            term = _apply_io(triple, term, step, e)
         total = float(np.sum(norms))
         total_bound = m_est / (omega - m * b_norm) * nx if rho < 1.0 else np.inf
         # the same additive slack as the per-term test covers the quadrature

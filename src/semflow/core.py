@@ -92,6 +92,22 @@ def time_grid(horizon: float, step: float) -> Grid:
 # norms / spaces
 # ---------------------------------------------------------------------------
 
+def row_sup(a: np.ndarray) -> np.ndarray:
+    """Max of ``|a|`` over the last axis: ``np.max(np.abs(a), axis=-1)`` bit
+    for bit, NaN propagating, and zeros for a zero-width last axis.
+
+    Folded one column at a time with ``np.maximum``: numpy's reduction over a
+    short inner axis (a handful of channels) is over ten times slower.
+    """
+    out = np.zeros(a.shape[:-1])
+    if a.shape[-1]:
+        np.abs(a[..., 0], out=out)
+        col = np.empty_like(out)
+        for j in range(1, a.shape[-1]):
+            np.maximum(out, np.abs(a[..., j], out=col), out=out)
+    return out
+
+
 class Space:
     """Describes the norm carried by a coordinate vector."""
 
@@ -122,7 +138,7 @@ class SupSpace(Space):
         return float(np.max(np.abs(coords))) if self.dim else 0.0
 
     def rows_norm(self, rows):
-        return np.max(np.abs(rows), axis=1)
+        return row_sup(rows)
 
 
 @dataclass(frozen=True)
@@ -150,7 +166,7 @@ class L1Space(Space):
         """Point norms of samples laid out along the last axis."""
         if self.point_norm == "euclid":
             return np.sqrt(np.sum(vals * vals, axis=-1))
-        return np.max(np.abs(vals), axis=-1)
+        return row_sup(vals)
 
     def norm(self, coords):
         return float(self.grid.step * np.sum(self.point_norms(self.values(coords))[:-1]))

@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .core import (Grid, InputSignal, ProductSpace, Space, StateVector,
-                   SupSpace, matexp, time_grid)
+                   SupSpace, matexp, row_sup, time_grid)
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence)
 from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
@@ -319,10 +319,21 @@ def observation_map(triple: PerturbationTriple, t: float, x: StateVector,
     return InputSignal(grid, vals, triple.u_space)
 
 
-def _apply_io(triple: PerturbationTriple, values: np.ndarray, h: float) -> np.ndarray:
-    """Discrete F applied to raw signal samples (left-endpoint rule inside)."""
+def _io_exp(triple: PerturbationTriple, h: float) -> Optional[np.ndarray]:
+    """exp(hA) of the base's matrix block, read by every F application on a
+    matrix or neutral base; None on a translation base."""
+    if isinstance(triple.control, DirichletControl):
+        return None
+    base = triple.base
+    return matexp(base.a if isinstance(base, MatrixSemigroup) else base.parts[0].a, h)
+
+
+def _apply_io(triple: PerturbationTriple, values: np.ndarray, h: float,
+              e: Optional[np.ndarray]) -> np.ndarray:
+    """Discrete F applied to raw signal samples (left-endpoint rule inside);
+    ``e`` is ``_io_exp(triple, h)``, computed once by callers that apply F
+    repeatedly."""
     if isinstance(triple.control, (BoundedControl, IdentityControl)):
-        e = matexp(triple.base.a, h)
         return _kernels.matrix_volterra_apply(e, triple.b_matrix, triple.observe, values, h)
     if isinstance(triple.control, DirichletControl):
         row = triple.observe[0]
@@ -330,7 +341,6 @@ def _apply_io(triple: PerturbationTriple, values: np.ndarray, h: float) -> np.nd
         out = _kernels.delay_volterra_apply(lag, values[:, 0])
         return out[:, None]
     c_block, prow, krow = triple.neutral_blocks()
-    e = matexp(triple.base.parts[0].a, h)
     u1, u2 = _split_channels(triple, values)
     o1, o2 = _kernels.neutral_volterra_apply(e, c_block, prow, krow, u1, u2, h)
     return np.hstack([o1, o2])
@@ -340,7 +350,8 @@ def io_map(triple: PerturbationTriple, t: float, u: InputSignal) -> InputSignal:
     """Evaluate the input-output map F_t u = [r -> C B_r u] on [0, t]."""
     _check_signal(triple, u)
     k = u.grid.index_of(t)
-    out = _apply_io(triple, u.values[: k + 1], u.grid.step)
+    h = u.grid.step
+    out = _apply_io(triple, u.values[: k + 1], h, _io_exp(triple, h))
     return InputSignal(Grid(0.0, u.grid.step, k), out, triple.u_space)
 
 
@@ -350,20 +361,21 @@ def estimate_io_norm(triple: PerturbationTriple, t: float, step: Optional[float]
     grid = _resolve_grid(triple, t, step)
     rng = np.random.default_rng(seed)
     n1 = grid.count + 1
+    e = _io_exp(triple, grid.step)
     best = 0.0
     probes = [np.ones((n1, triple.u_dim))]
     for _ in range(n_probes):
         probes.append(rng.standard_normal((n1, triple.u_dim)))
-    for p in probes:
-        u = p
+    for u in probes:
+        nu = InputSignal(grid, u, triple.u_space).l1_norm()
         for _ in range(n_iters):
-            nu = InputSignal(grid, u, triple.u_space).l1_norm()
             if nu <= 0.0:
                 break
-            fu = _apply_io(triple, u, grid.step)
+            fu = _apply_io(triple, u, grid.step, e)
             nfu = InputSignal(grid, fu, triple.u_space).l1_norm()
             best = max(best, nfu / nu)
-            u = fu
+            # ||F u|| is the next iterate's ||u||
+            u, nu = fu, nfu
     return best
 
 
@@ -398,11 +410,12 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
         raise ContractionViolation(
             f"estimated ||F_t|| = {est:.4g} >= 1; Neumann series refused", est)
     target = method.tol * max(1.0 - est, 1e-6)
+    e = _io_exp(triple, h)
     w = vals.copy()
     term = vals
     sig_norm = None
     for _ in range(method.max_terms):
-        term = _apply_io(triple, term, h)
+        term = _apply_io(triple, term, h, e)
         w = w + term
         sig_norm = InputSignal(grid, term, triple.u_space).l1_norm()
         if sig_norm <= target:
@@ -460,7 +473,7 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
         else:
             w = invert_io(triple, grid.end, InputSignal(grid, v, triple.u_space),
                           method).values
-            bt = _kernels.matrix_volterra_apply(e, triple.b_matrix, np.eye(d), w, h)
+            bt = _kernels.matrix_volterra_apply(e, triple.b_matrix, None, w, h)
         return orbit_from_states(grid, states + bt, triple.base.space)
     if isinstance(triple.control, NeutralBoundaryControl):
         return _neutral_perturbed_orbit(triple, x, grid, method)
@@ -495,8 +508,8 @@ def _neutral_block_orbit(grid: Grid, zs: np.ndarray, X: np.ndarray, N: int,
     trajectory ``X``, whose rows k..k+N are the history window at t_k."""
     n = grid.count
     d = zs.shape[1]
-    pn = np.max(np.abs(X), axis=1)
-    norms = np.max(np.abs(zs), axis=1) + _sliding_l1(pn[: n + N], N, grid.step)
+    pn = row_sup(X)
+    norms = row_sup(zs) + _sliding_l1(pn[: n + N], N, grid.step)
     # window k*d of the flattened trajectory is X[k:k+N+1]
     return orbit_from_trajectory(grid, X.ravel(), d, norms, space, head=zs[: n + 1])
 

@@ -214,11 +214,3 @@ def scaling_conjugation(sys: NeutralSystem, alpha: float) -> NeutralSystem:
                       for a, b, v in sys.p_kernel.density))
     return NeutralSystem(sys.a, scaled_p, sys.k_kernel, alpha * sys.c,
                          sys.history_grid, alpha=sys.alpha)
-
-
-def scale_state(sys: NeutralSystem, state: StateVector, alpha: float) -> StateVector:
-    """Apply S_alpha (x, f) = (x, alpha*f) on the block space."""
-    d = sys.dim
-    coords = np.array(state.coords, dtype=float)
-    coords[d:] *= alpha
-    return StateVector(coords, state.space)

@@ -223,9 +223,22 @@ def orbit_from_trajectory(grid: Grid, trajectory: np.ndarray, stride: int,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _sliding_l1(point_norms: np.ndarray, window: int, h: float) -> np.ndarray:
-    """h * sum of `window` consecutive point norms, for every start index."""
-    c = np.concatenate([[0.0], np.cumsum(point_norms)])
-    return h * (c[window:] - c[: c.shape[0] - window])
+    """h * sum of `window` consecutive point norms, for every start index.
+
+    The window at ``b*window + r`` is the suffix from r of block b plus the
+    first r values of block b+1, blocks being ``window`` values long.  Both
+    are running sums within one block, so no sum is a difference and each
+    window keeps its relative precision however small its share of the mass
+    (a difference of one running sum over the whole array would carry an
+    absolute error of eps times all the mass before it).
+    """
+    n = point_norms.shape[0]
+    blocks = np.zeros((n // window + 1, window))
+    blocks.reshape(-1)[:n] = point_norms
+    suffix = np.cumsum(blocks[:-1, ::-1], axis=1)[:, ::-1]
+    prefix = np.zeros_like(suffix)
+    np.cumsum(blocks[1:, :-1], axis=1, out=prefix[:, 1:])
+    return h * (suffix + prefix).reshape(-1)[: max(n - window + 1, 0)]
 
 
 def apply(sg: Semigroup, t: float, x: StateVector) -> StateVector:

@@ -5,7 +5,8 @@ They step each recurrence one sample at a time, and read the history one tap
 at a time, exactly as the definitions in ``semflow._kernels``,
 ``semflow.semigroups`` and ``semflow.maps`` read; the CSV oracles format every
 value of every row; the robustness oracles build fresh orbits and a fresh
-harness for one property.  They serve only as test oracles.
+harness for one property; the io-norm oracle recomputes every norm and
+exp(hA) in every iteration.  They serve only as test oracles.
 """
 
 from dataclasses import replace
@@ -13,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from semflow import asymptotics as asy
-from semflow.core import Grid, matexp
-from semflow.maps import NeutralBoundaryControl, perturbed_orbit
+from semflow.core import Grid, InputSignal, ProductSpace, matexp, time_grid
+from semflow.maps import NeutralBoundaryControl, io_map, perturbed_orbit
 from semflow.semigroups import BlockDiag, MatrixSemigroup, orbit
 
 
@@ -250,6 +251,39 @@ def mos_step_loop(E, C, prow, krow, f0, y, h, n):
         X[N + k + 1] = C @ z + a2
         zs[k + 1] = z
     return zs, X
+
+
+def estimate_io_norm_loop(triple, t, step, n_probes=4, n_iters=3, seed=0):
+    """``maps.estimate_io_norm`` with nothing carried between iterations:
+    each one applies F through ``io_map`` (a fresh exp(hA) every time) and
+    takes both trapezoid L1 norms afresh, the sup point norms by ``np.max``
+    on each component of the input space."""
+    grid = time_grid(t, step)
+    rng = np.random.default_rng(seed)
+    n1 = grid.count + 1
+    w = grid.trapezoid_weights()
+    space = triple.u_space
+    dims = [p.dim for p in space.parts] if isinstance(space, ProductSpace) else [space.dim]
+
+    def l1(vals):
+        pn, lo = 0, 0
+        for dim in dims:
+            pn = pn + np.max(np.abs(vals[:, lo:lo + dim]), axis=1)
+            lo += dim
+        return float(w @ pn)
+
+    probes = [np.ones((n1, triple.u_dim))]
+    probes += [rng.standard_normal((n1, triple.u_dim)) for _ in range(n_probes)]
+    best = 0.0
+    for u in probes:
+        for _ in range(n_iters):
+            nu = l1(u)
+            if nu <= 0.0:
+                break
+            fu = io_map(triple, grid.end, InputSignal(grid, u, space)).values
+            best = max(best, l1(fu) / nu)
+            u = fu
+    return best
 
 
 def orbit_csv_rows_loop(path, orb):

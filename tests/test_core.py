@@ -4,8 +4,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import semflow as sf
+from semflow.core import row_sup
 from semflow.errors import DimensionError, DomainError, GridAlignmentError
 
 
@@ -188,3 +192,37 @@ def test_input_signal_l1_and_running():
     assert run[0] == 0.0
     assert run[-1] == pytest.approx(u.l1_norm())
     assert np.all(np.diff(run) >= -1e-15)
+
+
+# every finite float (zeros of both signs, subnormals) plus both infinities and
+# NaN of both signs
+row_values = st.floats(allow_nan=False) | st.sampled_from([np.nan, -np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=8),
+                  elements=row_values))
+def test_row_sup_is_max_abs_over_the_last_axis_bit_for_bit(a):
+    assert row_sup(a).tobytes() == np.max(np.abs(a), axis=-1).tobytes()
+
+
+def test_row_sup_propagates_nan_of_any_payload():
+    # numpy leaves the payload of a NaN result unspecified (np.max returns
+    # the canonical NaN on some paths), so only where NaN lands is compared
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((50, 7))
+    bits = a.view(np.uint64)
+    mask = rng.random(a.shape) < 0.1
+    payloads = rng.integers(1, 2 ** 52, size=int(mask.sum()), dtype=np.uint64)
+    bits[mask] = np.uint64(0x7FF0000000000000) | payloads
+    ref = np.max(np.abs(a), axis=-1)
+    got = row_sup(a)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert np.any(np.isnan(ref)) and not np.all(np.isnan(ref))
+    assert got[~np.isnan(ref)].tobytes() == ref[~np.isnan(ref)].tobytes()
+
+
+def test_row_sup_of_a_zero_width_axis_is_zero():
+    assert np.array_equal(row_sup(np.zeros((3, 0))), np.zeros(3))
+    assert np.array_equal(row_sup(np.zeros((2, 4, 0))), np.zeros((2, 4)))
+    assert np.array_equal(sf.SupSpace(0).rows_norm(np.zeros((5, 0))), np.zeros(5))

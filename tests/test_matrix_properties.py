@@ -1,0 +1,92 @@
+"""Structural laws of the matrix-base feedback pair, checked on drawn systems.
+
+For drawn d <= 4, generator A, control B (d x m) and observation C (m x d),
+the discrete input-output map F is strictly causal, so an impulse at step k
+moves the output only after k, and its first response is h C exp(hA) B one
+step later; forward substitution for (I - F) w = v agrees with the Neumann
+series whenever the estimated ||F|| is below 1; and ``estimate_io_norm``,
+which carries exp(hA) and ||F u|| between its iterations, returns exactly
+what the loop recomputing both does.  On 201 samples F^201 = 0, so the
+Neumann series ends within its default 300 terms.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import semflow as sf
+from semflow import neutral as nt
+from helpers import mixed_system
+from oracles import estimate_io_norm_loop
+
+H = 0.01
+GRID = sf.time_grid(2.0, H)
+entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def triples(draw):
+    d = draw(st.integers(1, 4), label="d")
+    m = draw(st.integers(1, 4), label="m")
+    a = draw(hnp.arrays(float, (d, d), elements=entries), label="A") - np.eye(d)
+    b = draw(hnp.arrays(float, (d, m), elements=entries), label="B")
+    c = draw(hnp.arrays(float, (m, d), elements=entries), label="C")
+    return sf.PerturbationTriple(sf.MatrixSemigroup(a), sf.BoundedControl(b), c)
+
+
+@SETTINGS
+@given(triple=triples(), data=st.data())
+def test_impulse_moves_output_only_after_its_step(triple, data):
+    k = data.draw(st.integers(0, GRID.count - 1), label="k")
+    channel = data.draw(st.integers(0, triple.u_dim - 1), label="channel")
+    u = np.zeros((GRID.count + 1, triple.u_dim))
+    u[k, channel] = 1.0
+    out = sf.io_map(triple, GRID.end, sf.InputSignal(GRID, u, triple.u_space)).values
+    assert np.all(out[: k + 1] == 0.0)
+    first = H * (triple.observe @ (sf.matexp(triple.base.a, H) @ triple.b_matrix)[:, channel])
+    assert np.allclose(out[k + 1], first, rtol=1e-12, atol=1e-15)
+
+
+@SETTINGS
+@given(triple=triples(), seed=st.integers(0, 2 ** 16))
+def test_direct_equals_neumann_when_contractive(triple, seed):
+    est = sf.estimate_io_norm(triple, GRID.end, step=H)
+    assume(est < 1.0)
+    vals = np.random.default_rng(seed).standard_normal((GRID.count + 1, triple.u_dim))
+    v = sf.InputSignal(GRID, vals, triple.u_space)
+    direct = sf.invert_io(triple, GRID.end, v, sf.DirectSolve()).values
+    neumann = sf.invert_io(triple, GRID.end, v, sf.Neumann(tol=1e-12),
+                           contraction_estimate=est).values
+    assert np.max(np.abs(direct - neumann)) <= 1e-8 * np.max(np.abs(vals))
+
+
+@SETTINGS
+@given(triple=triples(), seed=st.integers(0, 2 ** 16))
+def test_io_norm_estimate_equals_the_recomputing_loop(triple, seed):
+    assert sf.estimate_io_norm(triple, GRID.end, step=H, seed=seed) \
+        == estimate_io_norm_loop(triple, GRID.end, H, seed=seed)
+
+
+def _neutral_triple():
+    return nt.build_perturbation(mixed_system(p=0.3, k=0.2, p_density=0.1,
+                                              k_density=-0.1, q=0.5, n_hist=16))
+
+
+def _translation_triple():
+    grid = sf.Grid(-2.0, H, 200)
+    mu = sf.MeasureSpec(atoms=((-1.0, 0.5),), density=((-1.5, -0.5, 0.2),))
+    return sf.PerturbationTriple(sf.LeftTranslation(grid),
+                                 sf.DirichletControl(sf.DirichletSpec(1.0)),
+                                 mu.observation_row(grid))
+
+
+@pytest.mark.parametrize("build", [_neutral_triple, _translation_triple])
+def test_io_norm_estimate_equals_the_recomputing_loop_on_shift_bases(build):
+    triple = build()
+    h = triple.default_step()
+    assert sf.estimate_io_norm(triple, 2.0, step=h, seed=3) \
+        == estimate_io_norm_loop(triple, 2.0, h, seed=3)

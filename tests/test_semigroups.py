@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semflow as sf
 from semflow.errors import DomainError, GridAlignmentError
+from semflow.semigroups import _sliding_l1
 
 
 def hist_grid(n=64):
@@ -164,3 +169,33 @@ def test_left_translation_profile_moves_left():
     assert np.allclose(out, expect)
     # after two more units everything has left the window
     assert np.all(sg.apply_coords(2.0, f) == 0.0)
+
+
+def test_shift_orbit_norms_keep_relative_precision_on_a_decaying_profile():
+    # f(s) = exp(-10 (s + 4)): by t = 3 the state holds about 1e-13 of the
+    # initial mass, which a difference of running sums over the whole
+    # trajectory would carry with an absolute error of eps times that mass
+    grid = sf.Grid(-4.0, 0.01, 400)
+    sg = sf.LeftTranslation(grid)
+    x = sf.StateVector.grid_function(np.exp(-10.0 * (grid.points() + 4.0)), grid)
+    tg = sf.time_grid(4.0, 0.01)
+    orb = sf.orbit(sg, x, tg)
+    rows = sg.space.rows_norm(np.asarray(orb.states))
+    for t in (1.0, 2.0, 3.0):
+        k = tg.index_of(t)
+        assert rows[k] > 0.0
+        assert abs(orb.norms[k] - rows[k]) <= 1e-12 * rows[k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), window=st.integers(1, 40), rate=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2 ** 16))
+def test_sliding_l1_window_sums_are_relatively_exact(n, window, rate, seed):
+    # positive values spanning up to 260 orders of magnitude
+    rng = np.random.default_rng(seed)
+    p = rng.random(n) * np.exp(-rate * np.arange(n))
+    got = _sliding_l1(p, window, 0.5)
+    assert got.shape == (max(n - window + 1, 0),)
+    for i, g in enumerate(got):
+        exact = 0.5 * math.fsum(p[i: i + window])
+        assert abs(g - exact) <= 2 * window * np.finfo(float).eps * exact

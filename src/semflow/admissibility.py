@@ -108,28 +108,31 @@ def _control_track_norms(triple: PerturbationTriple, u: InputSignal) -> np.ndarr
     return _sliding_l1(np.abs(q)[: u.grid.count + N], N, h)
 
 
+def _worst(values) -> float:
+    """The largest of ``values`` (0 if there are none), nan if any is nan:
+    an estimate that overflowed must reach the report, where the builtin
+    ``max`` would drop a nan that is not its first argument."""
+    return float(np.max(values, initial=0.0))
+
+
 def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    mask = den > RATIO_FLOOR
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(num[mask] / den[mask]))
+    # a nan denominator is kept, so that its nan ratio reaches the maximum
+    mask = ~(den <= RATIO_FLOOR)
+    return _worst(num[mask] / den[mask])
 
 
 def _constants_at(triple, probes, signals, grid, method):
     e = _io_exp(triple, grid.step)
-    m_b = 0.0
-    m_bc = 0.0
-    io_ratio = 0.0
+    m_b, m_bc, io_ratio = [], [], []
     for u in signals:
         uu = _extend_signal(u, grid) if u.grid.count < grid.count else u
         run_u = uu.running_l1()
-        m_b = max(m_b, _max_ratio(_control_track_norms(triple, uu), run_u))
+        m_b.append(_max_ratio(_control_track_norms(triple, uu), run_u))
         fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step, e), triple.u_space)
-        m_bc = max(m_bc, _max_ratio(fu.running_l1(), run_u))
+        m_bc.append(_max_ratio(fu.running_l1(), run_u))
         if run_u[-1] > RATIO_FLOOR:
-            io_ratio = max(io_ratio, fu.l1_norm() / uu.l1_norm())
-    m_c = 0.0
-    sup_inv = 0.0
+            io_ratio.append(fu.l1_norm() / uu.l1_norm())
+    m_c, sup_inv = [], []
     # one contraction estimate of F on this grid serves every Neumann solve
     est = estimate_io_norm(triple, grid.end, step=grid.step) \
         if isinstance(method, Neumann) else None
@@ -138,12 +141,15 @@ def _constants_at(triple, probes, signals, grid, method):
         if nx <= RATIO_FLOOR:
             continue
         v = observation_map(triple, grid.end, x, step=grid.step)
-        m_c = max(m_c, float(v.running_l1()[-1]) / nx)
+        m_c.append(float(v.running_l1()[-1]) / nx)
         w = invert_io(triple, grid.end, v, method, contraction_estimate=est)
-        sup_inv = max(sup_inv, float(np.max(w.running_l1())) / nx)
-    return m_b, m_c, m_bc, io_ratio, sup_inv
+        sup_inv.append(float(np.max(w.running_l1())) / nx)
+    return tuple(_worst(v) for v in (m_b, m_c, m_bc, io_ratio, sup_inv))
 
 
+# overflow runs to inf or nan without numpy warnings: a non-finite estimate
+# reaches the report, and the CLI refuses to write it
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector],
                        signals: Sequence[InputSignal], horizon: float,
                        step: Optional[float] = None,
@@ -166,8 +172,8 @@ def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector]
     g2 = time_grid(2.0 * horizon, h)
     m_b1, m_c1, m_bc1, io1, inv1 = _constants_at(triple, probes, signals, g1, method)
     m_b2, m_c2, m_bc2, io2, inv2 = _constants_at(triple, probes, signals, g2, method)
-    io_norm = max(io2, estimate_io_norm(triple, 2.0 * horizon, step=h,
-                                        seed=io_probe_seed))
+    io_norm = _worst([io2, estimate_io_norm(triple, 2.0 * horizon, step=h,
+                                            seed=io_probe_seed)])
 
     def rel_change(a, b):
         return abs(b - a) / max(abs(a), RATIO_FLOOR)
@@ -198,6 +204,7 @@ def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector]
         verdicts=verdicts)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_miyadera_voigt(triple: PerturbationTriple, probes: Sequence[StateVector],
                          horizon: float, q_threshold: float,
                          step: Optional[float] = None) -> CheckResult:
@@ -214,7 +221,7 @@ def check_miyadera_voigt(triple: PerturbationTriple, probes: Sequence[StateVecto
             continue
         v = observation_map(triple, horizon, x, step=step)
         ratios.append(float(v.running_l1()[-1]) / nx)
-    worst = max(ratios)
+    worst = _worst(ratios)
     ok = worst <= q_threshold < 1.0
     return CheckResult("PASS" if ok else "FAIL",
                        {"ratio": worst, "q_threshold": q_threshold,

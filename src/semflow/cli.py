@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +241,7 @@ def fmt(x: float) -> str:
 
 
 _CSV_BLOCK_ROWS = 128
+_CSV_BUFFER_BYTES = 256 * 1024
 
 
 def write_csv(path: Path, header, columns, *, trajectory=None, stride=1):
@@ -249,41 +249,55 @@ def write_csv(path: Path, header, columns, *, trajectory=None, stride=1):
 
     With a ``trajectory``, the trailing columns are windows of it: row k's
     are ``trajectory[k*stride : k*stride + width]``, the last window ending
-    the trajectory.  Each trajectory value is then formatted once and row k's
-    window is one slice of the joined text; only the leading columns (at
-    least one) are formatted per row.
+    the trajectory.  Each trajectory value is then formatted once, and row
+    k's window is written as a zero-copy slice of those bytes; only the
+    leading columns are formatted per row.  Either way the rows go to the
+    file as bytes through one buffer, and the file is closed on return.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    # b"%.17g" % v is fmt(v), encoded, for every float
+    with open(path, "wb", buffering=_CSV_BUFFER_BYTES) as fh:
+        fh.write((",".join(header) + "\n").encode())
         if trajectory is None:
-            # "%.17g" % v is fmt(v) for every float; the columns become
-            # python floats one block of rows at a time, to bound memory
-            line = ",".join(["%.17g"] * len(columns)) + "\n"
+            # one block of rows is stacked into python floats and formatted
+            # by one % operation
+            line = b",".join([b"%.17g"] * len(columns)) + b"\n"
             cols = [np.asarray(c, dtype=float) for c in columns]
             for a in range(0, len(cols[0]) if cols else 0, _CSV_BLOCK_ROWS):
-                block = [c[a: a + _CSV_BLOCK_ROWS].tolist() for c in cols]
-                fh.writelines(line % row for row in zip(*block))
+                block = np.stack([c[a: a + _CSV_BLOCK_ROWS] for c in cols], axis=1)
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
             return
         rows = len(columns[0])
         width = len(trajectory) - (rows - 1) * stride
-        head = [np.asarray(c, dtype=float) for c in columns[: len(columns) - width]]
-        cells = [fmt(v) for v in trajectory.tolist()]
-        text = ",".join(cells)
-        # starts[i] is the offset of cell i in text, starts[-1] = len(text) + 1
-        starts = list(accumulate((len(c) + 1 for c in cells), initial=0))
-        for k, row in enumerate(zip(*head)):
+        heads = len(columns) - width
+        # (rows, heads): the leading columns, row by row
+        head = np.asarray([np.asarray(c, dtype=float) for c in columns[:heads]]
+                          ).reshape(heads, rows).T
+        # every trajectory value, each followed by a comma (no formatted value
+        # holds one)
+        text = memoryview((b"%.17g," * len(trajectory)) % tuple(trajectory.tolist()))
+        # starts[i] is the offset of value i in text, starts[-1] = len(text)
+        commas = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord(","))
+        starts = [0] + (commas + 1).tolist()
+        head_fmt = b"%.17g," * heads
+        for k in range(rows):
             a = k * stride
-            fh.write("".join(fmt(v) + "," for v in row)
-                     + text[starts[a]: starts[a + width] - 1] + "\n")
+            fh.write(head_fmt % tuple(head[k].tolist()))
+            fh.write(text[starts[a]: starts[a + width] - 1])
+            fh.write(b"\n")
+
+
+def _strict_json(name: str, obj) -> str:
+    """Sorted-key strict JSON text: an inf or nan anywhere in ``obj`` is a
+    numerical failure."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"{name} would hold a non-finite number") from exc
 
 
 def write_json(path: Path, obj: dict):
-    """Sorted-key strict JSON: an inf or nan anywhere in ``obj`` is a
-    numerical failure and nothing is written."""
-    try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalFailure(f"{path.name} would hold a non-finite number") from exc
+    """``obj`` as strict JSON; if it is not finite nothing is written."""
+    text = _strict_json(path.name, obj)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -439,6 +453,11 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
         norm_head += [f"base_norm_{i}", f"pert_norm_{i}"]
         ces_cols += [tr.base_cesaro, tr.pert_cesaro]
         ces_head += [f"base_cesaro_{i}", f"pert_cesaro_{i}"]
+    # every artifact is checked before any is written
+    if not all(np.all(np.isfinite(col)) for col in norm_cols + ces_cols):
+        raise NumericalFailure("the plot data is not finite (overflow or nan); "
+                               "nothing is written")
+    _strict_json("asymptotics.json", matrix)
     write_csv(out / "plot_norms.csv", norm_head, norm_cols)
     write_csv(out / "plot_cesaro.csv", ces_head, ces_cols)
     payload = {"schema_version": 1, "verdicts": matrix, "all_pass": bool(all_pass),

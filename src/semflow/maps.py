@@ -362,7 +362,7 @@ def estimate_io_norm(triple: PerturbationTriple, t: float, step: Optional[float]
     rng = np.random.default_rng(seed)
     n1 = grid.count + 1
     e = _io_exp(triple, grid.step)
-    best = 0.0
+    ratios = []
     probes = [np.ones((n1, triple.u_dim))]
     for _ in range(n_probes):
         probes.append(rng.standard_normal((n1, triple.u_dim)))
@@ -373,10 +373,12 @@ def estimate_io_norm(triple: PerturbationTriple, t: float, step: Optional[float]
                 break
             fu = _apply_io(triple, u, grid.step, e)
             nfu = InputSignal(grid, fu, triple.u_space).l1_norm()
-            best = max(best, nfu / nu)
+            ratios.append(nfu / nu)
             # ||F u|| is the next iterate's ||u||
             u, nu = fu, nfu
-    return best
+    # np.max keeps a nan ratio of an overflowed iterate, the builtin max
+    # would drop it
+    return float(np.max(ratios, initial=0.0))
 
 
 def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,

@@ -91,16 +91,17 @@ class MeasureSpec:
         h = grid.step
         npts = grid.count + 1
         out = np.zeros((point_dim, npts * point_dim))
+        # blocks[:, i, :] is the block of grid point i
+        blocks = out.reshape(point_dim, npts, point_dim)
 
-        def add_block(i, w):
+        def block_of(w):
             if np.ndim(w) == 0:
-                block = float(w) * np.eye(point_dim)
-            else:
-                block = np.asarray(w, dtype=float)
-                if block.shape != (point_dim, point_dim):
-                    raise DimensionError(
-                        f"measure weight must be ({point_dim}, {point_dim}), got {block.shape}")
-            out[:, i * point_dim:(i + 1) * point_dim] += block
+                return float(w) * np.eye(point_dim)
+            block = np.asarray(w, dtype=float)
+            if block.shape != (point_dim, point_dim):
+                raise DimensionError(
+                    f"measure weight must be ({point_dim}, {point_dim}), got {block.shape}")
+            return block
 
         for loc, w in self.atoms:
             r = (loc - grid.start) / h
@@ -114,12 +115,17 @@ class MeasureSpec:
                         f"atom at {loc} is off-grid by {off * h:.3e} (step {h})")
             elif off > 0.5 + 1e-12:
                 raise GridAlignmentError(f"atom at {loc} is beyond half a step from the grid")
-            add_block(i, w)
-        pts = grid.points()
-        for i in range(grid.count):  # left endpoints only
-            v = self.density_at(pts[i])
-            if v is not None:
-                add_block(i, h * np.asarray(v, dtype=float) if np.ndim(v) else h * float(v))
+            blocks[:, i, :] += block_of(w)
+        # left endpoints only; a point takes the value of the first segment
+        # holding it, as density_at reads it
+        left = grid.points()[: grid.count]
+        free = np.ones(grid.count, dtype=bool)
+        for a, b, v in self.density:
+            hit = free & (a - 1e-12 <= left) & (left < b - 1e-12)
+            if hit.any():
+                w = h * np.asarray(v, dtype=float) if np.ndim(v) else h * float(v)
+                blocks[:, : grid.count][:, hit, :] += block_of(w)[:, None, :]
+                free &= ~hit
         return out
 
 

@@ -1,12 +1,14 @@
 """Sequential reference loops for the vectorized and blocked kernels, the
-base orbits and maps, the writers and the robustness experiment.
+base orbits and maps, the measure row, the writers and the robustness
+experiment.
 
 They step each recurrence one sample at a time, and read the history one tap
 at a time, exactly as the definitions in ``semflow._kernels``,
-``semflow.semigroups`` and ``semflow.maps`` read; the CSV oracles format every
-value of every row; the robustness oracles build fresh orbits and a fresh
-harness for one property; the io-norm oracle recomputes every norm and
-exp(hA) in every iteration.  They serve only as test oracles.
+``semflow.semigroups`` and ``semflow.maps`` read; the measure row is built
+one grid point at a time; the CSV oracles format every value of every row;
+the robustness oracles build fresh orbits and a fresh harness for one
+property; the io-norm oracle recomputes every norm and exp(hA) in every
+iteration.  They serve only as test oracles.
 """
 
 from dataclasses import replace
@@ -15,6 +17,7 @@ import numpy as np
 
 from semflow import asymptotics as asy
 from semflow.core import Grid, InputSignal, ProductSpace, matexp, time_grid
+from semflow.errors import DimensionError, GridAlignmentError
 from semflow.maps import NeutralBoundaryControl, io_map, perturbed_orbit
 from semflow.semigroups import BlockDiag, MatrixSemigroup, orbit
 
@@ -284,6 +287,38 @@ def estimate_io_norm_loop(triple, t, step, n_probes=4, n_iters=3, seed=0):
             best = max(best, l1(fu) / nu)
             u = fu
     return best
+
+
+def observation_row_loop(mu, grid, point_dim=1, atom_mode="exact"):
+    """The measure functional's row, one grid point at a time: each atom's
+    block, then the density block h * density_at(s_i) at every left
+    endpoint s_i."""
+    h = grid.step
+    out = np.zeros((point_dim, (grid.count + 1) * point_dim))
+
+    def add_block(i, w):
+        if np.ndim(w) == 0:
+            block = float(w) * np.eye(point_dim)
+        else:
+            block = np.asarray(w, dtype=float)
+            if block.shape != (point_dim, point_dim):
+                raise DimensionError(
+                    f"measure weight must be ({point_dim}, {point_dim}), got {block.shape}")
+        out[:, i * point_dim:(i + 1) * point_dim] += block
+
+    for loc, w in mu.atoms:
+        r = (loc - grid.start) / h
+        i = int(round(r))
+        off = abs(r - i)
+        if not 0 <= i <= grid.count or off > (1e-6 if atom_mode == "exact" else 0.5 + 1e-12):
+            raise GridAlignmentError(f"atom at {loc} is not on the grid")
+        add_block(i, w)
+    pts = grid.points()
+    for i in range(grid.count):
+        v = mu.density_at(pts[i])
+        if v is not None:
+            add_block(i, h * np.asarray(v, dtype=float) if np.ndim(v) else h * float(v))
+    return out
 
 
 def orbit_csv_rows_loop(path, orb):

@@ -376,6 +376,43 @@ def test_non_finite_neutral_compare_exits_1_and_writes_nothing(tmp_path, capsys)
     assert list(out.iterdir()) == []
 
 
+def overflowing_scalar_cfg(horizon):
+    # exp(20 t) overflows long before t = 50
+    return {
+        "system": {"kind": "scalar", "a": 20.0, "b": "identity", "c": 0.5},
+        "grid": {"step": 0.01, "horizon": horizon},
+        "probes": {"count": 1},
+        "signals": {"count": 1},
+    }
+
+
+@pytest.mark.parametrize("extra", [{}, {"admissibility": {"q_threshold": 0.9}}],
+                         ids=["constants", "miyadera_voigt"])
+def test_overflowing_admissibility_exits_1_and_writes_nothing(tmp_path, capsys, extra):
+    path = write_cfg(tmp_path / "cfg.json", {**overflowing_scalar_cfg(50.0), **extra})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["admissibility", "--config", path, "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("numerical failure: admissibility.json would "
+                                       "hold a non-finite number\n")
+    assert list(out.iterdir()) == []
+
+
+def test_overflowing_asymptotics_exits_1_and_writes_nothing(tmp_path, capsys):
+    path = write_cfg(tmp_path / "cfg.json", overflowing_scalar_cfg(100.0))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["asymptotics", "--config", path, "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert err.endswith("\n")
+    assert list(out.iterdir()) == []
+
+
 def test_singular_c_with_compatible_y_exits_2(tmp_path, capsys):
     path = write_cfg(tmp_path / "cfg.json", neutral_cfg(c=[[1.0, 0.0], [0.0, 0.0]]))
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2

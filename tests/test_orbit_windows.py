@@ -1,13 +1,16 @@
 """Shift-base orbits as one trajectory plus windows: the window structure of
 the states, the memory it saves, and the orbit CSV writer that formats each
 trajectory value once yet writes the same bytes as the row-by-row loop.  The
-plain CSV path, one format operation per row, writes those bytes too."""
+plain CSV path, one format operation per block of rows, writes those bytes
+too; drawn tables of either kind match the row-by-row oracles."""
 
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import semflow as sf
 from semflow import cli, semigroups
@@ -157,6 +160,57 @@ def test_plain_csv_matches_row_loop_on_special_values(tmp_path):
     assert fast == (tmp_path / "loop.csv").read_bytes()
     for token in (b",-0,", b"e-324,", b"e+300,", b",inf,", b",nan,"):
         assert token in fast
+
+
+def drawn_values(seed, count):
+    """``count`` doubles: the special values and random ones of every
+    magnitude, with inf and nan among them."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(SPECIAL_VALUES + [1e300, -1e300, np.inf, -np.inf, np.nan])
+    vals = rng.standard_normal(count) * 10.0 ** rng.integers(-320, 300, count)
+    special = rng.random(count) < 0.3
+    vals[special] = rng.choice(pool, int(special.sum()))
+    return vals
+
+
+CSV_SETTINGS = settings(max_examples=30, deadline=None,
+                        suppress_health_check=[HealthCheck.too_slow,
+                                               HealthCheck.function_scoped_fixture])
+
+
+# rows of about 24-byte cells: a few rows, or enough to fill several 256 KiB
+# buffers of the writer
+row_counts = st.one_of(st.integers(1, 40), st.integers(3000, 9000))
+
+
+@CSV_SETTINGS
+@given(seed=st.integers(0, 2 ** 16), rows=row_counts, stride=st.integers(1, 4),
+       heads=st.integers(0, 3), width=st.integers(1, 12))
+@example(seed=1, rows=9000, stride=4, heads=3, width=12)
+@example(seed=2, rows=1, stride=1, heads=0, width=1)
+def test_trajectory_csv_matches_row_loop(tmp_path, seed, rows, stride, heads, width):
+    traj = drawn_values(seed, (rows - 1) * stride + width)
+    windows = np.lib.stride_tricks.sliding_window_view(traj, width)[::stride]
+    assert windows.shape == (rows, width)
+    columns = [drawn_values(seed + 1 + j, rows) for j in range(heads)] + list(windows.T)
+    header = [f"c{j}" for j in range(heads + width)]
+    cli.write_csv(tmp_path / "fast.csv", header, columns, trajectory=traj, stride=stride)
+    csv_rows_loop(tmp_path / "loop.csv", header, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+@CSV_SETTINGS
+@given(seed=st.integers(0, 2 ** 16), ncols=st.integers(1, 5),
+       rows=st.one_of(st.sampled_from([0, 1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
+                                       cli._CSV_BLOCK_ROWS + 1]),
+                      st.integers(0, 4 * cli._CSV_BLOCK_ROWS), st.integers(6000, 12000)))
+@example(seed=3, ncols=5, rows=12001)
+def test_plain_csv_matches_row_loop(tmp_path, seed, ncols, rows):
+    columns = [drawn_values(seed + j, rows) for j in range(ncols)]
+    header = [f"c{j}" for j in range(ncols)]
+    cli.write_csv(tmp_path / "fast.csv", header, columns)
+    csv_rows_loop(tmp_path / "loop.csv", header, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 def test_neutral_orbit_csvs_match_row_loop(tmp_path):

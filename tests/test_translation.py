@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semflow as sf
-from semflow.errors import DomainError, GridAlignmentError
+from semflow.errors import DimensionError, DomainError, GridAlignmentError
 from semflow.translation import (boundary_control_by_quadrature,
                                  control_dropped_mass)
+from oracles import observation_row_loop
 
 
 def space_grid(L=10.0, h=1e-3):
@@ -145,6 +148,60 @@ def test_measure_atom_alignment_errors():
     off = sf.MeasureSpec(atoms=((-3.0, 1.0),))
     with pytest.raises(GridAlignmentError):
         off.observation_row(g, atom_mode="nearest")
+
+
+def weight(rng, point_dim):
+    if point_dim == 1 and rng.random() < 0.5:
+        return float(rng.standard_normal())
+    return rng.standard_normal((point_dim, point_dim))
+
+
+@pytest.mark.parametrize("point_dim", [1, 2, 3])
+def test_observation_row_matches_point_loop(point_dim):
+    # overlapping segments (the first holding a point wins), a segment ending
+    # at 0, an atom on a density point, two atoms at one point, off-grid ends
+    rng = np.random.default_rng(point_dim)
+    g = sf.Grid(-2.0, 0.01, 200)
+    mu = sf.MeasureSpec(
+        atoms=((-1.0, weight(rng, point_dim)), (-1.0, weight(rng, point_dim)),
+               (0.0, weight(rng, point_dim)), (-2.0, weight(rng, point_dim))),
+        density=((-1.5, -0.5, weight(rng, point_dim)),
+                 (-1.0, 0.0, weight(rng, point_dim)),
+                 (-1.987, -1.2345, weight(rng, point_dim)),
+                 (-5.0, -1.9, weight(rng, point_dim))))
+    row = mu.observation_row(g, point_dim=point_dim)
+    assert row.tobytes() == observation_row_loop(mu, g, point_dim).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_dim=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+       n_atoms=st.integers(0, 3), n_segments=st.integers(0, 4),
+       ends=st.lists(st.integers(-24, 0), min_size=8, max_size=8))
+def test_observation_row_matches_point_loop_on_drawn_measures(point_dim, seed, n_atoms,
+                                                              n_segments, ends):
+    # segment ends on and off the grid points of step 1/8
+    rng = np.random.default_rng(seed)
+    g = sf.Grid(-2.0, 0.125, 16)
+    atoms = tuple((0.125 * int(rng.integers(-16, 1)), weight(rng, point_dim))
+                  for _ in range(n_atoms))
+    density = []
+    for j in range(n_segments):
+        a, b = sorted((ends[2 * j] / 8.0, ends[2 * j + 1] / 8.0 + 0.01 * (j % 2)))
+        if a < b <= 0.0:
+            density.append((a, b, weight(rng, point_dim)))
+    mu = sf.MeasureSpec(atoms=atoms, density=tuple(density))
+    row = mu.observation_row(g, point_dim=point_dim, atom_mode="nearest")
+    assert row.tobytes() == \
+        observation_row_loop(mu, g, point_dim, atom_mode="nearest").tobytes()
+
+
+@pytest.mark.parametrize("mu", [
+    sf.MeasureSpec(atoms=((-1.0, np.eye(3)),)),
+    sf.MeasureSpec(density=((-1.0, -0.5, np.ones((2, 3))),)),
+], ids=["atom", "density"])
+def test_observation_row_rejects_a_weight_of_the_wrong_shape(mu):
+    with pytest.raises(DimensionError):
+        mu.observation_row(sf.Grid(-2.0, 0.01, 200), point_dim=2)
 
 
 def test_io_infty_zero_and_pure_delay():

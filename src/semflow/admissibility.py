@@ -4,6 +4,12 @@ All estimates are maxima over finite probe/signal sets and grid times, hence
 lower bounds of the true suprema; they are reported as such.  Verdicts attach
 a horizon-doubling stability test: a supremum over t > 0 is accepted as finite
 when doubling the horizon moves the estimate by less than 5 percent.
+
+B_t, C_t, F_t and (I - F_t)^{-1} are causal and the signals zero-extended, so
+the test reads the [0, T] estimates as prefixes of one pass over [0, 2T].  One
+contraction estimate of ||F_2T|| >= ||F_T|| per run, its probes drawn with
+``io_probe_seed`` (the CLI passes the run's seed), gates every Neumann solve
+and enters ``io_norm_est``.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .core import Grid, InputSignal, StateVector, opnorm_sup, row_sup, time_grid
-from .errors import ConfigurationError, DomainError, PreconditionError
+from .errors import ConfigurationError, DomainError, GridAlignmentError, PreconditionError
 from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
-                   NeutralBoundaryControl, Neumann, PerturbationTriple, _apply_io,
+                   NeutralBoundaryControl, PerturbationTriple, _apply_io,
                    _io_exp, estimate_io_norm, invert_io, observation_map)
 from .semigroups import Semigroup, _sliding_l1, orbit
 
@@ -81,7 +87,9 @@ def probe_signals(triple: PerturbationTriple, grid: Grid, count: int,
 
 
 def _extend_signal(u: InputSignal, grid: Grid) -> InputSignal:
-    """Zero-extension of a signal to a longer grid with the same step."""
+    """Zero-extension of a signal to a grid with the same step, no shorter."""
+    if abs(u.grid.step - grid.step) > 1e-12 * grid.step or u.grid.count > grid.count:
+        raise GridAlignmentError(f"signals need step {grid.step} and to end by t = {grid.end}")
     vals = np.zeros((grid.count + 1, u.values.shape[1]))
     vals[: u.grid.count + 1] = u.values
     return InputSignal(grid, vals, u.point_space)
@@ -115,36 +123,41 @@ def _worst(values) -> float:
     return float(np.max(values, initial=0.0))
 
 
+def _ratio_track(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # 0 where den is at the floor; a nan denominator is kept, so that its
+    # nan ratio reaches the maximum
+    return np.divide(num, den, out=np.zeros_like(num), where=~(den <= RATIO_FLOOR))
+
+
 def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    # a nan denominator is kept, so that its nan ratio reaches the maximum
-    mask = ~(den <= RATIO_FLOOR)
-    return _worst(num[mask] / den[mask])
+    return _worst(_ratio_track(num, den))
 
 
-def _constants_at(triple, probes, signals, grid, method):
+def _worst_tracks(triple, probes, signals, grid, method, est):
+    """Worst ratios so far, over the signals or probes, at every time of
+    ``grid``: M_B, M_C, M_BC and the inverse observation (running_l1 is
+    nondecreasing, so the last two are maxima over [0, t_k] already); and the
+    worst ||F u|| / ||u|| over the whole grid.  np.maximum keeps a nan."""
     e = _io_exp(triple, grid.step)
-    m_b, m_bc, io_ratio = [], [], []
+    m_b = m_c = m_bc = inv = np.zeros(grid.count + 1)
+    io_ratio = []
     for u in signals:
-        uu = _extend_signal(u, grid) if u.grid.count < grid.count else u
+        uu = _extend_signal(u, grid)
         run_u = uu.running_l1()
-        m_b.append(_max_ratio(_control_track_norms(triple, uu), run_u))
+        m_b = np.maximum(m_b, _ratio_track(_control_track_norms(triple, uu), run_u))
         fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step, e), triple.u_space)
-        m_bc.append(_max_ratio(fu.running_l1(), run_u))
+        m_bc = np.maximum(m_bc, _ratio_track(fu.running_l1(), run_u))
         if run_u[-1] > RATIO_FLOOR:
             io_ratio.append(fu.l1_norm() / uu.l1_norm())
-    m_c, sup_inv = [], []
-    # one contraction estimate of F on this grid serves every Neumann solve
-    est = estimate_io_norm(triple, grid.end, step=grid.step) \
-        if isinstance(method, Neumann) else None
     for x in probes:
         nx = x.norm()
         if nx <= RATIO_FLOOR:
             continue
         v = observation_map(triple, grid.end, x, step=grid.step)
-        m_c.append(float(v.running_l1()[-1]) / nx)
+        m_c = np.maximum(m_c, v.running_l1() / nx)
         w = invert_io(triple, grid.end, v, method, contraction_estimate=est)
-        sup_inv.append(float(np.max(w.running_l1())) / nx)
-    return tuple(_worst(v) for v in (m_b, m_c, m_bc, io_ratio, sup_inv))
+        inv = np.maximum(inv, w.running_l1() / nx)
+    return (m_b, m_c, m_bc, inv), _worst(io_ratio)
 
 
 # overflow runs to inf or nan without numpy warnings: a non-finite estimate
@@ -159,7 +172,10 @@ def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector]
 
     Estimates are maxima over the probe states / input signals (lower bounds
     of the true constants); the verdicts record contraction of the
-    input-output map and horizon-doubling stability of the suprema.
+    input-output map and horizon-doubling stability of the suprema.  The
+    maps run once, on [0, 2 horizon], and the [0, horizon] values are their
+    prefixes; one ``estimate_io_norm`` over [0, 2 horizon], drawn with
+    ``io_probe_seed``, gates every Neumann solve and enters ``io_norm_est``.
     """
     if not probes:
         raise ConfigurationError("estimate_constants needs a nonempty probe set")
@@ -168,31 +184,25 @@ def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector]
     h = step if step is not None else triple.default_step()
     if h is None:
         h = signals[0].grid.step
-    g1 = time_grid(horizon, h)
-    g2 = time_grid(2.0 * horizon, h)
-    m_b1, m_c1, m_bc1, io1, inv1 = _constants_at(triple, probes, signals, g1, method)
-    m_b2, m_c2, m_bc2, io2, inv2 = _constants_at(triple, probes, signals, g2, method)
-    io_norm = _worst([io2, estimate_io_norm(triple, 2.0 * horizon, step=h,
-                                            seed=io_probe_seed)])
+    n1 = time_grid(horizon, h).count
+    grid = time_grid(2.0 * horizon, h)
+    est = estimate_io_norm(triple, 2.0 * horizon, step=h, seed=io_probe_seed)
+    tracks, io_ratio = _worst_tracks(triple, probes, signals, grid, method, est)
+    m_b2, m_c2, m_bc2, inv2 = (_worst(t) for t in tracks)
+    m_b1, inv1 = (_worst(tracks[i][: n1 + 1]) for i in (0, 3))
+    io_norm = _worst([io_ratio, est])
 
-    def rel_change(a, b):
-        return abs(b - a) / max(abs(a), RATIO_FLOOR)
+    def stability(a, b):
+        # a non-finite estimate at 2T makes rel nan or inf, hence FAIL
+        rel = abs(b - a) / max(abs(a), RATIO_FLOOR)
+        return {"verdict": "PASS" if rel < STABILITY_REL_CHANGE else "FAIL",
+                "rel_change": rel}
 
     verdicts = {
-        "infinite_time_control": {
-            "verdict": "PASS" if rel_change(m_b1, m_b2) < STABILITY_REL_CHANGE else "FAIL",
-            "rel_change": rel_change(m_b1, m_b2),
-        },
-        "uniform_inverse_observation": {
-            "verdict": "PASS" if (np.isfinite(inv2)
-                                  and rel_change(inv1, inv2) < STABILITY_REL_CHANGE)
-            else "FAIL",
-            "rel_change": rel_change(inv1, inv2),
-        },
-        "io_contraction": {
-            "verdict": "PASS" if io_norm < 1.0 else "FAIL",
-            "margin": 1.0 - io_norm,
-        },
+        "infinite_time_control": stability(m_b1, m_b2),
+        "uniform_inverse_observation": stability(inv1, inv2),
+        "io_contraction": {"verdict": "PASS" if io_norm < 1.0 else "FAIL",
+                           "margin": 1.0 - io_norm},
     }
     return AdmissibilityReport(
         m_b_est=m_b2, m_c_est=m_c2, m_bc_est=m_bc2, io_norm_est=io_norm,
@@ -200,7 +210,7 @@ def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector]
         q_est=m_c2 if isinstance(triple.control, IdentityControl) else None,
         horizon=horizon,
         sample_counts={"probes": len(probes), "signals": len(signals),
-                       "time_points": g2.count + 1},
+                       "time_points": grid.count + 1},
         verdicts=verdicts)
 
 

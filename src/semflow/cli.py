@@ -367,16 +367,15 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     _reject_unknown(acfg, {"horizon", "q_threshold"}, "admissibility")
     if isinstance(target, nt.NeutralSystem):
         triple = nt.build_perturbation(target)
-        probes = build_probes(cfg, target, seed)
     else:
         triple = target
-        probes = build_probes(cfg, target, seed)
+    probes = build_probes(cfg, target, seed)
     step = float(cfg["grid"]["step"])
     horizon = float(acfg.get("horizon", cfg["grid"]["horizon"]))
+    grid = time_grid(horizon, step)
     scfg = cfg.get("signals", {})
     _reject_unknown(scfg, {"count"}, "signals")
-    signals = adm.probe_signals(triple, time_grid(horizon, step),
-                                int(scfg.get("count", 3)), seed=seed)
+    signals = adm.probe_signals(triple, grid, int(scfg.get("count", 3)), seed=seed)
     report = adm.estimate_constants(triple, probes, signals, horizon, step=step,
                                     method=method_from(cfg), io_probe_seed=seed)
     payload = report.to_dict()
@@ -386,7 +385,7 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
         payload["miyadera_voigt"] = {"verdict": mv.verdict,
                                      "ratio": mv.details["ratio"],
                                      "q_threshold": mv.details["q_threshold"]}
-    payload["manifest"] = _manifest(cfg, seed, time_grid(horizon, step), {}, started)
+    payload["manifest"] = _manifest(cfg, seed, grid, {}, started)
     write_json(out / "admissibility.json", payload)
     return 0
 

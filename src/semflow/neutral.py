@@ -62,16 +62,6 @@ class NeutralSystem:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def rows(self):
-        """(N, d, d) read weights of P and K over the history window."""
-        d = self.dim
-        npts = self.history_grid.count + 1
-        prow = self.p_kernel.observation_row(self.history_grid, point_dim=d)
-        krow = self.k_kernel.observation_row(self.history_grid, point_dim=d)
-        pr = prow.reshape(d, npts, d).transpose(1, 0, 2)[:-1]
-        kr = krow.reshape(d, npts, d).transpose(1, 0, 2)[:-1]
-        return pr, kr
-
 
 def build_a0(sys: NeutralSystem) -> BlockDiag:
     """Unperturbed block semigroup diag(exp(tA), nilpotent left shift)."""
@@ -187,7 +177,7 @@ def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeri
     y = np.asarray(getattr(y, "coords", y), dtype=float).ravel()
     f = np.asarray(getattr(f_values, "coords", f_values), dtype=float)
     f = f.reshape(sys.history_grid.count + 1, sys.dim)
-    prow, krow = sys.rows()
+    _, prow, krow = build_perturbation(sys).neutral_blocks()
     e = matexp(sys.a, grid.step)
     zs, X = _kernels.mos_loop(e, sys.c, prow, krow, f, y, grid.step, grid.count)
     return _neutral_block_orbit(grid, zs, X, sys.history_grid.count,

@@ -8,17 +8,21 @@ at a time, exactly as the definitions in ``semflow._kernels``,
 one grid point at a time; the CSV oracles format every value of every row;
 the robustness oracles build fresh orbits and a fresh harness for one
 property; the io-norm oracle recomputes every norm and exp(hA) in every
-iteration.  They serve only as test oracles.
+iteration; the admissibility oracle evaluates every constant afresh on
+[0, T] and on [0, 2T].  They serve only as test oracles.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
+from semflow import admissibility as adm
 from semflow import asymptotics as asy
 from semflow.core import Grid, InputSignal, ProductSpace, matexp, time_grid
 from semflow.errors import DimensionError, GridAlignmentError
-from semflow.maps import NeutralBoundaryControl, io_map, perturbed_orbit
+from semflow.maps import (IdentityControl, Neumann, NeutralBoundaryControl,
+                          _apply_io, _io_exp, estimate_io_norm, invert_io, io_map,
+                          observation_map, perturbed_orbit)
 from semflow.semigroups import BlockDiag, MatrixSemigroup, orbit
 
 
@@ -287,6 +291,76 @@ def estimate_io_norm_loop(triple, t, step, n_probes=4, n_iters=3, seed=0):
             best = max(best, l1(fu) / nu)
             u = fu
     return best
+
+
+def _constants_at_loop(triple, probes, signals, grid, method):
+    """Every admissibility constant over one grid, each signal zero-extended
+    to it; a Neumann solve is gated by a seed-0 estimate on that grid."""
+    def max_ratio(num, den):
+        mask = ~(den <= adm.RATIO_FLOOR)
+        return float(np.max(num[mask] / den[mask], initial=0.0))
+
+    e = _io_exp(triple, grid.step)
+    m_b, m_bc, io_ratio = [], [], []
+    for u in signals:
+        uu = adm._extend_signal(u, grid) if u.grid.count < grid.count else u
+        run_u = uu.running_l1()
+        m_b.append(max_ratio(adm._control_track_norms(triple, uu), run_u))
+        fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step, e), triple.u_space)
+        m_bc.append(max_ratio(fu.running_l1(), run_u))
+        if run_u[-1] > adm.RATIO_FLOOR:
+            io_ratio.append(fu.l1_norm() / uu.l1_norm())
+    m_c, sup_inv = [], []
+    est = estimate_io_norm(triple, grid.end, step=grid.step) \
+        if isinstance(method, Neumann) else None
+    for x in probes:
+        nx = x.norm()
+        if nx <= adm.RATIO_FLOOR:
+            continue
+        v = observation_map(triple, grid.end, x, step=grid.step)
+        m_c.append(float(v.running_l1()[-1]) / nx)
+        w = invert_io(triple, grid.end, v, method, contraction_estimate=est)
+        sup_inv.append(float(np.max(w.running_l1())) / nx)
+    return tuple(float(np.max(v, initial=0.0))
+                 for v in (m_b, m_c, m_bc, io_ratio, sup_inv))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def estimate_constants_two_pass(triple, probes, signals, horizon, step, method,
+                                io_probe_seed=0):
+    """``admissibility.estimate_constants`` as two separate evaluations, one
+    on [0, T] and one on [0, 2T], each with its own contraction estimate,
+    and a third estimate at 2T for the reported io norm."""
+    g1 = time_grid(horizon, step)
+    g2 = time_grid(2.0 * horizon, step)
+    m_b1, _, _, _, inv1 = _constants_at_loop(triple, probes, signals, g1, method)
+    m_b2, m_c2, m_bc2, io2, inv2 = _constants_at_loop(triple, probes, signals, g2, method)
+    io_norm = float(np.max([io2, estimate_io_norm(triple, 2.0 * horizon, step=step,
+                                                  seed=io_probe_seed)]))
+
+    def rel_change(a, b):
+        return abs(b - a) / max(abs(a), adm.RATIO_FLOOR)
+
+    stable = adm.STABILITY_REL_CHANGE
+    verdicts = {
+        "infinite_time_control": {
+            "verdict": "PASS" if rel_change(m_b1, m_b2) < stable else "FAIL",
+            "rel_change": rel_change(m_b1, m_b2)},
+        "uniform_inverse_observation": {
+            "verdict": "PASS" if np.isfinite(inv2) and rel_change(inv1, inv2) < stable
+            else "FAIL",
+            "rel_change": rel_change(inv1, inv2)},
+        "io_contraction": {"verdict": "PASS" if io_norm < 1.0 else "FAIL",
+                           "margin": 1.0 - io_norm},
+    }
+    return adm.AdmissibilityReport(
+        m_b_est=m_b2, m_c_est=m_c2, m_bc_est=m_bc2, io_norm_est=io_norm,
+        sup_inv_obs_est=inv2,
+        q_est=m_c2 if isinstance(triple.control, IdentityControl) else None,
+        horizon=horizon,
+        sample_counts={"probes": len(probes), "signals": len(signals),
+                       "time_points": g2.count + 1},
+        verdicts=verdicts)
 
 
 def observation_row_loop(mu, grid, point_dim=1, atom_mode="exact"):

@@ -4,8 +4,11 @@ import pytest
 import semflow as sf
 from semflow import admissibility as adm
 from semflow import maps
-from semflow.errors import ConfigurationError, DomainError, PreconditionError
-from helpers import count_calls, scalar_mv
+from semflow import neutral as nt
+from semflow.errors import (ConfigurationError, DomainError, GridAlignmentError,
+                            PreconditionError)
+from helpers import atom_system, count_calls, neutral_initial, scalar_mv
+from oracles import estimate_constants_two_pass
 
 
 def test_estimate_constants_zero_control():
@@ -40,17 +43,80 @@ def test_estimate_constants_scalar_mv():
     assert rep_small.m_bc_est <= rep.m_bc_est + 1e-15
 
 
-def test_neumann_estimates_the_contraction_once_per_horizon(monkeypatch):
+def test_neumann_estimates_the_contraction_once_per_run(monkeypatch):
     triple = scalar_mv(0.5)
     probes = [sf.StateVector.sup([v]) for v in (1.0, -2.0, 0.5)]
     sigs = adm.probe_signals(triple, sf.time_grid(5.0, 0.01), 2, seed=0)
     direct = adm.estimate_constants(triple, probes, sigs, 5.0, step=0.01)
     calls = count_calls(monkeypatch, maps.estimate_io_norm)
+    observe = count_calls(monkeypatch, maps.observation_map)
+    solve = count_calls(monkeypatch, maps.invert_io)
+    applies = count_calls(monkeypatch, maps._apply_io)
     rep = adm.estimate_constants(triple, probes, sigs, 5.0, step=0.01,
                                  method=sf.Neumann(tol=1e-12))
-    # the 5 s and 10 s grids, then the final estimate at 10 s
-    assert [c[1] for c in calls] == [5.0, 10.0, 10.0]
+    # one estimate over [0, 2T] gates every solve and enters io_norm_est
+    assert [c[1] for c in calls] == [10.0]
+    # every map runs on the [0, 2T] grid only: F on each signal, in the
+    # estimate and in the Neumann terms
+    assert [c[1] for c in observe + solve] == [10.0] * 6
+    assert applies and {c[1].shape[0] for c in applies} == {1001}
     assert rep.sup_inv_obs_est == pytest.approx(direct.sup_inv_obs_est, rel=1e-9)
+
+
+def _matrix_case(a, horizon):
+    triple = sf.PerturbationTriple(
+        sf.MatrixSemigroup([[a, 0.3], [-0.2, -1.5]]),
+        sf.BoundedControl([[0.5, 0.0], [0.1, 0.4]]), [[0.3, 0.1], [0.0, 0.2]])
+    probes = [sf.StateVector.sup(v) for v in ([1.0, 0.0], [-0.5, 2.0], [0.0, 0.0])]
+    return triple, probes, horizon, 0.01
+
+
+def _translation_case():
+    h = 0.01
+    g = sf.Grid(-2.0, h, 200)
+    mu = sf.MeasureSpec(atoms=((-1.0, 0.8),))
+    triple = sf.PerturbationTriple(
+        sf.LeftTranslation(g), sf.DirichletControl(sf.DirichletSpec(1.0)),
+        mu.observation_row(g))
+    probes = [sf.StateVector.grid_function(np.exp(g.points()), g),
+              sf.StateVector.grid_function(np.sin(3.0 * g.points()), g)]
+    return triple, probes, 3.0, h
+
+
+def _neutral_case():
+    sys0 = atom_system(0.3, 0.25, 0.5, n_hist=32)
+    probes = [nt.pack_initial(sys0, *neutral_initial(sys0, seed=s)) for s in (0, 1)]
+    return nt.build_perturbation(sys0), probes, 2.0, sys0.history_grid.step
+
+
+@pytest.mark.parametrize("case, method", [
+    # a growing base: both stability verdicts FAIL, with nonzero rel_change
+    (lambda: _matrix_case(0.6, 2.0), sf.DirectSolve()),
+    # a stable base: every verdict PASS
+    (lambda: _matrix_case(-1.0, 4.0), sf.Neumann(tol=1e-12)),
+    (_translation_case, sf.DirectSolve()),
+    (_neutral_case, sf.DirectSolve()),
+    # exp(20 t) overflows after t = 35.5: finite on [0, T], nan on [0, 2T]
+    (lambda: (scalar_mv(0.5, a=20.0), [sf.StateVector.sup([1.0])], 20.0, 0.01),
+     sf.DirectSolve()),
+], ids=["matrix-direct", "matrix-neumann", "translation-atom", "neutral-atom",
+        "overflow"])
+def test_one_pass_matches_the_two_pass_oracle(case, method):
+    triple, probes, horizon, h = case()
+    sigs = adm.probe_signals(triple, sf.time_grid(horizon, h), 3, seed=4)
+    rep = adm.estimate_constants(triple, probes, sigs, horizon, step=h, method=method)
+    ref = estimate_constants_two_pass(triple, probes, sigs, horizon, h, method)
+    got, want = rep.to_dict(), ref.to_dict()
+    if isinstance(method, sf.DirectSolve):
+        np.testing.assert_equal(got, want)  # nan equals nan here
+        return
+    # a Neumann solve truncates on its whole grid, so the [0, T] prefix of
+    # the [0, 2T] solve differs from the [0, T] solve at the tolerance
+    for name, v in want["verdicts"].items():
+        assert got["verdicts"][name]["verdict"] == v["verdict"]
+        if "rel_change" in v:
+            assert got["verdicts"][name]["rel_change"] == pytest.approx(
+                v["rel_change"], abs=1e-9)
 
 
 def test_estimate_constants_translation_atom():
@@ -74,6 +140,15 @@ def test_estimate_constants_requires_probes():
     sigs = adm.probe_signals(triple, sf.time_grid(1.0, 0.01), 1, seed=0)
     with pytest.raises(ConfigurationError):
         adm.estimate_constants(triple, [], sigs, 1.0, step=0.01)
+
+
+@pytest.mark.parametrize("horizon, step", [(12.0, 0.01), (5.0, 0.02)],
+                         ids=["past-2T", "other-step"])
+def test_estimate_constants_rejects_signals_off_the_grid(horizon, step):
+    triple = scalar_mv(0.5)
+    sigs = adm.probe_signals(triple, sf.time_grid(horizon, step), 1, seed=0)
+    with pytest.raises(GridAlignmentError):
+        adm.estimate_constants(triple, [sf.StateVector.sup([1.0])], sigs, 5.0, step=0.01)
 
 
 def test_miyadera_voigt_examples():

@@ -19,12 +19,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Grid, InputSignal, StateVector, opnorm_sup, row_sup, time_grid
+from .core import Grid, InputSignal, StateVector, opnorm_sup, time_grid
 from .errors import ConfigurationError, DomainError, GridAlignmentError, PreconditionError
 from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
-                   NeutralBoundaryControl, PerturbationTriple, _apply_io,
-                   _io_exp, estimate_io_norm, invert_io, observation_map)
-from .semigroups import Semigroup, _sliding_l1, orbit
+                   PerturbationTriple, _apply_io, _compose, _io_exp,
+                   estimate_io_norm, invert_io, observation_map)
+from .semigroups import Semigroup, orbit
 
 STABILITY_REL_CHANGE = 0.05
 RATIO_FLOOR = 1e-12
@@ -96,24 +96,10 @@ def _extend_signal(u: InputSignal, grid: Grid) -> InputSignal:
 
 
 def _control_track_norms(triple: PerturbationTriple, u: InputSignal) -> np.ndarray:
-    """State norms of the left-endpoint control map B_t u for every grid t."""
-    from . import _kernels
-
-    h = u.grid.step
-    e = _io_exp(triple, h)
-    if isinstance(triple.control, (BoundedControl, IdentityControl)):
-        return row_sup(_kernels.matrix_volterra_apply(e, triple.b_matrix, None, u.values, h))
-    if isinstance(triple.control, NeutralBoundaryControl):
-        d = triple.base.parts[0].space.dim
-        N = triple.base.parts[1].grid.count
-        u2 = u.values[:, d:]
-        bt1 = _kernels.matrix_volterra_apply(e, np.eye(d), None, u.values[:, :d], h)
-        q = np.concatenate([np.zeros((N + 1, d)), u2[1:]])
-        return row_sup(bt1) + _sliding_l1(row_sup(q)[: u.grid.count + N], N, h)
-    # boundary translation: the control map places the signal on [-t, 0]
-    N = triple.base.grid.count
-    q = np.concatenate([np.zeros(N + 1), u.values[1:, 0]])
-    return _sliding_l1(np.abs(q)[: u.grid.count + N], N, h)
+    """State norms of the left-endpoint control map B_t u for every grid t:
+    the compose step from the zero state."""
+    zero = StateVector(np.zeros(triple.base.space.dim), triple.base.space)
+    return _compose(triple, zero, u.values, u.grid)[3]
 
 
 def _worst(values) -> float:

@@ -27,6 +27,14 @@ PROPERTIES = ("BOUNDED", "STRONGLY_STABLE", "WEAKLY_STABLE", "MEAN_ERGODIC",
 
 #: verdicts flip from PASS to FAIL only beyond this multiple of the tolerance
 FAIL_FACTOR = 10.0
+#: largest tail log-slope a bounded orbit may show
+SLOPE_TOL = 1e-3
+#: seeded random functionals added to the unit ones of the weak-stability check
+FUNCTIONAL_SEED = 7
+FUNCTIONAL_COUNT = 2
+#: time grid of the synthetic orbit zoo of the biinvariance harness
+SYNTHETIC_HORIZON = 40.0
+SYNTHETIC_STEP = 0.02
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ def _three_way(ratio: float, tol: float, extra_fail: bool = False) -> str:
 
 
 def check_bounded(orb: OrbitSeries, bound_hint: Optional[float] = None,
-                  slope_tol: float = 1e-3, tail_window: Optional[float] = None,
+                  slope_tol: float = SLOPE_TOL, tail_window: Optional[float] = None,
                   tail_fraction: float = 0.5) -> AsymptoticVerdict:
     """Boundedness: norms below the hint (if given) and no growth trend in the
     fitted log-slope of the tail.
@@ -215,20 +223,12 @@ class RobustnessConfig:
     tail_window: float = 15.0
     bound_hint: Optional[float] = None
     tol: float = 1e-3
-    slope_tol: float = 1e-3
     ergodic_tol: float = 1e-2
     uniform_window: float = 2.0 * np.pi
-    functional_seed: int = 7
-    functional_count: int = 2
     shifts: tuple = (5.0, 10.0)
     n_synthetic: int = 50
-    synthetic_horizon: float = 40.0
-    synthetic_step: float = 0.02
     seed: int = 42
     method: Method = DirectSolve()
-    # whether a perturbed INCONCLUSIVE is tolerated when the base passes;
-    # the strict default counts it against robustness
-    allow_inconclusive: bool = False
 
 
 @dataclass(frozen=True)
@@ -271,13 +271,11 @@ def make_checker(prop: str, config: RobustnessConfig,
     window is absolute so the checker family is translation-biinvariant."""
     w = config.tail_window
     if prop == "BOUNDED":
-        return lambda o: check_bounded(o, bound_hint=config.bound_hint,
-                                       slope_tol=config.slope_tol, tail_window=w)
+        return lambda o: check_bounded(o, bound_hint=config.bound_hint, tail_window=w)
     if prop == "STRONGLY_STABLE":
         return lambda o: check_strongly_stable(o, tol=config.tol, tail_window=w)
     if prop == "WEAKLY_STABLE":
-        phis = _functionals_for(space_dim, config.functional_count,
-                                config.functional_seed)
+        phis = _functionals_for(space_dim, FUNCTIONAL_COUNT, FUNCTIONAL_SEED)
         return lambda o: check_weakly_stable(o, phis, tol=config.tol, tail_window=w)
     if prop == "MEAN_ERGODIC":
         return lambda o: check_mean_ergodic(o, tol=config.ergodic_tol, tail_window=w)
@@ -364,14 +362,12 @@ def biinvariance_harness(checkers: Dict[str, Callable], orbits: Iterable[OrbitSe
 def _harness_violations(config: RobustnessConfig) -> List[dict]:
     """The biinvariance harness of every checker on the seeded synthetic zoo,
     streamed: one synthetic orbit is alive at a time."""
-    sgrid = Grid(0.0, config.synthetic_step,
-                 int(round(config.synthetic_horizon / config.synthetic_step)))
+    sgrid = Grid(0.0, SYNTHETIC_STEP, int(round(SYNTHETIC_HORIZON / SYNTHETIC_STEP)))
     zoo = synthetic_orbits(config.n_synthetic, sgrid, seed=config.seed)
     # the harness tail window must fit inside every shifted orbit, otherwise
     # the "same trailing samples" structure of the checkers is lost
     max_shift = max(config.shifts) if config.shifts else 0.0
-    syn_tail = min(config.tail_window,
-                   0.5 * (config.synthetic_horizon - max_shift))
+    syn_tail = min(config.tail_window, 0.5 * (SYNTHETIC_HORIZON - max_shift))
     syn_cfg = replace(config, tail_window=syn_tail)
     checkers = {p: make_checker(p, syn_cfg, 2) for p in PROPERTIES}
     return biinvariance_harness(checkers, zoo, config.shifts)
@@ -408,9 +404,9 @@ def asymptotics_run(triple: PerturbationTriple, properties: Sequence[str],
         pert = perturbed_orbit(triple, x, grid, method=config.method)
         for prop, checker in checkers.items():
             vb, vp = checker(base), checker(pert)
-            # a base PASS must survive the perturbation
-            ok = vb.verdict != "PASS" or vp.verdict == "PASS" or (
-                config.allow_inconclusive and vp.verdict != "FAIL")
+            # a base PASS must survive the perturbation; a perturbed
+            # INCONCLUSIVE counts against robustness
+            ok = vb.verdict != "PASS" or vp.verdict == "PASS"
             rows[prop].append({"base": vb, "perturbed": vp, "ok": ok})
         if tracks:
             plot.append(ProbeTracks(base.norms, pert.norms,

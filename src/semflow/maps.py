@@ -8,13 +8,21 @@ For an input signal u and a state x the three maps are
 
 and the perturbed semigroup is evaluated through
 
-    T_BC(t) x = T(t) x + B_t (I - F_t)^{-1} C_t x.
+    T_BC(t) x = T(t) x + B_t (I - F_t)^{-1} C_t x
+
+in three steps: observe (``observation_map``, v = C_t x), solve
+(``invert_io``, w = (I - F_t)^{-1} v) and compose (``_compose``,
+T(t_k) x + B_{t_k} w for every grid time).  Each step dispatches on the
+variant once.  The layout of a variant's signal is read in ``_apply_io`` and
+``invert_io``; the layout of its states (a matrix block stored per row, a
+shift block as windows over one trajectory) is written in ``_compose`` and
+``_parts`` only.
 
 The discrete input-output map uses left-endpoint quadrature inside, so it is
 strictly causal and ``I - F`` is unit lower triangular: forward substitution
 (``DirectSolve``) is exact, and the Neumann series is the cross-validation
-route.  The perturbed state is assembled with the same left-endpoint rule,
-which makes the discrete evolution an exact one-step scheme for matrix bases.
+route.  The compose step uses the same left-endpoint rule, which makes the
+discrete evolution an exact one-step scheme for matrix bases.
 
 Unbounded control operators never appear as matrices; the boundary variants
 enter only through their closed forms (shift placement of the input signal).
@@ -30,13 +38,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .core import (Grid, InputSignal, ProductSpace, Space, StateVector,
-                   SupSpace, matexp, row_sup, time_grid)
+                   SupSpace, matexp, time_grid)
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence)
 from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
                          NilpotentShift, OrbitSeries, Semigroup, _sliding_l1,
-                         orbit as base_orbit, orbit_from_states,
-                         orbit_from_trajectory)
+                         orbit as base_orbit, orbit_from_trajectory)
 from .translation import DirichletSpec
 
 
@@ -396,14 +403,19 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
     vals = v.values[: k + 1]
     grid = Grid(0.0, h, k)
     if isinstance(method, DirectSolve):
+        e = _io_exp(triple, h)
         if isinstance(triple.control, (BoundedControl, IdentityControl)):
-            e = matexp(triple.base.a, h)
             w, _ = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe, vals, h)
         elif isinstance(triple.control, DirichletControl):
-            lag = triple.observe[0][::-1]
-            w = _kernels.delay_volterra_solve(lag, vals[:, 0])[:, None]
+            w = _kernels.delay_volterra_solve(triple.observe[0, ::-1], vals[:, 0])[:, None]
         else:
-            w = _neutral_direct_solve(triple, vals, h)
+            # zero initial data in both channels
+            c_block, prow, krow = triple.neutral_blocks()
+            d = c_block.shape[0]
+            w1, w2, _, _ = _kernels.neutral_feedback_loop(
+                e, c_block, prow, krow, np.zeros((prow.shape[0] + 1, d)), np.zeros(d),
+                h, k, vals)
+            w = np.hstack([w1, w2])
         return InputSignal(grid, w, triple.u_space)
     est = contraction_estimate
     if est is None:
@@ -431,17 +443,61 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
 # perturbed semigroup
 # ---------------------------------------------------------------------------
 
-def _neutral_direct_solve(triple, vals, h):
-    """Forward substitution for the neutral variant with an externally given
-    right-hand side (zero initial data in both channels)."""
-    c_block, prow, krow = triple.neutral_blocks()
-    e = matexp(triple.base.parts[0].a, h)
-    d = c_block.shape[0]
-    N = prow.shape[0]
-    w1, w2, _, _ = _kernels.neutral_feedback_loop(
-        e, c_block, prow, krow, np.zeros((N + 1, d)), np.zeros(d), h,
-        vals.shape[0] - 1, vals)
-    return np.hstack([w1, w2])
+def _compose(triple: PerturbationTriple, x: StateVector, w: np.ndarray, grid: Grid):
+    """The compose step: T(t_k) x + B_{t_k} w for every t_k of ``grid``, with
+    ``w`` the (count+1, u_dim) samples of the solved signal and B_t in the
+    feedback loop's left-endpoint rule, as ``_parts``.
+
+    Matrix block (a matrix base, and the first component of a neutral one):
+    the base scan plus the left-rule control map of the matrix channel.
+    Shift block (a translation base, and the history of a neutral one): the
+    trajectory X whose window k is the block at t_k, i.e. the initial profile
+    shifted, then w_1, w_2, ... placed at the boundary, so that the window at
+    t_k holds w on [-t_k, 0].
+    """
+    base = triple.base
+    h, n = grid.step, grid.count
+    if isinstance(base, LeftTranslation):
+        # x(0) drops out, as the shift drops it
+        X = np.concatenate([x.coords[: base.grid.count], [0.0], w[1:, 0]])[:, None]
+        return _parts(base, grid, None, X)
+    if isinstance(base, MatrixSemigroup):
+        mat, y, b, w1, X = base, x.coords, triple.b_matrix, w, None
+    else:
+        mat = base.parts[0]
+        d = mat.space.dim
+        y, f = base.space.split(x.coords)
+        b, w1 = np.eye(d), w[:, :d]
+        X = np.concatenate([f.reshape(-1, d), w[1:, d:]])
+    e = matexp(mat.a, h)
+    head = _kernels.causal_scan(e, np.zeros((n + 1, e.shape[0])), y) \
+        + _kernels.matrix_volterra_apply(e, b, None, w1, h)
+    return _parts(base, grid, head, X)
+
+
+def _parts(base: Semigroup, grid: Grid, head: Optional[np.ndarray],
+           X: Optional[np.ndarray]):
+    """``(head, trajectory, stride, norms)`` of the states whose matrix block
+    at t_k is ``head[k]`` (None on a translation base) and whose shift block
+    at t_k is the window X[k : k+N+1] of the rows of X (None on a matrix
+    base).  Assembles no state row."""
+    if X is None:
+        return head, None, None, base.space.rows_norm(head)
+    shift = base if head is None else base.parts[1]
+    N = shift.grid.count
+    norms = _sliding_l1(shift.space.point_norms(X)[: grid.count + N], N, grid.step)
+    if head is not None:
+        norms = base.parts[0].space.rows_norm(head) + norms
+    return head, X.ravel(), X.shape[1], norms
+
+
+def _orbit_from_parts(grid: Grid, space: Space, head, trajectory, stride,
+                      norms) -> OrbitSeries:
+    """The orbit of ``_parts``; a shift block's rows stay windows, and only
+    a neutral orbit's rows are assembled."""
+    if trajectory is None:
+        return OrbitSeries(grid, head, norms, space)
+    return orbit_from_trajectory(grid, trajectory, stride, norms, space, head=head)
 
 
 # overflow runs to inf or nan without numpy warnings: callers that write an
@@ -452,7 +508,9 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
     """Orbit of the perturbed semigroup T_BC on the time grid.
 
     Computed through the composition formula: observe the base orbit, solve
-    the feedback system, add the control map of the solved signal.
+    the feedback system, compose the base orbit with the control map of the
+    solved signal.  The Direct solves on a matrix or a neutral base fuse the
+    three steps into one closed-loop recurrence, which does less work.
     """
     if x.space != triple.base.space:
         raise DimensionError("state does not live in the base space")
@@ -463,74 +521,27 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
     base_step = triple.default_step()
     if base_step is not None and abs(grid.step - base_step) > 1e-12 * base_step:
         raise GridAlignmentError("time step must equal the base grid step")
-    h = grid.step
-    n = grid.count
-    if isinstance(triple.control, (BoundedControl, IdentityControl)):
-        e = matexp(triple.base.a, h)
-        d = triple.base.space.dim
-        states = _kernels.causal_scan(e, np.zeros((n + 1, d)), x.coords)
-        v = states @ triple.observe.T
-        if isinstance(method, DirectSolve):
-            w, bt = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe, v, h)
-        else:
-            w = invert_io(triple, grid.end, InputSignal(grid, v, triple.u_space),
-                          method).values
-            bt = _kernels.matrix_volterra_apply(e, triple.b_matrix, None, w, h)
-        return orbit_from_states(grid, states + bt, triple.base.space)
-    if isinstance(triple.control, NeutralBoundaryControl):
-        return _neutral_perturbed_orbit(triple, x, grid, method)
-    return _dirichlet_perturbed_orbit(triple, x, grid, method)
-
-
-def _neutral_perturbed_orbit(triple, x, grid, method):
     base = triple.base
-    d = base.parts[0].space.dim
-    N = base.parts[1].grid.count
     h = grid.step
     n = grid.count
-    c_block, prow, krow = triple.neutral_blocks()
-    e = matexp(base.parts[0].a, h)
-    y, fpart = base.space.split(x.coords)
-    f0 = fpart.reshape(N + 1, d)
-    if isinstance(method, DirectSolve):
+    if isinstance(method, DirectSolve) and isinstance(base, MatrixSemigroup):
+        e = matexp(base.a, h)
+        states = _kernels.causal_scan(e, np.zeros((n + 1, base.space.dim)), x.coords)
+        v = states @ triple.observe.T
+        _, bt = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe, v, h)
+        parts = _parts(base, grid, states + bt, None)
+    elif isinstance(method, DirectSolve) and isinstance(base, BlockDiag):
+        c_block, prow, krow = triple.neutral_blocks()
+        y, f = base.space.split(x.coords)
+        d = y.shape[0]
         _, _, zs, X = _kernels.neutral_feedback_loop(
-            e, c_block, prow, krow, f0, y, h, n, np.zeros((n + 1, 2 * d)))
+            _io_exp(triple, h), c_block, prow, krow, f.reshape(-1, d), y, h, n,
+            np.zeros((n + 1, 2 * d)))
+        parts = _parts(base, grid, zs, X)
     else:
         v = observation_map(triple, grid.end, x, step=h)
-        w1, w2 = _split_channels(triple, invert_io(triple, grid.end, v, method).values)
-        # zs_k = E^k y + h zc_k with zc_{k+1} = E (zc_k + w1_k)
-        zs = _kernels.causal_scan(e, h * (w1 @ e.T), y)
-        X = np.concatenate([f0, w2[1:]])
-    return _neutral_block_orbit(grid, zs, X, N, base.space)
-
-
-def _neutral_block_orbit(grid: Grid, zs: np.ndarray, X: np.ndarray, N: int,
-                         space: Space) -> OrbitSeries:
-    """Block orbit (z_k, x_{t_k}) from the matrix channel ``zs`` and the
-    trajectory ``X``, whose rows k..k+N are the history window at t_k."""
-    n = grid.count
-    d = zs.shape[1]
-    pn = row_sup(X)
-    norms = row_sup(zs) + _sliding_l1(pn[: n + N], N, grid.step)
-    # window k*d of the flattened trajectory is X[k:k+N+1]
-    return orbit_from_trajectory(grid, X.ravel(), d, norms, space, head=zs[: n + 1])
-
-
-def _dirichlet_perturbed_orbit(triple, x, grid, method):
-    base = triple.base
-    N = base.grid.count
-    h = grid.step
-    n = grid.count
-    sig = observation_map(triple, grid.end, x, step=h)
-    if isinstance(method, DirectSolve):
-        w = _kernels.delay_volterra_solve(triple.observe[0, ::-1], sig.values[:, 0])
-    else:
-        w = invert_io(triple, grid.end, sig, method).values[:, 0]
-    # state at t_k is the window q[k:k+N+1]: the initial profile shifted
-    # (arguments < 0) plus the solved boundary signal placed on [-t_k, 0]
-    q = np.concatenate([x.coords[:N], [0.0], w[1:]])
-    norms = _sliding_l1(np.abs(q)[: n + N], N, h)
-    return orbit_from_trajectory(grid, q, 1, norms, base.space)
+        parts = _compose(triple, x, invert_io(triple, grid.end, v, method).values, grid)
+    return _orbit_from_parts(grid, base.space, *parts)
 
 
 def perturbed_apply(triple: PerturbationTriple, t: float, x: StateVector,

@@ -22,7 +22,7 @@ from . import _kernels
 from .core import Grid, L1Space, StateVector, matexp
 from .errors import ConfigurationError, DimensionError, DomainError, GridAlignmentError
 from .maps import (DirectSolve, Method, NeutralBoundaryControl,
-                   PerturbationTriple, _neutral_block_orbit, perturbed_orbit)
+                   PerturbationTriple, _orbit_from_parts, _parts, perturbed_orbit)
 from .semigroups import BlockDiag, MatrixSemigroup, NilpotentShift, OrbitSeries
 from .translation import MeasureSpec
 
@@ -83,16 +83,21 @@ def build_perturbation(sys: NeutralSystem) -> PerturbationTriple:
     return PerturbationTriple(base, NeutralBoundaryControl(), observe)
 
 
+def _initial_pair(sys: NeutralSystem, y, f_values) -> Tuple[np.ndarray, np.ndarray]:
+    """``(y, f)`` as float arrays of shapes (d,) and (N+1, d), read from raw
+    values or StateVectors; f may also come flat, one row after another."""
+    y = np.asarray(getattr(y, "coords", y), dtype=float).ravel()
+    f = np.asarray(getattr(f_values, "coords", f_values), dtype=float)
+    shape = (sys.history_grid.count + 1, sys.dim)
+    if y.shape != shape[1:] or f.shape not in (shape, (shape[0] * shape[1],)):
+        raise DimensionError("initial data does not match the system dimensions")
+    return y, f.reshape(shape)
+
+
 def pack_initial(sys: NeutralSystem, y, f_values) -> StateVector:
     """Assemble the block state (y, f) from raw arrays."""
-    base = build_a0(sys)
-    y = np.asarray(y, dtype=float).ravel()
-    f = np.asarray(f_values, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if y.shape[0] != sys.dim or f.shape != (sys.history_grid.count + 1, sys.dim):
-        raise DimensionError("initial data does not match the system dimensions")
-    return StateVector(np.concatenate([y, f.ravel()]), base.space)
+    y, f = _initial_pair(sys, y, f_values)
+    return StateVector(np.concatenate([y, f.ravel()]), build_a0(sys).space)
 
 
 def apply_kernel(sys: NeutralSystem, which: str, f_values: np.ndarray) -> np.ndarray:
@@ -104,18 +109,14 @@ def apply_kernel(sys: NeutralSystem, which: str, f_values: np.ndarray) -> np.nda
 
 def compatibility_residual(sys: NeutralSystem, y, f_values) -> float:
     """Sup-norm of C y - (f(0) - K f), the domain/compatibility condition."""
-    f = np.asarray(f_values, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
+    y, f = _initial_pair(sys, y, f_values)
     rhs = f[-1] - apply_kernel(sys, "k", f)
-    return float(np.max(np.abs(sys.c @ np.asarray(y, dtype=float).ravel() - rhs)))
+    return float(np.max(np.abs(sys.c @ y - rhs)))
 
 
 def compatible_y(sys: NeutralSystem, f_values) -> np.ndarray:
     """Solve C y = f(0) - K f for y (requires invertible C)."""
-    f = np.asarray(f_values, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
+    _, f = _initial_pair(sys, np.zeros(sys.dim), f_values)
     rhs = f[-1] - apply_kernel(sys, "k", f)
     try:
         return np.linalg.solve(sys.c, rhs)
@@ -152,10 +153,7 @@ def neutral_orbit(sys: NeutralSystem, initial: Tuple, grid: Grid,
     and the result is flagged.
     """
     _check_time_grid(sys, grid)
-    y, f_values = initial
-    y = np.asarray(getattr(y, "coords", y), dtype=float).ravel()
-    f = np.asarray(getattr(f_values, "coords", f_values), dtype=float)
-    f = f.reshape(sys.history_grid.count + 1, sys.dim)
+    y, f = _initial_pair(sys, *initial)
     resid = compatibility_residual(sys, y, f)
     scale = max(1.0, float(np.max(np.abs(f))), float(np.max(np.abs(y))))
     triple = build_perturbation(sys)
@@ -173,15 +171,12 @@ def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeri
     scheme and the feedback treatment are different.
     """
     _check_time_grid(sys, grid)
-    y, f_values = initial
-    y = np.asarray(getattr(y, "coords", y), dtype=float).ravel()
-    f = np.asarray(getattr(f_values, "coords", f_values), dtype=float)
-    f = f.reshape(sys.history_grid.count + 1, sys.dim)
+    y, f = _initial_pair(sys, *initial)
     _, prow, krow = build_perturbation(sys).neutral_blocks()
     e = matexp(sys.a, grid.step)
     zs, X = _kernels.mos_loop(e, sys.c, prow, krow, f, y, grid.step, grid.count)
-    return _neutral_block_orbit(grid, zs, X, sys.history_grid.count,
-                                build_a0(sys).space)
+    base = build_a0(sys)
+    return _orbit_from_parts(grid, base.space, *_parts(base, grid, zs, X))
 
 
 def history_segment(sys: NeutralSystem, orb: OrbitSeries, k: int) -> StateVector:

@@ -443,19 +443,15 @@ def robustness_experiment_loop(triple, prop, probes, config):
     for x in probes:
         base = checker(orbit(triple.base, x, grid))
         pert = checker(perturbed_orbit(triple, x, grid, method=config.method))
-        if base.verdict == "PASS":
-            ok = pert.verdict == "PASS" or (config.allow_inconclusive
-                                            and pert.verdict != "FAIL")
-        else:
-            ok = True
+        ok = base.verdict != "PASS" or pert.verdict == "PASS"
         all_ok &= ok
         per_probe.append({"base": base, "perturbed": pert, "ok": ok})
-    sgrid = Grid(0.0, config.synthetic_step,
-                 int(round(config.synthetic_horizon / config.synthetic_step)))
+    sgrid = Grid(0.0, asy.SYNTHETIC_STEP,
+                 int(round(asy.SYNTHETIC_HORIZON / asy.SYNTHETIC_STEP)))
     zoo = list(asy.synthetic_orbits(config.n_synthetic, sgrid, seed=config.seed))
     max_shift = max(config.shifts) if config.shifts else 0.0
     syn_cfg = replace(config, tail_window=min(
-        config.tail_window, 0.5 * (config.synthetic_horizon - max_shift)))
+        config.tail_window, 0.5 * (asy.SYNTHETIC_HORIZON - max_shift)))
     checkers = {p: asy.make_checker(p, syn_cfg, 2) for p in asy.PROPERTIES}
     violations = biinvariance_harness_loop(checkers, zoo, config.shifts)
     return asy.RobustnessReport(prop, all_ok and not violations, per_probe,

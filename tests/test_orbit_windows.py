@@ -120,6 +120,31 @@ def test_zero_perturbation_orbit_is_windows_of_the_stepped_base(kind):
     assert np.max(np.abs(orb.norms - norms)) <= 1e-14 * np.max(norms)
 
 
+def test_control_track_assembles_no_state_rows():
+    # the benchmark's neutral-admissibility system on [0, 2T], 2T = 20: the
+    # control track's peak was 0.23 MB; (2561, 260) assembled state rows
+    # would take 5.3 MB
+    from semflow.admissibility import _control_track_norms
+
+    cfg = {"system": {"kind": "neutral", "a": [[-1.0, 0.3], [0.0, -1.5]],
+                      "c": [[0.5, 0.0], [0.1, 0.4]],
+                      "p_atoms": [[-1.0, 0.3]], "p_density": [[-0.75, -0.25, 0.2]],
+                      "k_atoms": [[-1.0, 0.25]], "k_density": [[-1.0, -0.5, 0.1]],
+                      "history_steps": 128},
+           "grid": {"step": 1.0 / 128, "horizon": 20.0}}
+    triple = nt.build_perturbation(cli.build_system(cfg))
+    grid = sf.time_grid(20.0, 1.0 / 128)
+    u = sf.InputSignal(grid, np.ones((grid.count + 1, triple.u_dim)), triple.u_space)
+    tracemalloc.start()
+    try:
+        norms = _control_track_norms(triple, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (2561,)
+    assert peak < 1e6
+
+
 def test_unperturbed_translation_orbit_memory_does_not_scale_with_window_count():
     # the same system's base orbit at T = 80: windows of one trajectory too
     cfg = translation_cfg(80.0, 0.002, 4.0, {"f_kind": "exp", "amplitude": 1.0})

@@ -22,9 +22,9 @@ import numpy as np
 from .core import Grid, InputSignal, StateVector, opnorm_sup, time_grid
 from .errors import ConfigurationError, DomainError, GridAlignmentError, PreconditionError
 from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
-                   PerturbationTriple, _apply_io, _compose, _io_exp,
+                   PerturbationTriple, _apply_io, _compose, _free, _io_exp,
                    estimate_io_norm, invert_io, observation_map)
-from .semigroups import Semigroup, orbit
+from .semigroups import Semigroup, _norms, orbit
 
 STABILITY_REL_CHANGE = 0.05
 RATIO_FLOOR = 1e-12
@@ -97,9 +97,10 @@ def _extend_signal(u: InputSignal, grid: Grid) -> InputSignal:
 
 def _control_track_norms(triple: PerturbationTriple, u: InputSignal) -> np.ndarray:
     """State norms of the left-endpoint control map B_t u for every grid t:
-    the compose step from the zero state."""
+    the compose step from the zero state, its rows never assembled."""
     zero = StateVector(np.zeros(triple.base.space.dim), triple.base.space)
-    return _compose(triple, zero, u.values, u.grid)[3]
+    free = _free(triple, zero, u.grid)
+    return _norms(triple.base, u.grid, *_compose(triple, free, u.values, u.grid))
 
 
 def _worst(values) -> float:

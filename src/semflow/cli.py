@@ -379,7 +379,7 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     report = adm.estimate_constants(triple, probes, signals, horizon, step=step,
                                     method=method_from(cfg), io_probe_seed=seed)
     payload = report.to_dict()
-    if isinstance(triple.control, IdentityControl) and "q_threshold" in acfg:
+    if "q_threshold" in acfg:
         mv = adm.check_miyadera_voigt(triple, probes, horizon,
                                       float(acfg["q_threshold"]), step=step)
         payload["miyadera_voigt"] = {"verdict": mv.verdict,

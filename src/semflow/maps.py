@@ -10,13 +10,13 @@ and the perturbed semigroup is evaluated through
 
     T_BC(t) x = T(t) x + B_t (I - F_t)^{-1} C_t x
 
-in three steps: observe (``observation_map``, v = C_t x), solve
-(``invert_io``, w = (I - F_t)^{-1} v) and compose (``_compose``,
-T(t_k) x + B_{t_k} w for every grid time).  Each step dispatches on the
-variant once.  The layout of a variant's signal is read in ``_apply_io`` and
-``invert_io``; the layout of its states (a matrix block stored per row, a
-shift block as windows over one trajectory) is written in ``_compose`` and
-``_parts`` only.
+in three steps on the free evolution t_k -> T(t_k) x, which
+``semigroups._free_parts`` builds once (the rows of a matrix block, the
+trajectory of a shift block): observe (``_observe``, v = C_t x, read from
+it), solve (``invert_io``, w = (I - F_t)^{-1} v) and compose (``_compose``,
+which only adds B_{t_k} w to it for every grid time).
+``semigroups._assemble`` turns the result into norms and an orbit.  The
+layout of a variant's signal is read in ``_apply_io`` and ``invert_io``.
 
 The discrete input-output map uses left-endpoint quadrature inside, so it is
 strictly causal and ``I - F`` is unit lower triangular: forward substitution
@@ -42,8 +42,8 @@ from .core import (Grid, InputSignal, ProductSpace, Space, StateVector,
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence)
 from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
-                         NilpotentShift, OrbitSeries, Semigroup, _sliding_l1,
-                         orbit as base_orbit, orbit_from_trajectory)
+                         NilpotentShift, OrbitSeries, Semigroup, _assemble,
+                         _free_parts, orbit as base_orbit)
 from .translation import DirichletSpec
 
 
@@ -288,41 +288,41 @@ def _quadrature_scan(a: np.ndarray, g: np.ndarray, h: float, rule: str) -> np.nd
 
 def observation_map(triple: PerturbationTriple, t: float, x: StateVector,
                     step: Optional[float] = None) -> InputSignal:
-    """Sample s -> C T(s) x on [0, t], read from the structure of the base.
-
-    Matrix base: the causal scan of the orbit.  Translation base: windows over
-    the trajectory ``[f[:N], 0, 0, ...]``, which drops f(0) as the shift
-    does.  Neutral base: windows over ``[f, 0, 0, ...]``, which read f(0) as
-    x(0), as every neutral orbit route does, plus the matrix block's scan.
-    """
+    """Sample s -> C T(s) x on [0, t], read from the free evolution of x."""
     if x.space != triple.base.space:
         raise DimensionError("state does not live in the base space")
     grid = _resolve_grid(triple, t, step)
-    n = grid.count
-    base = triple.base
+    return _observe(triple, _free(triple, x, grid), grid)
+
+
+def _free(triple: PerturbationTriple, x: StateVector, grid: Grid):
+    """The free parts ``(e, head, X, m)`` of x (``semigroups._free_parts``),
+    which the observe and the compose step share.  The trajectory drops f(0),
+    as the shift does, except on a neutral base, where every route reads f(0)
+    as x(0)."""
+    free = _free_parts(triple.base, x.coords, grid)
+    if isinstance(triple.control, NeutralBoundaryControl):  # f(0) into row N
+        free[2][triple.base.parts[1].grid.count] = x.coords[-free[2].shape[1]:]
+    return free
+
+
+def _observe(triple: PerturbationTriple, free, grid: Grid) -> InputSignal:
+    """The observe step: v = C_t x from the free parts of x (the time step
+    is the shift grid's, so m = 1 and row k reads the window of N points
+    ``X[k : k+N]``, one matrix-vector product per observation row; a matrix
+    product would copy the overlapping windows)."""
+    _, head, X, _ = free
     obs = triple.observe
-    if isinstance(base, MatrixSemigroup):
-        e = matexp(base.a, grid.step)
-        states = _kernels.causal_scan(e, np.zeros((n + 1, e.shape[0])), x.coords)
-        return InputSignal(grid, states @ obs.T, triple.u_space)
-    if isinstance(base, LeftTranslation):
-        N, d = base.grid.count, base.point_dim
-        traj = np.concatenate([x.coords[: N * d], np.zeros((n + 1) * d)])
-        rows = obs[:, : N * d]
-    else:
-        mat, shift = base.parts
-        N, d = shift.grid.count, mat.space.dim
-        y, f = base.space.split(x.coords)
-        traj = np.concatenate([f, np.zeros(n * d)])
-        rows = obs[:, d: d + N * d]
-    # row k reads the window of N points traj[k*d : (k+N)*d], one
-    # matrix-vector product per observation row (a matrix product would copy
-    # the overlapping windows)
-    win = sliding_window_view(traj, N * d)[::d][: n + 1]
+    if X is None:
+        return InputSignal(grid, head @ obs.T, triple.u_space)
+    n, d = grid.count, X.shape[1]
+    N = X.shape[0] - n - 1
+    d0 = 0 if head is None else head.shape[1]
+    rows = obs[:, d0: d0 + N * d]
+    win = sliding_window_view(X.ravel(), N * d)[::d][: n + 1]
     vals = np.stack([win @ r for r in rows], axis=1)
-    if isinstance(base, BlockDiag):
-        e = matexp(mat.a, grid.step)
-        vals += _kernels.causal_scan(e, np.zeros((n + 1, d)), y) @ obs[:, :d].T
+    if head is not None:
+        vals += head @ obs[:, :d0].T
     return InputSignal(grid, vals, triple.u_space)
 
 
@@ -443,61 +443,27 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
 # perturbed semigroup
 # ---------------------------------------------------------------------------
 
-def _compose(triple: PerturbationTriple, x: StateVector, w: np.ndarray, grid: Grid):
-    """The compose step: T(t_k) x + B_{t_k} w for every t_k of ``grid``, with
-    ``w`` the (count+1, u_dim) samples of the solved signal and B_t in the
-    feedback loop's left-endpoint rule, as ``_parts``.
+def _compose(triple: PerturbationTriple, free, w: np.ndarray, grid: Grid):
+    """The compose step: adds B_{t_k} w, in the feedback loop's left-endpoint
+    rule, to the free parts ``(e, head, X, m)`` of x and returns the parts
+    ``(head, X, m)`` of T(t_k) x + B_{t_k} w for every t_k of ``grid``; ``w``
+    holds the (count+1, u_dim) samples of the solved signal.
 
-    Matrix block (a matrix base, and the first component of a neutral one):
-    the base scan plus the left-rule control map of the matrix channel.
-    Shift block (a translation base, and the history of a neutral one): the
-    trajectory X whose window k is the block at t_k, i.e. the initial profile
-    shifted, then w_1, w_2, ... placed at the boundary, so that the window at
-    t_k holds w on [-t_k, 0].
+    Matrix block: the left-rule control map of the matrix channel is added to
+    the rows.  Shift block: w_1, w_2, ... are placed at the boundary, behind
+    the initial profile, so that the window at t_k holds w on [-t_k, 0].
+    ``X`` is written in place, so the observation of x must be taken first.
     """
-    base = triple.base
-    h, n = grid.step, grid.count
-    if isinstance(base, LeftTranslation):
-        # x(0) drops out, as the shift drops it
-        X = np.concatenate([x.coords[: base.grid.count], [0.0], w[1:, 0]])[:, None]
-        return _parts(base, grid, None, X)
-    if isinstance(base, MatrixSemigroup):
-        mat, y, b, w1, X = base, x.coords, triple.b_matrix, w, None
-    else:
-        mat = base.parts[0]
-        d = mat.space.dim
-        y, f = base.space.split(x.coords)
-        b, w1 = np.eye(d), w[:, :d]
-        X = np.concatenate([f.reshape(-1, d), w[1:, d:]])
-    e = matexp(mat.a, h)
-    head = _kernels.causal_scan(e, np.zeros((n + 1, e.shape[0])), y) \
-        + _kernels.matrix_volterra_apply(e, b, None, w1, h)
-    return _parts(base, grid, head, X)
-
-
-def _parts(base: Semigroup, grid: Grid, head: Optional[np.ndarray],
-           X: Optional[np.ndarray]):
-    """``(head, trajectory, stride, norms)`` of the states whose matrix block
-    at t_k is ``head[k]`` (None on a translation base) and whose shift block
-    at t_k is the window X[k : k+N+1] of the rows of X (None on a matrix
-    base).  Assembles no state row."""
-    if X is None:
-        return head, None, None, base.space.rows_norm(head)
-    shift = base if head is None else base.parts[1]
-    N = shift.grid.count
-    norms = _sliding_l1(shift.space.point_norms(X)[: grid.count + N], N, grid.step)
+    e, head, X, m = free
     if head is not None:
-        norms = base.parts[0].space.rows_norm(head) + norms
-    return head, X.ravel(), X.shape[1], norms
-
-
-def _orbit_from_parts(grid: Grid, space: Space, head, trajectory, stride,
-                      norms) -> OrbitSeries:
-    """The orbit of ``_parts``; a shift block's rows stay windows, and only
-    a neutral orbit's rows are assembled."""
-    if trajectory is None:
-        return OrbitSeries(grid, head, norms, space)
-    return orbit_from_trajectory(grid, trajectory, stride, norms, space, head=head)
+        if X is None:
+            b, w1 = triple.b_matrix, w
+        else:  # the neutral matrix channel, B = I on the first d columns
+            b, w1 = np.eye(head.shape[1]), w[:, : head.shape[1]]
+        head = head + _kernels.matrix_volterra_apply(e, b, None, w1, grid.step)
+    if X is not None:  # the shift channel, the last columns of w
+        X[X.shape[0] - grid.count:] = w[1:, -X.shape[1]:]
+    return head, X, m
 
 
 # overflow runs to inf or nan without numpy warnings: callers that write an
@@ -507,10 +473,12 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
                     method: Method = DirectSolve()) -> OrbitSeries:
     """Orbit of the perturbed semigroup T_BC on the time grid.
 
-    Computed through the composition formula: observe the base orbit, solve
-    the feedback system, compose the base orbit with the control map of the
-    solved signal.  The Direct solves on a matrix or a neutral base fuse the
-    three steps into one closed-loop recurrence, which does less work.
+    Computed through the composition formula: observe the free evolution of
+    x, solve the feedback system, and add the control map of the solved
+    signal to the same free evolution.  The Direct solve on a matrix base
+    fuses the solve and the compose step into one closed-loop recurrence;
+    the one on a neutral base runs the closed loop from the initial data,
+    which observes the history itself.  Both do less work.
     """
     if x.space != triple.base.space:
         raise DimensionError("state does not live in the base space")
@@ -524,24 +492,25 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
     base = triple.base
     h = grid.step
     n = grid.count
-    if isinstance(method, DirectSolve) and isinstance(base, MatrixSemigroup):
-        e = matexp(base.a, h)
-        states = _kernels.causal_scan(e, np.zeros((n + 1, base.space.dim)), x.coords)
-        v = states @ triple.observe.T
-        _, bt = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe, v, h)
-        parts = _parts(base, grid, states + bt, None)
-    elif isinstance(method, DirectSolve) and isinstance(base, BlockDiag):
+    if isinstance(method, DirectSolve) and isinstance(base, BlockDiag):
+        # from the initial data (y, f0): the loop observes the history itself
         c_block, prow, krow = triple.neutral_blocks()
         y, f = base.space.split(x.coords)
         d = y.shape[0]
         _, _, zs, X = _kernels.neutral_feedback_loop(
             _io_exp(triple, h), c_block, prow, krow, f.reshape(-1, d), y, h, n,
             np.zeros((n + 1, 2 * d)))
-        parts = _parts(base, grid, zs, X)
+        return _assemble(base, grid, zs, X, 1)
+    free = _free(triple, x, grid)
+    v = _observe(triple, free, grid)
+    if isinstance(method, DirectSolve) and isinstance(base, MatrixSemigroup):
+        e, states = free[:2]
+        _, bt = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe,
+                                               v.values, h)
+        parts = states + bt, None, None
     else:
-        v = observation_map(triple, grid.end, x, step=h)
-        parts = _compose(triple, x, invert_io(triple, grid.end, v, method).values, grid)
-    return _orbit_from_parts(grid, base.space, *parts)
+        parts = _compose(triple, free, invert_io(triple, grid.end, v, method).values, grid)
+    return _assemble(base, grid, *parts)
 
 
 def perturbed_apply(triple: PerturbationTriple, t: float, x: StateVector,

@@ -22,8 +22,9 @@ from . import _kernels
 from .core import Grid, L1Space, StateVector, matexp
 from .errors import ConfigurationError, DimensionError, DomainError, GridAlignmentError
 from .maps import (DirectSolve, Method, NeutralBoundaryControl,
-                   PerturbationTriple, _orbit_from_parts, _parts, perturbed_orbit)
-from .semigroups import BlockDiag, MatrixSemigroup, NilpotentShift, OrbitSeries
+                   PerturbationTriple, perturbed_orbit)
+from .semigroups import (BlockDiag, MatrixSemigroup, NilpotentShift, OrbitSeries,
+                         _assemble)
 from .translation import MeasureSpec
 
 
@@ -175,8 +176,7 @@ def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeri
     _, prow, krow = build_perturbation(sys).neutral_blocks()
     e = matexp(sys.a, grid.step)
     zs, X = _kernels.mos_loop(e, sys.c, prow, krow, f, y, grid.step, grid.count)
-    base = build_a0(sys)
-    return _orbit_from_parts(grid, base.space, *_parts(base, grid, zs, X))
+    return _assemble(build_a0(sys), grid, zs, X, 1)
 
 
 def history_segment(sys: NeutralSystem, orb: OrbitSeries, k: int) -> StateVector:

@@ -203,24 +203,6 @@ def orbit_from_states(grid: Grid, states: np.ndarray, space: Space) -> OrbitSeri
     return OrbitSeries(grid, states, space.rows_norm(states), space)
 
 
-def orbit_from_trajectory(grid: Grid, trajectory: np.ndarray, stride: int,
-                          norms: np.ndarray, space: Space,
-                          head: Optional[np.ndarray] = None) -> OrbitSeries:
-    """Windowed orbit: state k is ``head[k]`` (if given) followed by the
-    window of ``trajectory`` at ``k*stride``.  Without a head, ``states`` is
-    the lazy window view itself; with one, the rows are assembled once."""
-    width = space.dim - (0 if head is None else head.shape[1])
-    trajectory = trajectory[: grid.count * stride + width]
-    windows = sliding_window_view(trajectory, width)[::stride]
-    if head is None:
-        states = windows
-    else:
-        states = np.empty((grid.count + 1, space.dim))
-        states[:, : head.shape[1]] = head
-        states[:, head.shape[1]:] = windows
-    return OrbitSeries(grid, states, norms, space, trajectory, stride)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _sliding_l1(point_norms: np.ndarray, window: int, h: float) -> np.ndarray:
     """h * sum of `window` consecutive point norms, for every start index.
@@ -249,47 +231,80 @@ def apply(sg: Semigroup, t: float, x: StateVector) -> StateVector:
 
 
 def orbit(sg: Semigroup, x: StateVector, grid: Grid) -> OrbitSeries:
-    """Sampled orbit on ``grid`` (must start at 0): the causal scan for a
-    matrix base, one trajectory plus windows for a shift base, and the
-    blocks' orbits side by side for a block base."""
+    """Sampled orbit on ``grid`` (must start at 0) of a matrix block, a shift
+    block, or a matrix block followed by a shift block: the free parts of
+    ``_free_parts`` put together by ``_assemble``."""
     if abs(grid.start) > 1e-12:
         raise DomainError("orbit grids must start at t = 0")
     if x.space != sg.space:
         raise DimensionError("state does not live in the semigroup's space")
-    return _orbit(sg, x.coords, grid)
+    _, head, X, m = _free_parts(sg, x.coords, grid)
+    return _assemble(sg, grid, head, X, m)
 
 
-def _orbit(sg: Semigroup, coords: np.ndarray, grid: Grid) -> OrbitSeries:
-    if isinstance(sg, MatrixSemigroup):
-        e = matexp(sg.a, grid.step)
-        states = causal_scan(e, np.zeros((grid.count + 1, sg.space.dim)), coords)
-        return orbit_from_states(grid, states, sg.space)
-    if isinstance(sg, (NilpotentShift, LeftTranslation)):
-        return _shift_orbit(sg, coords, grid)
-    if not isinstance(sg, BlockDiag):
-        raise NotImplementedError(f"no orbit for semigroup type {type(sg).__name__}")
-    parts = [_orbit(p, c, grid) for p, c in zip(sg.parts, sg.space.split(coords))]
-    norms = sum(o.norms for o in parts)
-    *front, last = parts
-    if front and last.trajectory is not None and last.head == 0:
-        return orbit_from_trajectory(grid, last.trajectory, last.stride, norms,
-                                     sg.space, head=np.hstack([o.states for o in front]))
-    return OrbitSeries(grid, np.hstack([o.states for o in parts]), norms, sg.space)
+def _free_parts(sg: Semigroup, coords: np.ndarray, grid: Grid):
+    """The free evolution t_k -> T(t_k)x on ``grid`` as ``(e, head, X, m)``:
+    ``e = exp(hA)`` and ``head`` the rows of the causal scan of the matrix
+    block, and ``X`` the trajectory ``[f[:N], 0, 0, ...]`` of the shift block
+    with ``m`` grid points per time step, so that the block at t_k is the
+    window ``X[k*m : k*m + N + 1]``; the parts of a missing block are None.
+    The window at t = 0 reads zero at s = 0, as the shift drops f(0), a
+    sample the left-endpoint L1 norm does not weigh."""
+    if isinstance(sg, BlockDiag) and len(sg.parts) == 2 \
+            and isinstance(sg.parts[0], MatrixSemigroup) \
+            and isinstance(sg.parts[1], (NilpotentShift, LeftTranslation)):
+        (mat, shift), (y, f) = sg.parts, sg.space.split(coords)
+    elif isinstance(sg, MatrixSemigroup):
+        mat, shift, y = sg, None, coords
+    elif isinstance(sg, (NilpotentShift, LeftTranslation)):
+        mat, shift, f = None, sg, coords
+    else:
+        raise NotImplementedError(
+            f"no orbit for {type(sg).__name__}: orbits exist for a matrix block, a "
+            "shift block, or a matrix block followed by a shift block")
+    e = head = X = m = None
+    if mat is not None:
+        e = matexp(mat.a, grid.step)
+        head = causal_scan(e, np.zeros((grid.count + 1, mat.space.dim)), y)
+    if shift is not None:
+        m = shift.shift_count(grid.step)
+        if m == 0:
+            raise GridAlignmentError(
+                f"time step {grid.step} is below the shift grid step {shift.grid.step}")
+        N = shift.grid.count
+        X = np.zeros((grid.count * m + N + 1, shift.point_dim))
+        X[:N] = shift.space.values(f)[:N]
+    return e, head, X, m
 
 
-def _shift_orbit(sg, coords: np.ndarray, grid: Grid) -> OrbitSeries:
-    """Windows over the trajectory ``[f[:N], 0, 0, ...]``: state k is
-    ``_shift_coords(f, k*m)`` for m grid points per time step, except that
-    the window at t = 0 reads zero at s = 0 too, a sample the left-endpoint
-    L1 norm does not weigh."""
-    m = sg.shift_count(grid.step)
-    if m == 0:
-        raise GridAlignmentError(
-            f"time step {grid.step} is below the shift grid step {sg.grid.step}")
-    N = sg.grid.count
-    n = grid.count
-    traj = np.zeros((n * m + N + 1, sg.point_dim))
-    traj[:N] = sg.space.values(coords)[:N]
-    pn = sg.space.point_norms(traj)
-    norms = _sliding_l1(pn[: n * m + N], N, sg.grid.step)[::m]
-    return orbit_from_trajectory(grid, traj.ravel(), m * sg.point_dim, norms, sg.space)
+def _norms(sg: Semigroup, grid: Grid, head: Optional[np.ndarray],
+           X: Optional[np.ndarray], m: Optional[int]) -> np.ndarray:
+    """Norms of the states whose matrix block at t_k is ``head[k]`` and whose
+    shift block is the window of X at ``k*m``, as ``_free_parts`` lays them
+    out (a missing block is None).  Assembles no state row."""
+    if X is None:
+        return sg.space.rows_norm(head)
+    shift = sg if head is None else sg.parts[1]
+    N = shift.grid.count
+    norms = _sliding_l1(shift.space.point_norms(X)[: grid.count * m + N], N,
+                        shift.grid.step)[::m]
+    if head is not None:
+        norms = sg.parts[0].space.rows_norm(head) + norms
+    return norms
+
+
+def _assemble(sg: Semigroup, grid: Grid, head: Optional[np.ndarray],
+              X: Optional[np.ndarray], m: Optional[int]) -> OrbitSeries:
+    """The orbit of the parts laid out as ``_free_parts`` does.  A shift
+    block's rows stay windows of the trajectory, so a translation orbit's
+    ``states`` is a lazy view; only an orbit with both blocks assembles its
+    rows."""
+    norms = _norms(sg, grid, head, X, m)
+    if X is None:
+        return OrbitSeries(grid, head, norms, sg.space)
+    trajectory, stride = X.ravel(), m * X.shape[1]
+    width = (X.shape[0] - grid.count * m) * X.shape[1]
+    states = sliding_window_view(trajectory, width)[::stride]
+    if head is not None:
+        states = np.hstack([head, states])
+    return OrbitSeries(grid, states, norms, sg.space, trajectory, stride)

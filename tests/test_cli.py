@@ -92,6 +92,22 @@ def test_admissibility_report(tmp_path):
     assert rep["verdicts"]["io_contraction"]["verdict"] == "PASS"
 
 
+def test_q_threshold_with_a_bounded_b_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the Miyadera-Voigt check is stated for B = Id; a bounded b is refused,
+    # not skipped
+    cfg = {"system": {"kind": "matrix", "a": [[-1.0, 0.2], [0.0, -1.5]],
+                      "b": [[1.0, 0.0], [0.5, 1.0]], "c": [[0.3, 0.0], [0.1, 0.2]]},
+           "grid": {"step": 0.01, "horizon": 2.0},
+           "probes": {"count": 1}, "signals": {"count": 1},
+           "admissibility": {"q_threshold": 0.9}}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["admissibility", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("validation failure: the Miyadera-Voigt check "
+                                       "requires B = Id\n")
+    assert list(out.iterdir()) == []
+
+
 def test_admissibility_zero_control_reports_zeros(tmp_path):
     cfg = scalar_cfg(horizon=10.0)
     cfg["system"]["b"] = [[0.0]]

@@ -452,6 +452,54 @@ def test_perturbed_orbit_is_base_orbit_plus_control_map(name):
         assert np.max(np.abs(orb.states[k] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_matrix_neumann_orbit_builds_the_free_evolution_once(monkeypatch):
+    # exp(hA) once each for the free evolution, the contraction estimate and
+    # the solve; one scan for the free evolution, then one per application of
+    # matrix_volterra_apply (the F terms and the control map)
+    from helpers import count_calls
+
+    triple, x, horizon = observation_case("matrix")
+    grid = sf.time_grid(horizon, 0.01)
+    matexps = count_calls(monkeypatch, sf.matexp)
+    scans = count_calls(monkeypatch, _kernels.causal_scan)
+    applies = count_calls(monkeypatch, _kernels.matrix_volterra_apply)
+    sf.perturbed_orbit(triple, x, grid, sf.Neumann())
+    assert len(matexps) == 3
+    assert len(applies) > 1
+    assert len(scans) == 1 + len(applies)
+
+
+@pytest.mark.parametrize("name", ["matrix", "translation", "neutral"])
+def test_composing_a_zero_signal_gives_the_free_orbit(name):
+    # the free parts composed with w = 0 are the base orbit, except that the
+    # neutral routes read f(0) as x(0): their history keeps f(0) at
+    # s = -t_k for t_k <= 1, where the nilpotent shift drops it
+    from semflow.maps import _compose, _free
+    from semflow.semigroups import _assemble
+
+    triple, x, horizon = observation_case(name)
+    if name == "neutral":
+        sys0 = mixed_system(n_hist=16)
+        y, f = neutral_initial(sys0, seed=3)
+        triple, x = nt.build_perturbation(sys0), nt.pack_initial(sys0, y, f)
+    grid = sf.time_grid(horizon, triple.default_step() or 0.01)
+    w = np.zeros((grid.count + 1, triple.u_dim))
+    orb = _assemble(triple.base, grid, *_compose(triple, _free(triple, x, grid), w, grid))
+    base = sf.orbit(triple.base, x, grid)
+    if name != "neutral":
+        assert np.array_equal(orb.states, base.states)
+        assert np.array_equal(orb.norms, base.norms)
+        return
+    d = sys0.dim
+    N = sys0.history_grid.count
+    assert np.array_equal(orb.states[:, :d], base.states[:, :d])
+    diff = (orb.states[:, d:] - base.states[:, d:]).reshape(grid.count + 1, N + 1, d)
+    expect = np.zeros_like(diff)
+    for k in range(N + 1):
+        expect[k, N - k] = f[-1]
+    assert np.array_equal(diff, expect)
+
+
 def test_direct_vs_neumann_on_neutral_triple():
     from semflow import neutral as nt
     from helpers import atom_system, neutral_initial

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import semflow as sf
 from semflow.errors import DomainError, GridAlignmentError
-from semflow.semigroups import _sliding_l1
+from semflow.semigroups import Semigroup, _sliding_l1
 
 
 def hist_grid(n=64):
@@ -199,3 +199,18 @@ def test_sliding_l1_window_sums_are_relatively_exact(n, window, rate, seed):
     for i, g in enumerate(got):
         exact = 0.5 * math.fsum(p[i: i + window])
         assert abs(g - exact) <= 2 * window * np.finfo(float).eps * exact
+
+
+@pytest.mark.parametrize("layout", ["matrix, matrix", "shift, matrix", "matrix",
+                                    "matrix, shift, shift", "bare semigroup"])
+def test_orbit_refuses_layouts_the_package_does_not_build(layout):
+    # orbits exist for a matrix block, a shift block, or a matrix block
+    # followed by a shift block
+    blocks = {"matrix": sf.MatrixSemigroup([[-1.0]]), "shift": sf.NilpotentShift(hist_grid(8))}
+    if layout == "bare semigroup":
+        sg = type("Bare", (Semigroup,), {"space": sf.SupSpace(1)})()
+    else:
+        sg = sf.BlockDiag(tuple(blocks[name] for name in layout.split(", ")))
+    x = sf.StateVector(np.ones(sg.space.dim), sg.space)
+    with pytest.raises(NotImplementedError, match="no orbit for"):
+        sf.orbit(sg, x, sf.time_grid(1.0, 1.0 / 8))

@@ -19,7 +19,9 @@ assignment placing the recovered values.  m comes from the taps alone.
 Discretization: the inner quadrature of every causal convolution is the
 left-endpoint rule, so the input-output map reads strictly past samples and
 ``I - F`` is unit lower triangular in time.  Forward substitution is then an
-exact solve.
+exact solve.  ``maps._direct`` picks each base's one Direct kernel, a closed
+loop from the initial data: ``matrix_volterra_solve`` from y,
+``delay_volterra_solve`` from the history f, ``neutral_feedback_loop`` from (y, f0).
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 # ---------------------------------------------------------------------------
 # Every matrix-base loop is the discrete LTI recurrence z_{k+1} = M z_k + f_k.
 # (F u)_k = h * C @ z_k with z_k = sum_{j<k} E^(k-j) B u_j, i.e. M = E and
-# f = E B u.  The solve variant is forward substitution for (I - F) w = v:
-# with w_k = v_k + h C z_k and z_{k+1} = E (z_k + B w_k) the state obeys the
-# closed-loop recurrence M = E (I + h B C), f = E B v, and bt_k = h * z_k is
-# the control map of the solved signal up to t_k.
+# f = E B u.  The solve variant is forward substitution for (I - F) w = v
+# from the state y: with w_k = v_k + C x_k and x_{k+1} = E x_k + h E B w_k,
+# x_0 = y, the state obeys the closed-loop recurrence M = E (I + h B C),
+# f = h E B v, and x_k = T(t_k) y + B_{t_k} w.
 
 def causal_scan(M, f, z0=None):
     """Rows z_0..z_{n-1} of z_{k+1} = M z_k + f_k, with z_0 = z0 (zero if omitted).
@@ -75,10 +77,11 @@ def matrix_volterra_apply(E, B, C, u, h):
     return h * (z @ np.ascontiguousarray(C.T))
 
 
-def matrix_volterra_solve(E, B, C, v, h):
+def matrix_volterra_solve(E, B, C, v, h, y=None):
+    """The closed loop from x_0 = y (zero if omitted); returns (v + C x, x)."""
     M = E @ (np.eye(E.shape[0]) + h * (B @ C))
-    bt = h * causal_scan(M, v @ np.ascontiguousarray((E @ B).T))
-    return v + bt @ np.ascontiguousarray(C.T), bt
+    x = causal_scan(M, v @ np.ascontiguousarray(h * (E @ B).T), y)
+    return v + x @ np.ascontiguousarray(C.T), x
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +126,23 @@ def delay_volterra_apply(lag, u):
     return np.convolve(u, np.concatenate([[0.0], lag[1:]]))[: u.shape[0]]
 
 
-def delay_volterra_solve(lag, v):
+def delay_volterra_solve(lag, v, f=None):
+    """w_k = v_k + sum_{j>=1} lag_j X_{W+k-j} on the trajectory
+    X = [f[:W], w_0, w_1, ...], the history f zero if omitted; returns w and
+    X as a (W + len(v), 1) column."""
     W = lag.shape[0] - 1
+    X = np.zeros((W + v.shape[0], 1))
+    if f is not None:
+        X[:W, 0] = f[:W]
     taps = np.flatnonzero(lag[1:])
     if not taps.size:
-        return np.array(v, dtype=float)
+        X[W:, 0] = v
+        return X[W:, 0], X
     m = taps[0] + 1
-    # X[W + k] = w_k behind W zero rows; window k = w_{k-W} .. w_{k-m}
-    X = np.zeros((W + v.shape[0], 1))
+    # window k = X[k : k+W-m+1], the values m..W steps before w_k
     for b, e, reads in _blocks(X, lag[W:m - 1:-1, None], m, v.shape[0]):
         X[W + b: W + e, 0] = v[b:e] + reads[:, 0]
-    return X[W:, 0]
+    return X[W:, 0], X
 
 
 # ---------------------------------------------------------------------------

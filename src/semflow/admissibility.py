@@ -14,7 +14,7 @@ and enters ``io_norm_est``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -43,18 +43,7 @@ class AdmissibilityReport:
     verdicts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "m_b_est": self.m_b_est,
-            "m_c_est": self.m_c_est,
-            "m_bc_est": self.m_bc_est,
-            "io_norm_est": self.io_norm_est,
-            "sup_inv_obs_est": self.sup_inv_obs_est,
-            "q_est": self.q_est,
-            "horizon": self.horizon,
-            "sample_counts": dict(self.sample_counts),
-            "verdicts": {k: dict(v) for k, v in self.verdicts.items()},
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 @dataclass(frozen=True)

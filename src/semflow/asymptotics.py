@@ -29,12 +29,17 @@ PROPERTIES = ("BOUNDED", "STRONGLY_STABLE", "WEAKLY_STABLE", "MEAN_ERGODIC",
 FAIL_FACTOR = 10.0
 #: largest tail log-slope a bounded orbit may show
 SLOPE_TOL = 1e-3
+#: share of the horizon in the tail without a tail window: the boundedness
+#: check fits the last half, the stability checks average the last quarter
+BOUNDED_TAIL_FRACTION = 0.5
+STABLE_TAIL_FRACTION = 0.25
 #: seeded random functionals added to the unit ones of the weak-stability check
 FUNCTIONAL_SEED = 7
 FUNCTIONAL_COUNT = 2
 #: time grid of the synthetic orbit zoo of the biinvariance harness
 SYNTHETIC_HORIZON = 40.0
 SYNTHETIC_STEP = 0.02
+SYNTHETIC_DIM = 2
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,7 @@ def _three_way(ratio: float, tol: float, extra_fail: bool = False) -> str:
 
 
 def check_bounded(orb: OrbitSeries, bound_hint: Optional[float] = None,
-                  slope_tol: float = SLOPE_TOL, tail_window: Optional[float] = None,
-                  tail_fraction: float = 0.5) -> AsymptoticVerdict:
+                  tail_window: Optional[float] = None) -> AsymptoticVerdict:
     """Boundedness: norms below the hint (if given) and no growth trend in the
     fitted log-slope of the tail.
 
@@ -75,7 +79,7 @@ def check_bounded(orb: OrbitSeries, bound_hint: Optional[float] = None,
     if ref == 0.0:
         return AsymptoticVerdict("BOUNDED", "PASS", {"sup": 0.0, "log_slope": None,
                                                      "tail_decayed": True})
-    k0 = _tail_start(orb, tail_window, tail_fraction)
+    k0 = _tail_start(orb, tail_window, BOUNDED_TAIL_FRACTION)
     ts = orb.grid.points()[k0:]
     norms = orb.norms[k0:]
     mask = norms > 1e-14 * ref
@@ -86,15 +90,14 @@ def check_bounded(orb: OrbitSeries, bound_hint: Optional[float] = None,
                "tail_decayed": bool(decayed), "bound_hint": bound_hint}
     hint_fail = bound_hint is not None and sup > 1.1 * bound_hint
     hint_pass = bound_hint is None or sup <= bound_hint
-    if hint_fail or slope > FAIL_FACTOR * slope_tol:
+    if hint_fail or slope > FAIL_FACTOR * SLOPE_TOL:
         return AsymptoticVerdict("BOUNDED", "FAIL", witness)
-    if hint_pass and slope <= slope_tol:
+    if hint_pass and slope <= SLOPE_TOL:
         return AsymptoticVerdict("BOUNDED", "PASS", witness)
     return AsymptoticVerdict("BOUNDED", "INCONCLUSIVE", witness)
 
 
-def check_strongly_stable(orb: OrbitSeries, tail_fraction: float = 0.25,
-                          tol: float = 1e-3,
+def check_strongly_stable(orb: OrbitSeries, tol: float = 1e-3,
                           tail_window: Optional[float] = None) -> AsymptoticVerdict:
     """Strong stability: trailing mean norm small relative to the orbit scale
     and nonincreasing windowed means."""
@@ -103,7 +106,7 @@ def check_strongly_stable(orb: OrbitSeries, tail_fraction: float = 0.25,
     ref = float(np.max(orb.norms))
     if ref == 0.0:
         return AsymptoticVerdict("STRONGLY_STABLE", "PASS", {"tail_ratio": 0.0})
-    k0 = _tail_start(orb, tail_window, tail_fraction)
+    k0 = _tail_start(orb, tail_window, STABLE_TAIL_FRACTION)
     tail = orb.norms[k0:]
     ratio = float(np.mean(tail)) / ref
     chunks = np.array_split(tail, 4)
@@ -116,13 +119,13 @@ def check_strongly_stable(orb: OrbitSeries, tail_fraction: float = 0.25,
 
 
 def check_weakly_stable(orb: OrbitSeries, functionals: Sequence[np.ndarray],
-                        tol: float = 1e-3, tail_fraction: float = 0.25,
+                        tol: float = 1e-3,
                         tail_window: Optional[float] = None) -> AsymptoticVerdict:
     """Weak stability against a finite functional set (a sampled surrogate;
     never exhaustive, and reported as such)."""
     if not functionals:
         raise ConfigurationError("weak stability needs at least one functional")
-    k0 = _tail_start(orb, tail_window, tail_fraction)
+    k0 = _tail_start(orb, tail_window, STABLE_TAIL_FRACTION)
     worst = 0.0
     per = []
     for phi in functionals:
@@ -294,8 +297,7 @@ def shift_orbit(orb: OrbitSeries, b: float) -> OrbitSeries:
                        orb.states[k:], orb.norms[k:], orb.space)
 
 
-def synthetic_orbits(count: int, grid: Grid, seed: int = 42,
-                     dim: int = 2) -> Iterator[OrbitSeries]:
+def synthetic_orbits(count: int, grid: Grid, seed: int = 42) -> Iterator[OrbitSeries]:
     """Deterministic zoo of sampled orbit shapes: decays, bumps, constants,
     rotations, slow growth, damped oscillations, hard cutoffs, offsets.
 
@@ -306,7 +308,7 @@ def synthetic_orbits(count: int, grid: Grid, seed: int = 42,
     for i in range(count):
         kind = i % 8
         a = float(rng.uniform(0.5, 2.0))
-        states = np.zeros((t.shape[0], dim))
+        states = np.zeros((t.shape[0], SYNTHETIC_DIM))
         if kind == 0:
             r = rng.uniform(0.1, 0.6)
             states[:, 0] = a * np.exp(-r * t)

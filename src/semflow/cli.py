@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -286,11 +287,19 @@ def write_csv(path: Path, header, columns, *, trajectory=None, stride=1):
             fh.write(b"\n")
 
 
+def _numpy_json(obj):
+    """numpy arrays and scalars as JSON lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _strict_json(name: str, obj) -> str:
     """Sorted-key strict JSON text: an inf or nan anywhere in ``obj`` is a
     numerical failure."""
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_numpy_json)
     except ValueError as exc:
         raise NumericalFailure(f"{name} would hold a non-finite number") from exc
 
@@ -390,21 +399,6 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def _verdict_dict(v):
-    witness = {}
-    for k, val in v.witness.items():
-        if isinstance(val, np.ndarray):
-            witness[k] = [float(x) for x in val]
-        elif isinstance(val, (np.floating, np.integer)):
-            witness[k] = float(val)
-        elif isinstance(val, list):
-            witness[k] = [float(x) if isinstance(x, (float, np.floating)) else x
-                          for x in val]
-        else:
-            witness[k] = val
-    return {"property": v.property, "verdict": v.verdict, "witness": witness}
-
-
 def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
     started = time.time()
     target = build_system(cfg)
@@ -437,8 +431,7 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
         rep = run.reports[prop]
         matrix[prop] = {
             "passes": bool(rep.passes),
-            "per_probe": [{"base": _verdict_dict(p["base"]),
-                           "perturbed": _verdict_dict(p["perturbed"]),
+            "per_probe": [{"base": asdict(p["base"]), "perturbed": asdict(p["perturbed"]),
                            "ok": bool(p["ok"])} for p in rep.per_probe],
             "biinvariance_violations": rep.biinvariance_violations,
         }

@@ -10,13 +10,15 @@ and the perturbed semigroup is evaluated through
 
     T_BC(t) x = T(t) x + B_t (I - F_t)^{-1} C_t x
 
-in three steps on the free evolution t_k -> T(t_k) x, which
-``semigroups._free_parts`` builds once (the rows of a matrix block, the
-trajectory of a shift block): observe (``_observe``, v = C_t x, read from
-it), solve (``invert_io``, w = (I - F_t)^{-1} v) and compose (``_compose``,
-which only adds B_{t_k} w to it for every grid time).
-``semigroups._assemble`` turns the result into norms and an orbit.  The
-layout of a variant's signal is read in ``_apply_io`` and ``invert_io``.
+by two routes.  Direct (``_direct``, the one place a Direct kernel is picked)
+runs the closed loop w = v + F w + C_t x from the initial data on every base,
+reading x from its own trajectory.  Neumann runs three steps on the free
+evolution t_k -> T(t_k) x that ``semigroups._free_parts`` builds once:
+observe (``_observe``, v = C_t x, read from it), solve (``invert_io``, the
+series for w = (I - F_t)^{-1} v) and compose (``_compose``, which only adds
+B_{t_k} w to it).  ``semigroups._assemble`` turns either result into an
+orbit.  The layout of a variant's signal is read in ``_apply_io`` and
+``_direct``.
 
 The discrete input-output map uses left-endpoint quadrature inside, so it is
 strictly causal and ``I - F`` is unit lower triangular: forward substitution
@@ -45,6 +47,11 @@ from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
                          NilpotentShift, OrbitSeries, Semigroup, _assemble,
                          _free_parts, orbit as base_orbit)
 from .translation import DirichletSpec
+
+
+#: random probes and power iterations per probe of ``estimate_io_norm``
+IO_NORM_PROBES = 4
+IO_NORM_ITERS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +370,7 @@ def io_map(triple: PerturbationTriple, t: float, u: InputSignal) -> InputSignal:
 
 
 def estimate_io_norm(triple: PerturbationTriple, t: float, step: Optional[float] = None,
-                     n_probes: int = 4, n_iters: int = 3, seed: int = 0) -> float:
+                     seed: int = 0) -> float:
     """Sampled lower bound of ||F_t|| on L1, by probing and power iteration."""
     grid = _resolve_grid(triple, t, step)
     rng = np.random.default_rng(seed)
@@ -371,11 +378,11 @@ def estimate_io_norm(triple: PerturbationTriple, t: float, step: Optional[float]
     e = _io_exp(triple, grid.step)
     ratios = []
     probes = [np.ones((n1, triple.u_dim))]
-    for _ in range(n_probes):
+    for _ in range(IO_NORM_PROBES):
         probes.append(rng.standard_normal((n1, triple.u_dim)))
     for u in probes:
         nu = InputSignal(grid, u, triple.u_space).l1_norm()
-        for _ in range(n_iters):
+        for _ in range(IO_NORM_ITERS):
             if nu <= 0.0:
                 break
             fu = _apply_io(triple, u, grid.step, e)
@@ -403,20 +410,7 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
     vals = v.values[: k + 1]
     grid = Grid(0.0, h, k)
     if isinstance(method, DirectSolve):
-        e = _io_exp(triple, h)
-        if isinstance(triple.control, (BoundedControl, IdentityControl)):
-            w, _ = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe, vals, h)
-        elif isinstance(triple.control, DirichletControl):
-            w = _kernels.delay_volterra_solve(triple.observe[0, ::-1], vals[:, 0])[:, None]
-        else:
-            # zero initial data in both channels
-            c_block, prow, krow = triple.neutral_blocks()
-            d = c_block.shape[0]
-            w1, w2, _, _ = _kernels.neutral_feedback_loop(
-                e, c_block, prow, krow, np.zeros((prow.shape[0] + 1, d)), np.zeros(d),
-                h, k, vals)
-            w = np.hstack([w1, w2])
-        return InputSignal(grid, w, triple.u_space)
+        return InputSignal(grid, _direct(triple, grid, vals)[0], triple.u_space)
     est = contraction_estimate
     if est is None:
         est = estimate_io_norm(triple, t, step=h)
@@ -439,6 +433,30 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
         f"(last term norm {sig_norm:.3e})", method.max_terms, sig_norm)
 
 
+def _direct(triple: PerturbationTriple, grid: Grid, v: np.ndarray,
+            x: Optional[np.ndarray] = None):
+    """The Direct route, the one place a Direct kernel is picked: forward
+    substitution of the closed loop w = v + F w + C_t x from the state
+    coordinates x (zero if None), which never forms C_t x.  Returns w and the
+    parts ``(head, X, m)`` of T(t_k) x + B_{t_k} w, as ``_compose`` does."""
+    h = grid.step
+    x = np.zeros(triple.base.space.dim) if x is None else x
+    e = _io_exp(triple, h)
+    if isinstance(triple.control, (BoundedControl, IdentityControl)):
+        w, states = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe,
+                                                   v, h, x)
+        return w, (states, None, None)
+    if isinstance(triple.control, DirichletControl):
+        w, X = _kernels.delay_volterra_solve(triple.observe[0, ::-1], v[:, 0], x)
+        return w[:, None], (None, X, 1)
+    # the neutral loop keeps f(0) = x(0) in row N of its trajectory
+    c_block, prow, krow = triple.neutral_blocks()
+    y, f = triple.base.space.split(x)
+    w1, w2, zs, X = _kernels.neutral_feedback_loop(
+        e, c_block, prow, krow, f.reshape(-1, y.shape[0]), y, h, grid.count, v)
+    return np.hstack([w1, w2]), (zs, X, 1)
+
+
 # ---------------------------------------------------------------------------
 # perturbed semigroup
 # ---------------------------------------------------------------------------
@@ -450,9 +468,10 @@ def _compose(triple: PerturbationTriple, free, w: np.ndarray, grid: Grid):
     holds the (count+1, u_dim) samples of the solved signal.
 
     Matrix block: the left-rule control map of the matrix channel is added to
-    the rows.  Shift block: w_1, w_2, ... are placed at the boundary, behind
-    the initial profile, so that the window at t_k holds w on [-t_k, 0].
-    ``X`` is written in place, so the observation of x must be taken first.
+    the rows.  Shift block: w is placed behind the initial profile, so that
+    the window at t_k holds w on [-t_k, 0], from w_0 at s + t = 0 on a
+    translation base and from w_1 on a neutral base, whose row N keeps
+    f(0) = x(0).  ``X`` is written in place, so observe x first.
     """
     e, head, X, m = free
     if head is not None:
@@ -462,7 +481,8 @@ def _compose(triple: PerturbationTriple, free, w: np.ndarray, grid: Grid):
             b, w1 = np.eye(head.shape[1]), w[:, : head.shape[1]]
         head = head + _kernels.matrix_volterra_apply(e, b, None, w1, grid.step)
     if X is not None:  # the shift channel, the last columns of w
-        X[X.shape[0] - grid.count:] = w[1:, -X.shape[1]:]
+        first = 0 if head is None else 1  # the first sample of w placed
+        X[X.shape[0] - grid.count - 1 + first:] = w[first:, -X.shape[1]:]
     return head, X, m
 
 
@@ -473,12 +493,12 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
                     method: Method = DirectSolve()) -> OrbitSeries:
     """Orbit of the perturbed semigroup T_BC on the time grid.
 
-    Computed through the composition formula: observe the free evolution of
-    x, solve the feedback system, and add the control map of the solved
-    signal to the same free evolution.  The Direct solve on a matrix base
-    fuses the solve and the compose step into one closed-loop recurrence;
-    the one on a neutral base runs the closed loop from the initial data,
-    which observes the history itself.  Both do less work.
+    Two routes.  Direct (``_direct``) runs the closed loop from the initial
+    data x on every base: the loop observes its own trajectory, so the
+    solve and the compose step are one recurrence.  Neumann goes through
+    the composition formula: observe the free evolution of x, sum the
+    series, and add the control map of the solved signal to the same free
+    evolution.
     """
     if x.space != triple.base.space:
         raise DimensionError("state does not live in the base space")
@@ -489,28 +509,13 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
     base_step = triple.default_step()
     if base_step is not None and abs(grid.step - base_step) > 1e-12 * base_step:
         raise GridAlignmentError("time step must equal the base grid step")
-    base = triple.base
-    h = grid.step
-    n = grid.count
-    if isinstance(method, DirectSolve) and isinstance(base, BlockDiag):
-        # from the initial data (y, f0): the loop observes the history itself
-        c_block, prow, krow = triple.neutral_blocks()
-        y, f = base.space.split(x.coords)
-        d = y.shape[0]
-        _, _, zs, X = _kernels.neutral_feedback_loop(
-            _io_exp(triple, h), c_block, prow, krow, f.reshape(-1, d), y, h, n,
-            np.zeros((n + 1, 2 * d)))
-        return _assemble(base, grid, zs, X, 1)
-    free = _free(triple, x, grid)
-    v = _observe(triple, free, grid)
-    if isinstance(method, DirectSolve) and isinstance(base, MatrixSemigroup):
-        e, states = free[:2]
-        _, bt = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe,
-                                               v.values, h)
-        parts = states + bt, None, None
+    if isinstance(method, DirectSolve):
+        _, parts = _direct(triple, grid, np.zeros((grid.count + 1, triple.u_dim)), x.coords)
     else:
-        parts = _compose(triple, free, invert_io(triple, grid.end, v, method).values, grid)
-    return _assemble(base, grid, *parts)
+        free = _free(triple, x, grid)
+        w = invert_io(triple, grid.end, _observe(triple, free, grid), method).values
+        parts = _compose(triple, free, w, grid)
+    return _assemble(triple.base, grid, *parts)
 
 
 def perturbed_apply(triple: PerturbationTriple, t: float, x: StateVector,

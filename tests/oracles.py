@@ -114,16 +114,18 @@ def matrix_volterra_apply_loop(E, B, C, u, h):
     return out
 
 
-def matrix_volterra_solve_loop(E, B, C, v, h):
-    """Forward substitution for (I - F) w = v; also returns bt_k = h z_k."""
+def matrix_volterra_solve_loop(E, B, C, v, h, y=None):
+    """Forward substitution for (I - F) w = v from the state y (zero if
+    omitted): w_k = v_k + C x_k and x_{k+1} = E (x_k + h B w_k); also
+    returns the states x."""
     w = np.zeros_like(v)
-    bt = np.zeros((v.shape[0], E.shape[0]))
-    z = np.zeros(E.shape[0])
+    xs = np.zeros((v.shape[0], E.shape[0]))
+    x = np.zeros(E.shape[0]) if y is None else y
     for k in range(v.shape[0]):
-        bt[k] = h * z
-        w[k] = v[k] + h * (C @ z)
-        z = E @ (z + B @ w[k])
-    return w, bt
+        xs[k] = x
+        w[k] = v[k] + C @ x
+        x = E @ (x + h * (B @ w[k]))
+    return w, xs
 
 
 def causal_scan_loop(M, f, z0):
@@ -190,14 +192,18 @@ def delay_volterra_apply_loop(lag, u):
     return out
 
 
-def delay_volterra_solve_loop(lag, v):
-    """Forward substitution w_k = v_k + sum_{j=1}^{min(k, W)} lag_j w_{k-j}."""
+def delay_volterra_solve_loop(lag, v, f=None):
+    """Forward substitution w_k = v_k + sum_{j=1}^{W} lag_j w_{k-j}, where
+    w_{-j} = f[W-j] is the history (zero if omitted)."""
     W = lag.shape[0] - 1
     w = np.zeros(v.shape[0])
     for k in range(v.shape[0]):
         acc = 0.0
-        for j in range(1, min(k, W) + 1):
-            acc += lag[j] * w[k - j]
+        for j in range(1, W + 1):
+            if k >= j:
+                acc += lag[j] * w[k - j]
+            elif f is not None:
+                acc += lag[j] * f[W + k - j]
         w[k] = v[k] + acc
     return w
 

@@ -41,6 +41,11 @@ def test_matrix_kernels_agree(data):
     wl, btl = matrix_volterra_solve_loop(e, b, c, u, h)
     assert np.max(np.abs(wf - wl)) <= 1e-14
     assert np.max(np.abs(btf - btl)) <= 1e-14
+    # the closed loop from a state: the perturbed orbit and its observation
+    y = rng.uniform(0.5, 2.0, size=d)
+    for a_, b_ in zip(K.matrix_volterra_solve(e, b, c, u, h, y),
+                      matrix_volterra_solve_loop(e, b, c, u, h, y)):
+        assert np.max(np.abs(a_ - b_)) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [1, 4])
@@ -83,8 +88,13 @@ def test_delay_kernels_agree(data):
     v = rng.standard_normal(500)
     assert np.max(np.abs(K.delay_volterra_apply(lag, v)
                          - delay_volterra_apply_loop(lag, v))) <= 1e-13
-    assert np.max(np.abs(K.delay_volterra_solve(lag, v)
+    assert np.max(np.abs(K.delay_volterra_solve(lag, v)[0]
                          - delay_volterra_solve_loop(lag, v))) <= 1e-13
+    # from a history: the trajectory is [f[:80], w_0, w_1, ...]
+    f = rng.standard_normal(81)
+    w, X = K.delay_volterra_solve(lag, v, f)
+    assert np.array_equal(X[:80, 0], f[:80]) and np.shares_memory(w, X)
+    assert np.max(np.abs(w - delay_volterra_solve_loop(lag, v, f))) <= 1e-13
 
 
 def test_neutral_kernels_agree(data):
@@ -160,17 +170,18 @@ def test_blocked_kernels_agree_around_block_edges(data, taps, length):
     for a_, b_ in zip(fast, loop):
         assert a_.shape == b_.shape
         assert np.max(np.abs(a_ - b_)) <= 1e-12
-    # the delay line on W = N lags; lag[0] carries weight the kernels never read
+    # the delay line on W = N lags, the solve from the history f; lag[0]
+    # carries weight the kernels never read
     lag = np.zeros(N + 1)
     lag[0] = 1.0
     if m:
         lag[m] = 0.5
         lag[m + 1:] = 1e-2 * rng.standard_normal(N - m)
-    for kernel, oracle in ((K.delay_volterra_apply, delay_volterra_apply_loop),
-                           (K.delay_volterra_solve, delay_volterra_solve_loop)):
-        out = kernel(lag, v[:, 0])
+    u, f = v[:, 0], f0[:, 0]
+    for out, ref in ((K.delay_volterra_apply(lag, u), delay_volterra_apply_loop(lag, u)),
+                     (K.delay_volterra_solve(lag, u, f)[0], delay_volterra_solve_loop(lag, u, f))):
         assert out.shape == (n1,)
-        assert np.max(np.abs(out - oracle(lag, v[:, 0]))) <= 1e-13
+        assert np.max(np.abs(out - ref)) <= 1e-13
 
 
 def test_strict_causality_of_discrete_io():

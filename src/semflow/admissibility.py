@@ -22,9 +22,9 @@ import numpy as np
 from .core import Grid, InputSignal, StateVector, opnorm_sup, time_grid
 from .errors import ConfigurationError, DomainError, GridAlignmentError, PreconditionError
 from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
-                   PerturbationTriple, _apply_io, _compose, _free, _io_exp,
+                   PerturbationTriple, _apply_io, _compose, _io_exp,
                    estimate_io_norm, invert_io, observation_map)
-from .semigroups import Semigroup, _norms, orbit
+from .semigroups import Semigroup, _free_parts, _norms, orbit
 
 STABILITY_REL_CHANGE = 0.05
 RATIO_FLOOR = 1e-12
@@ -84,11 +84,12 @@ def _extend_signal(u: InputSignal, grid: Grid) -> InputSignal:
     return InputSignal(grid, vals, u.point_space)
 
 
-def _control_track_norms(triple: PerturbationTriple, u: InputSignal) -> np.ndarray:
+def _control_track_norms(triple: PerturbationTriple, u: InputSignal,
+                         e: Optional[np.ndarray] = None) -> np.ndarray:
     """State norms of the left-endpoint control map B_t u for every grid t:
-    the compose step from the zero state, its rows never assembled."""
-    zero = StateVector(np.zeros(triple.base.space.dim), triple.base.space)
-    free = _free(triple, zero, u.grid)
+    the compose step from the zero state, whose free parts need no scan and
+    take ``e = _io_exp(triple, h)`` when given, its rows never assembled."""
+    free = _free_parts(triple.base, np.zeros(triple.base.space.dim), u.grid, e)
     return _norms(triple.base, u.grid, *_compose(triple, free, u.values, u.grid))
 
 
@@ -120,7 +121,7 @@ def _worst_tracks(triple, probes, signals, grid, method, est):
     for u in signals:
         uu = _extend_signal(u, grid)
         run_u = uu.running_l1()
-        m_b = np.maximum(m_b, _ratio_track(_control_track_norms(triple, uu), run_u))
+        m_b = np.maximum(m_b, _ratio_track(_control_track_norms(triple, uu, e), run_u))
         fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step, e), triple.u_space)
         m_bc = np.maximum(m_bc, _ratio_track(fu.running_l1(), run_u))
         if run_u[-1] > RATIO_FLOOR:

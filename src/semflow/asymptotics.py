@@ -8,19 +8,27 @@ trailing window (``tail_window`` seconds): the window then consists of the
 same samples for an orbit and its time-shifts, which makes the checkers
 translation-biinvariant by construction -- the property the robustness theory
 requires of an asymptotic subspace.
+
+Each checker decides a block of orbits on one grid, each orbit read from
+several start indices (its time-shifts), in one array pass: the tail samples
+are shared, and only each orbit's scale, a suffix maximum, differs between
+the start indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from functools import partial
+from itertools import islice
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .core import Grid, StateVector
+from .core import Grid, Space, StateVector
 from .errors import ConfigurationError, DomainError
-from .maps import DirectSolve, Method, PerturbationTriple, perturbed_orbit
-from .semigroups import OrbitSeries, orbit, orbit_from_states
+from .maps import DirectSolve, Method, PerturbationTriple, free_orbit, perturbed_orbit
+from .semigroups import OrbitSeries, orbit_from_states
 
 PROPERTIES = ("BOUNDED", "STRONGLY_STABLE", "WEAKLY_STABLE", "MEAN_ERGODIC",
               "UNIFORMLY_ERGODIC")
@@ -40,6 +48,8 @@ FUNCTIONAL_COUNT = 2
 SYNTHETIC_HORIZON = 40.0
 SYNTHETIC_STEP = 0.02
 SYNTHETIC_DIM = 2
+#: orbits per block of the biinvariance harness: one of each zoo shape
+HARNESS_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -49,73 +59,244 @@ class AsymptoticVerdict:
     witness: dict
 
 
-def _tail_start(orb: OrbitSeries, tail_window: Optional[float],
-                tail_fraction: float) -> int:
-    w = tail_window if tail_window is not None else tail_fraction * orb.grid.end
-    m = max(1, int(round(min(w, orb.grid.end) / orb.grid.step)))
-    return max(orb.grid.count - m, 0)
+class OrbitBlock(NamedTuple):
+    """Orbits on one grid and in one space, checked together: each orbit's
+    states as it holds them, and the stacked norm tracks."""
+    grid: Grid
+    states: tuple
+    norms: np.ndarray  # (orbits, count+1)
+    space: Space
+
+    @staticmethod
+    def of(orbits: Sequence[OrbitSeries]) -> "OrbitBlock":
+        grid, space = orbits[0].grid, orbits[0].space
+        if any((o.grid, o.space) != (grid, space) for o in orbits):
+            raise DomainError("a block's orbits must share one grid and one space")
+        return OrbitBlock(grid, tuple(o.states for o in orbits),
+                          np.stack([o.norms for o in orbits]), space)
 
 
-def _three_way(ratio: float, tol: float, extra_fail: bool = False) -> str:
-    if extra_fail or ratio >= FAIL_FACTOR * tol:
-        return "FAIL"
-    if ratio <= tol:
-        return "PASS"
-    return "INCONCLUSIVE"
+class Cells(NamedTuple):
+    """One checker's verdicts on a block: ``codes[s, i]`` decides orbit i
+    read from start index ``starts[s]`` (shifted left by that many steps),
+    and ``witness(s, i)`` builds that cell's witness."""
+    property: str
+    codes: np.ndarray
+    witness: Callable[[int, int], dict]
+
+    def verdict(self, s: int = 0, i: int = 0) -> AsymptoticVerdict:
+        return AsymptoticVerdict(self.property, str(self.codes[s, i]), self.witness(s, i))
+
+
+@dataclass(frozen=True)
+class Checker:
+    """A checker with its thresholds pinned: ``cells(block, starts)`` decides
+    every orbit of a block from every start index in one pass; calling it on
+    one orbit decides that orbit."""
+    cells: Callable[[OrbitBlock, Sequence[int]], Cells]
+
+    def __call__(self, orb: OrbitSeries) -> AsymptoticVerdict:
+        return self.cells(OrbitBlock.of([orb]), [0]).verdict()
+
+
+def _tails(grid: Grid, starts: Sequence[int], tail_window: Optional[float],
+           tail_fraction: float) -> Dict[int, List[int]]:
+    """The positions in ``starts`` read from each first tail index: the
+    orbit's trailing ``tail_window`` seconds, or ``tail_fraction`` of its
+    horizon.  An orbit and its shifts share their tail wherever it fits."""
+    out: Dict[int, List[int]] = {}
+    for s, k in enumerate(starts):
+        end = grid.end if k == 0 else (grid.count - k) * grid.step
+        w = tail_window if tail_window is not None else tail_fraction * end
+        m = max(1, int(round(min(w, end) / grid.step)))
+        out.setdefault(k + max(grid.count - k - m, 0), []).append(s)
+    return out
+
+
+def _scales(x: np.ndarray, starts: Sequence[int]) -> np.ndarray:
+    """``max(x[i, k:])`` for every start k and row i, as (starts, rows): the
+    maxima of the segments between the sorted starts, accumulated from the
+    end.  A nan propagates, as in np.max."""
+    u = sorted(set(starts))
+    seg = np.maximum.accumulate(np.maximum.reduceat(x, u, axis=1)[:, ::-1], axis=1)
+    return seg[:, ::-1][:, [u.index(k) for k in starts]].T
+
+
+def _verdicts(fail: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    return np.where(fail, "FAIL", np.where(ok, "PASS", "INCONCLUSIVE"))
+
+
+def _cesaro_sums(block: OrbitBlock, a: int) -> np.ndarray:
+    """Running trapezoid integrals of every orbit's states from index a on,
+    as (orbits, count+1-a, dim), one orbit's temporaries alive at a time."""
+    cum = np.zeros((len(block.states), block.grid.count + 1 - a, block.space.dim))
+    for x, c in zip(block.states, cum):
+        np.cumsum(0.5 * block.grid.step * (x[a + 1:] + x[a:-1]), axis=0, out=c[1:])
+    return cum
+
+
+# an all-zero orbit, or a tail with fewer than two samples, divides by zero;
+# such cells take their verdict from the zero scale or the sample count.
+# Every sum runs along one cell's row, so no verdict depends on the block.
+@np.errstate(divide="ignore", invalid="ignore")
+def _bounded(block: OrbitBlock, starts: Sequence[int], bound_hint: Optional[float],
+             tail_window: Optional[float]) -> Cells:
+    ref = _scales(block.norms, starts)
+    slope = np.empty_like(ref)
+    for a, ss in _tails(block.grid, starts, tail_window, BOUNDED_TAIL_FRACTION).items():
+        # least squares on the tail norms above 1e-14 of each cell's sup,
+        # times and log-norms centred before the sums of products
+        tail = block.norms[:, a:]
+        w = tail > 1e-14 * ref[ss, :, None]
+        n = np.count_nonzero(w, axis=-1)[..., None]
+        tc = np.where(w, block.grid.step * np.arange(tail.shape[1]), 0.0)
+        tc -= tc.sum(axis=-1, keepdims=True) / n
+        tc *= w
+        yc = np.where(w, np.log(np.where(tail > 0.0, tail, 1.0)), 0.0)
+        yc -= yc.sum(axis=-1, keepdims=True) / n
+        slope[ss] = np.where(n[..., 0] < 3, -np.inf,
+                             (yc * tc).sum(axis=-1) / (tc * tc).sum(axis=-1))
+    fail, ok = slope > FAIL_FACTOR * SLOPE_TOL, slope <= SLOPE_TOL
+    if bound_hint is not None:
+        fail, ok = fail | (ref > 1.1 * bound_hint), ok & (ref <= bound_hint)
+
+    def witness(s, i):
+        decayed = bool(slope[s, i] == -np.inf)
+        out = {"sup": float(ref[s, i]), "log_slope": None if decayed else float(slope[s, i]),
+               "tail_decayed": decayed}
+        return out if ref[s, i] == 0.0 else {**out, "bound_hint": bound_hint}
+
+    return Cells("BOUNDED", np.where(ref == 0.0, "PASS", _verdicts(fail, ok)), witness)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _strongly_stable(block: OrbitBlock, starts: Sequence[int], tol: float,
+                     tail_window: Optional[float]) -> Cells:
+    ref = _scales(block.norms, starts)
+    ratio, noninc = np.empty_like(ref), np.empty(ref.shape, dtype=bool)
+    means = [None] * len(starts)
+    for a, ss in _tails(block.grid, starts, tail_window, STABLE_TAIL_FRACTION).items():
+        tail = block.norms[:, a:]
+        cm = np.array([c.mean(axis=1) for c in np.array_split(tail, 4, axis=1)
+                       if c.shape[1]])
+        ratio[ss] = tail.mean(axis=1) / ref[ss]
+        noninc[ss] = np.all(cm[1:, None] <= 1.05 * cm[:-1, None] + 1e-15 * ref[ss], axis=0)
+        for s in ss:
+            means[s] = cm
+    codes = _verdicts((~noninc & (ratio > tol)) | (ratio >= FAIL_FACTOR * tol), ratio <= tol)
+
+    def witness(s, i):
+        if ref[s, i] == 0.0:
+            return {"tail_ratio": 0.0}
+        return {"tail_ratio": float(ratio[s, i]), "window_means": means[s][:, i].tolist(),
+                "ref": float(ref[s, i])}
+
+    return Cells("STRONGLY_STABLE", np.where(ref == 0.0, "PASS", codes), witness)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _weakly_stable(block: OrbitBlock, starts: Sequence[int],
+                   functionals: Sequence[np.ndarray], tol: float,
+                   tail_window: Optional[float]) -> Cells:
+    if not functionals:
+        raise ConfigurationError("weak stability needs at least one functional")
+    tails = _tails(block.grid, starts, tail_window, STABLE_TAIL_FRACTION)
+    per = np.empty((len(starts), len(functionals), len(block.states)))
+    for f, phi in enumerate(functionals):
+        phi = np.asarray(getattr(phi, "coords", phi), dtype=float).ravel()
+        p = np.abs(np.stack([x @ phi for x in block.states]))
+        scale, mean = _scales(p, starts), np.empty((len(starts), p.shape[0]))
+        for a, ss in tails.items():
+            mean[ss] = p[:, a:].mean(axis=1)
+        per[:, f] = np.where(scale > 0.0, mean / scale, 0.0)
+    worst = np.fmax(0.0, np.fmax.reduce(per, axis=1))  # a nan ratio is no worst
+
+    def witness(s, i):
+        return {"worst_tail_ratio": float(worst[s, i]), "per_functional": per[s, :, i].tolist(),
+                "surrogate": f"finite set of {len(functionals)} functionals"}
+
+    return Cells("WEAKLY_STABLE", _verdicts(worst >= FAIL_FACTOR * tol, worst <= tol), witness)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _mean_ergodic(block: OrbitBlock, starts: Sequence[int], tol: float,
+                  tail_window: Optional[float]) -> Cells:
+    h, ref = block.grid.step, _scales(block.norms, starts)
+    res, size = np.full_like(ref, np.nan), np.full_like(ref, np.nan)
+    limits, short = [None] * len(starts), np.zeros((len(starts), 1), dtype=bool)
+    for a, ss in _tails(block.grid, starts, tail_window, 1.0).items():
+        n = block.grid.count - a
+        short[ss] = n < 8
+        if n < 8:
+            continue
+        cum = _cesaro_sums(block, a)
+        mean = lambda k: cum[:, k] / (h * k)
+        limit = mean(n)
+        d1, d2, size[ss] = block.space.rows_norm(np.concatenate(
+            [limit - mean(n // 2), mean(n // 2) - mean(n // 4), limit])).reshape(3, -1)
+        res[ss] = np.where(d2 > d1, d2, d1) / ref[ss]
+        for s in ss:
+            limits[s] = limit
+
+    def witness(s, i):
+        if short[s, 0]:
+            return {"reason": "window too short"}
+        if ref[s, i] == 0.0:
+            return {"residual": 0.0, "limit_norm": 0.0}
+        return {"residual": float(res[s, i]), "limit_norm": float(size[s, i]),
+                "limit": limits[s][i]}
+
+    # feasibility first, so the verdict structure does not depend on the data
+    # (keeps shifted-PASS => full-PASS intact for degenerate orbits)
+    codes = np.where(ref == 0.0, "PASS", _verdicts(res >= FAIL_FACTOR * tol, res <= tol))
+    return Cells("MEAN_ERGODIC", np.where(short, "INCONCLUSIVE", codes), witness)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _uniformly_ergodic(block: OrbitBlock, starts: Sequence[int], window: float,
+                       tol: float, tail_window: Optional[float]) -> Cells:
+    h, ref = block.grid.step, _scales(block.norms, starts)
+    wk = int(round(window / h))
+    res, sup = np.full_like(ref, np.nan), np.full_like(ref, np.nan)
+    short = np.zeros((len(starts), 1), dtype=bool)
+    for a, ss in _tails(block.grid, starts, tail_window, 1.0).items():
+        T = block.grid.count - a - wk
+        short[ss] = T < 8
+        if T < 8:
+            continue
+        cum = _cesaro_sums(block, a)
+        # Cesaro means at T and T/2 of the shifted orbits on [0, window]
+        mean = lambda tn: (cum[:, tn: tn + wk + 1] - cum[:, : wk + 1]) / (tn * h)
+        rows = np.concatenate([mean(T) - mean(T // 2), mean(T)]).reshape(-1, cum.shape[2])
+        d, sup[ss] = block.space.rows_norm(rows).reshape(2, cum.shape[0], -1).max(axis=2)
+        res[ss] = d / ref[ss]
+
+    def witness(s, i):
+        if short[s, 0]:
+            return {"reason": "window too short for the horizon"}
+        if ref[s, i] == 0.0:
+            return {"residual": 0.0}
+        return {"residual": float(res[s, i]), "limit_sup_norm": float(sup[s, i])}
+
+    # feasibility first, independent of the data (see _mean_ergodic)
+    codes = np.where(ref == 0.0, "PASS", _verdicts(res >= FAIL_FACTOR * tol, res <= tol))
+    return Cells("UNIFORMLY_ERGODIC", np.where(short, "INCONCLUSIVE", codes), witness)
 
 
 def check_bounded(orb: OrbitSeries, bound_hint: Optional[float] = None,
                   tail_window: Optional[float] = None) -> AsymptoticVerdict:
     """Boundedness: norms below the hint (if given) and no growth trend in the
-    fitted log-slope of the tail.
-
-    A tail that has already decayed to zero has no slope to fit: its witness
-    holds ``log_slope = None`` and ``tail_decayed = True``, so that it stays
-    finite JSON.
-    """
-    if orb.norms.shape[0] == 0:
-        raise DomainError("empty orbit")
-    ref = float(np.max(orb.norms))
-    if ref == 0.0:
-        return AsymptoticVerdict("BOUNDED", "PASS", {"sup": 0.0, "log_slope": None,
-                                                     "tail_decayed": True})
-    k0 = _tail_start(orb, tail_window, BOUNDED_TAIL_FRACTION)
-    ts = orb.grid.points()[k0:]
-    norms = orb.norms[k0:]
-    mask = norms > 1e-14 * ref
-    decayed = np.count_nonzero(mask) < 3
-    slope = -np.inf if decayed else float(np.polyfit(ts[mask], np.log(norms[mask]), 1)[0])
-    sup = float(np.max(orb.norms))
-    witness = {"sup": sup, "log_slope": None if decayed else slope,
-               "tail_decayed": bool(decayed), "bound_hint": bound_hint}
-    hint_fail = bound_hint is not None and sup > 1.1 * bound_hint
-    hint_pass = bound_hint is None or sup <= bound_hint
-    if hint_fail or slope > FAIL_FACTOR * SLOPE_TOL:
-        return AsymptoticVerdict("BOUNDED", "FAIL", witness)
-    if hint_pass and slope <= SLOPE_TOL:
-        return AsymptoticVerdict("BOUNDED", "PASS", witness)
-    return AsymptoticVerdict("BOUNDED", "INCONCLUSIVE", witness)
+    least-squares log-slope of the tail norms above 1e-14 of the sup.  A tail
+    that has decayed has no slope to fit: its witness holds ``log_slope =
+    None`` and ``tail_decayed = True``, so that it stays finite JSON."""
+    return _bounded(OrbitBlock.of([orb]), [0], bound_hint, tail_window).verdict()
 
 
 def check_strongly_stable(orb: OrbitSeries, tol: float = 1e-3,
                           tail_window: Optional[float] = None) -> AsymptoticVerdict:
     """Strong stability: trailing mean norm small relative to the orbit scale
     and nonincreasing windowed means."""
-    if orb.norms.shape[0] == 0:
-        raise DomainError("empty orbit")
-    ref = float(np.max(orb.norms))
-    if ref == 0.0:
-        return AsymptoticVerdict("STRONGLY_STABLE", "PASS", {"tail_ratio": 0.0})
-    k0 = _tail_start(orb, tail_window, STABLE_TAIL_FRACTION)
-    tail = orb.norms[k0:]
-    ratio = float(np.mean(tail)) / ref
-    chunks = np.array_split(tail, 4)
-    means = [float(np.mean(c)) for c in chunks if c.size]
-    noninc = all(means[i + 1] <= 1.05 * means[i] + 1e-15 * ref
-                 for i in range(len(means) - 1))
-    witness = {"tail_ratio": ratio, "window_means": means, "ref": ref}
-    verdict = _three_way(ratio, tol, extra_fail=(not noninc and ratio > tol))
-    return AsymptoticVerdict("STRONGLY_STABLE", verdict, witness)
+    return _strongly_stable(OrbitBlock.of([orb]), [0], tol, tail_window).verdict()
 
 
 def check_weakly_stable(orb: OrbitSeries, functionals: Sequence[np.ndarray],
@@ -123,91 +304,31 @@ def check_weakly_stable(orb: OrbitSeries, functionals: Sequence[np.ndarray],
                         tail_window: Optional[float] = None) -> AsymptoticVerdict:
     """Weak stability against a finite functional set (a sampled surrogate;
     never exhaustive, and reported as such)."""
-    if not functionals:
-        raise ConfigurationError("weak stability needs at least one functional")
-    k0 = _tail_start(orb, tail_window, STABLE_TAIL_FRACTION)
-    worst = 0.0
-    per = []
-    for phi in functionals:
-        phi = np.asarray(getattr(phi, "coords", phi), dtype=float).ravel()
-        p = np.abs(orb.states @ phi)
-        scale = float(np.max(p))
-        r = float(np.mean(p[k0:])) / scale if scale > 0 else 0.0
-        per.append(r)
-        worst = max(worst, r)
-    witness = {"worst_tail_ratio": worst, "per_functional": per,
-               "surrogate": f"finite set of {len(functionals)} functionals"}
-    return AsymptoticVerdict("WEAKLY_STABLE", _three_way(worst, tol), witness)
-
-
-def _cumulative_means(orb: OrbitSeries, k0: int):
-    """Running Cesaro means of the orbit restricted to indices >= k0."""
-    states = orb.states[k0:]
-    h = orb.grid.step
-    cum = np.zeros_like(states)
-    np.cumsum(0.5 * h * (states[1:] + states[:-1]), axis=0, out=cum[1:])
-    ts = h * np.arange(states.shape[0])
-    return cum, ts
+    return _weakly_stable(OrbitBlock.of([orb]), [0], functionals, tol,
+                          tail_window).verdict()
 
 
 def check_mean_ergodic(orb: OrbitSeries, tol: float = 1e-2,
                        tail_window: Optional[float] = None) -> AsymptoticVerdict:
     """Cesaro convergence: means at the horizon, its half and its quarter agree."""
-    # feasibility first, so the verdict structure does not depend on the data
-    # (keeps shifted-PASS => full-PASS intact for degenerate orbits)
-    k0 = _tail_start(orb, tail_window, 1.0) if tail_window is not None else 0
-    n = orb.grid.count - k0
-    if n < 8:
-        return AsymptoticVerdict("MEAN_ERGODIC", "INCONCLUSIVE",
-                                 {"reason": "window too short"})
-    ref = float(np.max(orb.norms))
-    if ref == 0.0:
-        return AsymptoticVerdict("MEAN_ERGODIC", "PASS",
-                                 {"residual": 0.0, "limit_norm": 0.0})
-    cum, ts = _cumulative_means(orb, k0)
-    mean = lambda k: cum[k] / ts[k]
-    limit = mean(n)
-    res = max(orb.space.norm(mean(n) - mean(n // 2)),
-              orb.space.norm(mean(n // 2) - mean(n // 4))) / ref
-    witness = {"residual": float(res), "limit_norm": orb.space.norm(limit) ,
-               "limit": limit}
-    return AsymptoticVerdict("MEAN_ERGODIC", _three_way(res, tol), witness)
+    return _mean_ergodic(OrbitBlock.of([orb]), [0], tol, tail_window).verdict()
 
 
 def check_uniformly_ergodic(orb: OrbitSeries, window: float, tol: float = 1e-2,
                             tail_window: Optional[float] = None) -> AsymptoticVerdict:
     """Uniform Cesaro convergence of the shifted-orbit functions on [0, window]."""
-    # feasibility first, independent of the data (see check_mean_ergodic)
-    k0 = _tail_start(orb, tail_window, 1.0) if tail_window is not None else 0
-    n = orb.grid.count - k0
-    wk = int(round(window / orb.grid.step))
-    if n - wk < 8:
-        return AsymptoticVerdict("UNIFORMLY_ERGODIC", "INCONCLUSIVE",
-                                 {"reason": "window too short for the horizon"})
-    ref = float(np.max(orb.norms))
-    if ref == 0.0:
-        return AsymptoticVerdict("UNIFORMLY_ERGODIC", "PASS", {"residual": 0.0})
-    cum, ts = _cumulative_means(orb, k0)
-    T = n - wk
-    Th = T // 2
-
-    def shifted_means(tn):
-        return (cum[tn: tn + wk + 1] - cum[: wk + 1]) / (tn * orb.grid.step)
-
-    d = shifted_means(T) - shifted_means(Th)
-    res = float(np.max(orb.space.rows_norm(d))) / ref
-    sup_limit = np.max(orb.space.rows_norm(shifted_means(T)))
-    witness = {"residual": float(res), "limit_sup_norm": float(sup_limit)}
-    return AsymptoticVerdict("UNIFORMLY_ERGODIC", _three_way(res, tol), witness)
+    return _uniformly_ergodic(OrbitBlock.of([orb]), [0], window, tol,
+                              tail_window).verdict()
 
 
 def cesaro_residual_track(orb: OrbitSeries) -> np.ndarray:
     """||M(t_k) - M(t_k/2)|| / ref for every k (plot data; zero where undefined)."""
     ref = float(np.max(orb.norms))
-    cum, ts = _cumulative_means(orb, 0)
     out = np.zeros(orb.grid.count + 1)
     if ref == 0.0:
         return out
+    cum = _cesaro_sums(OrbitBlock.of([orb]), 0)[0]
+    ts = orb.grid.step * np.arange(orb.grid.count + 1)
     k = np.arange(2, orb.grid.count + 1)
     diff = cum[k] / ts[k, None]
     diff -= cum[k // 2] / ts[k // 2, None]
@@ -268,31 +389,37 @@ def _functionals_for(space_dim: int, count: int, seed: int) -> List[np.ndarray]:
     return out
 
 
-def make_checker(prop: str, config: RobustnessConfig,
-                 space_dim: int) -> Callable[[OrbitSeries], AsymptoticVerdict]:
+def make_checker(prop: str, config: RobustnessConfig, space_dim: int) -> Checker:
     """Checker with all thresholds pinned from the configuration; the trailing
     window is absolute so the checker family is translation-biinvariant."""
     w = config.tail_window
     if prop == "BOUNDED":
-        return lambda o: check_bounded(o, bound_hint=config.bound_hint, tail_window=w)
+        return Checker(partial(_bounded, bound_hint=config.bound_hint, tail_window=w))
     if prop == "STRONGLY_STABLE":
-        return lambda o: check_strongly_stable(o, tol=config.tol, tail_window=w)
+        return Checker(partial(_strongly_stable, tol=config.tol, tail_window=w))
     if prop == "WEAKLY_STABLE":
         phis = _functionals_for(space_dim, FUNCTIONAL_COUNT, FUNCTIONAL_SEED)
-        return lambda o: check_weakly_stable(o, phis, tol=config.tol, tail_window=w)
+        return Checker(partial(_weakly_stable, functionals=phis, tol=config.tol,
+                               tail_window=w))
     if prop == "MEAN_ERGODIC":
-        return lambda o: check_mean_ergodic(o, tol=config.ergodic_tol, tail_window=w)
+        return Checker(partial(_mean_ergodic, tol=config.ergodic_tol, tail_window=w))
     if prop == "UNIFORMLY_ERGODIC":
-        return lambda o: check_uniformly_ergodic(o, window=config.uniform_window,
-                                                 tol=config.ergodic_tol, tail_window=w)
+        return Checker(partial(_uniformly_ergodic, window=config.uniform_window,
+                               tol=config.ergodic_tol, tail_window=w))
     raise ConfigurationError(f"unknown property {prop!r}")
+
+
+def _shift_start(grid: Grid, b: float) -> int:
+    """Index of the first sample left by a shift of b seconds."""
+    k = grid.index_of(b)
+    if k >= grid.count:
+        raise DomainError("shift removes the entire orbit")
+    return k
 
 
 def shift_orbit(orb: OrbitSeries, b: float) -> OrbitSeries:
     """Left time-shift: drop the first b seconds of the sampled orbit."""
-    k = orb.grid.index_of(b)
-    if k >= orb.grid.count:
-        raise DomainError("shift removes the entire orbit")
+    k = _shift_start(orb.grid, b)
     return OrbitSeries(Grid(0.0, orb.grid.step, orb.grid.count - k),
                        orb.states[k:], orb.norms[k:], orb.space)
 
@@ -342,28 +469,40 @@ def synthetic_orbits(count: int, grid: Grid, seed: int = 42) -> Iterator[OrbitSe
         yield orbit_from_states(grid, states, StateVector.sup(states[0]).space)
 
 
-def biinvariance_harness(checkers: Dict[str, Callable], orbits: Iterable[OrbitSeries],
+def _blocks(orbits: Iterable[OrbitSeries]) -> Iterator[Tuple[int, OrbitBlock]]:
+    """Blocks of HARNESS_BLOCK consecutive orbits (the last may be shorter),
+    each with the index of its first orbit."""
+    stream, first = iter(orbits), 0
+    while run := list(islice(stream, HARNESS_BLOCK)):
+        yield first, OrbitBlock.of(run)
+        first += len(run)
+
+
+def biinvariance_harness(checkers: Dict[str, Checker], orbits: Iterable[OrbitSeries],
                          shifts: Sequence[float]) -> List[dict]:
     """Check shifted-PASS => full-PASS for every checker on every orbit.
 
-    ``orbits`` is read once, each orbit by every checker in turn, so it may
-    be a stream; violations are listed by checker, then orbit, then shift."""
+    ``orbits``, on one grid and in one space, is read once, in blocks of
+    HARNESS_BLOCK orbits, so it may be a stream; each checker decides a
+    block's orbits and all their shifts in one pass.  Violations are listed
+    by checker, then orbit, then shift."""
     found = {name: [] for name in checkers}
-    for i, orb in enumerate(orbits):
-        shifted = [(b, shift_orbit(orb, b)) for b in shifts]
+    for first, block in _blocks(orbits):
+        starts = [0] + [_shift_start(block.grid, b) for b in shifts]
         for name, ch in checkers.items():
-            full = ch(orb)
-            for b, sh in shifted:
-                v = ch(sh)
-                if v.verdict == "PASS" and full.verdict != "PASS":
-                    found[name].append({"checker": name, "orbit": i, "shift": b,
-                                        "shifted": v.verdict, "full": full.verdict})
+            codes = ch.cells(block, starts).codes
+            # (orbit, shift) pairs, by orbit, whose shift passes and full does not
+            bad = (codes[1:] == "PASS") & (codes[0] != "PASS")
+            for i, s in np.argwhere(bad.T):
+                found[name].append({"checker": name, "orbit": first + int(i),
+                                    "shift": shifts[s], "shifted": "PASS",
+                                    "full": str(codes[0, i])})
     return [v for name in checkers for v in found[name]]
 
 
 def _harness_violations(config: RobustnessConfig) -> List[dict]:
     """The biinvariance harness of every checker on the seeded synthetic zoo,
-    streamed: one synthetic orbit is alive at a time."""
+    a block of HARNESS_BLOCK synthetic orbits alive at a time."""
     sgrid = Grid(0.0, SYNTHETIC_STEP, int(round(SYNTHETIC_HORIZON / SYNTHETIC_STEP)))
     zoo = synthetic_orbits(config.n_synthetic, sgrid, seed=config.seed)
     # the harness tail window must fit inside every shifted orbit, otherwise
@@ -388,8 +527,9 @@ def asymptotics_run(triple: PerturbationTriple, properties: Sequence[str],
 
     The biinvariance harness runs once, for the whole checker family, before
     any probe orbit is built.  Each probe's base and perturbed orbits are
-    then built once, every requested checker reads them, and only the plot
-    tracks (when ``tracks``) outlive them.
+    then built once, every requested checker decides the two in one pass,
+    and only the plot tracks (when ``tracks``) outlive them.  The base orbit
+    reads x as the perturbed routes do (``maps.free_orbit``).
     """
     for prop in properties:
         if prop not in PROPERTIES:
@@ -402,10 +542,12 @@ def asymptotics_run(triple: PerturbationTriple, properties: Sequence[str],
     rows = {p: [] for p in checkers}
     plot = []
     for x in probes:
-        base = orbit(triple.base, x, grid)
+        base = free_orbit(triple, x, grid)
         pert = perturbed_orbit(triple, x, grid, method=config.method)
+        block = OrbitBlock.of([base, pert])
         for prop, checker in checkers.items():
-            vb, vp = checker(base), checker(pert)
+            cells = checker.cells(block, [0])
+            vb, vp = cells.verdict(0, 0), cells.verdict(0, 1)
             # a base PASS must survive the perturbation; a perturbed
             # INCONCLUSIVE counts against robustness
             ok = vb.verdict != "PASS" or vp.verdict == "PASS"
@@ -414,7 +556,7 @@ def asymptotics_run(triple: PerturbationTriple, properties: Sequence[str],
             plot.append(ProbeTracks(base.norms, pert.norms,
                                     cesaro_residual_track(base),
                                     cesaro_residual_track(pert)))
-        del base, pert
+        del base, pert, block
     reports = {p: RobustnessReport(p, all(r["ok"] for r in rs) and not violations,
                                    rs, list(violations), config.n_synthetic)
                for p, rs in rows.items()}

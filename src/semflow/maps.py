@@ -45,7 +45,7 @@ from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence)
 from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
                          NilpotentShift, OrbitSeries, Semigroup, _assemble,
-                         _free_parts, orbit as base_orbit)
+                         _free_parts)
 from .translation import DirichletSpec
 
 
@@ -313,6 +313,12 @@ def _free(triple: PerturbationTriple, x: StateVector, grid: Grid):
     return free
 
 
+def free_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid) -> OrbitSeries:
+    """The orbit t_k -> T(t_k)x as the perturbed routes read x: on a neutral
+    base f(0) stays x(0), so a vanishing perturbation converges to it."""
+    return _assemble(triple.base, grid, *_free(triple, x, grid)[1:])
+
+
 def _observe(triple: PerturbationTriple, free, grid: Grid) -> InputSignal:
     """The observe step: v = C_t x from the free parts of x (the time step
     is the shift grid's, so m = 1 and row k reads the window of N points
@@ -505,7 +511,7 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
     if abs(grid.start) > 1e-12:
         raise DomainError("orbit grids must start at t = 0")
     if triple.is_zero():
-        return base_orbit(triple.base, x, grid)
+        return free_orbit(triple, x, grid)
     base_step = triple.default_step()
     if base_step is not None and abs(grid.step - base_step) > 1e-12 * base_step:
         raise GridAlignmentError("time step must equal the base grid step")

@@ -242,10 +242,12 @@ def orbit(sg: Semigroup, x: StateVector, grid: Grid) -> OrbitSeries:
     return _assemble(sg, grid, head, X, m)
 
 
-def _free_parts(sg: Semigroup, coords: np.ndarray, grid: Grid):
+def _free_parts(sg: Semigroup, coords: np.ndarray, grid: Grid,
+                e: Optional[np.ndarray] = None):
     """The free evolution t_k -> T(t_k)x on ``grid`` as ``(e, head, X, m)``:
-    ``e = exp(hA)`` and ``head`` the rows of the causal scan of the matrix
-    block, and ``X`` the trajectory ``[f[:N], 0, 0, ...]`` of the shift block
+    ``e = exp(hA)`` (computed unless given) and ``head`` the rows of the
+    causal scan of the matrix block, which a zero block skips, and ``X`` the
+    trajectory ``[f[:N], 0, 0, ...]`` of the shift block
     with ``m`` grid points per time step, so that the block at t_k is the
     window ``X[k*m : k*m + N + 1]``; the parts of a missing block are None.
     The window at t = 0 reads zero at s = 0, as the shift drops f(0), a
@@ -262,10 +264,12 @@ def _free_parts(sg: Semigroup, coords: np.ndarray, grid: Grid):
         raise NotImplementedError(
             f"no orbit for {type(sg).__name__}: orbits exist for a matrix block, a "
             "shift block, or a matrix block followed by a shift block")
-    e = head = X = m = None
+    head = X = m = None
     if mat is not None:
-        e = matexp(mat.a, grid.step)
-        head = causal_scan(e, np.zeros((grid.count + 1, mat.space.dim)), y)
+        e = matexp(mat.a, grid.step) if e is None else e
+        head = np.zeros((grid.count + 1, mat.space.dim))
+        if np.any(y):
+            head = causal_scan(e, head, y)
     if shift is not None:
         m = shift.shift_count(grid.step)
         if m == 0:

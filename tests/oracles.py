@@ -1,14 +1,15 @@
 """Sequential reference loops for the vectorized and blocked kernels, the
-base orbits and maps, the measure row, the writers and the robustness
-experiment.
+base orbits and maps, the measure row, the writers, the asymptotic checkers
+and the robustness experiment.
 
 They step each recurrence one sample at a time, and read the history one tap
 at a time, exactly as the definitions in ``semflow._kernels``,
 ``semflow.semigroups`` and ``semflow.maps`` read; the measure row is built
 one grid point at a time; the CSV oracles format every value of every row;
-the robustness oracles build fresh orbits and a fresh harness for one
-property; the io-norm oracle recomputes every norm and exp(hA) in every
-iteration; the admissibility oracle evaluates every constant afresh on
+the checker oracles decide one orbit per call, the boundedness slope fitted
+by np.polyfit; the robustness oracles build fresh orbits and a fresh harness
+for one property; the io-norm oracle recomputes every norm and exp(hA) in
+every iteration; the admissibility oracle evaluates every constant afresh on
 [0, T] and on [0, 2T].  They serve only as test oracles.
 """
 
@@ -462,3 +463,142 @@ def robustness_experiment_loop(triple, prop, probes, config):
     violations = biinvariance_harness_loop(checkers, zoo, config.shifts)
     return asy.RobustnessReport(prop, all_ok and not violations, per_probe,
                                 violations, config.n_synthetic)
+
+
+# ---------------------------------------------------------------------------
+# the asymptotic checkers, one orbit per call
+# ---------------------------------------------------------------------------
+
+def _tail_start_loop(orb, tail_window, tail_fraction):
+    w = tail_window if tail_window is not None else tail_fraction * orb.grid.end
+    m = max(1, int(round(min(w, orb.grid.end) / orb.grid.step)))
+    return max(orb.grid.count - m, 0)
+
+
+def _three_way_loop(ratio, tol, extra_fail=False):
+    if extra_fail or ratio >= asy.FAIL_FACTOR * tol:
+        return "FAIL"
+    if ratio <= tol:
+        return "PASS"
+    return "INCONCLUSIVE"
+
+
+def check_bounded_loop(orb, bound_hint=None, tail_window=None):
+    """Boundedness of one orbit, its tail log-slope fitted by np.polyfit."""
+    ref = float(np.max(orb.norms))
+    if ref == 0.0:
+        return asy.AsymptoticVerdict("BOUNDED", "PASS", {"sup": 0.0, "log_slope": None,
+                                                         "tail_decayed": True})
+    k0 = _tail_start_loop(orb, tail_window, asy.BOUNDED_TAIL_FRACTION)
+    ts = orb.grid.points()[k0:]
+    norms = orb.norms[k0:]
+    mask = norms > 1e-14 * ref
+    decayed = np.count_nonzero(mask) < 3
+    slope = -np.inf if decayed else float(np.polyfit(ts[mask], np.log(norms[mask]), 1)[0])
+    sup = float(np.max(orb.norms))
+    witness = {"sup": sup, "log_slope": None if decayed else slope,
+               "tail_decayed": bool(decayed), "bound_hint": bound_hint}
+    hint_fail = bound_hint is not None and sup > 1.1 * bound_hint
+    hint_pass = bound_hint is None or sup <= bound_hint
+    if hint_fail or slope > asy.FAIL_FACTOR * asy.SLOPE_TOL:
+        return asy.AsymptoticVerdict("BOUNDED", "FAIL", witness)
+    if hint_pass and slope <= asy.SLOPE_TOL:
+        return asy.AsymptoticVerdict("BOUNDED", "PASS", witness)
+    return asy.AsymptoticVerdict("BOUNDED", "INCONCLUSIVE", witness)
+
+
+def check_strongly_stable_loop(orb, tol=1e-3, tail_window=None):
+    ref = float(np.max(orb.norms))
+    if ref == 0.0:
+        return asy.AsymptoticVerdict("STRONGLY_STABLE", "PASS", {"tail_ratio": 0.0})
+    k0 = _tail_start_loop(orb, tail_window, asy.STABLE_TAIL_FRACTION)
+    tail = orb.norms[k0:]
+    ratio = float(np.mean(tail)) / ref
+    means = [float(np.mean(c)) for c in np.array_split(tail, 4) if c.size]
+    noninc = all(means[i + 1] <= 1.05 * means[i] + 1e-15 * ref
+                 for i in range(len(means) - 1))
+    witness = {"tail_ratio": ratio, "window_means": means, "ref": ref}
+    verdict = _three_way_loop(ratio, tol, extra_fail=(not noninc and ratio > tol))
+    return asy.AsymptoticVerdict("STRONGLY_STABLE", verdict, witness)
+
+
+def check_weakly_stable_loop(orb, functionals, tol=1e-3, tail_window=None):
+    k0 = _tail_start_loop(orb, tail_window, asy.STABLE_TAIL_FRACTION)
+    worst = 0.0
+    per = []
+    for phi in functionals:
+        p = np.abs(orb.states @ np.asarray(phi, dtype=float).ravel())
+        scale = float(np.max(p))
+        r = float(np.mean(p[k0:])) / scale if scale > 0 else 0.0
+        per.append(r)
+        worst = max(worst, r)
+    witness = {"worst_tail_ratio": worst, "per_functional": per,
+               "surrogate": f"finite set of {len(functionals)} functionals"}
+    return asy.AsymptoticVerdict("WEAKLY_STABLE", _three_way_loop(worst, tol), witness)
+
+
+def _cumulative_means_loop(orb, k0):
+    states = orb.states[k0:]
+    h = orb.grid.step
+    cum = np.zeros_like(states)
+    np.cumsum(0.5 * h * (states[1:] + states[:-1]), axis=0, out=cum[1:])
+    return cum, h * np.arange(states.shape[0])
+
+
+def check_mean_ergodic_loop(orb, tol=1e-2, tail_window=None):
+    k0 = _tail_start_loop(orb, tail_window, 1.0) if tail_window is not None else 0
+    n = orb.grid.count - k0
+    if n < 8:
+        return asy.AsymptoticVerdict("MEAN_ERGODIC", "INCONCLUSIVE",
+                                     {"reason": "window too short"})
+    ref = float(np.max(orb.norms))
+    if ref == 0.0:
+        return asy.AsymptoticVerdict("MEAN_ERGODIC", "PASS",
+                                     {"residual": 0.0, "limit_norm": 0.0})
+    cum, ts = _cumulative_means_loop(orb, k0)
+    mean = lambda k: cum[k] / ts[k]
+    limit = mean(n)
+    res = max(orb.space.norm(mean(n) - mean(n // 2)),
+              orb.space.norm(mean(n // 2) - mean(n // 4))) / ref
+    witness = {"residual": float(res), "limit_norm": orb.space.norm(limit),
+               "limit": limit}
+    return asy.AsymptoticVerdict("MEAN_ERGODIC", _three_way_loop(res, tol), witness)
+
+
+def check_uniformly_ergodic_loop(orb, window, tol=1e-2, tail_window=None):
+    k0 = _tail_start_loop(orb, tail_window, 1.0) if tail_window is not None else 0
+    n = orb.grid.count - k0
+    wk = int(round(window / orb.grid.step))
+    if n - wk < 8:
+        return asy.AsymptoticVerdict("UNIFORMLY_ERGODIC", "INCONCLUSIVE",
+                                     {"reason": "window too short for the horizon"})
+    ref = float(np.max(orb.norms))
+    if ref == 0.0:
+        return asy.AsymptoticVerdict("UNIFORMLY_ERGODIC", "PASS", {"residual": 0.0})
+    cum, ts = _cumulative_means_loop(orb, k0)
+    T = n - wk
+
+    def shifted_means(tn):
+        return (cum[tn: tn + wk + 1] - cum[: wk + 1]) / (tn * orb.grid.step)
+
+    d = shifted_means(T) - shifted_means(T // 2)
+    res = float(np.max(orb.space.rows_norm(d))) / ref
+    sup_limit = np.max(orb.space.rows_norm(shifted_means(T)))
+    witness = {"residual": float(res), "limit_sup_norm": float(sup_limit)}
+    return asy.AsymptoticVerdict("UNIFORMLY_ERGODIC", _three_way_loop(res, tol), witness)
+
+
+def make_checker_loop(prop, config, space_dim):
+    """``asy.make_checker`` with the one-orbit checkers above."""
+    w = config.tail_window
+    if prop == "BOUNDED":
+        return lambda o: check_bounded_loop(o, config.bound_hint, w)
+    if prop == "STRONGLY_STABLE":
+        return lambda o: check_strongly_stable_loop(o, config.tol, w)
+    if prop == "WEAKLY_STABLE":
+        phis = asy._functionals_for(space_dim, asy.FUNCTIONAL_COUNT, asy.FUNCTIONAL_SEED)
+        return lambda o: check_weakly_stable_loop(o, phis, config.tol, w)
+    if prop == "MEAN_ERGODIC":
+        return lambda o: check_mean_ergodic_loop(o, config.ergodic_tol, w)
+    return lambda o: check_uniformly_ergodic_loop(o, config.uniform_window,
+                                                  config.ergodic_tol, w)

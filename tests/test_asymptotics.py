@@ -1,13 +1,20 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import semflow as sf
 from semflow import asymptotics as asy
+from semflow import neutral as nt
 from semflow.errors import ConfigurationError, DomainError
-from semflow.maps import perturbed_orbit
+from semflow.maps import free_orbit, perturbed_orbit
 from semflow.semigroups import orbit, orbit_from_states
-from helpers import count_calls, scalar_mv
-from oracles import biinvariance_harness_loop, robustness_experiment_loop
+from helpers import count_calls, mixed_system, neutral_initial, scalar_mv
+from oracles import (biinvariance_harness_loop, check_bounded_loop,
+                     check_mean_ergodic_loop, check_strongly_stable_loop,
+                     check_uniformly_ergodic_loop, check_weakly_stable_loop,
+                     make_checker_loop, robustness_experiment_loop)
 
 
 def make_orbit(fn, horizon=50.0, step=0.01, dim=1):
@@ -156,20 +163,33 @@ def test_harness_streams_the_zoo_in_the_checker_by_checker_order():
     grid = sf.time_grid(40.0, 0.02)
 
     def passes_below(count):
-        # PASS exactly on orbits shorter than `count` steps: shifts violate
-        return lambda o: asy.AsymptoticVerdict(
-            "X", "PASS" if o.grid.count < count else "FAIL", {})
+        # PASS exactly on orbits shorter than `count` steps: shifts violate.
+        # A checker decides every orbit of a block from every start index.
+        def cells(block, starts):
+            short = block.grid.count - np.asarray(starts) < count
+            codes = np.where(short, "PASS", "FAIL")[:, None]
+            return asy.Cells("X", codes.repeat(len(block.states), axis=1),
+                             lambda s, i: {})
+        return asy.Checker(cells)
 
     checkers = {"late": passes_below(1600), "early": passes_below(1800),
                 "never": passes_below(0)}
     shifts = (5.0, 10.0)
+    n = asy.HARNESS_BLOCK + 3  # two blocks
     streamed = asy.biinvariance_harness(
-        checkers, asy.synthetic_orbits(3, grid, seed=1), shifts)
+        checkers, asy.synthetic_orbits(n, grid, seed=1), shifts)
     assert streamed == biinvariance_harness_loop(
-        checkers, list(asy.synthetic_orbits(3, grid, seed=1)), shifts)
+        checkers, list(asy.synthetic_orbits(n, grid, seed=1)), shifts)
     assert [(v["checker"], v["orbit"], v["shift"]) for v in streamed] == \
-        [("late", i, 10.0) for i in range(3)] + \
-        [("early", i, b) for i in range(3) for b in shifts]
+        [("late", i, 10.0) for i in range(n)] + \
+        [("early", i, b) for i in range(n) for b in shifts]
+
+
+def test_harness_blocks_share_one_grid():
+    orbs = [decay_orbit(1.0, horizon=40.0), decay_orbit(1.0, horizon=30.0)]
+    checkers = {"BOUNDED": asy.make_checker("BOUNDED", asy.RobustnessConfig(), 1)}
+    with pytest.raises(DomainError):
+        asy.biinvariance_harness(checkers, orbs, (5.0,))
 
 
 def test_shift_orbit():
@@ -326,3 +346,120 @@ def test_biinvariance_survives_infeasible_windows():
                                shifts=(10.0, 20.0))
     checkers = {p: asy.make_checker(p, cfg, 2) for p in asy.PROPERTIES}
     assert asy.biinvariance_harness(checkers, zoo, cfg.shifts) == []
+
+
+# ---------------------------------------------------------------------------
+# the batched checkers against the one-orbit oracles
+# ---------------------------------------------------------------------------
+
+def assert_same_verdict(new, old):
+    # every witness float within 1e-12 relative; a fitted log-slope also
+    # within 1e-15 absolute, as np.polyfit's round-off (up to 1e-16 on the
+    # zoo) scales with the log-norms, not with a slope near 0
+    assert (new.property, new.verdict) == (old.property, old.verdict)
+    assert new.witness.keys() == old.witness.keys()
+    for key, b in old.witness.items():
+        a = new.witness[key]
+        if b is None or isinstance(b, (str, bool)):
+            assert a == b, key
+        else:
+            atol = 1e-15 if key == "log_slope" else 0.0
+            assert np.allclose(a, b, rtol=1e-12, atol=atol), key
+
+
+HARNESS_CONFIGS = {
+    "cli-defaults": asy.RobustnessConfig(),
+    "infeasible-windows": asy.RobustnessConfig(tail_window=2.0, shifts=(10.0, 20.0)),
+    # every cutoff ends by 0.4 of the horizon, so these shifts leave it zero
+    "zero-cutoffs": asy.RobustnessConfig(shifts=(16.0, 24.0)),
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1])
+@pytest.mark.parametrize("name", list(HARNESS_CONFIGS))
+def test_batched_checkers_match_the_one_orbit_oracles(name, seed):
+    config = replace(HARNESS_CONFIGS[name], seed=seed)
+    grid = sf.Grid(0.0, asy.SYNTHETIC_STEP,
+                   int(round(asy.SYNTHETIC_HORIZON / asy.SYNTHETIC_STEP)))
+    zoo = list(asy.synthetic_orbits(config.n_synthetic, grid, seed=seed))
+    syn = replace(config, tail_window=min(
+        config.tail_window, 0.5 * (asy.SYNTHETIC_HORIZON - max(config.shifts))))
+    shifts = (0.0,) + config.shifts
+    starts = [grid.index_of(b) for b in shifts]
+    if name == "zero-cutoffs":
+        assert all(not np.any(orb.norms[starts[1]:]) for orb in zoo[6::8])
+    oracles = {p: make_checker_loop(p, syn, 2) for p in asy.PROPERTIES}
+    for p in asy.PROPERTIES:
+        checker = asy.make_checker(p, syn, 2)
+        for first in range(0, len(zoo), asy.HARNESS_BLOCK):
+            run = zoo[first: first + asy.HARNESS_BLOCK]
+            cells = checker.cells(asy.OrbitBlock.of(run), starts)
+            for s, b in enumerate(shifts):
+                for i, orb in enumerate(run):
+                    assert_same_verdict(cells.verdict(s, i),
+                                        oracles[p](asy.shift_orbit(orb, b)))
+    assert asy._harness_violations(config) == \
+        biinvariance_harness_loop(oracles, zoo, config.shifts)
+
+
+def test_checkers_without_a_tail_window_match_the_one_orbit_oracles():
+    # tails as a share of the horizon, Cesaro means from t = 0
+    grid = sf.time_grid(40.0, 0.02)
+    phis = [np.array([1.0, 0.0]), np.array([0.3, -0.7])]
+    for orb in asy.synthetic_orbits(16, grid, seed=5):
+        assert_same_verdict(asy.check_bounded(orb), check_bounded_loop(orb))
+        assert_same_verdict(asy.check_strongly_stable(orb), check_strongly_stable_loop(orb))
+        assert_same_verdict(asy.check_weakly_stable(orb, phis),
+                            check_weakly_stable_loop(orb, phis))
+        assert_same_verdict(asy.check_mean_ergodic(orb), check_mean_ergodic_loop(orb))
+        assert_same_verdict(asy.check_uniformly_ergodic(orb, 2 * np.pi),
+                            check_uniformly_ergodic_loop(orb, 2 * np.pi))
+
+
+def probe_case(name):
+    if name == "scalar":
+        cfg = asy.RobustnessConfig(horizon=60.0, step=0.01, tail_window=15.0,
+                                   n_synthetic=8)
+        return scalar_mv(0.5), [sf.StateVector.sup([1.0]), sf.StateVector.sup([-2.0])], cfg
+    if name == "rotation":
+        cfg = asy.RobustnessConfig(horizon=120.0, step=0.05, tail_window=30.0,
+                                   ergodic_tol=2e-2, n_synthetic=8)
+        probes = [sf.StateVector.sup(v) for v in ([1.0, 0.0, 1.0], [0.3, -0.2, 0.0])]
+        return rotation_damped_triple(), probes, cfg
+    sys0 = mixed_system(n_hist=16)
+    probes = [nt.pack_initial(sys0, *neutral_initial(sys0, seed=s)) for s in (3, 4)]
+    cfg = asy.RobustnessConfig(horizon=20.0, step=sys0.history_grid.step,
+                               tail_window=5.0, n_synthetic=8)
+    return nt.build_perturbation(sys0), probes, cfg
+
+
+@pytest.mark.parametrize("name", ["scalar", "rotation", "neutral"])
+def test_probe_checks_match_the_one_orbit_oracles(name):
+    triple, probes, cfg = probe_case(name)
+    run = asy.asymptotics_run(triple, asy.PROPERTIES, probes, cfg)
+    grid = sf.time_grid(cfg.horizon, cfg.step)
+    verdicts = set()
+    for j, x in enumerate(probes):
+        orbs = {"base": free_orbit(triple, x, grid),
+                "perturbed": perturbed_orbit(triple, x, grid)}
+        for p in asy.PROPERTIES:
+            oracle = make_checker_loop(p, cfg, triple.base.space.dim)
+            for side, orb in orbs.items():
+                got = run.reports[p].per_probe[j][side]
+                assert_same_verdict(got, oracle(orb))
+                verdicts.add(got.verdict)
+    assert "PASS" in verdicts
+
+
+def test_harness_peak_memory_does_not_grow_with_the_zoo():
+    # the zoo streams through the harness a block at a time
+    peaks = []
+    for n in (50, 400):
+        tracemalloc.start()
+        try:
+            asy._harness_violations(asy.RobustnessConfig(n_synthetic=n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.2 * peaks[0]

@@ -185,7 +185,7 @@ def test_asymptotics_runs_harness_and_each_orbit_once(tmp_path, monkeypatch):
                           "n_synthetic": 6}
     path = write_cfg(tmp_path / "cfg.json", cfg)
     harness = count_calls(monkeypatch, asy.biinvariance_harness)
-    base = count_calls(monkeypatch, semigroups.orbit)
+    base = count_calls(monkeypatch, maps.free_orbit)
     pert = count_calls(monkeypatch, maps.perturbed_orbit)
     assert main(["asymptotics", "--config", path, "--out", str(tmp_path)]) == 0
     assert (len(harness), len(base), len(pert)) == (1, 3, 3)

@@ -523,6 +523,25 @@ def test_composing_a_zero_signal_gives_the_free_orbit(name):
     assert np.array_equal(diff, expect)
 
 
+def test_vanishing_neutral_perturbation_gives_the_free_orbit():
+    # every route reads f(0) as x(0), the zero-perturbation shortcut and the
+    # base orbit of asymptotics_run too: C -> 0 converges to the C = 0 orbit
+    from semflow import asymptotics as asy
+
+    sys0 = mixed_system(n_hist=16)
+    triple = nt.build_perturbation(sys0)
+    x = nt.pack_initial(sys0, *neutral_initial(sys0, seed=3))
+    grid = sf.time_grid(2.0, sys0.history_grid.step)
+    small, zero = (sf.perturbed_orbit(
+        sf.PerturbationTriple(triple.base, triple.control, q * triple.observe), x, grid)
+        for q in (1e-12, 0.0))
+    assert np.max(np.abs(small.states - zero.states)) < 1e-9
+    assert np.max(np.abs(small.norms - zero.norms)) < 1e-9
+    cfg = asy.RobustnessConfig(horizon=grid.end, step=grid.step)
+    base = asy.asymptotics_run(triple, [], [x], cfg, tracks=True).tracks[0].base_norms
+    assert np.max(np.abs(base - small.norms)) < 1e-9
+
+
 def test_direct_vs_neumann_on_neutral_triple():
     from semflow import neutral as nt
     from helpers import atom_system, neutral_initial

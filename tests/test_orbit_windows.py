@@ -95,9 +95,11 @@ def test_translation_orbit_memory_does_not_scale_with_window_count():
 
 @pytest.mark.parametrize("kind", ["translation", "neutral"])
 def test_zero_perturbation_orbit_is_windows_of_the_stepped_base(kind):
-    # perturbed_orbit with a zero observation is the base orbit: windows of
+    # perturbed_orbit with a zero observation is the free orbit: windows of
     # one trajectory, equal from t_1 on to the base stepped one step at a
-    # time (the matrix block of the neutral base to round-off)
+    # time (the matrix block of the neutral base to round-off), except that
+    # the neutral routes read f(0) as x(0), which the history keeps at
+    # s = -t_k for t_k <= 1, where the nilpotent shift alone drops it
     if kind == "translation":
         cfg = translation_cfg(3.0, 0.125, 2.0, {"f_kind": "exp", "amplitude": 1.0})
         cfg["system"].update(atoms=[], density=[])
@@ -112,6 +114,10 @@ def test_zero_perturbation_orbit_is_windows_of_the_stepped_base(kind):
         grid, head = sf.time_grid(3.0, sys0.history_grid.step), sys0.dim
     orb = perturbed_orbit(triple, x, grid)
     ref = orbit_step_loop(triple.base, x, grid)
+    if kind == "neutral":
+        N, d = sys0.history_grid.count, sys0.dim
+        for k in range(N + 1):
+            ref[k, d * (N - k + 1): d * (N - k + 2)] += x.coords[-d:]
     assert_rows_are_windows(orb, orb.stride)
     assert orb.head == head
     assert np.array_equal(orb.states[1:, head:], ref[1:, head:])

@@ -8,8 +8,7 @@ from .maps import (BoundedControl, DirichletControl, DirectSolve,
                    IdentityControl, Neumann, NeutralBoundaryControl,
                    PerturbationTriple, control_map, estimate_io_norm, invert_io,
                    io_map, observation_map, perturbed_apply, perturbed_orbit)
-from .translation import (DirichletSpec, MeasureSpec, boundary_control_closed_form,
-                          dirichlet_apply, io_infty_closed_form, measure_observation)
+from .translation import DirichletSpec, MeasureSpec, boundary_control_closed_form
 from .admissibility import (AdmissibilityReport, check_desch_schappacher,
                             check_miyadera_voigt, estimate_constants, favard_norm)
 from .asymptotics import (AsymptoticVerdict, RobustnessConfig, asymptotics_run,
@@ -33,7 +32,6 @@ __all__ = [
     "PerturbationTriple", "control_map", "estimate_io_norm", "invert_io",
     "io_map", "observation_map", "perturbed_apply", "perturbed_orbit",
     "DirichletSpec", "MeasureSpec", "boundary_control_closed_form",
-    "dirichlet_apply", "io_infty_closed_form", "measure_observation",
     "AdmissibilityReport", "check_desch_schappacher", "check_miyadera_voigt",
     "estimate_constants", "favard_norm", "AsymptoticVerdict", "RobustnessConfig",
     "asymptotics_run", "check_bounded", "check_mean_ergodic", "check_strongly_stable",

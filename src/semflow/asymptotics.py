@@ -88,17 +88,6 @@ class Cells(NamedTuple):
         return AsymptoticVerdict(self.property, str(self.codes[s, i]), self.witness(s, i))
 
 
-@dataclass(frozen=True)
-class Checker:
-    """A checker with its thresholds pinned: ``cells(block, starts)`` decides
-    every orbit of a block from every start index in one pass; calling it on
-    one orbit decides that orbit."""
-    cells: Callable[[OrbitBlock, Sequence[int]], Cells]
-
-    def __call__(self, orb: OrbitSeries) -> AsymptoticVerdict:
-        return self.cells(OrbitBlock.of([orb]), [0]).verdict()
-
-
 def _tails(grid: Grid, starts: Sequence[int], tail_window: Optional[float],
            tail_fraction: float) -> Dict[int, List[int]]:
     """The positions in ``starts`` read from each first tail index: the
@@ -389,23 +378,25 @@ def _functionals_for(space_dim: int, count: int, seed: int) -> List[np.ndarray]:
     return out
 
 
-def make_checker(prop: str, config: RobustnessConfig, space_dim: int) -> Checker:
-    """Checker with all thresholds pinned from the configuration; the trailing
-    window is absolute so the checker family is translation-biinvariant."""
+def make_checker(prop: str, config: RobustnessConfig,
+                 space_dim: int) -> Callable[[OrbitBlock, Sequence[int]], Cells]:
+    """Checker with all thresholds pinned from the configuration:
+    ``checker(block, starts)`` decides every orbit of a block from every start
+    index in one pass.  The trailing window is absolute so the checker family
+    is translation-biinvariant."""
     w = config.tail_window
     if prop == "BOUNDED":
-        return Checker(partial(_bounded, bound_hint=config.bound_hint, tail_window=w))
+        return partial(_bounded, bound_hint=config.bound_hint, tail_window=w)
     if prop == "STRONGLY_STABLE":
-        return Checker(partial(_strongly_stable, tol=config.tol, tail_window=w))
+        return partial(_strongly_stable, tol=config.tol, tail_window=w)
     if prop == "WEAKLY_STABLE":
         phis = _functionals_for(space_dim, FUNCTIONAL_COUNT, FUNCTIONAL_SEED)
-        return Checker(partial(_weakly_stable, functionals=phis, tol=config.tol,
-                               tail_window=w))
+        return partial(_weakly_stable, functionals=phis, tol=config.tol, tail_window=w)
     if prop == "MEAN_ERGODIC":
-        return Checker(partial(_mean_ergodic, tol=config.ergodic_tol, tail_window=w))
+        return partial(_mean_ergodic, tol=config.ergodic_tol, tail_window=w)
     if prop == "UNIFORMLY_ERGODIC":
-        return Checker(partial(_uniformly_ergodic, window=config.uniform_window,
-                               tol=config.ergodic_tol, tail_window=w))
+        return partial(_uniformly_ergodic, window=config.uniform_window,
+                       tol=config.ergodic_tol, tail_window=w)
     raise ConfigurationError(f"unknown property {prop!r}")
 
 
@@ -478,7 +469,8 @@ def _blocks(orbits: Iterable[OrbitSeries]) -> Iterator[Tuple[int, OrbitBlock]]:
         first += len(run)
 
 
-def biinvariance_harness(checkers: Dict[str, Checker], orbits: Iterable[OrbitSeries],
+def biinvariance_harness(checkers: Dict[str, Callable[[OrbitBlock, Sequence[int]], Cells]],
+                         orbits: Iterable[OrbitSeries],
                          shifts: Sequence[float]) -> List[dict]:
     """Check shifted-PASS => full-PASS for every checker on every orbit.
 
@@ -490,7 +482,7 @@ def biinvariance_harness(checkers: Dict[str, Checker], orbits: Iterable[OrbitSer
     for first, block in _blocks(orbits):
         starts = [0] + [_shift_start(block.grid, b) for b in shifts]
         for name, ch in checkers.items():
-            codes = ch.cells(block, starts).codes
+            codes = ch(block, starts).codes
             # (orbit, shift) pairs, by orbit, whose shift passes and full does not
             bad = (codes[1:] == "PASS") & (codes[0] != "PASS")
             for i, s in np.argwhere(bad.T):
@@ -546,7 +538,7 @@ def asymptotics_run(triple: PerturbationTriple, properties: Sequence[str],
         pert = perturbed_orbit(triple, x, grid, method=config.method)
         block = OrbitBlock.of([base, pert])
         for prop, checker in checkers.items():
-            cells = checker.cells(block, [0])
+            cells = checker(block, [0])
             vb, vp = cells.verdict(0, 0), cells.verdict(0, 1)
             # a base PASS must survive the perturbation; a perturbed
             # INCONCLUSIVE counts against robustness

@@ -44,7 +44,7 @@ _SYSTEM_KEYS = {
     "matrix": {"kind", "a", "b", "c"},
     "translation": {"kind", "lambda", "L", "atoms", "density"},
     "neutral": {"kind", "a", "c", "p_atoms", "p_density", "k_atoms", "k_density",
-                "history_steps", "alpha"},
+                "history_steps"},
 }
 
 
@@ -148,7 +148,7 @@ def build_system(cfg: dict):
         a=a,
         p_kernel=_measure_from(system.get("p_atoms"), system.get("p_density")),
         k_kernel=_measure_from(system.get("k_atoms"), system.get("k_density")),
-        c=c, history_grid=hist, alpha=float(system.get("alpha", 1.0)))
+        c=c, history_grid=hist)
 
 
 def build_initial(cfg: dict, target):
@@ -399,6 +399,12 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
+# asymptotics keys passed on to RobustnessConfig only when the config gives
+# them, so each of their defaults lives in RobustnessConfig alone
+_ASYMPTOTICS_CASTS = {"tol": float, "ergodic_tol": float, "uniform_window": float,
+                      "shifts": tuple, "n_synthetic": int}
+
+
 def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
     started = time.time()
     target = build_system(cfg)
@@ -408,21 +414,17 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
         triple = target
     probes = build_probes(cfg, target, seed)
     acfg = cfg.get("asymptotics", {})
-    _reject_unknown(acfg, {"properties", "tail_window", "tol", "ergodic_tol",
-                           "uniform_window", "bound_hint", "shifts",
-                           "n_synthetic"}, "asymptotics")
+    _reject_unknown(acfg, {"properties", "tail_window", "bound_hint", *_ASYMPTOTICS_CASTS},
+                    "asymptotics")
     props = acfg.get("properties", ["BOUNDED", "STRONGLY_STABLE", "MEAN_ERGODIC"])
     grid_cfg = cfg["grid"]
+    given = {key: cast(acfg[key]) for key, cast in _ASYMPTOTICS_CASTS.items()
+             if key in acfg}
     config = asy.RobustnessConfig(
         horizon=float(grid_cfg["horizon"]), step=float(grid_cfg["step"]),
         tail_window=float(acfg.get("tail_window", 0.25 * float(grid_cfg["horizon"]))),
-        tol=float(acfg.get("tol", 1e-3)),
-        ergodic_tol=float(acfg.get("ergodic_tol", 1e-2)),
-        uniform_window=float(acfg.get("uniform_window", 2 * np.pi)),
-        bound_hint=acfg.get("bound_hint"),
-        shifts=tuple(acfg.get("shifts", (5.0, 10.0))),
-        n_synthetic=int(acfg.get("n_synthetic", 50)),
-        seed=seed, method=method_from(cfg))
+        bound_hint=acfg.get("bound_hint"), seed=seed, method=method_from(cfg),
+        **given)
     grid = time_grid(config.horizon, config.step)
     run = asy.asymptotics_run(triple, props, probes, config, tracks=True)
     matrix = {}
@@ -470,7 +472,7 @@ def cmd_neutral_compare(cfg: dict, out: Path, seed: int) -> int:
     for tag, factor in (("coarse", 1), ("fine", 2)):
         sys_f = target if factor == 1 else nt.NeutralSystem(
             target.a, target.p_kernel, target.k_kernel, target.c,
-            target.history_grid.refine(factor), alpha=target.alpha)
+            target.history_grid.refine(factor))
         grid = time_grid(horizon, step / factor)
         initial = build_initial(cfg, sys_f)
         res = nt.neutral_orbit(sys_f, initial, grid, method=method)

@@ -146,13 +146,11 @@ class L1Space(Space):
     """Grid functions on ``grid`` with values in R^point_dim, left-endpoint L1 norm.
 
     Coordinates are stored row-major as ``(count+1, point_dim)`` flattened; the
-    pointwise norm is the sup norm (``point_norm="sup"``) or the Euclidean norm
-    (``"euclid"``, used for real embeddings of complex values).
+    pointwise norm is the sup norm of R^point_dim.
     """
 
     grid: Grid
     point_dim: int = 1
-    point_norm: str = "sup"
 
     @property
     def dim(self):  # type: ignore[override]
@@ -162,18 +160,12 @@ class L1Space(Space):
         coords = self.check(coords)
         return coords.reshape(self.grid.count + 1, self.point_dim)
 
-    def point_norms(self, vals: np.ndarray) -> np.ndarray:
-        """Point norms of samples laid out along the last axis."""
-        if self.point_norm == "euclid":
-            return np.sqrt(np.sum(vals * vals, axis=-1))
-        return row_sup(vals)
-
     def norm(self, coords):
-        return float(self.grid.step * np.sum(self.point_norms(self.values(coords))[:-1]))
+        return float(self.grid.step * np.sum(row_sup(self.values(coords))[:-1]))
 
     def rows_norm(self, rows):
         vals = rows.reshape(rows.shape[0], self.grid.count + 1, self.point_dim)
-        return self.grid.step * np.sum(self.point_norms(vals)[:, :-1], axis=1)
+        return self.grid.step * np.sum(row_sup(vals)[:, :-1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -225,14 +217,14 @@ class StateVector:
         return StateVector(coords, SupSpace(coords.shape[0]))
 
     @staticmethod
-    def grid_function(values, grid: Grid, point_norm: str = "sup") -> "StateVector":
+    def grid_function(values, grid: Grid) -> "StateVector":
         values = _finite(np.asarray(values, dtype=float), "grid function")
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != grid.count + 1:
             raise DimensionError(
                 f"expected {grid.count + 1} samples on the grid, got {values.shape[0]}")
-        space = L1Space(grid, point_dim=values.shape[1], point_norm=point_norm)
+        space = L1Space(grid, point_dim=values.shape[1])
         return StateVector(values.ravel(), space)
 
 

@@ -80,12 +80,6 @@ class DirichletControl:
 
     spec: DirichletSpec
 
-    def __post_init__(self):
-        if not self.spec.is_real:
-            raise ConfigurationError(
-                "the feedback loop supports real Dirichlet parameters; complex "
-                "values are handled by the closed-form operations directly")
-
 
 @dataclass(frozen=True)
 class NeutralBoundaryControl:
@@ -528,8 +522,6 @@ def perturbed_apply(triple: PerturbationTriple, t: float, x: StateVector,
                     method: Method = DirectSolve(),
                     step: Optional[float] = None) -> StateVector:
     """Evaluate T_BC(t) x by the composition formula."""
-    if triple.is_zero():
-        return StateVector(triple.base.apply_coords(t, x.coords), triple.base.space)
     if t == 0.0:
         return StateVector(np.array(x.coords), triple.base.space)
     grid = _resolve_grid(triple, t, step)

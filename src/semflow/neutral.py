@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
-from .core import Grid, L1Space, StateVector, matexp
+from .core import Grid, StateVector, matexp
 from .errors import ConfigurationError, DimensionError, DomainError, GridAlignmentError
 from .maps import (DirectSolve, Method, NeutralBoundaryControl,
                    PerturbationTriple, perturbed_orbit)
@@ -38,7 +38,6 @@ class NeutralSystem:
     k_kernel: MeasureSpec
     c: np.ndarray
     history_grid: Grid
-    alpha: float = 1.0
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -49,8 +48,6 @@ class NeutralSystem:
             raise DimensionError("C must have the same shape as A")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
-        if self.alpha <= 0.0:
-            raise DomainError(f"scaling parameter must be positive, got {self.alpha}")
         h = self.history_grid.step
         for name, ker in (("P", self.p_kernel), ("K", self.k_kernel)):
             for loc, _ in ker.atoms:
@@ -179,12 +176,6 @@ def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeri
     return _assemble(build_a0(sys), grid, zs, X, 1)
 
 
-def history_segment(sys: NeutralSystem, orb: OrbitSeries, k: int) -> StateVector:
-    """The history window x_{t_k}(s) = x(t_k + s) stored in the block orbit."""
-    fpart = orb.states[k, sys.dim:]
-    return StateVector(fpart, L1Space(sys.history_grid, point_dim=sys.dim))
-
-
 def scaling_conjugation(sys: NeutralSystem, alpha: float) -> NeutralSystem:
     """Similarity transform by (x, f) -> (x, alpha*f): P -> P/alpha, C -> alpha*C.
 
@@ -198,4 +189,4 @@ def scaling_conjugation(sys: NeutralSystem, alpha: float) -> NeutralSystem:
         density=tuple((a, b, np.asarray(v, dtype=float) / alpha if np.ndim(v) else v / alpha)
                       for a, b, v in sys.p_kernel.density))
     return NeutralSystem(sys.a, scaled_p, sys.k_kernel, alpha * sys.c,
-                         sys.history_grid, alpha=sys.alpha)
+                         sys.history_grid)

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import causal_scan
 from .core import (Grid, L1Space, ProductSpace, Space, StateVector, SupSpace, _finite,
-                   matexp)
+                   matexp, row_sup)
 from .errors import DimensionError, DomainError, GridAlignmentError
 
 
@@ -290,7 +290,7 @@ def _norms(sg: Semigroup, grid: Grid, head: Optional[np.ndarray],
         return sg.space.rows_norm(head)
     shift = sg if head is None else sg.parts[1]
     N = shift.grid.count
-    norms = _sliding_l1(shift.space.point_norms(X)[: grid.count * m + N], N,
+    norms = _sliding_l1(row_sup(X[: grid.count * m + N]), N,
                         shift.grid.step)[::m]
     if head is not None:
         norms = sg.parts[0].space.rows_norm(head) + norms

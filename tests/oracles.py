@@ -10,16 +10,21 @@ the checker oracles decide one orbit per call, the boundedness slope fitted
 by np.polyfit; the robustness oracles build fresh orbits and a fresh harness
 for one property; the io-norm oracle recomputes every norm and exp(hA) in
 every iteration; the admissibility oracle evaluates every constant afresh on
-[0, T] and on [0, 2T].  They serve only as test oracles.
+[0, T] and on [0, 2T]; the translation example's closed forms (boundary
+lifting, control map by quadrature, measure observation, input-output map)
+read the measure one point or one lag at a time.  They serve only as test
+oracles.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
+from semflow import _kernels
 from semflow import admissibility as adm
 from semflow import asymptotics as asy
-from semflow.core import Grid, InputSignal, ProductSpace, matexp, time_grid
+from semflow.core import (Grid, InputSignal, L1Space, ProductSpace, StateVector, matexp,
+                          time_grid)
 from semflow.errors import DimensionError, GridAlignmentError
 from semflow.maps import (IdentityControl, Neumann, NeutralBoundaryControl,
                           _apply_io, _io_exp, estimate_io_norm, invert_io, io_map,
@@ -372,8 +377,9 @@ def estimate_constants_two_pass(triple, probes, signals, horizon, step, method,
 
 def observation_row_loop(mu, grid, point_dim=1, atom_mode="exact"):
     """The measure functional's row, one grid point at a time: each atom's
-    block, then the density block h * density_at(s_i) at every left
-    endpoint s_i."""
+    block, then the density block h * density_at(mu, s_i) at every left
+    endpoint s_i.  ``atom_mode="nearest"`` snaps an atom within half a step
+    of a grid point."""
     h = grid.step
     out = np.zeros((point_dim, (grid.count + 1) * point_dim))
 
@@ -396,7 +402,7 @@ def observation_row_loop(mu, grid, point_dim=1, atom_mode="exact"):
         add_block(i, w)
     pts = grid.points()
     for i in range(grid.count):
-        v = mu.density_at(pts[i])
+        v = density_at(mu, pts[i])
         if v is not None:
             add_block(i, h * np.asarray(v, dtype=float) if np.ndim(v) else h * float(v))
     return out
@@ -423,9 +429,14 @@ def csv_rows_loop(path, header, columns):
             fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
 
 
+def one_orbit(checker):
+    """A block checker (``asy.make_checker``) as a checker of one orbit."""
+    return lambda orb: checker(asy.OrbitBlock.of([orb]), [0]).verdict()
+
+
 def biinvariance_harness_loop(checkers, orbits, shifts):
-    """Shifted-PASS => full-PASS, one checker at a time over the whole list
-    of orbits, shifting each orbit anew for every checker."""
+    """Shifted-PASS => full-PASS, one checker of one orbit at a time over the
+    whole list of orbits, shifting each orbit anew for every checker."""
     violations = []
     for name, ch in checkers.items():
         for i, orb in enumerate(orbits):
@@ -444,7 +455,7 @@ def robustness_experiment_loop(triple, prop, probes, config):
     orbits of every probe, then the harness of the whole checker family on a
     newly built synthetic zoo."""
     grid = Grid(0.0, config.step, int(round(config.horizon / config.step)))
-    checker = asy.make_checker(prop, config, triple.base.space.dim)
+    checker = one_orbit(asy.make_checker(prop, config, triple.base.space.dim))
     per_probe = []
     all_ok = True
     for x in probes:
@@ -459,7 +470,7 @@ def robustness_experiment_loop(triple, prop, probes, config):
     max_shift = max(config.shifts) if config.shifts else 0.0
     syn_cfg = replace(config, tail_window=min(
         config.tail_window, 0.5 * (asy.SYNTHETIC_HORIZON - max_shift)))
-    checkers = {p: asy.make_checker(p, syn_cfg, 2) for p in asy.PROPERTIES}
+    checkers = {p: one_orbit(asy.make_checker(p, syn_cfg, 2)) for p in asy.PROPERTIES}
     violations = biinvariance_harness_loop(checkers, zoo, config.shifts)
     return asy.RobustnessReport(prop, all_ok and not violations, per_probe,
                                 violations, config.n_synthetic)
@@ -602,3 +613,119 @@ def make_checker_loop(prop, config, space_dim):
         return lambda o: check_mean_ergodic_loop(o, config.ergodic_tol, w)
     return lambda o: check_uniformly_ergodic_loop(o, config.uniform_window,
                                                   config.ergodic_tol, w)
+
+
+# ---------------------------------------------------------------------------
+# the translation example's closed forms and the neutral history window
+# ---------------------------------------------------------------------------
+
+def density_at(mu, s):
+    """The density of ``mu`` at s: the value of the first half-open segment
+    [a, b) holding s, None outside every segment."""
+    for a, b, v in mu.density:
+        if a - 1e-12 <= s < b - 1e-12:
+            return v
+    return None
+
+
+def mass_at_zero(mu, delta):
+    """|mu|([-delta, 0]), to verify the no-mass-at-zero hypothesis."""
+    return mu.total_variation(lower=-delta)
+
+
+def dirichlet_apply(spec, c, grid):
+    """The boundary lifting c * exp(lam * s) sampled on the grid."""
+    return StateVector.grid_function(c * np.exp(spec.lam * grid.points()), grid)
+
+
+def boundary_control_by_quadrature(spec, t0, u, grid):
+    """Quadrature route for the boundary control map, cross-validating the
+    closed form.
+
+    Integrating by parts moves the unbounded boundary injection onto the
+    lifted input:
+
+        B_t0 u = (D u)(t0) - int_0^t0 T(t0 - r) D[u'(r) - lam u(r)] dr
+
+    with (D c)(s) = c * exp(lam * s).  The derivative is a finite difference,
+    the integral composite trapezoid, the translations exact shifts; the two
+    routes agree to first order in the step.
+    """
+    lam = spec.lam
+    if u.point_space.dim != 1:
+        raise DimensionError("boundary control expects a scalar input channel")
+    k0 = u.grid.index_of(t0)
+    h = u.grid.step
+    if abs(h - grid.step) > 1e-12 * grid.step:
+        raise GridAlignmentError("input and space grids must share one step")
+    uv = u.values[: k0 + 1, 0]
+    du = np.gradient(uv, h) if k0 >= 2 else np.diff(uv, append=uv[-1]) / h
+    lift = np.exp(lam * grid.points())
+    npts = grid.count + 1
+    acc = np.zeros(npts)
+    w = Grid(0.0, h, k0).trapezoid_weights() if k0 >= 1 else np.array([0.0])
+    for r in range(k0 + 1):
+        g = (du[r] - lam * uv[r]) * lift
+        m = k0 - r
+        shifted = np.zeros(npts)
+        if m < grid.count:
+            shifted[: grid.count - m] = g[m: grid.count]
+        acc += w[r] * shifted
+    return StateVector.grid_function(uv[k0] * lift - acc, grid)
+
+
+def control_dropped_mass(t0, u, grid):
+    """L1 mass of the input translated past the truncation end -L at time t0."""
+    L = -grid.start
+    if t0 <= L + 1e-12:
+        return 0.0
+    k = int(round(min(t0 - L, u.grid.end) / u.grid.step))
+    return float(u.restrict(k).l1_norm()) if k >= 1 else 0.0
+
+
+def measure_observation(mu, f, grid):
+    """int f d(mu) for a scalar grid function: atoms snapped to the nearest
+    grid point, density by left-endpoint quadrature."""
+    row = observation_row_loop(mu, grid, 1, atom_mode="nearest")
+    vals = f.coords
+    if vals.shape[0] != grid.count + 1:
+        raise DimensionError("state does not match the observation grid")
+    return float(row[0] @ vals)
+
+
+def io_infty_closed_form(mu, u):
+    """Closed-form input-output map (F u)(t) = int_{[-t,0]} u(t+s) d(mu)(s).
+
+    Atoms must be aligned with the signal step (the delay identity is then
+    exact); the density contributes left-endpoint lag weights, read one lag
+    at a time.
+    """
+    if u.point_space.dim != 1:
+        raise DimensionError("the translation example uses a scalar channel")
+    h = u.grid.step
+    n = u.grid.count
+    uvals = u.values[:, 0]
+    out = np.zeros(n + 1)
+    for loc, w in mu.atoms:
+        r = -loc / h
+        m = int(round(r))
+        if abs(r - m) > 1e-6:
+            raise GridAlignmentError(f"atom at {loc} is not aligned with step {h}")
+        if m == 0:
+            raise GridAlignmentError("atoms at 0 break causality of the discrete map")
+        if m <= n:
+            out[m:] += float(w) * uvals[: n + 1 - m]
+    if mu.density:
+        lag = np.zeros(n + 1)
+        for j in range(1, n + 1):
+            v = density_at(mu, -j * h)
+            if v is not None:
+                lag[j] = h * float(v)
+        out += _kernels.delay_volterra_apply(lag, uvals)
+    return InputSignal.scalar(u.grid, out)
+
+
+def history_segment(sys, orb, k):
+    """The history window x_{t_k}(s) = x(t_k + s) stored in the block orbit."""
+    fpart = orb.states[k, sys.dim:]
+    return StateVector(fpart, L1Space(sys.history_grid, point_dim=sys.dim))

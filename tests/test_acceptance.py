@@ -16,8 +16,8 @@ from semflow import admissibility as adm
 from semflow import asymptotics as asy
 from semflow import neutral as nt
 from semflow.cli import main as cli_main
-from semflow.translation import boundary_control_by_quadrature
 from helpers import atom_system, block_deviation, neutral_initial, scalar_mv
+from oracles import boundary_control_by_quadrature, io_infty_closed_form
 
 
 def report(num, label, ok, detail):
@@ -142,7 +142,7 @@ def test_criterion_5_translation_example():
         raw = rng.standard_normal(tg2.count + 1)
         raw[0] = 0.0
         us = sf.InputSignal.scalar(tg2, raw)
-        fu = sf.io_infty_closed_form(mu, us)
+        fu = io_infty_closed_form(mu, us)
         worst = max(worst, fu.l1_norm() / (tv * us.l1_norm()))
     contraction_ok = worst <= 1.0 + 1e-12
 
@@ -151,7 +151,7 @@ def test_criterion_5_translation_example():
     t2 = tg2.points()
     vals = np.where((t2 > 0.5) & (t2 < 3.5), np.sin(t2) ** 2, 0.0)
     ud = sf.InputSignal.scalar(tg2, vals)
-    fu = sf.io_infty_closed_form(atom, ud)
+    fu = io_infty_closed_form(atom, ud)
     eq_dev = abs(fu.l1_norm() - 0.8 * ud.l1_norm())
     eq_ok = eq_dev <= 1e-6
 
@@ -189,7 +189,7 @@ def test_criterion_7_strong_stability_and_conjugation():
     sys0 = nt.NeutralSystem(a=[[-1.0]],
                             p_kernel=sf.MeasureSpec(atoms=((-1.0, alpha * 0.25),)),
                             k_kernel=sf.MeasureSpec(atoms=((-1.0, 0.25),)),
-                            c=[[1.0]], history_grid=hist, alpha=alpha)
+                            c=[[1.0]], history_grid=hist)
     grid = sf.time_grid(40.0, 1.0 / n)
     rng = np.random.default_rng(42)
     worst_ratio = 0.0

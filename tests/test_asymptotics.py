@@ -14,7 +14,7 @@ from helpers import count_calls, mixed_system, neutral_initial, scalar_mv
 from oracles import (biinvariance_harness_loop, check_bounded_loop,
                      check_mean_ergodic_loop, check_strongly_stable_loop,
                      check_uniformly_ergodic_loop, check_weakly_stable_loop,
-                     make_checker_loop, robustness_experiment_loop)
+                     make_checker_loop, one_orbit, robustness_experiment_loop)
 
 
 def make_orbit(fn, horizon=50.0, step=0.01, dim=1):
@@ -116,7 +116,7 @@ def test_scaling_never_changes_verdicts():
     grid = sf.time_grid(40.0, 0.02)
     zoo = asy.synthetic_orbits(16, grid, seed=3)
     cfg = asy.RobustnessConfig(tail_window=10.0)
-    checkers = {p: asy.make_checker(p, cfg, 2) for p in asy.PROPERTIES}
+    checkers = {p: one_orbit(asy.make_checker(p, cfg, 2)) for p in asy.PROPERTIES}
     for orb in zoo:
         scaled = orbit_from_states(orb.grid, 137.0 * orb.states, orb.space)
         for name, ch in checkers.items():
@@ -127,8 +127,8 @@ def test_strongly_stable_implies_mean_ergodic_zero():
     grid = sf.time_grid(40.0, 0.02)
     zoo = asy.synthetic_orbits(24, grid, seed=5)
     cfg = asy.RobustnessConfig(tail_window=10.0)
-    strong = asy.make_checker("STRONGLY_STABLE", cfg, 2)
-    mean = asy.make_checker("MEAN_ERGODIC", cfg, 2)
+    strong = one_orbit(asy.make_checker("STRONGLY_STABLE", cfg, 2))
+    mean = one_orbit(asy.make_checker("MEAN_ERGODIC", cfg, 2))
     seen = 0
     for orb in zoo:
         if strong(orb).verdict == "PASS":
@@ -143,8 +143,8 @@ def test_bounded_implied_by_strongly_stable():
     grid = sf.time_grid(40.0, 0.02)
     zoo = asy.synthetic_orbits(24, grid, seed=6)
     cfg = asy.RobustnessConfig(tail_window=10.0)
-    strong = asy.make_checker("STRONGLY_STABLE", cfg, 2)
-    bounded = asy.make_checker("BOUNDED", cfg, 2)
+    strong = one_orbit(asy.make_checker("STRONGLY_STABLE", cfg, 2))
+    bounded = one_orbit(asy.make_checker("BOUNDED", cfg, 2))
     for orb in zoo:
         if strong(orb).verdict == "PASS":
             assert bounded(orb).verdict == "PASS"
@@ -170,7 +170,7 @@ def test_harness_streams_the_zoo_in_the_checker_by_checker_order():
             codes = np.where(short, "PASS", "FAIL")[:, None]
             return asy.Cells("X", codes.repeat(len(block.states), axis=1),
                              lambda s, i: {})
-        return asy.Checker(cells)
+        return cells
 
     checkers = {"late": passes_below(1600), "early": passes_below(1800),
                 "never": passes_below(0)}
@@ -179,7 +179,8 @@ def test_harness_streams_the_zoo_in_the_checker_by_checker_order():
     streamed = asy.biinvariance_harness(
         checkers, asy.synthetic_orbits(n, grid, seed=1), shifts)
     assert streamed == biinvariance_harness_loop(
-        checkers, list(asy.synthetic_orbits(n, grid, seed=1)), shifts)
+        {name: one_orbit(ch) for name, ch in checkers.items()},
+        list(asy.synthetic_orbits(n, grid, seed=1)), shifts)
     assert [(v["checker"], v["orbit"], v["shift"]) for v in streamed] == \
         [("late", i, 10.0) for i in range(n)] + \
         [("early", i, b) for i in range(n) for b in shifts]
@@ -393,7 +394,7 @@ def test_batched_checkers_match_the_one_orbit_oracles(name, seed):
         checker = asy.make_checker(p, syn, 2)
         for first in range(0, len(zoo), asy.HARNESS_BLOCK):
             run = zoo[first: first + asy.HARNESS_BLOCK]
-            cells = checker.cells(asy.OrbitBlock.of(run), starts)
+            cells = checker(asy.OrbitBlock.of(run), starts)
             for s, b in enumerate(shifts):
                 for i, orb in enumerate(run):
                     assert_same_verdict(cells.verdict(s, i),

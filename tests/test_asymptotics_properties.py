@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import semflow as sf
 from semflow import asymptotics as asy
 from semflow.semigroups import orbit_from_states
+from oracles import one_orbit
 
 GRID = sf.time_grid(40.0, 0.02)
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -26,7 +27,7 @@ def zoo(seed):
 
 def checkers(tail_window):
     cfg = asy.RobustnessConfig(tail_window=tail_window)
-    return {p: asy.make_checker(p, cfg, 2) for p in asy.PROPERTIES}
+    return {p: one_orbit(asy.make_checker(p, cfg, 2)) for p in asy.PROPERTIES}
 
 
 @SETTINGS

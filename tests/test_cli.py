@@ -378,6 +378,14 @@ def neutral_cfg(**system):
     return cfg
 
 
+def test_neutral_alpha_key_exits_2_and_names_it(tmp_path, capsys):
+    path = write_cfg(tmp_path / "cfg.json", neutral_cfg(alpha=2.0))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert "unknown keys in system: ['alpha']" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_non_finite_neutral_compare_exits_1_and_writes_nothing(tmp_path, capsys):
     cfg = neutral_cfg()
     cfg["initial"]["amplitude"] = 1e308

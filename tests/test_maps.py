@@ -346,7 +346,11 @@ def test_perturbed_apply_unperturbed_when_c_zero():
     triple = scalar_mv(0.0)
     x = sf.StateVector.sup([2.0])
     out = sf.perturbed_apply(triple, 1.0, x, step=0.01)
-    assert out.coords[0] == sf.apply(triple.base, 1.0, x).coords[0]
+    # the zero perturbation takes the orbit route: the base stepped by exp(hA)
+    stepped = sf.orbit(triple.base, x, sf.time_grid(1.0, 0.01)).states[-1]
+    assert out.coords[0] == stepped[0]
+    assert out.coords[0] == pytest.approx(sf.apply(triple.base, 1.0, x).coords[0],
+                                          rel=1e-14)
 
 
 def test_perturbed_apply_scalar_rate_shift():
@@ -524,19 +528,22 @@ def test_composing_a_zero_signal_gives_the_free_orbit(name):
 
 
 def test_vanishing_neutral_perturbation_gives_the_free_orbit():
-    # every route reads f(0) as x(0), the zero-perturbation shortcut and the
-    # base orbit of asymptotics_run too: C -> 0 converges to the C = 0 orbit
+    # every route reads f(0) as x(0), the zero-perturbation shortcut,
+    # perturbed_apply and the base orbit of asymptotics_run too: C -> 0
+    # converges to the C = 0 orbit
     from semflow import asymptotics as asy
 
     sys0 = mixed_system(n_hist=16)
     triple = nt.build_perturbation(sys0)
     x = nt.pack_initial(sys0, *neutral_initial(sys0, seed=3))
     grid = sf.time_grid(2.0, sys0.history_grid.step)
-    small, zero = (sf.perturbed_orbit(
-        sf.PerturbationTriple(triple.base, triple.control, q * triple.observe), x, grid)
-        for q in (1e-12, 0.0))
+    scaled = [sf.PerturbationTriple(triple.base, triple.control, q * triple.observe)
+              for q in (1e-12, 0.0)]
+    small, zero = (sf.perturbed_orbit(t, x, grid) for t in scaled)
     assert np.max(np.abs(small.states - zero.states)) < 1e-9
     assert np.max(np.abs(small.norms - zero.norms)) < 1e-9
+    small_x, zero_x = (sf.perturbed_apply(t, 0.5, x) for t in scaled)
+    assert np.max(np.abs(small_x.coords - zero_x.coords)) < 1e-9
     cfg = asy.RobustnessConfig(horizon=grid.end, step=grid.step)
     base = asy.asymptotics_run(triple, [], [x], cfg, tracks=True).tracks[0].base_norms
     assert np.max(np.abs(base - small.norms)) < 1e-9

@@ -8,7 +8,7 @@ from semflow import admissibility as adm
 from semflow import neutral as nt
 from semflow.errors import ConfigurationError, DomainError, GridAlignmentError
 from helpers import atom_system, block_deviation, mixed_system, neutral_initial
-from oracles import neutral_direct_solve_loop
+from oracles import history_segment, neutral_direct_solve_loop
 
 
 def test_build_a0_block_structure():
@@ -191,7 +191,7 @@ def test_scaling_conjugation_identity():
     main = nt.NeutralSystem(a=[[-1.0]],
                             p_kernel=sf.MeasureSpec(atoms=((-1.0, alpha * 0.25),)),
                             k_kernel=sf.MeasureSpec(atoms=((-1.0, 0.25),)),
-                            c=[[1.0]], history_grid=hist, alpha=alpha)
+                            c=[[1.0]], history_grid=hist)
     tilde = nt.scaling_conjugation(main, alpha)
     assert tilde.c[0, 0] == pytest.approx(alpha)
     assert tilde.p_kernel.atoms[0][1] == pytest.approx(0.25)
@@ -287,8 +287,8 @@ def test_history_segment_shift_consistency():
     y, f = neutral_initial(sys0, seed=9)
     grid = sf.time_grid(2.0, sys0.history_grid.step)
     orb = nt.neutral_orbit(sys0, (y, f), grid).orbit
-    a = nt.history_segment(sys0, orb, 10)
-    b = nt.history_segment(sys0, orb, 11)
+    a = history_segment(sys0, orb, 10)
+    b = history_segment(sys0, orb, 11)
     assert np.allclose(a.coords[1:], b.coords[:-1])
     assert a.norm() > 0.0
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import semflow as sf
 from semflow.errors import DimensionError, DomainError, GridAlignmentError
-from semflow.translation import (boundary_control_by_quadrature,
-                                 control_dropped_mass)
-from oracles import observation_row_loop
+from oracles import (boundary_control_by_quadrature, control_dropped_mass, dirichlet_apply,
+                     io_infty_closed_form, mass_at_zero, measure_observation,
+                     observation_row_loop)
 
 
 def space_grid(L=10.0, h=1e-3):
@@ -24,31 +24,28 @@ def test_dirichlet_rejects_left_halfplane():
         sf.DirichletSpec(0.0 + 3.0j)
 
 
+def test_dirichlet_rejects_a_complex_parameter():
+    with pytest.raises(DomainError):
+        sf.DirichletSpec(1.0 + 1.0j)
+
+
 def test_dirichlet_apply_zero():
     g = space_grid(2.0, 0.01)
-    out = sf.dirichlet_apply(sf.DirichletSpec(1.0), 0.0, g)
+    out = dirichlet_apply(sf.DirichletSpec(1.0), 0.0, g)
     assert out.norm() == 0.0
 
 
 def test_dirichlet_apply_l1_norm_analytic():
     g = space_grid(10.0, 1e-4)
-    out = sf.dirichlet_apply(sf.DirichletSpec(1.0), 1.0, g)
+    out = dirichlet_apply(sf.DirichletSpec(1.0), 1.0, g)
     assert out.norm() == pytest.approx(1.0 - math.exp(-10.0), abs=1e-4)
     assert out.norm() == pytest.approx(0.9999546, abs=1e-4)
 
 
 def test_dirichlet_apply_point_value():
     g = space_grid(2.0, 1e-3)
-    out = sf.dirichlet_apply(sf.DirichletSpec(1.0), 1.0, g)
+    out = dirichlet_apply(sf.DirichletSpec(1.0), 1.0, g)
     assert out.coords[g.index_of(-1.0)] == pytest.approx(0.3678794, abs=1e-7)
-
-
-def test_dirichlet_apply_complex_embedding():
-    g = space_grid(5.0, 1e-3)
-    lam = 1.0 + 2.0j
-    out = sf.dirichlet_apply(sf.DirichletSpec(lam), 1.0, g)
-    # modulus profile |exp(lam s)| = exp(Re(lam) s); L1 norm is analytic
-    assert out.norm() == pytest.approx(1.0 - math.exp(-5.0), abs=1e-3)
 
 
 def test_boundary_control_zero_input():
@@ -117,14 +114,14 @@ def test_measure_observation_examples():
     g = space_grid(10.0, 1e-3)
     mu = sf.MeasureSpec(atoms=((-1.0, 0.8),))
     zero = sf.StateVector.grid_function(np.zeros(g.count + 1), g)
-    assert sf.measure_observation(mu, zero, g) == 0.0
-    f = sf.dirichlet_apply(sf.DirichletSpec(1.0), 1.0, g)
-    assert sf.measure_observation(mu, f, g) == pytest.approx(0.8 * math.exp(-1.0),
+    assert measure_observation(mu, zero, g) == 0.0
+    f = dirichlet_apply(sf.DirichletSpec(1.0), 1.0, g)
+    assert measure_observation(mu, f, g) == pytest.approx(0.8 * math.exp(-1.0),
                                                              abs=1e-12)
-    assert sf.measure_observation(mu, f, g) == pytest.approx(0.2943036, abs=1e-7)
+    assert measure_observation(mu, f, g) == pytest.approx(0.2943036, abs=1e-7)
     dens = sf.MeasureSpec(density=((-1.0, 0.0, 0.5),))
     ones = sf.StateVector.grid_function(np.ones(g.count + 1), g)
-    assert sf.measure_observation(dens, ones, g) == pytest.approx(0.5, abs=1e-12)
+    assert measure_observation(dens, ones, g) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_measure_total_variation():
@@ -134,20 +131,18 @@ def test_measure_total_variation():
     assert mu.total_variation(lower=-1.0) == pytest.approx(0.8 + 0.5)
     assert mu.total_variation(lower=-0.25) == pytest.approx(0.125)
     # vanishing mass near zero iff no atom at 0
-    assert mu.mass_at_zero(1e-6) == pytest.approx(0.5e-6)
+    assert mass_at_zero(mu, 1e-6) == pytest.approx(0.5e-6)
 
 
 def test_measure_atom_alignment_errors():
     g = sf.Grid(-2.0, 0.01, 200)
+    # an atom within half a step of a grid point is still off the grid
     mu = sf.MeasureSpec(atoms=((-1.0049, 1.0),))
     with pytest.raises(GridAlignmentError):
-        mu.observation_row(g, atom_mode="exact")
-    # nearest mode snaps within half a step
-    row = mu.observation_row(g, atom_mode="nearest")
-    assert row[0, g.index_of(-1.0)] == pytest.approx(1.0)
+        mu.observation_row(g)
     off = sf.MeasureSpec(atoms=((-3.0, 1.0),))
     with pytest.raises(GridAlignmentError):
-        off.observation_row(g, atom_mode="nearest")
+        off.observation_row(g)
 
 
 def weight(rng, point_dim):
@@ -190,9 +185,8 @@ def test_observation_row_matches_point_loop_on_drawn_measures(point_dim, seed, n
         if a < b <= 0.0:
             density.append((a, b, weight(rng, point_dim)))
     mu = sf.MeasureSpec(atoms=atoms, density=tuple(density))
-    row = mu.observation_row(g, point_dim=point_dim, atom_mode="nearest")
-    assert row.tobytes() == \
-        observation_row_loop(mu, g, point_dim, atom_mode="nearest").tobytes()
+    row = mu.observation_row(g, point_dim=point_dim)
+    assert row.tobytes() == observation_row_loop(mu, g, point_dim).tobytes()
 
 
 @pytest.mark.parametrize("mu", [
@@ -209,11 +203,11 @@ def test_io_infty_zero_and_pure_delay():
     tg = sf.time_grid(6.0, h)
     zero = sf.InputSignal.scalar(tg, np.zeros(tg.count + 1))
     mu = sf.MeasureSpec(atoms=((-1.0, 0.8),))
-    assert sf.io_infty_closed_form(mu, zero).l1_norm() == 0.0
+    assert io_infty_closed_form(mu, zero).l1_norm() == 0.0
     t = tg.points()
     vals = np.where((t > 0.5) & (t < 3.5), np.sin(t) ** 2, 0.0)
     u = sf.InputSignal.scalar(tg, vals)
-    fu = sf.io_infty_closed_form(mu, u)
+    fu = io_infty_closed_form(mu, u)
     # pure delay: (F u)(t) = 0.8 u(t-1) for t >= 1
     k = tg.index_of(2.0)
     assert fu.values[k, 0] == pytest.approx(0.8 * np.sin(1.0) ** 2, abs=1e-12)
@@ -233,7 +227,7 @@ def test_io_infty_contraction_with_density():
         raw = rng.standard_normal(tg.count + 1)
         raw[0] = 0.0
         u = sf.InputSignal.scalar(tg, raw)
-        fu = sf.io_infty_closed_form(mu, u)
+        fu = io_infty_closed_form(mu, u)
         assert fu.l1_norm() <= tv * u.l1_norm() * (1.0 + 1e-12)
 
 
@@ -248,7 +242,7 @@ def test_io_infty_cross_check_against_io_map():
     tg = sf.time_grid(4.0, h)
     t = tg.points()
     u = sf.InputSignal.scalar(tg, np.sin(np.pi * t / 4.0) ** 2 * np.cos(3 * t))
-    direct = sf.io_infty_closed_form(mu, u)
+    direct = io_infty_closed_form(mu, u)
     generic = sf.io_map(triple, 4.0, u)
     diff = sf.InputSignal(tg, direct.values - generic.values, u.point_space)
     assert diff.l1_norm() <= 1e-6

@@ -14,12 +14,11 @@ and enters ``io_norm_est``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Grid, InputSignal, StateVector, opnorm_sup, time_grid
+from .core import Grid, InputSignal, Record, StateVector, opnorm_sup, time_grid
 from .errors import ConfigurationError, DomainError, GridAlignmentError, PreconditionError
 from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
                    PerturbationTriple, _apply_io, _compose, _io_exp,
@@ -30,8 +29,7 @@ STABILITY_REL_CHANGE = 0.05
 RATIO_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     m_b_est: float
     m_c_est: float
     m_bc_est: float
@@ -43,17 +41,15 @@ class AdmissibilityReport:
     verdicts: dict
 
     def to_dict(self) -> dict:
-        return {"schema_version": 1, **asdict(self)}
+        return {"schema_version": 1, **self._asdict()}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     verdict: str  # "PASS" | "FAIL"
     details: dict
 
 
-@dataclass(frozen=True)
-class FavardEstimate:
+class FavardEstimate(Record):
     favard_norm: float
     probe_grid: Grid
     argmax_t: float

@@ -17,7 +17,8 @@ the start indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
 from functools import partial
 from itertools import islice
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
@@ -25,7 +26,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Option
 
 import numpy as np
 
-from .core import Grid, Space, StateVector
+from .core import Grid, Record, Space, StateVector
 from .errors import ConfigurationError, DomainError
 from .maps import DirectSolve, Method, PerturbationTriple, free_orbit, perturbed_orbit
 from .semigroups import OrbitSeries, orbit_from_states
@@ -52,8 +53,7 @@ SYNTHETIC_DIM = 2
 HARNESS_BLOCK = 8
 
 
-@dataclass(frozen=True)
-class AsymptoticVerdict:
+class AsymptoticVerdict(Record):
     property: str
     verdict: str  # "PASS" | "FAIL" | "INCONCLUSIVE"
     witness: dict
@@ -61,11 +61,13 @@ class AsymptoticVerdict:
 
 class OrbitBlock(NamedTuple):
     """Orbits on one grid and in one space, checked together: each orbit's
-    states as it holds them, and the stacked norm tracks."""
+    states as it holds them, the stacked norm tracks, and the Cesaro sums
+    built so far, by tail start, which the ergodic checkers share."""
     grid: Grid
     states: tuple
     norms: np.ndarray  # (orbits, count+1)
     space: Space
+    sums: Dict[int, np.ndarray]
 
     @staticmethod
     def of(orbits: Sequence[OrbitSeries]) -> "OrbitBlock":
@@ -73,7 +75,15 @@ class OrbitBlock(NamedTuple):
         if any((o.grid, o.space) != (grid, space) for o in orbits):
             raise DomainError("a block's orbits must share one grid and one space")
         return OrbitBlock(grid, tuple(o.states for o in orbits),
-                          np.stack([o.norms for o in orbits]), space)
+                          np.stack([o.norms for o in orbits]), space, {})
+
+    def cesaro_sums(self, a: int) -> np.ndarray:
+        """``_cesaro_sums(self, a)``, built once per block and read-only."""
+        cum = self.sums.get(a)
+        if cum is None:
+            cum = self.sums[a] = _cesaro_sums(self, a)
+            cum.flags.writeable = False
+        return cum
 
 
 class Cells(NamedTuple):
@@ -218,7 +228,7 @@ def _mean_ergodic(block: OrbitBlock, starts: Sequence[int], tol: float,
         short[ss] = n < 8
         if n < 8:
             continue
-        cum = _cesaro_sums(block, a)
+        cum = block.cesaro_sums(a)
         mean = lambda k: cum[:, k] / (h * k)
         limit = mean(n)
         d1, d2, size[ss] = block.space.rows_norm(np.concatenate(
@@ -253,7 +263,7 @@ def _uniformly_ergodic(block: OrbitBlock, starts: Sequence[int], window: float,
         short[ss] = T < 8
         if T < 8:
             continue
-        cum = _cesaro_sums(block, a)
+        cum = block.cesaro_sums(a)
         # Cesaro means at T and T/2 of the shifted orbits on [0, window]
         mean = lambda tn: (cum[:, tn: tn + wk + 1] - cum[:, : wk + 1]) / (tn * h)
         rows = np.concatenate([mean(T) - mean(T // 2), mean(T)]).reshape(-1, cum.shape[2])
@@ -329,8 +339,11 @@ def cesaro_residual_track(orb: OrbitSeries) -> np.ndarray:
 # robustness experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RobustnessConfig:
+#: RobustnessConfig settings that must be finite and positive
+_POSITIVE_SETTINGS = ("horizon", "step", "tail_window", "uniform_window", "tol", "ergodic_tol")
+
+
+class RobustnessConfig(Record):
     horizon: float = 60.0
     step: float = 0.01
     tail_window: float = 15.0
@@ -343,9 +356,31 @@ class RobustnessConfig:
     seed: int = 42
     method: Method = DirectSolve()
 
+    def __post_init__(self):
+        for key in _POSITIVE_SETTINGS:
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{key} must be a finite number > 0, got {value!r}")
+            object.__setattr__(self, key, float(value))
+        hint = self.bound_hint
+        if hint is not None and not (isinstance(hint, numbers.Real) and math.isfinite(hint)
+                                     and hint > 0.0):
+            raise ConfigurationError(f"bound_hint must be null or a finite number > 0, "
+                                     f"got {hint!r}")
+        if not (isinstance(self.n_synthetic, numbers.Integral) and self.n_synthetic >= 0):
+            raise ConfigurationError(
+                f"n_synthetic must be an integer >= 0, got {self.n_synthetic!r}")
+        object.__setattr__(self, "n_synthetic", int(self.n_synthetic))
+        # the harness shifts orbits of the synthetic zoo
+        shifts = tuple(self.shifts)
+        if not all(isinstance(b, numbers.Real) and 0.0 <= b < SYNTHETIC_HORIZON
+                   for b in shifts):
+            raise ConfigurationError(
+                f"shifts must be numbers in [0, {SYNTHETIC_HORIZON:g}), got {self.shifts!r}")
+        object.__setattr__(self, "shifts", shifts)
 
-@dataclass(frozen=True)
-class RobustnessReport:
+
+class RobustnessReport(Record):
     property: str
     passes: bool
     per_probe: list
@@ -353,8 +388,7 @@ class RobustnessReport:
     n_synthetic: int
 
 
-@dataclass(frozen=True)
-class ProbeTracks:
+class ProbeTracks(Record):
     """Plot data of one probe: the norms and Cesaro residual tracks of its
     base and perturbed orbits."""
     base_norms: np.ndarray
@@ -363,8 +397,7 @@ class ProbeTracks:
     pert_cesaro: np.ndarray
 
 
-@dataclass(frozen=True)
-class AsymptoticsRun:
+class AsymptoticsRun(Record):
     """What one ``asymptotics_run`` computes."""
     reports: Dict[str, RobustnessReport]  # one per distinct requested property
     tracks: List[ProbeTracks]  # one per probe, when requested
@@ -501,7 +534,7 @@ def _harness_violations(config: RobustnessConfig) -> List[dict]:
     # the "same trailing samples" structure of the checkers is lost
     max_shift = max(config.shifts) if config.shifts else 0.0
     syn_tail = min(config.tail_window, 0.5 * (SYNTHETIC_HORIZON - max_shift))
-    syn_cfg = replace(config, tail_window=syn_tail)
+    syn_cfg = config._replace(tail_window=syn_tail)
     checkers = {p: make_checker(p, syn_cfg, 2) for p in PROPERTIES}
     return biinvariance_harness(checkers, zoo, config.shifts)
 
@@ -544,11 +577,12 @@ def asymptotics_run(triple: PerturbationTriple, properties: Sequence[str],
             # INCONCLUSIVE counts against robustness
             ok = vb.verdict != "PASS" or vp.verdict == "PASS"
             rows[prop].append({"base": vb, "perturbed": vp, "ok": ok})
+        del block  # and the Cesaro sums it holds
         if tracks:
             plot.append(ProbeTracks(base.norms, pert.norms,
                                     cesaro_residual_track(base),
                                     cesaro_residual_track(pert)))
-        del base, pert, block
+        del base, pert
     reports = {p: RobustnessReport(p, all(r["ok"] for r in rs) and not violations,
                                    rs, list(violations), config.n_synthetic)
                for p, rs in rows.items()}

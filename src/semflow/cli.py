@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -232,8 +231,7 @@ def method_from(cfg: dict):
     if name == "neumann":
         ncfg = cfg.get("neumann", {})
         _reject_unknown(ncfg, {"tol", "max_terms"}, "neumann")
-        return Neumann(tol=float(ncfg.get("tol", 1e-10)),
-                       max_terms=int(ncfg.get("max_terms", 300)))
+        return Neumann(**ncfg)
     raise ConfigurationError(f"unknown method {name!r}")
 
 
@@ -400,9 +398,9 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
 
 
 # asymptotics keys passed on to RobustnessConfig only when the config gives
-# them, so each of their defaults lives in RobustnessConfig alone
-_ASYMPTOTICS_CASTS = {"tol": float, "ergodic_tol": float, "uniform_window": float,
-                      "shifts": tuple, "n_synthetic": int}
+# them, so each of their defaults, and their validation, lives in
+# RobustnessConfig alone
+_ASYMPTOTICS_KEYS = ("tol", "ergodic_tol", "uniform_window", "shifts", "n_synthetic")
 
 
 def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
@@ -414,15 +412,14 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
         triple = target
     probes = build_probes(cfg, target, seed)
     acfg = cfg.get("asymptotics", {})
-    _reject_unknown(acfg, {"properties", "tail_window", "bound_hint", *_ASYMPTOTICS_CASTS},
+    _reject_unknown(acfg, {"properties", "tail_window", "bound_hint", *_ASYMPTOTICS_KEYS},
                     "asymptotics")
     props = acfg.get("properties", ["BOUNDED", "STRONGLY_STABLE", "MEAN_ERGODIC"])
     grid_cfg = cfg["grid"]
-    given = {key: cast(acfg[key]) for key, cast in _ASYMPTOTICS_CASTS.items()
-             if key in acfg}
+    given = {key: acfg[key] for key in _ASYMPTOTICS_KEYS if key in acfg}
     config = asy.RobustnessConfig(
         horizon=float(grid_cfg["horizon"]), step=float(grid_cfg["step"]),
-        tail_window=float(acfg.get("tail_window", 0.25 * float(grid_cfg["horizon"]))),
+        tail_window=acfg.get("tail_window", 0.25 * float(grid_cfg["horizon"])),
         bound_hint=acfg.get("bound_hint"), seed=seed, method=method_from(cfg),
         **given)
     grid = time_grid(config.horizon, config.step)
@@ -433,7 +430,7 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
         rep = run.reports[prop]
         matrix[prop] = {
             "passes": bool(rep.passes),
-            "per_probe": [{"base": asdict(p["base"]), "perturbed": asdict(p["perturbed"]),
+            "per_probe": [{"base": p["base"]._asdict(), "perturbed": p["perturbed"]._asdict(),
                            "ok": bool(p["ok"])} for p in rep.per_probe],
             "biinvariance_violations": rep.biinvariance_violations,
         }

@@ -12,15 +12,104 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, GridAlignmentError
+from .errors import DimensionError, DomainError, FrozenRecordError, GridAlignmentError
 
 #: relative slack (in units of the step) for grid alignment checks
 ALIGN_RTOL = 1e-6
+
+#: default of a field that ``__post_init__`` sets: not a constructor argument
+DERIVED = object()
+_MISSING = object()
+
+
+class Record:
+    """Immutable value type whose fields are the annotated class attributes
+    of the Record classes in its MRO, in the order they are declared.
+
+    Like a frozen data class, but without code generated for each class:
+    one ``__init__`` binds positional and keyword arguments to the fields,
+    with their class-level defaults, then runs ``__post_init__``, which may
+    validate and normalise a field with ``object.__setattr__``.  Equality
+    (within one class), hashing and repr read the field values.  A field
+    whose default is ``DERIVED`` is no argument; ``__post_init__`` sets it.
+    """
+
+    _fields: Tuple[str, ...] = ()
+    _init_fields: Tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        defaults = {}  # a field keeps the place where it is first declared
+        for base in reversed(cls.__mro__):
+            if base is not Record and issubclass(base, Record):
+                for name in base.__annotations__:  # the class's own
+                    defaults[name] = vars(base).get(name, _MISSING)
+        cls._fields = tuple(defaults)
+        cls._init_fields = tuple(n for n, d in defaults.items() if d is not DERIVED)
+        cls._defaults = {n: d for n, d in defaults.items()
+                         if d is not _MISSING and d is not DERIVED}
+
+    def __init__(self, *args, **kwargs):
+        names = self._init_fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Every constructor argument in field order, defaults filled in."""
+        names, what = cls._init_fields, f"{cls.__name__}()"
+        if len(args) > len(names):
+            raise TypeError(f"{what} takes {len(names)} arguments, got {len(args)}")
+        unknown = sorted(set(kwargs) - set(names))
+        if unknown:
+            raise TypeError(f"{what} got unexpected arguments {unknown}")
+        twice = sorted(set(kwargs) & set(names[:len(args)]))
+        if twice:
+            raise TypeError(f"{what} got multiple values for {twice}")
+        rest = {**cls._defaults, **kwargs}
+        missing = [n for n in names[len(args):] if n not in rest]
+        if missing:
+            raise TypeError(f"{what} is missing arguments {missing}")
+        return [*args, *(rest[n] for n in names[len(args):])]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def _asdict(self) -> dict:
+        """The fields by name (values not copied)."""
+        return {n: getattr(self, n) for n in self._fields}
+
+    def _replace(self, **changes):
+        """A copy with some constructor arguments changed, validated anew."""
+        return type(self)(**{**{n: getattr(self, n) for n in self._init_fields}, **changes})
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -30,8 +119,7 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Uniform grid ``start + k*step`` for ``k = 0..count``."""
 
     start: float
@@ -127,8 +215,7 @@ class Space:
         return coords
 
 
-@dataclass(frozen=True)
-class SupSpace(Space):
+class SupSpace(Record, Space):
     """R^d with the sup norm."""
 
     dim: int
@@ -141,8 +228,7 @@ class SupSpace(Space):
         return row_sup(rows)
 
 
-@dataclass(frozen=True)
-class L1Space(Space):
+class L1Space(Record, Space):
     """Grid functions on ``grid`` with values in R^point_dim, left-endpoint L1 norm.
 
     Coordinates are stored row-major as ``(count+1, point_dim)`` flattened; the
@@ -168,8 +254,7 @@ class L1Space(Space):
         return self.grid.step * np.sum(row_sup(vals)[:, :-1], axis=1)
 
 
-@dataclass(frozen=True)
-class ProductSpace(Space):
+class ProductSpace(Record, Space):
     """Direct sum of spaces; the norm is the sum of the component norms."""
 
     parts: tuple
@@ -198,8 +283,7 @@ class ProductSpace(Space):
                    for i, p in enumerate(self.parts))
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """A point of a discretized state space together with its norm."""
 
     coords: np.ndarray
@@ -228,8 +312,7 @@ class StateVector:
         return StateVector(values.ravel(), space)
 
 
-@dataclass(frozen=True)
-class InputSignal:
+class InputSignal(Record):
     """A U-valued signal sampled on a time grid; trapezoid L1 norm."""
 
     grid: Grid

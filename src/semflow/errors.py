@@ -29,6 +29,10 @@ class PreconditionError(SemflowError):
         self.diagnostics = diagnostics
 
 
+class FrozenRecordError(SemflowError, AttributeError):
+    """An attribute of an immutable value was assigned or deleted."""
+
+
 class NumericalFailure(SemflowError):
     """A computed result is not finite, so it is not written."""
 

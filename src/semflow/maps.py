@@ -32,14 +32,15 @@ enter only through their closed forms (shift placement of the input signal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
 from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .core import (Grid, InputSignal, ProductSpace, Space, StateVector,
+from .core import (Grid, InputSignal, ProductSpace, Record, Space, StateVector,
                    SupSpace, matexp, time_grid)
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence)
@@ -58,8 +59,7 @@ IO_NORM_ITERS = 3
 # control-operator variants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundedControl:
+class BoundedControl(Record):
     """B is a matrix with range in the state space (Desch-Schappacher style)."""
 
     matrix: np.ndarray
@@ -68,21 +68,18 @@ class BoundedControl:
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
 
 
-@dataclass(frozen=True)
-class IdentityControl:
+class IdentityControl(Record):
     """B = Id, the Miyadera-Voigt situation."""
 
 
-@dataclass(frozen=True)
-class DirichletControl:
+class DirichletControl(Record):
     """Boundary injection through the Dirichlet operator of the translation
     semigroup; enters only via its closed form."""
 
     spec: DirichletSpec
 
 
-@dataclass(frozen=True)
-class NeutralBoundaryControl:
+class NeutralBoundaryControl(Record):
     """Two-channel control of the delay block system: identity on the first
     component, shift placement of the input on the history component."""
 
@@ -90,22 +87,33 @@ class NeutralBoundaryControl:
 ControlSpec = Union[BoundedControl, IdentityControl, DirichletControl, NeutralBoundaryControl]
 
 
-@dataclass(frozen=True)
-class Neumann:
+class Neumann(Record):
+    """Neumann series with a target residual ``tol`` and at most
+    ``max_terms`` terms."""
+
     tol: float = 1e-10
     max_terms: int = 300
 
+    def __post_init__(self):
+        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol)
+                and self.tol >= 0.0):
+            raise ConfigurationError(f"Neumann tol must be a finite number >= 0, "
+                                     f"got {self.tol!r}")
+        if not (isinstance(self.max_terms, numbers.Integral) and self.max_terms >= 1):
+            raise ConfigurationError(f"Neumann max_terms must be a positive integer, "
+                                     f"got {self.max_terms!r}")
+        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "max_terms", int(self.max_terms))
 
-@dataclass(frozen=True)
-class DirectSolve:
+
+class DirectSolve(Record):
     pass
 
 
 Method = Union[Neumann, DirectSolve]
 
 
-@dataclass(frozen=True)
-class PerturbationTriple:
+class PerturbationTriple(Record):
     """Base semigroup with a control variant and a dense observation operator.
 
     ``observe`` maps discretized states to U.  For the neutral variant it is
@@ -421,7 +429,6 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
     e = _io_exp(triple, h)
     w = vals.copy()
     term = vals
-    sig_norm = None
     for _ in range(method.max_terms):
         term = _apply_io(triple, term, h, e)
         w = w + term

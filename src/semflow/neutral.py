@@ -13,13 +13,12 @@ recovery x(t) = C z(t) + K x_t explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from . import _kernels
-from .core import Grid, StateVector, matexp
+from .core import Grid, Record, StateVector, matexp
 from .errors import ConfigurationError, DimensionError, DomainError, GridAlignmentError
 from .maps import (DirectSolve, Method, NeutralBoundaryControl,
                    PerturbationTriple, perturbed_orbit)
@@ -28,8 +27,7 @@ from .semigroups import (BlockDiag, MatrixSemigroup, NilpotentShift, OrbitSeries
 from .translation import MeasureSpec
 
 
-@dataclass(frozen=True)
-class NeutralSystem:
+class NeutralSystem(Record):
     """Data of the neutral equation: generator A, delay kernels P (inhomogeneity)
     and K (neutral part), boundary coupling C, and the history grid on [-1, 0]."""
 
@@ -123,8 +121,7 @@ def compatible_y(sys: NeutralSystem, f_values) -> np.ndarray:
             f"a compatible y needs an invertible C ({exc}); give 'y' explicitly") from exc
 
 
-@dataclass(frozen=True)
-class NeutralOrbitResult:
+class NeutralOrbitResult(Record):
     orbit: OrbitSeries
     compatibility_residual: float
     compatible: bool

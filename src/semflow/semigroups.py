@@ -7,15 +7,14 @@ step, and the left-endpoint L1 norm commutes with the shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import causal_scan
-from .core import (Grid, L1Space, ProductSpace, Space, StateVector, SupSpace, _finite,
-                   matexp, row_sup)
+from .core import (DERIVED, Grid, L1Space, ProductSpace, Record, Space, StateVector,
+                   SupSpace, _finite, matexp, row_sup)
 from .errors import DimensionError, DomainError, GridAlignmentError
 
 
@@ -28,8 +27,7 @@ class Semigroup:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class MatrixSemigroup(Semigroup):
+class MatrixSemigroup(Record, Semigroup):
     """T(t) = exp(t*A) for a square generator matrix A."""
 
     a: np.ndarray
@@ -67,13 +65,12 @@ def _shift_coords(values: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class NilpotentShift(Semigroup):
+class NilpotentShift(Record, Semigroup):
     """Left translation on L1(-1, 0; R^d); annihilates everything at t >= 1."""
 
     grid: Grid
     point_dim: int = 1
-    space: Space = field(init=False)
+    space: Space = DERIVED
 
     def __post_init__(self):
         if abs(self.grid.start + 1.0) > 1e-9 or abs(self.grid.end) > 1e-9:
@@ -96,8 +93,7 @@ class NilpotentShift(Semigroup):
         return _shift_coords(vals, m).ravel()
 
 
-@dataclass(frozen=True)
-class LeftTranslation(Semigroup):
+class LeftTranslation(Record, Semigroup):
     """Left translation on L1(R_-) truncated to [-L, 0].
 
     Functions supported in [-L, 0] evolve exactly; initial mass below -L was
@@ -106,7 +102,7 @@ class LeftTranslation(Semigroup):
 
     grid: Grid
     point_dim: int = 1
-    space: Space = field(init=False)
+    space: Space = DERIVED
 
     def __post_init__(self):
         if abs(self.grid.end) > 1e-9:
@@ -123,12 +119,11 @@ class LeftTranslation(Semigroup):
     apply_coords = NilpotentShift.apply_coords
 
 
-@dataclass(frozen=True)
-class BlockDiag(Semigroup):
+class BlockDiag(Record, Semigroup):
     """Diagonal composition diag(T_1(t), ..., T_m(t))."""
 
     parts: tuple
-    space: Space = field(init=False)
+    space: Space = DERIVED
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -139,8 +134,7 @@ class BlockDiag(Semigroup):
         return np.concatenate([p.apply_coords(t, c) for p, c in zip(self.parts, pieces)])
 
 
-@dataclass(frozen=True)
-class OrbitSeries:
+class OrbitSeries(Record):
     """Sampled orbit t_k -> T(t_k)x with its norm track.
 
     On a shift base the state at t_k is a window of one flat trajectory.  Such

@@ -15,12 +15,11 @@ and the input-output map contracts with factor |mu|(R_-).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .core import Grid, InputSignal, StateVector, opnorm_sup
+from .core import Grid, InputSignal, Record, StateVector, opnorm_sup
 from .errors import DimensionError, DomainError, GridAlignmentError
 
 
@@ -30,8 +29,7 @@ def _weight_norm(w) -> float:
     return opnorm_sup(np.asarray(w, dtype=float))
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(Record):
     """A vector measure on an interval of R_-: finite atoms plus a
     piecewise-constant density.
 
@@ -113,8 +111,7 @@ class MeasureSpec:
         return out
 
 
-@dataclass(frozen=True)
-class DirichletSpec:
+class DirichletSpec(Record):
     """Boundary lifting c -> c * exp(lam * s) on R_-, real lam > 0."""
 
     lam: float

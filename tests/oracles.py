@@ -16,8 +16,6 @@ read the measure one point or one lag at a time.  They serve only as test
 oracles.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from semflow import _kernels
@@ -468,7 +466,7 @@ def robustness_experiment_loop(triple, prop, probes, config):
                  int(round(asy.SYNTHETIC_HORIZON / asy.SYNTHETIC_STEP)))
     zoo = list(asy.synthetic_orbits(config.n_synthetic, sgrid, seed=config.seed))
     max_shift = max(config.shifts) if config.shifts else 0.0
-    syn_cfg = replace(config, tail_window=min(
+    syn_cfg = config._replace(tail_window=min(
         config.tail_window, 0.5 * (asy.SYNTHETIC_HORIZON - max_shift)))
     checkers = {p: one_orbit(asy.make_checker(p, syn_cfg, 2)) for p in asy.PROPERTIES}
     violations = biinvariance_harness_loop(checkers, zoo, config.shifts)

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +192,42 @@ def test_harness_blocks_share_one_grid():
         asy.biinvariance_harness(checkers, orbs, (5.0,))
 
 
+def test_ergodic_checkers_share_each_blocks_cesaro_sums(monkeypatch):
+    # MEAN_ERGODIC and UNIFORMLY_ERGODIC read one tail start on every block
+    # of the default harness, so each block builds its sums once
+    calls = count_calls(monkeypatch, asy._cesaro_sums)
+    config = asy.RobustnessConfig()
+    asy._harness_violations(config)
+    assert len(calls) == -(-config.n_synthetic // asy.HARNESS_BLOCK)
+    block = asy.OrbitBlock.of([decay_orbit(1.0, horizon=10.0)])
+    sums = block.cesaro_sums(3)
+    assert block.cesaro_sums(3) is sums and not sums.flags.writeable
+    assert np.array_equal(sums, asy._cesaro_sums(block, 3))
+
+
+@pytest.mark.parametrize("key", asy._POSITIVE_SETTINGS)
+def test_robustness_config_rejects_a_setting_that_is_not_positive(key):
+    for value in (0.0, -1.0, float("nan"), float("inf"), "1.0", None):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be a finite number > 0"):
+            asy.RobustnessConfig(**{key: value})
+
+
+def test_robustness_config_checks_the_hint_the_zoo_size_and_the_shifts():
+    config = asy.RobustnessConfig(tol=1, n_synthetic=np.int64(0), shifts=[5.0])
+    assert type(config.tol) is float and type(config.n_synthetic) is int
+    assert config.shifts == (5.0,)
+    for value in (-1, 2.5, "8"):
+        with pytest.raises(ConfigurationError, match="^n_synthetic must be an integer >= 0"):
+            asy.RobustnessConfig(n_synthetic=value)
+    for value in (0.0, -1.0, float("inf"), "2"):
+        with pytest.raises(ConfigurationError, match="^bound_hint must be null or"):
+            asy.RobustnessConfig(bound_hint=value)
+    assert asy.RobustnessConfig(bound_hint=2).bound_hint == 2
+    for value in ((-1.0,), (float("nan"),), (asy.SYNTHETIC_HORIZON,), ("5",)):
+        with pytest.raises(ConfigurationError, match="^shifts must be numbers in"):
+            asy.RobustnessConfig(shifts=value)
+
+
 def test_shift_orbit():
     orb = decay_orbit(1.0, horizon=10.0)
     sh = asy.shift_orbit(orb, 2.0)
@@ -379,11 +414,11 @@ HARNESS_CONFIGS = {
 @pytest.mark.parametrize("seed", [42, 7, 1])
 @pytest.mark.parametrize("name", list(HARNESS_CONFIGS))
 def test_batched_checkers_match_the_one_orbit_oracles(name, seed):
-    config = replace(HARNESS_CONFIGS[name], seed=seed)
+    config = HARNESS_CONFIGS[name]._replace(seed=seed)
     grid = sf.Grid(0.0, asy.SYNTHETIC_STEP,
                    int(round(asy.SYNTHETIC_HORIZON / asy.SYNTHETIC_STEP)))
     zoo = list(asy.synthetic_orbits(config.n_synthetic, grid, seed=seed))
-    syn = replace(config, tail_window=min(
+    syn = config._replace(tail_window=min(
         config.tail_window, 0.5 * (asy.SYNTHETIC_HORIZON - max(config.shifts))))
     shifts = (0.0,) + config.shifts
     starts = [grid.index_of(b) for b in shifts]

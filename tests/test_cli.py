@@ -456,3 +456,42 @@ def test_neutral_compare_exact_agreement_writes_null_order(tmp_path):
     manifest = json.loads(text)
     assert manifest["diagnostics"]["deviation"] == {"coarse": 0.0, "fine": 0.0}
     assert manifest["diagnostics"]["empirical_order"] is None
+
+
+@pytest.mark.parametrize("key, value", [("max_terms", 0), ("max_terms", -3),
+                                        ("max_terms", 2.5), ("tol", -1.0)])
+def test_malformed_neumann_setting_exits_2_and_names_it(tmp_path, capsys, key, value):
+    # max_terms 0 used to fail on formatting a missing residual, and tol -1
+    # ran all 300 terms and exited 1 as a numerical failure
+    cfg = scalar_cfg(c=0.5)
+    cfg["method"] = "neumann"
+    cfg["neumann"] = {key: value}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation failure: Neumann {key} must be ")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_synthetic", -1), ("n_synthetic", 2.5), ("tail_window", -1.0),
+    ("tail_window", 0.0), ("uniform_window", -1.0), ("tol", -1.0), ("tol", 0.0),
+    ("ergodic_tol", -1.0), ("shifts", [5.0, 40.0]), ("bound_hint", -1.0),
+    ("bound_hint", "x")])
+def test_malformed_asymptotics_setting_exits_2_and_names_it(tmp_path, capsys, key, value):
+    # each of these used to exit 0 (n_synthetic -1 ran an empty zoo; with
+    # bound_hint -1 every BOUNDED verdict failed), or 2 with a message that
+    # names no key: a numpy broadcast error (uniform_window -1), "shift
+    # removes the entire orbit" (shift 40), a failed product (bound_hint "x")
+    cfg = scalar_cfg(c=0.5, horizon=20.0, step=0.01)
+    del cfg["initial"]
+    cfg["asymptotics"] = {"properties": list(asy.PROPERTIES), key: value}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["asymptotics", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation failure: {key} must be ")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []

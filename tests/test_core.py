@@ -1,5 +1,10 @@
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import semflow as sf
 from semflow.core import row_sup
-from semflow.errors import DimensionError, DomainError, GridAlignmentError
+from semflow.errors import DimensionError, DomainError, FrozenRecordError, GridAlignmentError
 
 
 def test_grid_basics():
@@ -226,3 +231,104 @@ def test_row_sup_of_a_zero_width_axis_is_zero():
     assert np.array_equal(row_sup(np.zeros((3, 0))), np.zeros(3))
     assert np.array_equal(row_sup(np.zeros((2, 4, 0))), np.zeros((2, 4)))
     assert np.array_equal(sf.SupSpace(0).rows_norm(np.zeros((5, 0))), np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# Record: the immutable base of every value type
+# ---------------------------------------------------------------------------
+
+def test_record_binds_positional_keyword_and_default_arguments():
+    g = sf.Grid(-1.0, 0.25, 4)
+    assert sf.Grid(start=-1.0, step=0.25, count=4) == g
+    assert sf.Grid(-1.0, count=4, step=0.25) == g
+    assert (g.start, g.step, g.count) == (-1.0, 0.25, 4)
+    assert sf.L1Space(g).point_dim == 1
+    assert sf.L1Space(g, point_dim=2).point_dim == 2
+    assert sf.Neumann() == sf.Neumann(1e-10, 300)
+
+    class Labelled(sf.Grid):  # a subclass adds its fields after its bases'
+        label: str = "t"
+
+    lab = Labelled(0, 0.5, 4.0, label="s")
+    assert lab._asdict() == {"start": 0, "step": 0.5, "count": 4, "label": "s"}
+    assert lab != sf.Grid(0, 0.5, 4) and Labelled(0, 0.5, 4).label == "t"
+
+
+@pytest.mark.parametrize("build, words", [
+    (lambda: sf.Grid(0.0, 0.5), "missing arguments ['count']"),
+    (lambda: sf.Grid(0.0, step=0.5), "missing arguments ['count']"),
+    (lambda: sf.Grid(0.0, 0.5, 4, extra=1), "unexpected arguments ['extra']"),
+    (lambda: sf.Grid(0.0, 0.5, 4, 1), "takes 3 arguments, got 4"),
+    (lambda: sf.Grid(0.0, 0.5, start=1.0, count=4), "multiple values for ['start']"),
+    # a derived field is no argument, and neither are Space's annotations
+    (lambda: sf.NilpotentShift(sf.Grid(-1.0, 0.5, 2), 1, None), "takes 2 arguments"),
+    (lambda: sf.BlockDiag((), space=None), "unexpected arguments ['space']"),
+    (lambda: sf.L1Space(sf.Grid(-1.0, 0.5, 2), dim=3), "unexpected arguments ['dim']"),
+], ids=["missing", "missing-keyword", "unknown", "too-many", "twice", "derived-positional",
+        "derived-keyword", "base-annotation"])
+def test_record_rejects_a_missing_or_unknown_argument(build, words):
+    with pytest.raises(TypeError, match=re.escape(words)):
+        build()
+
+
+def test_record_runs_post_init_validation_and_normalisation():
+    g = sf.Grid(0, 0.1, 10.0)
+    assert g.count == 10 and type(g.count) is int
+    assert sf.NilpotentShift(sf.Grid(-1.0, 0.5, 2)).space == sf.L1Space(sf.Grid(-1.0, 0.5, 2))
+    with pytest.raises(DomainError):
+        sf.Grid(0.0, 0.1, 2.5)
+
+
+def test_record_assignment_and_deletion_raise():
+    g = sf.Grid(0.0, 0.5, 4)
+    for act in (lambda: setattr(g, "count", 5), lambda: setattr(g, "other", 1),
+                lambda: delattr(g, "step")):
+        with pytest.raises(FrozenRecordError, match="Grid is immutable"):
+            act()
+    with pytest.raises(AttributeError):
+        g.count = 5
+    assert (g.start, g.step, g.count) == (0.0, 0.5, 4)
+
+
+def test_record_equality_and_hash_read_the_fields_within_one_class():
+    a, b = sf.Grid(0.0, 0.5, 4), sf.Grid(0.0, 0.5, 4)
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a != sf.Grid(0.0, 0.5, 5)
+    assert len({a, b, sf.Grid(0.0, 0.5, 5)}) == 2
+    # the same field values in two classes: a grid on [-1, 0] suits both shifts
+    grid = sf.Grid(-1.0, 0.25, 4)
+    nil, left = sf.NilpotentShift(grid), sf.LeftTranslation(grid)
+    assert nil._asdict() == left._asdict()
+    assert nil != left and not nil == left
+    assert sf.NilpotentShift(grid) == nil and hash(sf.NilpotentShift(grid)) == hash(nil)
+    assert repr(a) == "Grid(start=0.0, step=0.5, count=4)"
+
+
+def test_record_replace_validates_again_and_asdict_lists_every_field():
+    g = sf.Grid(0.0, 0.5, 4)
+    assert g._replace(count=8) == sf.Grid(0.0, 0.5, 8) and g.count == 4
+    with pytest.raises(DomainError):
+        g._replace(step=-1.0)
+    with pytest.raises(TypeError, match="unexpected arguments"):
+        g._replace(stop=1.0)
+    assert g._asdict() == {"start": 0.0, "step": 0.5, "count": 4}
+    shift = sf.NilpotentShift(sf.Grid(-1.0, 0.5, 2))
+    assert list(shift._asdict()) == ["grid", "point_dim", "space"]
+    assert shift._replace(point_dim=2).space.point_dim == 2
+
+
+def test_importing_the_cli_does_not_import_dataclasses():
+    # the value types generate no code at import; numpy, json and argparse
+    # load no dataclasses module, so the check below sees semflow's imports
+    src = str(Path(sf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import argparse, json, sys, numpy\n"
+            "if 'dataclasses' in sys.modules: sys.exit(3)\n"
+            "import semflow.cli\n"
+            "sys.exit(4 if 'dataclasses' in sys.modules else 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("numpy, json or argparse import dataclasses here")
+    assert proc.returncode == 0, proc.stderr or "semflow.cli imports dataclasses"

@@ -338,6 +338,21 @@ def test_neumann_no_convergence_diagnostics():
     assert exc.value.last_term_norm > 0.0
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"max_terms": 0}, "max_terms"), ({"max_terms": -1}, "max_terms"),
+    ({"max_terms": 2.0}, "max_terms"), ({"tol": -1.0}, "tol"),
+    ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol"), ({"tol": "0.1"}, "tol")])
+def test_neumann_rejects_malformed_settings(kwargs, key):
+    with pytest.raises(ConfigurationError, match=f"Neumann {key} must be"):
+        sf.Neumann(**kwargs)
+
+
+def test_neumann_settings_are_normalised():
+    method = sf.Neumann(tol=0, max_terms=np.int64(5))
+    assert (method.tol, method.max_terms) == (0.0, 5)
+    assert type(method.tol) is float and type(method.max_terms) is int
+
+
 # ---------------------------------------------------------------------------
 # perturbed semigroup
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import math
 import numbers
 from functools import partial
 from itertools import islice
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -59,7 +59,7 @@ class AsymptoticVerdict(Record):
     witness: dict
 
 
-class OrbitBlock(NamedTuple):
+class OrbitBlock(Record):
     """Orbits on one grid and in one space, checked together: each orbit's
     states as it holds them, the stacked norm tracks, and the Cesaro sums
     built so far, by tail start, which the ergodic checkers share."""
@@ -86,7 +86,7 @@ class OrbitBlock(NamedTuple):
         return cum
 
 
-class Cells(NamedTuple):
+class Cells(Record):
     """One checker's verdicts on a block: ``codes[s, i]`` decides orbit i
     read from start index ``starts[s]`` (shifted left by that many steps),
     and ``witness(s, i)`` builds that cell's witness."""

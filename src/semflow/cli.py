@@ -10,6 +10,7 @@ so identical configurations and seeds reproduce byte-identical artifacts
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -235,52 +236,284 @@ def method_from(cfg: dict):
     raise ConfigurationError(f"unknown method {name!r}")
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+# _format17 decides the 17 significant digits of b"%.17g" % v in array
+# arithmetic: D = round(|v| * 10**(16-k)), with k the decimal exponent of |v|
+# and the product taken in double-double arithmetic (Dekker, Numer. Math. 18,
+# 1971), whose error, below 1e-14 in units of D, is far inside _TIE_SLACK.
+# |v| within _SAFE_RANGE keeps every product and split of Dekker's algorithm
+# clear of overflow and of subnormals; any other value, and any product
+# within _TIE_SLACK of a rounding tie, is formatted by b"%.17g" % v itself.
+_FORMAT_BLOCK = 2048  # values laid out per array pass
+_SAFE_RANGE = (1e-280, 1e280)
+_TIE_SLACK = 1e-9
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting factor
 
 
-_CSV_BLOCK_ROWS = 128
+def _split(x):
+    """``x`` as hi + lo, each with at most 26 significant bits."""
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _pow10(n: int) -> tuple:
+    """10**n as hi + lo, each rounded to nearest from the exact value, and
+    hi split for Dekker's product: (hi, hi's high part, hi's low part, lo)."""
+    if n >= 0:
+        hi = float(10 ** n)
+        lo = float(10 ** n - int(hi))
+    else:
+        den = 10 ** -n
+        hi = 1 / den
+        num, twos = hi.as_integer_ratio()
+        lo = (twos - num * den) / (twos * den)
+    return (hi, *_split(hi), lo)
+
+
+@functools.lru_cache(maxsize=64)
+def _pow10_table(low: int, high: int) -> np.ndarray:
+    """``_pow10(n)`` for n = low..high, as the columns of a (4, m) array."""
+    return np.array([_pow10(n) for n in range(low, high + 1)]).T
+
+
+def _scaled(a, k):
+    """``a * 10**(16-k)`` as p + t: p the rounded product, t its rest."""
+    n = 16 - k
+    low = int(n.min())
+    hi, hh, hl, lo = np.take(_pow10_table(low, int(n.max())), n - low, axis=1)
+    ah, al = _split(a)
+    p = a * hi
+    t = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    t += a * lo
+    return p, t
+
+
+# A value is laid out in a 52-byte row whose bytes are the union of every
+# %g form, so that a form keeps few runs of them: 1 sign, 2-3 "0.", 4-6
+# leading zeros, 7 d0, 8-23 d1..d16, 27 ".", 28-43 d1..d16 again, 44 "e",
+# 45 the exponent's sign, 46-48 its digits, 49 the separator (0 and 24-26
+# are never kept).  Fixed notation keeps d0 and the first copy through the
+# units digit, then the point and the second copy; exponent notation keeps
+# d0, the point and the second copy.  A template keeps the bytes of one
+# form: fixed notation for exponents -4..16, or exponent notation with two
+# or three exponent digits; each by the count of significant digits and
+# the sign.
+_ROW = 52
+_EXP_OFFSET = 400  # index of exponent 0 in the exponent tables
+
+
+def _kept(form: int, nd: int) -> list:
+    """The bytes a positive value of one form keeps, with nd significant
+    digits: form 0-20 is fixed notation for exponents -4..16, 21 and 22
+    exponent notation with two and three exponent digits."""
+    e = form - 4
+    if form < 4:  # 0.000ddd
+        cols = [2, 3, *range(8 + e, 7), *range(7, 7 + nd)]
+    elif form < 21:  # ddd.ddd
+        cols = [*range(7, 8 + e)] + ([27, *range(28 + e, 27 + nd)] if nd > e + 1 else [])
+    else:  # d.ddde+XX
+        cols = [7, *([27, *range(28, 27 + nd)] if nd > 1 else []), 44, 45,
+                *([46] if form == 22 else []), 47, 48]
+    return cols + [49]
+
+
+@functools.cache
+def _layout():
+    """The tables of ``_format_block``, as 4-byte lanes of the row: the
+    lane of "000" and d0; the lane of each 4-digit group; the two lanes of
+    each exponent; twice the significant digits through each group; twice
+    each exponent's first template; and each template's kept bytes and
+    their count.  Built from bytes and lists, so that building them pages
+    in no numpy loop the formatter does not use."""
+    quads = bytearray(40000)  # "0000" to "9999"
+    for j in range(4):
+        quads[j::4] = b"".join(bytes([48 + d]) * 10 ** (3 - j) for d in range(10)) * 10 ** j
+    last = bytearray(b"\4" * 10000)  # place 1-4 of a group's last nonzero digit
+    for place, step in enumerate((10, 100, 1000, 10000)):
+        last[::step] = bytes([3 - place]) * (10000 // step)
+    through = b"".join(last.translate(bytes([2, *range(4 + 8 * q, 12 + 8 * q, 2)]).ljust(256))
+                       for q in range(4))
+    lead = b"".join(b"000%d" % d for d in range(10))
+    x = range(-_EXP_OFFSET, _EXP_OFFSET + 1)
+    tail = b"".join(b"e%+04d\0\0\0" % n for n in x)
+    first = [2 * (17 * (n + 4 if -4 <= n < 17 else 21 if abs(n) < 100 else 22) - 1) for n in x]
+    keep = []  # by form and significant digits, positive then negative
+    for form in range(23):
+        for nd in range(1, 18):
+            row = bytearray(_ROW)
+            for c in _kept(form, nd):
+                row[c] = 1
+            keep.append(bytes(row))
+            row[1] = 1  # the sign
+            keep.append(bytes(row))
+    return (np.frombuffer(lead, dtype=np.uint32), np.frombuffer(quads, dtype=np.uint32),
+            np.frombuffer(tail, dtype=np.uint32).reshape(-1, 2).T.copy(),
+            np.frombuffer(through, dtype=np.uint8).reshape(4, 10000), np.array(first),
+            np.frombuffer(b"".join(keep), dtype=np.uint32).reshape(len(keep), -1),
+            np.array([row.count(1) for row in keep]))
+
+
+def _digits(v):
+    """Where the 17 significant digits of b"%.17g" % x are decided exactly,
+    for each value x of ``v``, and there its decimal exponent k and its 17
+    digits D = hi * 1e8 + lo, hi and lo whole floats."""
+    a = np.abs(v)
+    exact = (a >= _SAFE_RANGE[0]) & (a <= _SAFE_RANGE[1])
+    a = np.where(exact, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _scaled(a, k)
+    # log10 can miss k by one next to a power of ten: take the product again
+    # with k moved where it falls outside [1e16, 1e17)
+    near = np.flatnonzero((p < 1.0000001e16) | (p > 0.9999999e17))
+    if near.size:
+        below = (p[near] - 1e16) + t[near] < 0
+        above = (p[near] - 1e17) + t[near] >= 0
+        moved = near[below | above]
+        if moved.size:
+            k[moved] += np.where(above[below | above], 1, -1)
+            p[moved], t[moved] = pm, tm = _scaled(a[moved], k[moved])
+            exact[moved[((pm - 1e16) + tm < 0) | ((pm - 1e17) + tm >= 0)]] = False
+    r = np.rint(t)
+    exact &= np.abs(t - r) < 0.5 - _TIE_SLACK
+    # D = p + r, exactly: p is whole and below 2**57, r small
+    hi = np.floor(p * 1e-8)
+    lo = (p - hi * 1e8) + r
+    carry = np.floor(lo * 1e-8)
+    hi += carry
+    lo -= carry * 1e8
+    up = np.flatnonzero(hi >= 1e9)  # rounded up into the next decade
+    if up.size:
+        k[up] += 1
+        hi[up] = 1e8
+    return exact, k, hi, lo
+
+
+_SIGN_LANE = int(np.frombuffer(b"\0-0.", dtype=np.uint32)[0])
+_POINT_LANE = int(np.frombuffer(b"\0\0\0.", dtype=np.uint32)[0])
+
+
+def _rows(v, seps):
+    """Each value's 52-byte row, laid out from its decided digits, and the
+    template that selects the bytes of its %g form."""
+    lead, quads, tail, through, first, *_ = _layout()
+    exact, k, hi, lo = _digits(v)
+    # hi and lo are whole and below 1e9: a truncated quotient is exact
+    d0 = (hi * 1e-8).astype(np.intp)
+    hi -= d0 * 1e8
+    g1, g3 = (hi * 1e-4).astype(np.intp), (lo * 1e-4).astype(np.intp)
+    groups = [g1, (hi - g1 * 1e4).astype(np.intp), g3, (lo - g3 * 1e4).astype(np.intp)]
+    lanes = np.empty((v.size, _ROW // 4), dtype=np.uint32)
+    lanes[:, 0] = _SIGN_LANE
+    lanes[:, 1] = lead[d0]
+    for q, group in enumerate(groups):
+        lanes[:, 2 + q] = lanes[:, 7 + q] = quads[group]
+    lanes[:, 6] = _POINT_LANE
+    k += _EXP_OFFSET
+    lanes[:, 11] = tail[0][k]
+    lanes[:, 12] = tail[1][k]
+    nd2 = np.maximum(np.maximum(through[0, groups[0]], through[1, groups[1]]),
+                     np.maximum(through[2, groups[2]], through[3, groups[3]]))
+    chars = lanes.view(np.uint8)
+    chars[:, 49] = seps
+    template = first[k] + nd2
+    template += np.signbit(v)
+    return chars, template, exact
+
+
+def _format_block(v, seps):
+    """The text of b"%.17g" % x + sep for each value x of ``v`` and its
+    separator, and each one's length."""
+    *_, keep, length = _layout()
+    chars, template, exact = _rows(v, seps)
+    kept = np.take(keep, template, axis=0).view(bool)
+    lengths = length[template]
+    other = np.flatnonzero(~exact)
+    if other.size:
+        text = (b"%-24.17g" * other.size) % tuple(v[other].tolist())
+        cells = np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
+        chars[other, :24] = cells
+        kept[other] = False
+        kept[other, :24] = cells != ord(" ")
+        kept[other, 49] = True
+        lengths[other] = kept[other].sum(axis=1)
+    return chars[kept], lengths
+
+
+@functools.lru_cache(maxsize=16)
+def _separators(seps: bytes, n: int) -> np.ndarray:
+    """``seps`` repeated to n bytes, as a read-only array."""
+    out = np.resize(np.frombuffer(seps, dtype=np.uint8), n)
+    out.flags.writeable = False
+    return out
+
+
+def _format17(values, seps: bytes):
+    """The bytes of b"%.17g" % v followed by its separator, for every value
+    v of ``values`` in C order, and the end offset of each.  The separators
+    repeat: value i is followed by ``seps[i % len(seps)]``."""
+    values = np.asarray(values, dtype=float).ravel()
+    step = max(1, _FORMAT_BLOCK // len(seps)) * len(seps)
+    blocks = [_format_block(values[a: a + step], _separators(seps, min(step, values.size - a)))
+              for a in range(0, values.size, step)]
+    if len(blocks) == 1:
+        text, lengths = blocks[0]
+    elif blocks:
+        texts, lengths = zip(*blocks)
+        text, lengths = np.concatenate(texts), np.concatenate(lengths)
+    else:
+        text, lengths = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+    return text, np.cumsum(lengths)
+
+
 _CSV_BUFFER_BYTES = 256 * 1024
 
 
 def write_csv(path: Path, header, columns, *, trajectory=None, stride=1):
-    """One row per sample of ``columns``, each value formatted by ``fmt``.
+    """One row per sample of ``columns``, each value written as
+    b"%.17g" % v by ``_format17``.
 
+    ``_format17`` decides the digits and the layout of most values in array
+    arithmetic, a few thousand at a time, and formats each value it cannot
+    decide exactly (zero, inf, nan, magnitudes past 1e+-280, products next
+    to a rounding tie) by ``%`` itself, so every byte is that of ``%.17g``.
+    A plain table is formatted one block of rows at a time, in row order.
     With a ``trajectory``, the trailing columns are windows of it: row k's
     are ``trajectory[k*stride : k*stride + width]``, the last window ending
-    the trajectory.  Each trajectory value is then formatted once, and row
-    k's window is written as a zero-copy slice of those bytes; only the
-    leading columns are formatted per row.  Either way the rows go to the
-    file as bytes through one buffer, and the file is closed on return.
+    the trajectory.  The trajectory and the leading columns are then each
+    formatted once, and row k is written as slices of those bytes.  Either
+    way the rows go to the file through one buffer, and the file is closed
+    on return.
     """
-    # b"%.17g" % v is fmt(v), encoded, for every float
     with open(path, "wb", buffering=_CSV_BUFFER_BYTES) as fh:
         fh.write((",".join(header) + "\n").encode())
         if trajectory is None:
-            # one block of rows is stacked into python floats and formatted
-            # by one % operation
-            line = b",".join([b"%.17g"] * len(columns)) + b"\n"
             cols = [np.asarray(c, dtype=float) for c in columns]
-            for a in range(0, len(cols[0]) if cols else 0, _CSV_BLOCK_ROWS):
-                block = np.stack([c[a: a + _CSV_BLOCK_ROWS] for c in cols], axis=1)
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            if not cols:
+                return
+            seps = b"," * (len(cols) - 1) + b"\n"
+            rows = max(1, _FORMAT_BLOCK // len(cols))
+            for a in range(0, len(cols[0]), rows):
+                fh.write(_format17(np.stack([c[a: a + rows] for c in cols], axis=1),
+                                   seps)[0])
             return
         rows = len(columns[0])
         width = len(trajectory) - (rows - 1) * stride
         heads = len(columns) - width
-        # (rows, heads): the leading columns, row by row
-        head = np.asarray([np.asarray(c, dtype=float) for c in columns[:heads]]
-                          ).reshape(heads, rows).T
-        # every trajectory value, each followed by a comma (no formatted value
-        # holds one)
-        text = memoryview((b"%.17g," * len(trajectory)) % tuple(trajectory.tolist()))
-        # starts[i] is the offset of value i in text, starts[-1] = len(text)
-        commas = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord(","))
-        starts = [0] + (commas + 1).tolist()
-        head_fmt = b"%.17g," * heads
+        # every trajectory value once, each followed by a comma: value i is
+        # text[starts[i]:starts[i+1]]
+        text, ends = _format17(trajectory, b",")
+        starts = np.concatenate([[0], ends])
+        # the leading columns, row by row: row k's are head[at[k]:at[k+1]]
+        head = np.empty((rows, heads))
+        for j, c in enumerate(columns[:heads]):
+            head[:, j] = c
+        head, ends = _format17(head, b",")
+        at = np.concatenate([[0], ends[heads - 1::heads] if heads else np.zeros(rows, int)])
+        text, head = memoryview(text), memoryview(head)
         for k in range(rows):
             a = k * stride
-            fh.write(head_fmt % tuple(head[k].tolist()))
+            fh.write(head[at[k]: at[k + 1]])
             fh.write(text[starts[a]: starts[a + width] - 1])
             fh.write(b"\n")
 

@@ -1,8 +1,9 @@
 """Shift-base orbits as one trajectory plus windows: the window structure of
 the states, the memory it saves, and the orbit CSV writer that formats each
 trajectory value once yet writes the same bytes as the row-by-row loop.  The
-plain CSV path, one format operation per block of rows, writes those bytes
-too; drawn tables of either kind match the row-by-row oracles."""
+plain CSV path, formatted by the array formatter a block of rows at a time,
+writes those bytes too; drawn tables of either kind match the row-by-row
+oracles."""
 
 import json
 import tracemalloc
@@ -230,13 +231,21 @@ def test_trajectory_csv_matches_row_loop(tmp_path, seed, rows, stride, heads, wi
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
+def plain_table_shape(ncols):
+    """(ncols, rows): row counts at the edges of the writer's block of
+    rows, within its first four blocks, or larger."""
+    block = cli._FORMAT_BLOCK // ncols
+    return st.tuples(st.just(ncols),
+                     st.one_of(st.sampled_from([0, 1, block - 1, block, block + 1]),
+                               st.integers(0, 4 * block), st.integers(6000, 12000)))
+
+
 @CSV_SETTINGS
-@given(seed=st.integers(0, 2 ** 16), ncols=st.integers(1, 5),
-       rows=st.one_of(st.sampled_from([0, 1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
-                                       cli._CSV_BLOCK_ROWS + 1]),
-                      st.integers(0, 4 * cli._CSV_BLOCK_ROWS), st.integers(6000, 12000)))
-@example(seed=3, ncols=5, rows=12001)
-def test_plain_csv_matches_row_loop(tmp_path, seed, ncols, rows):
+@given(seed=st.integers(0, 2 ** 16), shape=st.integers(1, 5).flatmap(plain_table_shape))
+@example(seed=3, shape=(5, 12001))
+@example(seed=4, shape=(7, cli._FORMAT_BLOCK // 7 + 1))
+def test_plain_csv_matches_row_loop(tmp_path, seed, shape):
+    ncols, rows = shape
     columns = [drawn_values(seed + j, rows) for j in range(ncols)]
     header = [f"c{j}" for j in range(ncols)]
     cli.write_csv(tmp_path / "fast.csv", header, columns)

@@ -18,12 +18,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Grid, InputSignal, Record, StateVector, opnorm_sup, time_grid
-from .errors import ConfigurationError, DomainError, GridAlignmentError, PreconditionError
-from .maps import (BoundedControl, DirectSolve, IdentityControl, Method,
-                   PerturbationTriple, _apply_io, _compose, _io_exp,
-                   estimate_io_norm, invert_io, observation_map)
-from .semigroups import Semigroup, _free_parts, _norms, orbit
+from .core import Grid, InputSignal, Record, StateVector, time_grid
+from .errors import ConfigurationError, GridAlignmentError
+from .maps import (DirectSolve, IdentityControl, Method, PerturbationTriple,
+                   _apply_io, _compose, _io_exp, estimate_io_norm, invert_io,
+                   observation_map)
+from .semigroups import _free_parts, _norms
 
 STABILITY_REL_CHANGE = 0.05
 RATIO_FLOOR = 1e-12
@@ -47,12 +47,6 @@ class AdmissibilityReport(Record):
 class CheckResult(Record):
     verdict: str  # "PASS" | "FAIL"
     details: dict
-
-
-class FavardEstimate(Record):
-    favard_norm: float
-    probe_grid: Grid
-    argmax_t: float
 
 
 def probe_signals(triple: PerturbationTriple, grid: Grid, count: int,
@@ -100,10 +94,6 @@ def _ratio_track(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # 0 where den is at the floor; a nan denominator is kept, so that its
     # nan ratio reaches the maximum
     return np.divide(num, den, out=np.zeros_like(num), where=~(den <= RATIO_FLOOR))
-
-
-def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    return _worst(_ratio_track(num, den))
 
 
 def _worst_tracks(triple, probes, signals, grid, method, est):
@@ -209,102 +199,3 @@ def check_miyadera_voigt(triple: PerturbationTriple, probes: Sequence[StateVecto
     return CheckResult("PASS" if ok else "FAIL",
                        {"ratio": worst, "q_threshold": q_threshold,
                         "ratios": ratios, "horizon": horizon})
-
-
-def favard_norm(sg: Semigroup, x: StateVector, probe_grid: Grid) -> FavardEstimate:
-    """max over the probe grid of ||(T(t)x - x)/t|| (difference-quotient norm).
-
-    Refining the probe grid toward 0 can only increase the estimate; for
-    matrix semigroups the small-t limit is ||A x||.
-    """
-    if probe_grid.start <= 0.0:
-        raise DomainError("Favard probes must have t > 0")
-    best = 0.0
-    arg = probe_grid.start
-    for t in probe_grid.points():
-        val = sg.space.norm((sg.apply_coords(t, x.coords) - x.coords) / t)
-        if val > best:
-            best, arg = val, t
-    return FavardEstimate(best, probe_grid, arg)
-
-
-def _log_linear_fit(ts, norms):
-    mask = norms > 1e-300
-    t = ts[mask]
-    y = np.log(norms[mask])
-    if t.shape[0] < 3:
-        return -np.inf, 1.0
-    A = np.stack([t, np.ones_like(t)], axis=1)
-    coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(res[0]) if res.size else float(np.sum((A @ coef - y) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), r2
-
-
-def check_desch_schappacher(triple: PerturbationTriple, probes: Sequence[StateVector],
-                            omega: float, m: float = 1.0, horizon: float = 40.0,
-                            step: float = 2.5e-4, n_terms: int = 20,
-                            term_tol: float = 1e-8) -> CheckResult:
-    """Bounded-control perturbation check over an exponentially stable base.
-
-    Verifies the hypothesis ||T(t)|| <= M exp(-omega t) by a log-linear fit
-    (R^2 >= 0.99 required), then checks rho = m ||B|| / omega < 1 together
-    with the term-by-term geometric domination of the Neumann series applied
-    to the orbit signals:
-
-        ||F^n [T(.)x]||_1 <= rho^n (M/omega) ||x||,
-        sum_n ||F^n [T(.)x]||_1 <= M / (omega - m ||B||) ||x||.
-
-    The constant m (Favard-norm equivalence of the extrapolated action) has no
-    constructive recipe; it is exposed as configuration with default 1.
-    """
-    if not isinstance(triple.control, BoundedControl):
-        raise ConfigurationError("the Desch-Schappacher check requires a bounded B")
-    if not np.allclose(triple.observe, np.eye(triple.base.space.dim)):
-        raise ConfigurationError("the Desch-Schappacher check is stated for C = Id")
-    if not probes:
-        raise ConfigurationError("empty probe set")
-    grid = time_grid(horizon, step)
-    ts = grid.points()
-    m_est = 1.0
-    orbits = []
-    for x in probes:
-        orb = orbit(triple.base, x, grid)
-        orbits.append(orb)
-        slope, r2 = _log_linear_fit(ts, orb.norms)
-        if r2 < 0.99 or slope > -omega * (1.0 - 1e-9):
-            raise PreconditionError(
-                "base semigroup is not exponentially stable at the requested rate",
-                measured_rate=-slope, r_squared=r2, requested=omega)
-        m_est = max(m_est, _max_ratio(orb.norms * np.exp(omega * ts),
-                                      np.full_like(ts, x.norm())))
-    b_norm = opnorm_sup(triple.control.matrix)
-    rho = m * b_norm / omega
-    e = _io_exp(triple, step)
-    per_probe = []
-    ok = rho < 1.0
-    for x, orb in zip(probes, orbits):
-        nx = x.norm()
-        term = orb.states
-        norms = []
-        margins = []
-        for n in range(n_terms + 1):
-            tn = InputSignal(grid, term, triple.u_space).l1_norm()
-            bound = (rho ** n) * (m_est / omega) * nx
-            norms.append(tn)
-            margins.append(bound + term_tol - tn)
-            if tn > bound + term_tol:
-                ok = False
-            term = _apply_io(triple, term, step, e)
-        total = float(np.sum(norms))
-        total_bound = m_est / (omega - m * b_norm) * nx if rho < 1.0 else np.inf
-        # the same additive slack as the per-term test covers the quadrature
-        # overshoot of the n = 0 term when rho = 0 leaves no geometric headroom
-        if total > total_bound + term_tol:
-            ok = False
-        per_probe.append({"term_norms": norms, "min_term_margin": float(np.min(margins)),
-                          "total": total, "total_bound": float(total_bound)})
-    details = {"rho": rho, "m_est": m_est, "b_norm": b_norm, "omega": omega,
-               "m": m, "per_probe": per_probe}
-    return CheckResult("PASS" if ok else "FAIL", details)

@@ -441,13 +441,6 @@ def _shift_start(grid: Grid, b: float) -> int:
     return k
 
 
-def shift_orbit(orb: OrbitSeries, b: float) -> OrbitSeries:
-    """Left time-shift: drop the first b seconds of the sampled orbit."""
-    k = _shift_start(orb.grid, b)
-    return OrbitSeries(Grid(0.0, orb.grid.step, orb.grid.count - k),
-                       orb.states[k:], orb.norms[k:], orb.space)
-
-
 def synthetic_orbits(count: int, grid: Grid, seed: int = 42) -> Iterator[OrbitSeries]:
     """Deterministic zoo of sampled orbit shapes: decays, bumps, constants,
     rotations, slow growth, damped oscillations, hard cutoffs, offsets.

@@ -25,7 +25,7 @@ from . import neutral as nt
 from .core import Grid, StateVector, time_grid
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence,
-                     NumericalFailure, PreconditionError, SemflowError)
+                     NumericalFailure, SemflowError)
 from .maps import (BoundedControl, DirectSolve, DirichletControl,
                    IdentityControl, Neumann, PerturbationTriple,
                    perturbed_orbit)
@@ -35,7 +35,7 @@ from .translation import DirichletSpec, MeasureSpec
 _VALIDATION_ERRORS = (ConfigurationError, DimensionError, DomainError,
                       GridAlignmentError, KeyError, TypeError, ValueError)
 _NUMERICAL_ERRORS = (ContractionViolation, NoConvergence, NumericalFailure,
-                     PreconditionError, FloatingPointError, np.linalg.LinAlgError)
+                     FloatingPointError, np.linalg.LinAlgError)
 
 _TOP_KEYS = {"system", "grid", "method", "neumann", "seed", "initial", "probes",
              "signals", "admissibility", "asymptotics"}
@@ -48,10 +48,33 @@ _SYSTEM_KEYS = {
 }
 
 
+_INITIAL_KEYS = {"scalar": {"x"}, "matrix": {"x"},
+                 "translation": {"f_kind", "amplitude", "values"},
+                 "neutral": {"f_kind", "amplitude", "frequency", "offset", "values", "y"}}
+
+
 def _reject_unknown(d: dict, allowed: set, where: str):
     unknown = set(d) - allowed
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _section(cfg: dict, key: str, allowed: set) -> dict:
+    """The config's ``key`` section, {} if it is absent: a JSON object that
+    holds no key outside ``allowed``."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"'{key}' must be a JSON object, got {section!r}")
+    _reject_unknown(section, allowed, key)
+    return section
+
+
+def _count(section: dict, where: str) -> int:
+    """The section's integer ``count``, 3 if it is absent."""
+    value = section.get("count", 3)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where}.count must be an integer, got {value!r}")
+    return value
 
 
 def _reject_constant(name: str):
@@ -66,11 +89,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _check_grid(grid) -> None:
+def _check_grid(cfg: dict) -> None:
     """grid.step and grid.horizon, where given, must be finite and positive."""
-    if not isinstance(grid, dict):
-        raise ConfigurationError("'grid' must be a JSON object")
-    _reject_unknown(grid, {"step", "horizon"}, "grid")
+    grid = _section(cfg, "grid", {"step", "horizon"})
     for key in ("step", "horizon"):
         if key not in grid:
             continue
@@ -105,7 +126,7 @@ def load_config(path: str) -> dict:
     _reject_unknown(system, _SYSTEM_KEYS[kind], "system")
     if "grid" not in cfg:
         raise ConfigurationError("config needs a 'grid' object")
-    _check_grid(cfg["grid"])
+    _check_grid(cfg)
     return cfg
 
 
@@ -153,14 +174,12 @@ def build_system(cfg: dict):
 
 def build_initial(cfg: dict, target):
     """Initial state for a simulation run."""
-    init = cfg.get("initial", {})
-    system = cfg["system"]
-    if system["kind"] in ("scalar", "matrix"):
-        _reject_unknown(init, {"x"}, "initial")
+    kind = cfg["system"]["kind"]
+    init = _section(cfg, "initial", _INITIAL_KEYS[kind])
+    if kind in ("scalar", "matrix"):
         x = np.asarray(init.get("x", np.ones(target.base.space.dim)), dtype=float)
         return StateVector.sup(x)
-    if system["kind"] == "translation":
-        _reject_unknown(init, {"f_kind", "amplitude", "values"}, "initial")
+    if kind == "translation":
         grid = target.base.grid
         s = grid.points()
         fk = init.get("f_kind", "exp")
@@ -171,8 +190,6 @@ def build_initial(cfg: dict, target):
         else:
             raise ConfigurationError(f"unknown translation profile {fk!r}")
         return StateVector.grid_function(vals, grid)
-    _reject_unknown(init, {"f_kind", "amplitude", "frequency", "offset",
-                           "values", "y"}, "initial")
     s = target.history_grid.points()
     fk = init.get("f_kind", "cosine")
     if fk == "cosine":
@@ -191,9 +208,7 @@ def build_initial(cfg: dict, target):
 
 
 def build_probes(cfg: dict, target, seed: int):
-    probes_cfg = cfg.get("probes", {})
-    _reject_unknown(probes_cfg, {"count", "kind"}, "probes")
-    count = int(probes_cfg.get("count", 3))
+    count = _count(_section(cfg, "probes", {"count", "kind"}), "probes")
     if count < 1:
         raise ConfigurationError("probe count must be positive")
     rng = np.random.default_rng(seed)
@@ -230,9 +245,7 @@ def method_from(cfg: dict):
     if name == "direct":
         return DirectSolve()
     if name == "neumann":
-        ncfg = cfg.get("neumann", {})
-        _reject_unknown(ncfg, {"tol", "max_terms"}, "neumann")
-        return Neumann(**ncfg)
+        return Neumann(**_section(cfg, "neumann", {"tol", "max_terms"}))
     raise ConfigurationError(f"unknown method {name!r}")
 
 
@@ -603,8 +616,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
 def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     started = time.time()
     target = build_system(cfg)
-    acfg = cfg.get("admissibility", {})
-    _reject_unknown(acfg, {"horizon", "q_threshold"}, "admissibility")
+    acfg = _section(cfg, "admissibility", {"horizon", "q_threshold"})
     if isinstance(target, nt.NeutralSystem):
         triple = nt.build_perturbation(target)
     else:
@@ -613,9 +625,8 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     step = float(cfg["grid"]["step"])
     horizon = float(acfg.get("horizon", cfg["grid"]["horizon"]))
     grid = time_grid(horizon, step)
-    scfg = cfg.get("signals", {})
-    _reject_unknown(scfg, {"count"}, "signals")
-    signals = adm.probe_signals(triple, grid, int(scfg.get("count", 3)), seed=seed)
+    count = _count(_section(cfg, "signals", {"count"}), "signals")
+    signals = adm.probe_signals(triple, grid, count, seed=seed)
     report = adm.estimate_constants(triple, probes, signals, horizon, step=step,
                                     method=method_from(cfg), io_probe_seed=seed)
     payload = report.to_dict()
@@ -644,10 +655,12 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
     else:
         triple = target
     probes = build_probes(cfg, target, seed)
-    acfg = cfg.get("asymptotics", {})
-    _reject_unknown(acfg, {"properties", "tail_window", "bound_hint", *_ASYMPTOTICS_KEYS},
-                    "asymptotics")
+    acfg = _section(cfg, "asymptotics",
+                    {"properties", "tail_window", "bound_hint", *_ASYMPTOTICS_KEYS})
     props = acfg.get("properties", ["BOUNDED", "STRONGLY_STABLE", "MEAN_ERGODIC"])
+    if not (isinstance(props, list) and all(isinstance(p, str) for p in props)):
+        raise ConfigurationError(
+            f"asymptotics.properties must be a list of property names, got {props!r}")
     grid_cfg = cfg["grid"]
     given = {key: acfg[key] for key in _ASYMPTOTICS_KEYS if key in acfg}
     config = asy.RobustnessConfig(
@@ -752,7 +765,7 @@ def main(argv=None) -> int:
             cfg["grid"]["step"] = args.step
         if args.method is not None:
             cfg["method"] = args.method
-        _check_grid(cfg["grid"])
+        _check_grid(cfg)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
         cfg["seed"] = seed
         out = Path(args.out)

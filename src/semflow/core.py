@@ -5,14 +5,14 @@ Conventions used throughout the package:
 * space-like grid functions (states on ``[-1, 0]`` or ``[-L, 0]``) carry the
   left-endpoint L1 norm ``step * sum(|f_i|, i < count)`` -- it commutes exactly
   with grid shifts;
-* time-like signals carry the trapezoid L1 norm (matching :func:`quad`);
+* time-like signals carry the trapezoid L1 norm;
 * all arrays are float64.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -148,11 +148,6 @@ class Grid(Record):
         w[-1] *= 0.5
         return w
 
-    def left_weights(self) -> np.ndarray:
-        w = np.full(self.count + 1, self.step)
-        w[-1] = 0.0
-        return w
-
     def index_of(self, t: float) -> int:
         """Grid index of ``t``; raises if ``t`` is off-grid or out of range."""
         r = (t - self.start) / self.step
@@ -197,16 +192,14 @@ def row_sup(a: np.ndarray) -> np.ndarray:
 
 
 class Space:
-    """Describes the norm carried by a coordinate vector."""
+    """Describes the norm carried by a coordinate vector: a subclass gives
+    ``dim``, ``norm(coords)`` and ``rows_norm(rows)``, the norm of every row
+    of a (k, dim) array."""
 
     dim: int
 
     def norm(self, coords: np.ndarray) -> float:
         raise NotImplementedError
-
-    def rows_norm(self, rows: np.ndarray) -> np.ndarray:
-        """Norm of every row of a (k, dim) array."""
-        return np.array([self.norm(r) for r in rows])
 
     def check(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float).ravel()
@@ -344,10 +337,6 @@ class InputSignal(Record):
         np.cumsum(0.5 * h * (p[1:] + p[:-1]), out=out[1:])
         return out
 
-    def restrict(self, k: int) -> "InputSignal":
-        return InputSignal(Grid(self.grid.start, self.grid.step, k),
-                           self.values[:k + 1], self.point_space)
-
     @staticmethod
     def scalar(grid: Grid, values) -> "InputSignal":
         return InputSignal(grid, np.asarray(values, dtype=float).reshape(-1, 1), SupSpace(1))
@@ -386,26 +375,3 @@ def matexp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def quad(grid: Grid, samples: Union[np.ndarray, Sequence[StateVector]]):
-    """Composite-trapezoid integral of samples over the grid (exact on affine data).
-
-    Accepts a ``(count+1, d)`` array (returns an array) or a list of
-    StateVectors sharing one space (returns a StateVector).
-    """
-    if len(samples) != grid.count + 1:
-        raise DimensionError(
-            f"quad needs {grid.count + 1} samples, got {len(samples)}")
-    w = grid.trapezoid_weights()
-    if isinstance(samples, np.ndarray):
-        return np.tensordot(w, samples, axes=(0, 0))
-    space = samples[0].space
-    stacked = np.stack([s.coords for s in samples])
-    return StateVector(np.tensordot(w, stacked, axes=(0, 0)), space)
-
-
-def opnorm_sup(a: np.ndarray) -> float:
-    """Operator norm induced by the sup norm (max absolute row sum)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    return float(np.max(np.sum(np.abs(a), axis=1)))

@@ -21,14 +21,6 @@ class ConfigurationError(SemflowError):
     """An operation was invoked on an unsupported configuration."""
 
 
-class PreconditionError(SemflowError):
-    """A numerically checked hypothesis failed."""
-
-    def __init__(self, message, **diagnostics):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
-
 class FrozenRecordError(SemflowError, AttributeError):
     """An attribute of an immutable value was assigned or deleted."""
 

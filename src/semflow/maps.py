@@ -24,10 +24,11 @@ The discrete input-output map uses left-endpoint quadrature inside, so it is
 strictly causal and ``I - F`` is unit lower triangular: forward substitution
 (``DirectSolve``) is exact, and the Neumann series is the cross-validation
 route.  The compose step uses the same left-endpoint rule, which makes the
-discrete evolution an exact one-step scheme for matrix bases.
+discrete evolution an exact one-step scheme for matrix bases; ``control_map``
+is that step from the zero state.
 
 Unbounded control operators never appear as matrices; the boundary variants
-enter only through their closed forms (shift placement of the input signal).
+enter only through the shift placement of the input signal.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class IdentityControl(Record):
 
 class DirichletControl(Record):
     """Boundary injection through the Dirichlet operator of the translation
-    semigroup; enters only via its closed form."""
+    semigroup; enters only through the shift placement of the input."""
 
     spec: DirichletSpec
 
@@ -248,51 +249,20 @@ def _split_channels(triple: PerturbationTriple, values: np.ndarray):
 # the three maps
 # ---------------------------------------------------------------------------
 
-def control_map(triple: PerturbationTriple, t: float, u: InputSignal,
-                rule: str = "trapezoid") -> StateVector:
-    """Evaluate B_t u.
-
-    ``rule`` selects the quadrature of the bounded variants ("trapezoid" for
-    standalone accuracy, "left" for the staggered rule used inside the
-    feedback loop); the boundary variants are closed forms and ignore it.
-    """
-    if rule not in ("trapezoid", "left"):
-        raise ConfigurationError(
-            f"unknown quadrature rule {rule!r}; use 'trapezoid' or 'left'")
+def control_map(triple: PerturbationTriple, t: float, u: InputSignal) -> StateVector:
+    """Evaluate B_t u: the compose step from the zero state, read at t, in
+    the feedback loop's left-endpoint rule.  On a translation base this is
+    the closed form exp(lam*min(0, s+t)) * u(max(0, s+t)) for inputs with
+    u(0) = 0; the lift of a nonzero u(0) below s + t = 0 is not added."""
     _check_signal(triple, u)
     k = u.grid.index_of(t)
-    h = u.grid.step
-    vals = u.values[: k + 1]
-    if isinstance(triple.control, (BoundedControl, IdentityControl)):
-        acc = _quadrature_scan(triple.base.a, vals @ triple.b_matrix.T, h, rule)
-        return StateVector(acc, triple.base.space)
-    if isinstance(triple.control, DirichletControl):
-        if k == 0:
-            return StateVector(np.zeros(triple.base.space.dim), triple.base.space)
-        from .translation import boundary_control_closed_form
-
-        return boundary_control_closed_form(triple.control.spec, t, u.restrict(k),
-                                            triple.base.grid)
-    # neutral: quadrature on the matrix channel, shift placement on the other
-    base = triple.base
-    N = base.parts[1].grid.count
-    u1, u2 = _split_channels(triple, vals)
-    acc = _quadrature_scan(base.parts[0].a, u1, h, rule)
-    # window k of the history [0]*(N+1) followed by u2_1, u2_2, ...
-    placed = np.concatenate([np.zeros((N + 1, u2.shape[1])), u2[1:]])[k: k + N + 1]
-    return StateVector(np.concatenate([acc, placed.ravel()]), base.space)
-
-
-def _quadrature_scan(a: np.ndarray, g: np.ndarray, h: float, rule: str) -> np.ndarray:
-    """sum_j w_j exp((k - j) h a) g_j over the samples g_0..g_k, with the
-    weights of ``rule`` on [0, k h]: the last row of one causal scan."""
-    k = g.shape[0] - 1
+    space = triple.base.space
     if k == 0:
-        return np.zeros(a.shape[0])
-    grid = Grid(0.0, h, k)
-    w = grid.trapezoid_weights() if rule == "trapezoid" else grid.left_weights()
-    f = np.vstack([w[:, None] * g, np.zeros((1, a.shape[0]))])  # the last row never enters
-    return _kernels.causal_scan(matexp(a, h), f)[-1]
+        return StateVector(np.zeros(space.dim), space)
+    grid = _resolve_grid(triple, t, u.grid.step)
+    free = _free_parts(triple.base, np.zeros(space.dim), grid)
+    parts = _compose(triple, free, u.values[: k + 1], grid)
+    return _assemble(triple.base, grid, *parts).state(k)
 
 
 def observation_map(triple: PerturbationTriple, t: float, x: StateVector,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .core import Grid, Record, StateVector, matexp
-from .errors import ConfigurationError, DimensionError, DomainError, GridAlignmentError
+from .errors import ConfigurationError, DimensionError, GridAlignmentError
 from .maps import (DirectSolve, Method, NeutralBoundaryControl,
                    PerturbationTriple, perturbed_orbit)
 from .semigroups import (BlockDiag, MatrixSemigroup, NilpotentShift, OrbitSeries,
@@ -172,18 +172,3 @@ def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeri
     zs, X = _kernels.mos_loop(e, sys.c, prow, krow, f, y, grid.step, grid.count)
     return _assemble(build_a0(sys), grid, zs, X, 1)
 
-
-def scaling_conjugation(sys: NeutralSystem, alpha: float) -> NeutralSystem:
-    """Similarity transform by (x, f) -> (x, alpha*f): P -> P/alpha, C -> alpha*C.
-
-    Orbits of the original and conjugated systems satisfy
-    T(t)(x, f) = S_alpha^{-1} T~(t)(x, alpha*f)."""
-    if alpha <= 0.0:
-        raise DomainError(f"scaling parameter must be positive, got {alpha}")
-    scaled_p = MeasureSpec(
-        atoms=tuple((loc, np.asarray(w, dtype=float) / alpha if np.ndim(w) else w / alpha)
-                    for loc, w in sys.p_kernel.atoms),
-        density=tuple((a, b, np.asarray(v, dtype=float) / alpha if np.ndim(v) else v / alpha)
-                      for a, b, v in sys.p_kernel.density))
-    return NeutralSystem(sys.a, scaled_p, sys.k_kernel, alpha * sys.c,
-                         sys.history_grid)

@@ -1,6 +1,7 @@
 """Concrete C0-semigroup engines: matrix exponentials, shift semigroups, blocks.
 
-Shift semigroups are evaluated only at grid-commensurate times so that all
+T(t)x is evaluated at the times of a grid, by ``orbit`` through
+``_free_parts``.  Shift semigroups are evaluated only at grid-commensurate times so that all
 translation arithmetic is exact; one grid point of "mass" enters or leaves per
 step, and the left-endpoint L1 norm commutes with the shift.
 """
@@ -19,12 +20,9 @@ from .errors import DimensionError, DomainError, GridAlignmentError
 
 
 class Semigroup:
-    """Base class; subclasses provide `space` and `apply_coords`."""
+    """Base class; subclasses provide `space`."""
 
     space: Space
-
-    def apply_coords(self, t: float, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 class MatrixSemigroup(Record, Semigroup):
@@ -40,29 +38,6 @@ class MatrixSemigroup(Record, Semigroup):
         object.__setattr__(self, "a", _finite(a, "generator"))
         if self.space is None:
             object.__setattr__(self, "space", SupSpace(a.shape[0]))
-
-    def apply_coords(self, t, coords):
-        if t < 0.0:
-            raise DomainError(f"semigroup evaluated at negative time t={t}")
-        if t == 0.0:
-            return np.array(coords, dtype=float)
-        return matexp(self.a, t) @ coords
-
-
-def _shift_coords(values: np.ndarray, m: int) -> np.ndarray:
-    """Shift grid samples left by m points; indices past the right end read zero.
-
-    The convention f(s+t) for s+t < 0 (strictly) keeps the shift family an
-    exact semigroup on samples and makes the nilpotent variant vanish
-    identically at t >= 1.
-    """
-    if m == 0:
-        return values.copy()
-    out = np.zeros_like(values)
-    n = values.shape[0] - 1
-    if m < n:
-        out[: n - m] = values[m:n]
-    return out
 
 
 class NilpotentShift(Record, Semigroup):
@@ -86,11 +61,6 @@ class NilpotentShift(Record, Semigroup):
             raise GridAlignmentError(
                 f"t={t} is not a multiple of the shift grid step {self.grid.step}")
         return m
-
-    def apply_coords(self, t, coords):
-        m = self.shift_count(t)
-        vals = self.space.values(coords)
-        return _shift_coords(vals, m).ravel()
 
 
 class LeftTranslation(Record, Semigroup):
@@ -116,7 +86,6 @@ class LeftTranslation(Record, Semigroup):
         return -self.grid.start
 
     shift_count = NilpotentShift.shift_count
-    apply_coords = NilpotentShift.apply_coords
 
 
 class BlockDiag(Record, Semigroup):
@@ -128,10 +97,6 @@ class BlockDiag(Record, Semigroup):
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
         object.__setattr__(self, "space", ProductSpace(tuple(p.space for p in self.parts)))
-
-    def apply_coords(self, t, coords):
-        pieces = self.space.split(coords)
-        return np.concatenate([p.apply_coords(t, c) for p, c in zip(self.parts, pieces)])
 
 
 class OrbitSeries(Record):
@@ -170,11 +135,6 @@ class OrbitSeries(Record):
     def head(self) -> int:
         """Number of leading state columns stored per row."""
         return self.space.dim - self.width
-
-    @property
-    def windows(self) -> np.ndarray:
-        """Row k is the view ``trajectory[k*stride : k*stride + width]``."""
-        return sliding_window_view(self.trajectory, self.width)[:: self.stride]
 
     def state(self, k: int) -> StateVector:
         return StateVector(self.states[k], self.space)
@@ -215,13 +175,6 @@ def _sliding_l1(point_norms: np.ndarray, window: int, h: float) -> np.ndarray:
     prefix = np.zeros_like(suffix)
     np.cumsum(blocks[1:, :-1], axis=1, out=prefix[:, 1:])
     return h * (suffix + prefix).reshape(-1)[: max(n - window + 1, 0)]
-
-
-def apply(sg: Semigroup, t: float, x: StateVector) -> StateVector:
-    """Evaluate T(t)x."""
-    if x.space != sg.space:
-        raise DimensionError("state does not live in the semigroup's space")
-    return StateVector(sg.apply_coords(t, x.coords), sg.space)
 
 
 def orbit(sg: Semigroup, x: StateVector, grid: Grid) -> OrbitSeries:

@@ -2,8 +2,8 @@
 
 The perturbation pair is a Dirichlet boundary injection ``c -> c*exp(lam*s)``
 (real lam > 0) together with a measure functional ``f -> int f d(mu)``.  All
-three maps have closed forms; the control map's is evaluated here, the
-other two cross-validate the generic machinery in the test oracles:
+three maps have closed forms, which cross-validate the generic machinery in
+the test oracles:
 
 * control map:       (B_t u)(s) = exp(lam*min(0, s+t)) * u(max(0, s+t))
 * observation map:   (C_t f)(t) = int_{(-inf,-t]} f(t+s) d(mu)(s)
@@ -14,19 +14,12 @@ and the input-output map contracts with factor |mu|(R_-).
 
 from __future__ import annotations
 
-import warnings
 from typing import Tuple
 
 import numpy as np
 
-from .core import Grid, InputSignal, Record, StateVector, opnorm_sup
+from .core import Grid, Record
 from .errors import DimensionError, DomainError, GridAlignmentError
-
-
-def _weight_norm(w) -> float:
-    if np.ndim(w) == 0:
-        return abs(float(w))
-    return opnorm_sup(np.asarray(w, dtype=float))
 
 
 class MeasureSpec(Record):
@@ -56,15 +49,6 @@ class MeasureSpec(Record):
                 raise DomainError(f"density segment must satisfy a < b <= 0, got ({a}, {b})")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "density", dens)
-
-    def total_variation(self, lower: float = -np.inf) -> float:
-        """|mu|([lower, 0]) -- atom weights plus integrated |density|."""
-        tv = sum(_weight_norm(w) for loc, w in self.atoms if loc >= lower - 1e-12)
-        for a, b, v in self.density:
-            lo = max(a, lower)
-            if lo < b:
-                tv += (b - lo) * _weight_norm(v)
-        return float(tv)
 
     def observation_row(self, grid: Grid, point_dim: int = 1) -> np.ndarray:
         """Dense row/block matrix realizing f -> int f d(mu) on grid samples.
@@ -112,7 +96,9 @@ class MeasureSpec(Record):
 
 
 class DirichletSpec(Record):
-    """Boundary lifting c -> c * exp(lam * s) on R_-, real lam > 0."""
+    """Boundary lifting c -> c * exp(lam * s) on R_-, real lam > 0.  The
+    routes place the input by shifts and never read lam; only the closed
+    forms of the test oracles do."""
 
     lam: float
 
@@ -121,25 +107,3 @@ class DirichletSpec(Record):
             raise DomainError(f"Dirichlet parameter needs a real lam > 0, got {self.lam}")
         object.__setattr__(self, "lam", float(self.lam))
 
-
-def boundary_control_closed_form(spec: DirichletSpec, t0: float, u: InputSignal,
-                                 grid: Grid) -> StateVector:
-    """Closed-form control map of the boundary perturbation at time t0.
-
-    Evaluates (B_t0 u)(s) = exp(lam * min(0, s + t0)) * u(max(0, s + t0)) on
-    the space grid.  The formula is the L1 limit over inputs with u(0) = 0;
-    a nonzero u(0) is flagged with a warning but still evaluated literally.
-    """
-    if u.point_space.dim != 1:
-        raise DimensionError("boundary control expects a scalar input channel")
-    k0 = u.grid.index_of(t0)
-    if abs(u.grid.step - grid.step) > 1e-12 * grid.step:
-        raise GridAlignmentError("input and space grids must share one step")
-    if abs(float(u.values[0, 0])) > 1e-12:
-        warnings.warn("boundary control input has u(0) != 0; the closed form is "
-                      "only the L1 limit of the vanishing-at-zero class", stacklevel=2)
-    uvals = u.values[:, 0]
-    j = np.arange(grid.count + 1) - grid.count + k0  # index of s_i + t0 on the input grid
-    lift = np.exp(spec.lam * np.minimum(grid.points() + t0, 0.0))
-    out = np.where(j >= 0, uvals[np.maximum(j, 0)], lift * uvals[0])
-    return StateVector.grid_function(out, grid)

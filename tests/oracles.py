@@ -1,33 +1,59 @@
 """Sequential reference loops for the vectorized and blocked kernels, the
 base orbits and maps, the measure row, the writers, the asymptotic checkers
-and the robustness experiment.
+and the robustness experiment, and the checks that no command runs.
 
 They step each recurrence one sample at a time, and read the history one tap
 at a time, exactly as the definitions in ``semflow._kernels``,
-``semflow.semigroups`` and ``semflow.maps`` read; the measure row is built
-one grid point at a time; the CSV oracles format every value of every row;
-the checker oracles decide one orbit per call, the boundedness slope fitted
-by np.polyfit; the robustness oracles build fresh orbits and a fresh harness
-for one property; the io-norm oracle recomputes every norm and exp(hA) in
-every iteration; the admissibility oracle evaluates every constant afresh on
-[0, T] and on [0, 2T]; the translation example's closed forms (boundary
-lifting, control map by quadrature, measure observation, input-output map)
-read the measure one point or one lag at a time.  They serve only as test
+``semflow.semigroups`` and ``semflow.maps`` read; T(t) is applied at one time
+by its definition (exp(tA), an exact shift of the samples); the measure row
+is built one grid point at a time; the CSV oracles format every value of
+every row; the checker oracles decide one orbit per call, the boundedness
+slope fitted by np.polyfit; the robustness oracles build fresh orbits and a
+fresh harness for one property; the io-norm oracle recomputes every norm and
+exp(hA) in every iteration; the admissibility oracle evaluates every
+constant afresh on [0, T] and on [0, 2T]; the translation example's closed
+forms (boundary lifting, control map, control map by quadrature, measure
+observation and total variation, input-output map) read the measure one
+point or one lag at a time; the Desch-Schappacher check bounds the Neumann
+terms of the orbit signals by a geometric series.  They serve only as test
 oracles.
 """
+
+import warnings
 
 import numpy as np
 
 from semflow import _kernels
 from semflow import admissibility as adm
 from semflow import asymptotics as asy
+from semflow import neutral as nt
 from semflow.core import (Grid, InputSignal, L1Space, ProductSpace, StateVector, matexp,
                           time_grid)
-from semflow.errors import DimensionError, GridAlignmentError
-from semflow.maps import (IdentityControl, Neumann, NeutralBoundaryControl,
-                          _apply_io, _io_exp, estimate_io_norm, invert_io, io_map,
-                          observation_map, perturbed_orbit)
-from semflow.semigroups import BlockDiag, MatrixSemigroup, orbit
+from semflow.errors import DimensionError, DomainError, GridAlignmentError, SemflowError
+from semflow.maps import (DirichletControl, IdentityControl, Neumann,
+                          NeutralBoundaryControl, _apply_io, _io_exp, estimate_io_norm,
+                          invert_io, io_map, observation_map, perturbed_orbit)
+from semflow.semigroups import BlockDiag, MatrixSemigroup, OrbitSeries, orbit
+from semflow.translation import MeasureSpec
+
+
+def semigroup_apply(sg, t, coords):
+    """T(t) at one time t >= 0, block by block: exp(tA), or the grid samples
+    moved left by t/h points, where those past the right end (s = 0 for
+    t > 0) read zero, so that the nilpotent shift vanishes at t >= 1."""
+    coords = np.asarray(coords, dtype=float)
+    if isinstance(sg, BlockDiag):
+        pieces = sg.space.split(coords)
+        return np.concatenate([semigroup_apply(p, t, c) for p, c in zip(sg.parts, pieces)])
+    if isinstance(sg, MatrixSemigroup):
+        return matexp(sg.a, t) @ coords  # exp(0 A) = I exactly
+    m = sg.shift_count(t)
+    vals = sg.space.values(coords)
+    if m == 0:
+        return vals.ravel().copy()
+    out = np.zeros_like(vals)
+    out[: max(vals.shape[0] - 1 - m, 0)] = vals[m:-1]
+    return out.ravel()
 
 
 def orbit_step_loop(sg, x, grid):
@@ -36,7 +62,7 @@ def orbit_step_loop(sg, x, grid):
     c = np.array(x.coords, dtype=float)
     states[0] = c
     for k in range(grid.count):
-        c = sg.apply_coords(grid.step, c)
+        c = semigroup_apply(sg, grid.step, c)
         states[k + 1] = c
     return states
 
@@ -75,15 +101,22 @@ def observation_step_loop(triple, grid, x):
 
 
 def control_map_loop(triple, k, u, rule):
-    """B_{t_k} u of the bounded and neutral variants: the quadrature sum
-    acc <- E acc + w_j B u_j one sample at a time, and the placed channel
-    one history point at a time."""
+    """B_{t_k} u: on the bounded and neutral variants the quadrature sum
+    acc <- E acc + w_j B u_j one sample at a time, with the weights of
+    ``rule`` ("trapezoid" or "left", the feedback loop's), and the placed
+    channel one history point at a time; on the boundary variant the closed
+    form, whatever the rule."""
     h = u.grid.step
+    if isinstance(triple.control, DirichletControl):
+        return boundary_control_closed_form(triple.control.spec, k * h, u,
+                                            triple.base.grid).coords
     if k == 0:
         w = np.zeros(1)
+    elif rule == "trapezoid":
+        w = Grid(0.0, h, k).trapezoid_weights()
     else:
-        g = Grid(0.0, h, k)
-        w = g.trapezoid_weights() if rule == "trapezoid" else g.left_weights()
+        w = np.full(k + 1, h)
+        w[-1] = 0.0
     if isinstance(triple.control, NeutralBoundaryControl):
         a = triple.base.parts[0].a
         d = a.shape[0]
@@ -407,14 +440,10 @@ def observation_row_loop(mu, grid, point_dim=1, atom_mode="exact"):
 
 
 def orbit_csv_rows_loop(path, orb):
-    """Write ``t, norm, x0..`` for every orbit row, formatting each value of
-    the dense states with ``.17g`` one at a time."""
+    """Write ``t, norm, x0..`` for every orbit row of the dense states, as
+    ``csv_rows_loop`` does."""
     header = ["t", "norm"] + [f"x{j}" for j in range(orb.states.shape[1])]
-    states = np.array(orb.states)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, norm, row in zip(orb.grid.points(), orb.norms, states):
-            fh.write(",".join(f"{float(v):.17g}" for v in (t, norm, *row)) + "\n")
+    csv_rows_loop(path, header, [orb.grid.points(), orb.norms, *np.array(orb.states).T])
 
 
 def csv_rows_loop(path, header, columns):
@@ -440,7 +469,7 @@ def biinvariance_harness_loop(checkers, orbits, shifts):
         for i, orb in enumerate(orbits):
             full = ch(orb)
             for b in shifts:
-                shifted = ch(asy.shift_orbit(orb, b))
+                shifted = ch(shift_orbit(orb, b))
                 if shifted.verdict == "PASS" and full.verdict != "PASS":
                     violations.append({"checker": name, "orbit": i, "shift": b,
                                        "shifted": shifted.verdict,
@@ -626,14 +655,46 @@ def density_at(mu, s):
     return None
 
 
+def opnorm_sup(a):
+    """Operator norm induced by the sup norm (max absolute row sum)."""
+    return float(np.max(np.sum(np.abs(np.atleast_2d(a)), axis=1)))
+
+
+def total_variation(mu, lower=-np.inf):
+    """|mu|([lower, 0]): atom weights plus integrated |density|."""
+    tv = sum(opnorm_sup(w) for loc, w in mu.atoms if loc >= lower - 1e-12)
+    tv += sum((b - max(a, lower)) * opnorm_sup(v) for a, b, v in mu.density
+              if max(a, lower) < b)
+    return float(tv)
+
+
 def mass_at_zero(mu, delta):
     """|mu|([-delta, 0]), to verify the no-mass-at-zero hypothesis."""
-    return mu.total_variation(lower=-delta)
+    return total_variation(mu, lower=-delta)
 
 
 def dirichlet_apply(spec, c, grid):
     """The boundary lifting c * exp(lam * s) sampled on the grid."""
     return StateVector.grid_function(c * np.exp(spec.lam * grid.points()), grid)
+
+
+def boundary_control_closed_form(spec, t0, u, grid):
+    """Closed-form control map of the boundary perturbation at time t0.
+
+    Evaluates (B_t0 u)(s) = exp(lam * min(0, s + t0)) * u(max(0, s + t0)) on
+    the space grid.  The formula is the L1 limit over inputs with u(0) = 0;
+    a nonzero u(0) is flagged with a warning but still evaluated literally.
+    The input and the space grid share one step.
+    """
+    k0 = u.grid.index_of(t0)
+    if abs(float(u.values[0, 0])) > 1e-12:
+        warnings.warn("boundary control input has u(0) != 0; the closed form is "
+                      "only the L1 limit of the vanishing-at-zero class", stacklevel=2)
+    uvals = u.values[:, 0]
+    j = np.arange(grid.count + 1) - grid.count + k0  # index of s_i + t0 on the input grid
+    lift = np.exp(spec.lam * np.minimum(grid.points() + t0, 0.0))
+    out = np.where(j >= 0, uvals[np.maximum(j, 0)], lift * uvals[0])
+    return StateVector.grid_function(out, grid)
 
 
 def boundary_control_by_quadrature(spec, t0, u, grid):
@@ -678,7 +739,9 @@ def control_dropped_mass(t0, u, grid):
     if t0 <= L + 1e-12:
         return 0.0
     k = int(round(min(t0 - L, u.grid.end) / u.grid.step))
-    return float(u.restrict(k).l1_norm()) if k >= 1 else 0.0
+    if k < 1:
+        return 0.0
+    return InputSignal(Grid(0.0, u.grid.step, k), u.values[: k + 1], u.point_space).l1_norm()
 
 
 def measure_observation(mu, f, grid):
@@ -727,3 +790,85 @@ def history_segment(sys, orb, k):
     """The history window x_{t_k}(s) = x(t_k + s) stored in the block orbit."""
     fpart = orb.states[k, sys.dim:]
     return StateVector(fpart, L1Space(sys.history_grid, point_dim=sys.dim))
+
+
+def scaling_conjugation(sys, alpha):
+    """The neutral system conjugated by (x, f) -> (x, alpha*f): P -> P/alpha
+    and C -> alpha*C, so that T(t)(x, f) = S_alpha^{-1} T~(t)(x, alpha*f)."""
+    if alpha <= 0.0:
+        raise DomainError(f"scaling parameter must be positive, got {alpha}")
+    p = sys.p_kernel
+    scaled_p = MeasureSpec(atoms=tuple((loc, np.divide(w, alpha)) for loc, w in p.atoms),
+                           density=tuple((a, b, np.divide(v, alpha)) for a, b, v in p.density))
+    return nt.NeutralSystem(sys.a, scaled_p, sys.k_kernel, alpha * sys.c, sys.history_grid)
+
+
+def shift_orbit(orb, b):
+    """Left time-shift: drop the first b seconds of the sampled orbit."""
+    k = asy._shift_start(orb.grid, b)
+    return OrbitSeries(Grid(0.0, orb.grid.step, orb.grid.count - k),
+                       orb.states[k:], orb.norms[k:], orb.space)
+
+
+# ---------------------------------------------------------------------------
+# the Desch-Schappacher check
+# ---------------------------------------------------------------------------
+
+class PreconditionError(SemflowError):
+    """A numerically checked hypothesis failed."""
+
+    def __init__(self, message, **diagnostics):
+        super().__init__(message)
+        self.diagnostics = diagnostics
+
+
+def _log_linear_fit(ts, norms):
+    mask = norms > 1e-300
+    t = ts[mask]
+    y = np.log(norms[mask])
+    if t.shape[0] < 3:
+        return -np.inf, 1.0
+    A = np.stack([t, np.ones_like(t)], axis=1)
+    coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_res = float(res[0]) if res.size else float(np.sum((A @ coef - y) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(coef[0]), r2
+
+
+def check_desch_schappacher(triple, probes, omega, m=1.0, horizon=40.0, step=2.5e-4,
+                            n_terms=20, term_tol=1e-8):
+    """The Desch-Schappacher bound for a bounded B and C = Id over a base with
+    ||T(t)|| <= M exp(-omega t), which a log-linear fit of every probe orbit
+    must confirm (R^2 >= 0.99).  With rho = m ||B|| / omega < 1, the n-th
+    Neumann term of the orbit signal is at most rho^n (M/omega) ||x||, and
+    their sum at most M / (omega - m ||B||) ||x||, each up to ``term_tol``
+    (the quadrature overshoot of the n = 0 term); m defaults to 1."""
+    grid = time_grid(horizon, step)
+    ts = grid.points()
+    orbits = [orbit(triple.base, x, grid) for x in probes]
+    m_est = 1.0
+    for x, orb in zip(probes, orbits):
+        slope, r2 = _log_linear_fit(ts, orb.norms)
+        if r2 < 0.99 or slope > -omega * (1.0 - 1e-9):
+            raise PreconditionError(
+                "base semigroup is not exponentially stable at the requested rate",
+                measured_rate=-slope, r_squared=r2, requested=omega)
+        m_est = max(m_est, float(np.max(orb.norms * np.exp(omega * ts))) / x.norm())
+    b_norm = opnorm_sup(triple.control.matrix)
+    rho = m * b_norm / omega
+    e = _io_exp(triple, step)
+    ok = rho < 1.0
+    per_probe = []
+    for x, orb in zip(probes, orbits):
+        term, norms, margins = orb.states, [], []
+        for n in range(n_terms + 1):
+            norms.append(InputSignal(grid, term, triple.u_space).l1_norm())
+            margins.append((rho ** n) * (m_est / omega) * x.norm() + term_tol - norms[-1])
+            term = _apply_io(triple, term, step, e)
+        total = float(np.sum(norms))
+        total_bound = m_est / (omega - m * b_norm) * x.norm() if rho < 1.0 else np.inf
+        ok &= bool(np.min(margins) >= 0.0) and total <= total_bound + term_tol
+        per_probe.append({"term_norms": norms, "min_term_margin": float(np.min(margins)),
+                          "total": total, "total_bound": float(total_bound)})
+    return adm.CheckResult("PASS" if ok else "FAIL", {"rho": rho, "per_probe": per_probe})

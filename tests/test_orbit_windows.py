@@ -53,7 +53,8 @@ def neutral_orbits(d_hist=16, horizon=2.0):
 def assert_rows_are_windows(orb, stride):
     assert orb.stride == stride
     traj = orb.trajectory
-    assert np.shares_memory(orb.windows, traj)
+    if orb.head == 0:  # the rows are views of the trajectory
+        assert np.shares_memory(orb.states, traj)
     for k in range(orb.grid.count + 1):
         window = traj[k * stride: k * stride + orb.width]
         assert orb.states[k, orb.head:].tobytes() == window.tobytes()

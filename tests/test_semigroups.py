@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import semflow as sf
 from semflow.errors import DomainError, GridAlignmentError
 from semflow.semigroups import Semigroup, _sliding_l1
+from oracles import semigroup_apply
 
 
 def hist_grid(n=64):
@@ -15,6 +16,8 @@ def hist_grid(n=64):
 
 
 def test_apply_identity_at_zero():
+    # the orbit's first state is x, apart from the shift's endpoint sample
+    # s = 0, which it drops and the left-endpoint L1 norm does not weigh
     specs = [
         sf.MatrixSemigroup([[-1.0]]),
         sf.NilpotentShift(hist_grid()),
@@ -23,47 +26,52 @@ def test_apply_identity_at_zero():
     rng = np.random.default_rng(3)
     for sg in specs:
         x = sf.StateVector(rng.standard_normal(sg.space.dim), sg.space)
-        assert np.array_equal(sf.apply(sg, 0.0, x).coords, x.coords)
+        step = 1.0 / 32 if isinstance(sg, sf.LeftTranslation) else 1.0 / 64
+        first = np.array(sf.orbit(sg, x, sf.time_grid(1.0, step)).states[0])
+        keep = slice(None) if isinstance(sg, sf.MatrixSemigroup) else slice(None, -1)
+        assert np.array_equal(first[keep], x.coords[keep])
+        assert sg.space.norm(first - x.coords) == 0.0
 
 
 def test_matrix_apply_scalar_ode_oracle():
     sg = sf.MatrixSemigroup([[-1.0]])
     x = sf.StateVector.sup([1.0])
-    assert sf.apply(sg, 1.0, x).coords[0] == pytest.approx(0.3678794411714423,
-                                                           abs=1e-12)
+    orb = sf.orbit(sg, x, sf.time_grid(1.0, 0.01))
+    assert orb.states[-1, 0] == pytest.approx(0.3678794411714423, abs=1e-12)
 
 
 def test_negative_time_rejected():
     sg = sf.MatrixSemigroup([[-1.0]])
     with pytest.raises(DomainError):
-        sf.apply(sg, -1.0, sf.StateVector.sup([1.0]))
+        sf.orbit(sg, sf.StateVector.sup([1.0]), sf.Grid(-1.0, 0.1, 10))
 
 
 def test_nilpotent_shift_vanishes_at_one():
     sg = sf.NilpotentShift(hist_grid(32))
     f = sf.StateVector.grid_function(np.cos(3 * hist_grid(32).points()) + 2.0,
                                      hist_grid(32))
-    out = sf.apply(sg, 1.0, f)
-    assert np.all(out.coords == 0.0)
-    out2 = sf.apply(sg, 1.5, f)
-    assert np.all(out2.coords == 0.0)
+    grid = sf.time_grid(1.5, 1.0 / 32)
+    orb = sf.orbit(sg, f, grid)
+    for t in (1.0, 1.5):
+        assert np.all(orb.states[grid.index_of(t)] == 0.0)
 
 
 def test_shift_incommensurate_time_rejected():
     sg = sf.NilpotentShift(hist_grid(32))
     f = sf.StateVector(np.ones(sg.space.dim), sg.space)
     with pytest.raises(GridAlignmentError):
-        sf.apply(sg, 0.013, f)
+        sf.orbit(sg, f, sf.Grid(0.0, 0.013, 10))
 
 
 def test_shift_semigroup_law_exact():
     n = 32
     sg = sf.NilpotentShift(hist_grid(n))
     rng = np.random.default_rng(1)
-    f = rng.standard_normal(n + 1)
-    one = sg.apply_coords(6.0 / n, sg.apply_coords(5.0 / n, f))
-    two = sg.apply_coords(11.0 / n, f)
-    assert np.array_equal(one, two)
+    f = sf.StateVector(rng.standard_normal(n + 1), sg.space)
+    grid = sf.time_grid(11.0 / n, 1.0 / n)
+    orb = sf.orbit(sg, f, grid)
+    one = sf.orbit(sg, orb.state(5), grid).states[6]
+    assert np.array_equal(one, orb.states[11])
 
 
 def test_shift_norm_never_increases():
@@ -71,7 +79,8 @@ def test_shift_norm_never_increases():
     sg = sf.NilpotentShift(hist_grid(n))
     rng = np.random.default_rng(2)
     f = sf.StateVector(rng.standard_normal(sg.space.dim), sg.space)
-    norms = [sf.apply(sg, k / n, f).norm() for k in range(n + 1)]
+    norms = sf.orbit(sg, f, sf.time_grid(1.0, 1.0 / n)).norms
+    assert norms[0] == f.norm()
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
 
@@ -80,10 +89,11 @@ def test_matrix_semigroup_law():
     a = rng.standard_normal((3, 3))
     a /= np.max(np.sum(np.abs(a), axis=1))
     sg = sf.MatrixSemigroup(a)
-    x = rng.standard_normal(3)
-    lhs = sg.apply_coords(0.4, sg.apply_coords(0.9, x))
-    rhs = sg.apply_coords(1.3, x)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-9
+    x = sf.StateVector.sup(rng.standard_normal(3))
+    grid = sf.time_grid(1.3, 0.1)
+    orb = sf.orbit(sg, x, grid)
+    lhs = sf.orbit(sg, orb.state(9), grid).states[4]
+    assert np.max(np.abs(lhs - orb.states[13])) <= 1e-9
 
 
 def test_orbit_zero_vector():
@@ -107,7 +117,7 @@ def test_orbit_stepwise_matches_direct_apply():
     grid = sf.time_grid(3.0, 0.05)
     orb = sf.orbit(sg, x, grid)
     k = grid.index_of(2.0)
-    assert np.max(np.abs(orb.states[k] - sf.apply(sg, 2.0, x).coords)) <= 1e-10
+    assert np.max(np.abs(orb.states[k] - semigroup_apply(sg, 2.0, x.coords))) <= 1e-10
 
 
 def test_orbit_nilpotent_zero_after_one():
@@ -163,12 +173,13 @@ def test_left_translation_profile_moves_left():
     grid = sf.Grid(-2.0, 1.0 / 32, n)
     sg = sf.LeftTranslation(grid)
     s = grid.points()
-    f = np.where((s >= -1.5) & (s <= -1.0), 1.0, 0.0)
-    out = sg.apply_coords(0.5, f)
+    f = sf.StateVector.grid_function(np.where((s >= -1.5) & (s <= -1.0), 1.0, 0.0), grid)
+    tg = sf.time_grid(2.5, grid.step)
+    orb = sf.orbit(sg, f, tg)
     expect = np.where((s >= -2.0) & (s <= -1.5), 1.0, 0.0)
-    assert np.allclose(out, expect)
+    assert np.allclose(orb.states[tg.index_of(0.5)], expect)
     # after two more units everything has left the window
-    assert np.all(sg.apply_coords(2.0, f) == 0.0)
+    assert np.all(orb.states[-1] == 0.0)
 
 
 def test_shift_orbit_norms_keep_relative_precision_on_a_decaying_profile():

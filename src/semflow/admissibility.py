@@ -1,15 +1,15 @@
 """Sampled estimation and certification of admissibility constants.
 
-All estimates are maxima over finite probe/signal sets and grid times, hence
-lower bounds of the true suprema; they are reported as such.  Verdicts attach
-a horizon-doubling stability test: a supremum over t > 0 is accepted as finite
-when doubling the horizon moves the estimate by less than 5 percent.
+All estimates but ``io_norm_est`` are maxima over finite probe/signal sets and
+grid times, hence lower bounds of the true suprema, reported as such.
+Verdicts attach a horizon-doubling stability test: a supremum over t > 0 is
+accepted as finite when doubling the horizon moves the estimate by less than
+5 percent.
 
 B_t, C_t, F_t and (I - F_t)^{-1} are causal and the signals zero-extended, so
-the test reads the [0, T] estimates as prefixes of one pass over [0, 2T].  One
-contraction estimate of ||F_2T|| >= ||F_T|| per run, its probes drawn with
-``io_probe_seed`` (the CLI passes the run's seed), gates every Neumann solve
-and enters ``io_norm_est``.
+the test reads the [0, T] estimates as prefixes of one pass over [0, 2T].
+``io_norm_est`` is the upper bound ``estimate_io_norm`` of ||F_2T|| >= ||F_T||
+on signals with u(0) = 0; computed once per run, it gates every Neumann solve.
 """
 
 from __future__ import annotations
@@ -99,19 +99,16 @@ def _ratio_track(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _worst_tracks(triple, probes, signals, grid, method, est):
     """Worst ratios so far, over the signals or probes, at every time of
     ``grid``: M_B, M_C, M_BC and the inverse observation (running_l1 is
-    nondecreasing, so the last two are maxima over [0, t_k] already); and the
-    worst ||F u|| / ||u|| over the whole grid.  np.maximum keeps a nan."""
+    nondecreasing, so the last two are maxima over [0, t_k] already).
+    np.maximum keeps a nan."""
     e = _io_exp(triple, grid.step)
     m_b = m_c = m_bc = inv = np.zeros(grid.count + 1)
-    io_ratio = []
     for u in signals:
         uu = _extend_signal(u, grid)
         run_u = uu.running_l1()
         m_b = np.maximum(m_b, _ratio_track(_control_track_norms(triple, uu, e), run_u))
         fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step, e), triple.u_space)
         m_bc = np.maximum(m_bc, _ratio_track(fu.running_l1(), run_u))
-        if run_u[-1] > RATIO_FLOOR:
-            io_ratio.append(fu.l1_norm() / uu.l1_norm())
     for x in probes:
         nx = x.norm()
         if nx <= RATIO_FLOOR:
@@ -120,7 +117,7 @@ def _worst_tracks(triple, probes, signals, grid, method, est):
         m_c = np.maximum(m_c, v.running_l1() / nx)
         w = invert_io(triple, grid.end, v, method, contraction_estimate=est)
         inv = np.maximum(inv, w.running_l1() / nx)
-    return (m_b, m_c, m_bc, inv), _worst(io_ratio)
+    return m_b, m_c, m_bc, inv
 
 
 # overflow runs to inf or nan without numpy warnings: a non-finite estimate
@@ -129,16 +126,15 @@ def _worst_tracks(triple, probes, signals, grid, method, est):
 def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector],
                        signals: Sequence[InputSignal], horizon: float,
                        step: Optional[float] = None,
-                       method: Method = DirectSolve(),
-                       io_probe_seed: int = 0) -> AdmissibilityReport:
+                       method: Method = DirectSolve()) -> AdmissibilityReport:
     """Estimate the admissibility constants of the triple over [0, horizon].
 
     Estimates are maxima over the probe states / input signals (lower bounds
     of the true constants); the verdicts record contraction of the
     input-output map and horizon-doubling stability of the suprema.  The
     maps run once, on [0, 2 horizon], and the [0, horizon] values are their
-    prefixes; one ``estimate_io_norm`` over [0, 2 horizon], drawn with
-    ``io_probe_seed``, gates every Neumann solve and enters ``io_norm_est``.
+    prefixes; one ``estimate_io_norm`` over [0, 2 horizon], an upper bound,
+    gates every Neumann solve and is ``io_norm_est``.
     """
     if not probes:
         raise ConfigurationError("estimate_constants needs a nonempty probe set")
@@ -149,11 +145,10 @@ def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector]
         h = signals[0].grid.step
     n1 = time_grid(horizon, h).count
     grid = time_grid(2.0 * horizon, h)
-    est = estimate_io_norm(triple, 2.0 * horizon, step=h, seed=io_probe_seed)
-    tracks, io_ratio = _worst_tracks(triple, probes, signals, grid, method, est)
+    io_norm = estimate_io_norm(triple, 2.0 * horizon, step=h)
+    tracks = _worst_tracks(triple, probes, signals, grid, method, io_norm)
     m_b2, m_c2, m_bc2, inv2 = (_worst(t) for t in tracks)
     m_b1, inv1 = (_worst(tracks[i][: n1 + 1]) for i in (0, 3))
-    io_norm = _worst([io_ratio, est])
 
     def stability(a, b):
         # a non-finite estimate at 2T makes rel nan or inf, hence FAIL

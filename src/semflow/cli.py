@@ -208,7 +208,7 @@ def build_initial(cfg: dict, target):
 
 
 def build_probes(cfg: dict, target, seed: int):
-    count = _count(_section(cfg, "probes", {"count", "kind"}), "probes")
+    count = _count(_section(cfg, "probes", {"count"}), "probes")
     if count < 1:
         raise ConfigurationError("probe count must be positive")
     rng = np.random.default_rng(seed)
@@ -628,7 +628,7 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     count = _count(_section(cfg, "signals", {"count"}), "signals")
     signals = adm.probe_signals(triple, grid, count, seed=seed)
     report = adm.estimate_constants(triple, probes, signals, horizon, step=step,
-                                    method=method_from(cfg), io_probe_seed=seed)
+                                    method=method_from(cfg))
     payload = report.to_dict()
     if "q_threshold" in acfg:
         mv = adm.check_miyadera_voigt(triple, probes, horizon,

@@ -51,11 +51,6 @@ from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
 from .translation import DirichletSpec
 
 
-#: random probes and power iterations per probe of ``estimate_io_norm``
-IO_NORM_PROBES = 4
-IO_NORM_ITERS = 3
-
-
 # ---------------------------------------------------------------------------
 # control-operator variants
 # ---------------------------------------------------------------------------
@@ -347,30 +342,28 @@ def io_map(triple: PerturbationTriple, t: float, u: InputSignal) -> InputSignal:
     return InputSignal(Grid(0.0, u.grid.step, k), out, triple.u_space)
 
 
-def estimate_io_norm(triple: PerturbationTriple, t: float, step: Optional[float] = None,
-                     seed: int = 0) -> float:
-    """Sampled lower bound of ||F_t|| on L1, by probing and power iteration."""
+def estimate_io_norm(triple: PerturbationTriple, t: float,
+                     step: Optional[float] = None) -> float:
+    """Upper bound U(t) of ||F_t|| on L1 signals with u(0) = 0, exact when
+    u_dim = 1: U = sum_k w_k ||R_k|| with the trapezoid weights w, where R_k
+    is the response at step k to the impulses h^-1 e_j at step 1 and ||R_k||
+    the largest row sum of |R_k| (on the neutral sup (+)_1 sup: per input
+    half, both output blocks' row-sum norms added; the larger half's sum).
+    F is time-invariant from step 1 on, so U bounds every impulse at a step
+    >= 1, and every Neumann term F^n v, n >= 1; F's left rule weighs u_0 by
+    h, twice its trapezoid weight, so u(0) != 0 can exceed U."""
     grid = _resolve_grid(triple, t, step)
-    rng = np.random.default_rng(seed)
-    n1 = grid.count + 1
-    e = _io_exp(triple, grid.step)
-    ratios = []
-    probes = [np.ones((n1, triple.u_dim))]
-    for _ in range(IO_NORM_PROBES):
-        probes.append(rng.standard_normal((n1, triple.u_dim)))
-    for u in probes:
-        nu = InputSignal(grid, u, triple.u_space).l1_norm()
-        for _ in range(IO_NORM_ITERS):
-            if nu <= 0.0:
-                break
-            fu = _apply_io(triple, u, grid.step, e)
-            nfu = InputSignal(grid, fu, triple.u_space).l1_norm()
-            ratios.append(nfu / nu)
-            # ||F u|| is the next iterate's ||u||
-            u, nu = fu, nfu
-    # np.max keeps a nan ratio of an overflowed iterate, the builtin max
-    # would drop it
-    return float(np.max(ratios, initial=0.0))
+    h, n1, m = grid.step, grid.count + 1, triple.u_dim
+    e = _io_exp(triple, h)
+    resp = np.empty((n1, m, m))  # resp[k, :, j] = R_k e_j
+    for j in range(m):
+        impulse = np.zeros((n1, m))
+        impulse[1, j] = 1.0 / h
+        resp[:, :, j] = _apply_io(triple, impulse, h, e)
+    b = 2 if isinstance(triple.control, NeutralBoundaryControl) else 1
+    # the largest row sum of |R_k| in each (output block, input half)
+    rows = np.abs(resp).reshape(n1, b, m // b, b, m // b).sum(axis=4).max(axis=2)
+    return float(np.max(grid.trapezoid_weights() @ rows.sum(axis=1)))
 
 
 def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
@@ -380,7 +373,10 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
 
     ``DirectSolve`` is exact forward substitution (the discrete map is
     strictly causal); ``Neumann`` sums the series sum_n F^n v and refuses when
-    the estimated contraction factor is >= 1.
+    the gate U, ``contraction_estimate`` or else ``estimate_io_norm``, is
+    >= 1.  It stops at the first term F^N v of norm <= tol (1 - U): the
+    terms after it vanish at step 0, where U bounds F, so the remainder is at
+    most tol U.
     """
     _check_signal(triple, v)
     k = v.grid.index_of(t)

@@ -9,8 +9,9 @@ by its definition (exp(tA), an exact shift of the samples); the measure row
 is built one grid point at a time; the CSV oracles format every value of
 every row; the checker oracles decide one orbit per call, the boundedness
 slope fitted by np.polyfit; the robustness oracles build fresh orbits and a
-fresh harness for one property; the io-norm oracle recomputes every norm and
-exp(hA) in every iteration; the admissibility oracle evaluates every
+fresh harness for one property; the io-norm oracle applies F, through the
+kernel loops, to an impulse at every step times every extreme point of the
+point ball; the admissibility oracle evaluates every
 constant afresh on [0, T] and on [0, 2T]; the translation example's closed
 forms (boundary lifting, control map, control map by quadrature, measure
 observation and total variation, input-output map) read the measure one
@@ -19,6 +20,7 @@ terms of the orbit signals by a geometric series.  They serve only as test
 oracles.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -27,12 +29,11 @@ from semflow import _kernels
 from semflow import admissibility as adm
 from semflow import asymptotics as asy
 from semflow import neutral as nt
-from semflow.core import (Grid, InputSignal, L1Space, ProductSpace, StateVector, matexp,
-                          time_grid)
+from semflow.core import Grid, InputSignal, L1Space, StateVector, matexp, time_grid
 from semflow.errors import DimensionError, DomainError, GridAlignmentError, SemflowError
 from semflow.maps import (DirichletControl, IdentityControl, Neumann,
                           NeutralBoundaryControl, _apply_io, _io_exp, estimate_io_norm,
-                          invert_io, io_map, observation_map, perturbed_orbit)
+                          invert_io, observation_map, perturbed_orbit)
 from semflow.semigroups import BlockDiag, MatrixSemigroup, OrbitSeries, orbit
 from semflow.translation import MeasureSpec
 
@@ -303,36 +304,50 @@ def mos_step_loop(E, C, prow, krow, f0, y, h, n):
     return zs, X
 
 
-def estimate_io_norm_loop(triple, t, step, n_probes=4, n_iters=3, seed=0):
-    """``maps.estimate_io_norm`` with nothing carried between iterations:
-    each one applies F through ``io_map`` (a fresh exp(hA) every time) and
-    takes both trapezoid L1 norms afresh, the sup point norms by ``np.max``
-    on each component of the input space."""
+def io_apply_loop(triple, values, h):
+    """Discrete F applied through the sequential kernel loops, exp(hA) fresh."""
+    if isinstance(triple.control, DirichletControl):
+        return delay_volterra_apply_loop(triple.observe[0, ::-1], values[:, 0])[:, None]
+    if isinstance(triple.control, NeutralBoundaryControl):
+        d = triple.base.parts[0].space.dim
+        c_block, prow, krow = triple.neutral_blocks()
+        return np.hstack(neutral_volterra_apply_loop(
+            matexp(triple.base.parts[0].a, h), c_block, prow, krow,
+            values[:, :d], values[:, d:], h))
+    return matrix_volterra_apply_loop(matexp(triple.base.a, h), triple.b_matrix,
+                                      triple.observe, values, h)
+
+
+def io_norm_extreme_points(triple, t, step):
+    """The largest ||F u|| / ||u|| over the extreme points of the unit ball of
+    the signals with u(0) = 0: an impulse at every step k = 1..n-1 (one at
+    step n has no response) times every extreme point of the point ball,
+    the sign vectors of (R^m, sup) or, on the neutral sup (+)_1 sup, the
+    sign vectors of either half with the other half zero."""
     grid = time_grid(t, step)
-    rng = np.random.default_rng(seed)
-    n1 = grid.count + 1
     w = grid.trapezoid_weights()
-    space = triple.u_space
-    dims = [p.dim for p in space.parts] if isinstance(space, ProductSpace) else [space.dim]
+    m = triple.u_dim
+
+    def signs(n):
+        return [np.array(x) for x in itertools.product((1.0, -1.0), repeat=n)]
+
+    if isinstance(triple.control, NeutralBoundaryControl):
+        d, zero = m // 2, np.zeros(m // 2)
+        points = [np.concatenate(p) for x in signs(d) for p in ((x, zero), (zero, x))]
+        cuts = [d]
+    else:
+        points, cuts = signs(m), []
 
     def l1(vals):
-        pn, lo = 0, 0
-        for dim in dims:
-            pn = pn + np.max(np.abs(vals[:, lo:lo + dim]), axis=1)
-            lo += dim
-        return float(w @ pn)
+        point_norms = sum(np.max(np.abs(p), axis=1) for p in np.split(vals, cuts, axis=1))
+        return float(w @ point_norms)
 
-    probes = [np.ones((n1, triple.u_dim))]
-    probes += [rng.standard_normal((n1, triple.u_dim)) for _ in range(n_probes)]
     best = 0.0
-    for u in probes:
-        for _ in range(n_iters):
-            nu = l1(u)
-            if nu <= 0.0:
-                break
-            fu = io_map(triple, grid.end, InputSignal(grid, u, space)).values
-            best = max(best, l1(fu) / nu)
-            u = fu
+    for k in range(1, grid.count):
+        for x in points:
+            u = np.zeros((grid.count + 1, m))
+            u[k] = x
+            best = max(best, l1(io_apply_loop(triple, u, grid.step)) / l1(u))
     return best
 
 
@@ -344,15 +359,13 @@ def _constants_at_loop(triple, probes, signals, grid, method):
         return float(np.max(num[mask] / den[mask], initial=0.0))
 
     e = _io_exp(triple, grid.step)
-    m_b, m_bc, io_ratio = [], [], []
+    m_b, m_bc = [], []
     for u in signals:
         uu = adm._extend_signal(u, grid) if u.grid.count < grid.count else u
         run_u = uu.running_l1()
         m_b.append(max_ratio(adm._control_track_norms(triple, uu), run_u))
         fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step, e), triple.u_space)
         m_bc.append(max_ratio(fu.running_l1(), run_u))
-        if run_u[-1] > adm.RATIO_FLOOR:
-            io_ratio.append(fu.l1_norm() / uu.l1_norm())
     m_c, sup_inv = [], []
     est = estimate_io_norm(triple, grid.end, step=grid.step) \
         if isinstance(method, Neumann) else None
@@ -364,22 +377,19 @@ def _constants_at_loop(triple, probes, signals, grid, method):
         m_c.append(float(v.running_l1()[-1]) / nx)
         w = invert_io(triple, grid.end, v, method, contraction_estimate=est)
         sup_inv.append(float(np.max(w.running_l1())) / nx)
-    return tuple(float(np.max(v, initial=0.0))
-                 for v in (m_b, m_c, m_bc, io_ratio, sup_inv))
+    return tuple(float(np.max(v, initial=0.0)) for v in (m_b, m_c, m_bc, sup_inv))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def estimate_constants_two_pass(triple, probes, signals, horizon, step, method,
-                                io_probe_seed=0):
+def estimate_constants_two_pass(triple, probes, signals, horizon, step, method):
     """``admissibility.estimate_constants`` as two separate evaluations, one
     on [0, T] and one on [0, 2T], each with its own contraction estimate,
     and a third estimate at 2T for the reported io norm."""
     g1 = time_grid(horizon, step)
     g2 = time_grid(2.0 * horizon, step)
-    m_b1, _, _, _, inv1 = _constants_at_loop(triple, probes, signals, g1, method)
-    m_b2, m_c2, m_bc2, io2, inv2 = _constants_at_loop(triple, probes, signals, g2, method)
-    io_norm = float(np.max([io2, estimate_io_norm(triple, 2.0 * horizon, step=step,
-                                                  seed=io_probe_seed)]))
+    m_b1, _, _, inv1 = _constants_at_loop(triple, probes, signals, g1, method)
+    m_b2, m_c2, m_bc2, inv2 = _constants_at_loop(triple, probes, signals, g2, method)
+    io_norm = estimate_io_norm(triple, 2.0 * horizon, step=step)
 
     def rel_change(a, b):
         return abs(b - a) / max(abs(a), adm.RATIO_FLOOR)

@@ -53,7 +53,7 @@ def test_neumann_estimates_the_contraction_once_per_run(monkeypatch):
     applies = count_calls(monkeypatch, maps._apply_io)
     rep = adm.estimate_constants(triple, probes, sigs, 5.0, step=0.01,
                                  method=sf.Neumann(tol=1e-12))
-    # one estimate over [0, 2T] gates every solve and enters io_norm_est
+    # one bound over [0, 2T] gates every solve and is io_norm_est
     assert [c[1] for c in calls] == [10.0]
     # every map runs on the [0, 2T] grid only: F on each signal, in the
     # estimate and in the Neumann terms
@@ -129,7 +129,7 @@ def test_estimate_constants_translation_atom():
     f = sf.StateVector.grid_function(np.exp(g.points()), g)
     sigs = adm.probe_signals(triple, sf.time_grid(8.0, h), 3, seed=2)
     rep = adm.estimate_constants(triple, [f], sigs, 8.0, step=h)
-    assert rep.io_norm_est <= 0.8 + 1e-9  # |mu|(R_-) bounds the io norm
+    assert rep.io_norm_est == pytest.approx(0.8, rel=1e-12)  # |mu|(R_-) is the io norm
     assert rep.m_b_est <= 1.0 + 1e-9      # the boundary control is a contraction
     assert rep.verdicts["io_contraction"]["verdict"] == "PASS"
 

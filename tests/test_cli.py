@@ -131,6 +131,27 @@ def test_admissibility_contraction_violation_reported(tmp_path):
     assert rep["verdicts"]["io_contraction"]["verdict"] == "FAIL"
 
 
+def test_io_contraction_fails_on_a_delay_line_of_norm_above_one(tmp_path):
+    # |mu| = 0.85 + 0.25 = 1.1; a sampled lower bound read 0.939 and PASS here
+    cfg = {"system": {"kind": "translation", "lambda": 1.0, "L": 4.0,
+                      "atoms": [[-1.0, 0.85]], "density": [[-3.0, -0.5, 0.1]]},
+           "grid": {"step": 0.002, "horizon": 8.0},
+           "probes": {"count": 3}, "signals": {"count": 3},
+           "admissibility": {"horizon": 4.0}}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    reps = []
+    for seed in ("42", "7"):
+        out = tmp_path / seed
+        assert main(["admissibility", "--config", path, "--out", str(out),
+                     "--seed", seed]) == 0
+        reps.append(json.loads((out / "admissibility.json").read_text()))
+    assert reps[0]["io_norm_est"] == pytest.approx(1.1, rel=1e-12)
+    assert reps[0]["verdicts"]["io_contraction"]["verdict"] == "FAIL"
+    # the bound draws nothing, so the seed does not move it
+    assert reps[1]["io_norm_est"] == reps[0]["io_norm_est"]
+    assert reps[1]["verdicts"]["io_contraction"] == reps[0]["verdicts"]["io_contraction"]
+
+
 def test_asymptotics_verdict_matrix_and_plots(tmp_path):
     cfg = scalar_cfg(c=0.5, horizon=60.0, step=0.01)
     del cfg["initial"]
@@ -539,3 +560,17 @@ def test_malformed_count_or_properties_exits_2_and_names_it(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith(f"validation failure: {section}.{key} must {must}, got ")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("admissibility", "probes", "kind"),
+    ("admissibility", "signals", "kind"),
+    ("simulate", "grid", "surprise")])
+def test_unknown_section_key_exits_2_and_names_it(tmp_path, capsys, command, section, key):
+    cfg = scalar_cfg(c=0.5, horizon=1.0, step=0.01)
+    cfg.setdefault(section, {})[key] = "no-such-kind"
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert f"unknown keys in {section}: ['{key}']" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []

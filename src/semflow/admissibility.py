@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Grid, InputSignal, Record, StateVector, time_grid
+from .core import Draws, Grid, InputSignal, Record, StateVector, time_grid
 from .errors import ConfigurationError, GridAlignmentError
 from .maps import (DirectSolve, IdentityControl, Method, PerturbationTriple,
                    _apply_io, _compose, _io_exp, estimate_io_norm, invert_io,
@@ -52,8 +52,9 @@ class CheckResult(Record):
 def probe_signals(triple: PerturbationTriple, grid: Grid, count: int,
                   seed: int = 0) -> List[InputSignal]:
     """Smooth seeded signals vanishing at both endpoints (the dense class on
-    which the control-map bounds are stated)."""
-    rng = np.random.default_rng(seed)
+    which the control-map bounds are stated): tapered, smoothed normals
+    drawn from ``Draws(seed)``, one (grid.count + 1, u_dim) array per signal."""
+    rng = Draws(seed)
     n1 = grid.count + 1
     taper = np.sin(np.pi * np.arange(n1) / max(n1 - 1, 1)) ** 2
     out = []

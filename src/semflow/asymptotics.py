@@ -26,7 +26,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
-from .core import Grid, Record, Space, StateVector
+from .core import Draws, Grid, Record, Space, StateVector
 from .errors import ConfigurationError, DomainError
 from .maps import DirectSolve, Method, PerturbationTriple, free_orbit, perturbed_orbit
 from .semigroups import OrbitSeries, orbit_from_states
@@ -404,7 +404,9 @@ class AsymptoticsRun(Record):
 
 
 def _functionals_for(space_dim: int, count: int, seed: int) -> List[np.ndarray]:
-    rng = np.random.default_rng(seed)
+    """The weak-stability functionals: up to three unit ones, then ``count``
+    vectors of normals drawn from ``Draws(seed)``."""
+    rng = Draws(seed)
     out = [np.eye(space_dim)[i] for i in range(min(space_dim, 3))]
     for _ in range(count):
         out.append(rng.standard_normal(space_dim))
@@ -445,9 +447,10 @@ def synthetic_orbits(count: int, grid: Grid, seed: int = 42) -> Iterator[OrbitSe
     """Deterministic zoo of sampled orbit shapes: decays, bumps, constants,
     rotations, slow growth, damped oscillations, hard cutoffs, offsets.
 
-    The orbits are yielded one at a time, so a single pass over the zoo
-    never holds all of it."""
-    rng = np.random.default_rng(seed)
+    Each orbit's amplitude and rates are uniforms drawn in turn from
+    ``Draws(seed)``.  The orbits are yielded one at a time, so a single pass
+    over the zoo never holds all of it."""
+    rng = Draws(seed)
     t = grid.points()
     for i in range(count):
         kind = i % 8

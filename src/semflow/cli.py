@@ -22,7 +22,7 @@ import numpy as np
 from . import admissibility as adm
 from . import asymptotics as asy
 from . import neutral as nt
-from .core import Grid, StateVector, time_grid
+from .core import Draws, Grid, StateVector, time_grid, valid_seed
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence,
                      NumericalFailure, SemflowError)
@@ -208,10 +208,13 @@ def build_initial(cfg: dict, target):
 
 
 def build_probes(cfg: dict, target, seed: int):
+    """The run's ``probes.count`` initial states: first the unit vectors of a
+    matrix system or ``exp`` on a shift, then states whose coefficients are
+    normals drawn from ``Draws(seed)``, so the seed alone fixes them."""
     count = _count(_section(cfg, "probes", {"count"}), "probes")
     if count < 1:
         raise ConfigurationError("probe count must be positive")
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     out = []
     if isinstance(target, nt.NeutralSystem):
         s = target.history_grid.points()
@@ -766,7 +769,7 @@ def main(argv=None) -> int:
         if args.method is not None:
             cfg["method"] = args.method
         _check_grid(cfg)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+        seed = valid_seed(args.seed if args.seed is not None else cfg.get("seed", 42))
         cfg["seed"] = seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import random
 from typing import Tuple
 
 import numpy as np
@@ -375,3 +376,44 @@ def matexp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
+
+
+def valid_seed(seed) -> int:
+    """``seed`` itself, once it is known to be a non-negative integer."""
+    # a bool is an int, and random.Random would silently take abs(seed)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+class Draws:
+    """Seeded stream of uniform and standard normal draws.
+
+    The bits come from the standard library's Mersenne Twister,
+    ``random.Random(seed).randbytes``, read as little-endian 64-bit words;
+    a word's top 53 bits make the uniform ``u = (w >> 11) * 2**-53`` in
+    ``[0, 1)``, and each consecutive pair ``(u1, u2)`` makes the two normals
+    ``sqrt(-2 log(1 - u1)) * (cos, sin)(2 pi u2)`` (Box-Muller).  The values
+    depend on the seed alone, not on numpy's version, and drawing them
+    imports no generator module of numpy's and no OpenSSL.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = random.Random(valid_seed(seed)).randbytes
+
+    def uniform(self, low: float, high: float) -> float:
+        """One draw, uniform on ``[low, high)``."""
+        u = (int.from_bytes(self._bits(8), "little") >> 11) * 2.0 ** -53
+        return min(low + (high - low) * u, math.nextafter(high, low))
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """Independent standard normals in an array of ``shape``."""
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        n = math.prod(shape)
+        pairs = (n + 1) // 2
+        words = np.frombuffer(self._bits(16 * pairs), "<u8").reshape(pairs, 2)
+        u = (words >> 11) * 2.0 ** -53
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        angle = 2.0 * np.pi * u[:, 1]
+        z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=1)
+        return z.ravel()[:n].reshape(shape)

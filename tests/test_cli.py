@@ -562,6 +562,25 @@ def test_malformed_count_or_properties_exits_2_and_names_it(tmp_path, capsys, co
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed, flag", [
+    (3.7, []), (True, []), ("abc", []), (None, []), ([1], []), (-4, []),
+    (42, ["--seed", "-1"])], ids=["float", "bool", "string", "null", "list", "negative",
+                                  "negative-flag"])
+@pytest.mark.parametrize("command", ["simulate", "admissibility"])
+def test_malformed_seed_exits_2_and_names_it(tmp_path, capsys, command, seed, flag):
+    # 3.7 and true used to run as seeds 3 and 1 and exit 0; "abc", null and
+    # [1] exited 2 with int()'s message, and -4 only once numpy refused it
+    cfg = scalar_cfg(c=0.5, horizon=1.0, step=0.01)
+    cfg["seed"] = seed
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out), *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: seed must be a non-negative integer, got ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, section, key", [
     ("admissibility", "probes", "kind"),
     ("admissibility", "signals", "kind"),

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import semflow as sf
-from semflow.core import row_sup
+from semflow.core import Draws, row_sup
 from semflow.errors import DimensionError, DomainError, FrozenRecordError, GridAlignmentError
 
 
@@ -308,18 +309,112 @@ def test_record_replace_validates_again_and_asdict_lists_every_field():
     assert shift._replace(point_dim=2).space.point_dim == 2
 
 
-def test_importing_the_cli_does_not_import_dataclasses():
-    # the value types generate no code at import; numpy, json and argparse
-    # load no dataclasses module, so the check below sees semflow's imports
+# the first draws at seed 42, each from a fresh Draws(42): a change of the
+# stream changes every seeded artifact, so it must show here
+FIRST_NORMALS_42 = [-0.025782131047077706, -0.48517660063764,
+                    0.4794402871923617, 0.5761298609166067]
+FIRST_UNIFORMS_42 = [0.11133107534596387, 0.7415505040029554,
+                     0.24489185592975216, 0.13953792518545183]
+
+
+def test_draws_pin_the_first_values_at_seed_42():
+    assert Draws(42).standard_normal(4).tolist() == FIRST_NORMALS_42
+    draws = Draws(42)
+    assert [draws.uniform(0.0, 1.0) for _ in range(4)] == FIRST_UNIFORMS_42
+
+
+def test_draws_repeat_at_one_seed_and_differ_at_another():
+    def stream(seed):
+        d = Draws(seed)
+        return d.standard_normal((5, 3)), d.uniform(-1.0, 1.0), d.standard_normal(7)
+    a, b, c = stream(42), stream(42), stream(7)
+    for x, y, z in zip(a, b, c):
+        assert np.array_equal(x, y)
+        assert not np.array_equal(x, z)
+
+
+@pytest.mark.parametrize("shape", [1, 3, 4, (5,), (8001, 4), (3, 7), (2, 3, 5)])
+def test_draws_have_the_shape_asked_for(shape):
+    z = Draws(1).standard_normal(shape)
+    assert z.shape == ((shape,) if isinstance(shape, int) else shape)
+    assert z.dtype == np.float64 and np.all(np.isfinite(z))
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.1, 0.6), (-2.5, 3.0), (3.0, 40.0)])
+def test_uniform_stays_in_the_half_open_interval(low, high):
+    draws = Draws(3)
+    u = [draws.uniform(low, high) for _ in range(10_000)]
+    assert low <= min(u) and max(u) < high
+    # the extreme words: all zero bits give low, all one bits stay below
+    # high, where low + (high - low) * (1 - 2**-53) may round up to it
+    draws._bits = bytes  # 8 zero bytes
+    assert draws.uniform(low, high) == low
+    draws._bits = lambda n: b"\xff" * n
+    assert low < draws.uniform(low, high) < high
+
+
+def test_draws_have_the_moments_of_their_distributions():
+    n = 100_000
+    z = Draws(11).standard_normal(n)
+    draws = Draws(12)
+    u = np.array([draws.uniform(0.0, 1.0) for _ in range(n)]) - 0.5
+    # (sample, its mean, the variance of one term): E z^2k = (2k - 1)!!,
+    # E (u - 1/2)^2k = 2^-2k / (2k + 1)
+    cases = [(z, 0.0, 1.0), (z ** 2, 1.0, 3.0 - 1.0), (z ** 4, 3.0, 105.0 - 9.0),
+             (u, 0.0, 1 / 12), (u ** 2, 1 / 12, 1 / 80 - 1 / 144),
+             (u ** 4, 1 / 80, 1 / 2304 - 1 / 6400)]
+    for sample, mean, var in cases:
+        assert abs(sample.mean() - mean) <= 5.0 * math.sqrt(var / n)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, True, "42", None])
+def test_draws_refuse_a_seed_that_is_no_non_negative_integer(seed):
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        Draws(seed)
+
+
+def semflow_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports this semflow."""
     src = str(Path(sf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_does_not_import_dataclasses():
+    # the value types generate no code at import; numpy, json and argparse
+    # load no dataclasses module, so the check below sees semflow's imports
     code = ("import argparse, json, sys, numpy\n"
             "if 'dataclasses' in sys.modules: sys.exit(3)\n"
             "import semflow.cli\n"
             "sys.exit(4 if 'dataclasses' in sys.modules else 0)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = semflow_python(code)
     if proc.returncode == 3:
         pytest.skip("numpy, json or argparse import dataclasses here")
     assert proc.returncode == 0, proc.stderr or "semflow.cli imports dataclasses"
+
+
+def test_the_four_workloads_load_no_numpy_random_and_no_openssl(tmp_path):
+    # numpy.random imports secrets, whose hmac loads OpenSSL's _hashlib;
+    # Draws needs neither, so after every workload none of them is loaded
+    from test_route_guard import routes
+
+    runs = []  # the four benchmark workloads, on short horizons
+    for name, command, cfg, extra in routes()[:4]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        runs.append([command, "--config", str(path), "--out", str(tmp_path / name),
+                     "--seed", "42", *extra])
+    code = ("import argparse, json, sys, numpy\n"
+            "heavy = ('numpy.random', 'secrets', '_hashlib')\n"
+            "if any(m in sys.modules for m in heavy): sys.exit(3)\n"
+            "from semflow.cli import main\n"
+            "if any(main(argv) for argv in json.loads(sys.argv[1])): sys.exit(5)\n"
+            "loaded = [m for m in heavy if m in sys.modules]\n"
+            "print(*loaded)\n"
+            "sys.exit(4 if loaded else 0)\n")
+    proc = semflow_python(code, json.dumps(runs))
+    if proc.returncode == 3:
+        pytest.skip("numpy, json or argparse import numpy.random or OpenSSL here")
+    assert proc.returncode == 0, proc.stderr or f"the workloads load {proc.stdout}"

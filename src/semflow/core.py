@@ -338,10 +338,6 @@ class InputSignal(Record):
         np.cumsum(0.5 * h * (p[1:] + p[:-1]), out=out[1:])
         return out
 
-    @staticmethod
-    def scalar(grid: Grid, values) -> "InputSignal":
-        return InputSignal(grid, np.asarray(values, dtype=float).reshape(-1, 1), SupSpace(1))
-
 
 # ---------------------------------------------------------------------------
 # dense primitives

@@ -14,6 +14,11 @@ def scalar_mv(q, a=-1.0):
                                  [[q]])
 
 
+def scalar_signal(grid, values):
+    """The scalar signal with these values on the grid's points."""
+    return sf.InputSignal(grid, np.asarray(values, dtype=float).reshape(-1, 1), sf.SupSpace(1))
+
+
 def smooth_signal(grid, seed, dim=1, taper=True):
     """Seeded smooth signal; tapered versions vanish at both endpoints."""
     rng = np.random.default_rng(seed)

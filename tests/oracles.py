@@ -36,6 +36,7 @@ from semflow.maps import (DirichletControl, IdentityControl, Neumann,
                           invert_io, observation_map, perturbed_orbit)
 from semflow.semigroups import BlockDiag, MatrixSemigroup, OrbitSeries, orbit
 from semflow.translation import MeasureSpec
+from helpers import scalar_signal
 
 
 def semigroup_apply(sg, t, coords):
@@ -793,7 +794,7 @@ def io_infty_closed_form(mu, u):
             if v is not None:
                 lag[j] = h * float(v)
         out += _kernels.delay_volterra_apply(lag, uvals)
-    return InputSignal.scalar(u.grid, out)
+    return scalar_signal(u.grid, out)
 
 
 def history_segment(sys, orb, k):

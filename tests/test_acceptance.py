@@ -15,7 +15,7 @@ import semflow as sf
 from semflow import asymptotics as asy
 from semflow import neutral as nt
 from semflow.cli import main as cli_main
-from helpers import atom_system, block_deviation, neutral_initial, scalar_mv
+from helpers import atom_system, block_deviation, neutral_initial, scalar_mv, scalar_signal
 from oracles import (boundary_control_by_quadrature, boundary_control_closed_form,
                      check_desch_schappacher, io_infty_closed_form, scaling_conjugation,
                      total_variation)
@@ -126,7 +126,7 @@ def test_criterion_5_translation_example():
     spec = sf.DirichletSpec(1.0)
     tg = sf.time_grid(2.0, h)
     t = tg.points()
-    u = sf.InputSignal.scalar(tg, np.sin(np.pi * t) ** 2 * (1.0 + 0.3 * t))
+    u = scalar_signal(tg, np.sin(np.pi * t) ** 2 * (1.0 + 0.3 * t))
     cf = boundary_control_closed_form(spec, 1.5, u, g)
     qd = boundary_control_by_quadrature(spec, 1.5, u, g)
     l1_dev = cf.space.norm(cf.coords - qd.coords)
@@ -142,7 +142,7 @@ def test_criterion_5_translation_example():
     for _ in range(100):
         raw = rng.standard_normal(tg2.count + 1)
         raw[0] = 0.0
-        us = sf.InputSignal.scalar(tg2, raw)
+        us = scalar_signal(tg2, raw)
         fu = io_infty_closed_form(mu, us)
         worst = max(worst, fu.l1_norm() / (tv * us.l1_norm()))
     contraction_ok = worst <= 1.0 + 1e-12
@@ -151,7 +151,7 @@ def test_criterion_5_translation_example():
     atom = sf.MeasureSpec(atoms=((-1.0, 0.8),))
     t2 = tg2.points()
     vals = np.where((t2 > 0.5) & (t2 < 3.5), np.sin(t2) ** 2, 0.0)
-    ud = sf.InputSignal.scalar(tg2, vals)
+    ud = scalar_signal(tg2, vals)
     fu = io_infty_closed_form(atom, ud)
     eq_dev = abs(fu.l1_norm() - 0.8 * ud.l1_norm())
     eq_ok = eq_dev <= 1e-6

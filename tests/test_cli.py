@@ -1,4 +1,6 @@
+import gc
 import json
+import runpy
 import subprocess
 import sys
 import warnings
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from semflow import asymptotics as asy
-from semflow import maps, semigroups
+from semflow import cli, maps, semigroups
 from semflow.cli import build_probes, build_system, main
 from semflow.core import time_grid
 from helpers import count_calls
@@ -289,12 +291,59 @@ def test_determinism_byte_identical(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "semflow", "simulate",
-                           "--config", "does-not-exist.json"],
-                          capture_output=True, text=True)
+def test_console_entry_point(tmp_path):
+    # 0 on a run that succeeds, 1 on a blow-up orbit, 2 on a bad config
+    def run(cfg):
+        return subprocess.run([sys.executable, "-m", "semflow", "simulate",
+                               "--config", cfg, "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True)
+
+    proc = run(write_cfg(tmp_path / "ok.json", scalar_cfg(c=0.5, horizon=1.0)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "out" / "orbit.csv").is_file()
+    proc = run(write_cfg(tmp_path / "blowup.json", overflowing_scalar_cfg(50.0)))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numerical failure: ")
+    proc = run("does-not-exist.json")
     assert proc.returncode == 2
     assert "validation failure" in proc.stderr
+
+
+def test_in_process_main_leaves_the_collector_unfrozen(tmp_path):
+    frozen = gc.get_freeze_count()
+    path = write_cfg(tmp_path / "cfg.json", scalar_cfg(c=0.5, horizon=0.5))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_module_entry_runs_main_on_a_frozen_heap(monkeypatch):
+    seen = []
+
+    def stub(argv=None):
+        seen.append(gc.get_freeze_count())
+        return 3
+
+    monkeypatch.setattr(cli, "main", stub)
+    frozen = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("semflow", run_name="__main__")
+    finally:
+        gc.unfreeze()
+    assert exit_.value.code == 3
+    # the objects that existed before main ran, the test process's too
+    assert len(seen) == 1 and seen[0] > frozen
+
+
+@pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
+def test_out_that_cannot_be_a_directory_exits_2_and_names_it(tmp_path, capsys, out):
+    (tmp_path / "a-file").write_text("not a directory")
+    path = write_cfg(tmp_path / "cfg.json", scalar_cfg(horizon=0.5))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: --out ") and err.count("\n") == 1
+    assert str(tmp_path / out) in err
+    assert (tmp_path / "a-file").read_text() == "not a directory"
 
 
 def test_simulate_translation_system(tmp_path):

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 import semflow as sf
 from semflow.core import Draws, row_sup
 from semflow.errors import DimensionError, DomainError, FrozenRecordError, GridAlignmentError
+from helpers import scalar_signal
 
 
 def test_grid_basics():
@@ -122,12 +123,12 @@ def test_quad_constant_and_affine_exact():
     g = sf.Grid(0.0, 0.5, 4)
     assert g.trapezoid_weights() @ np.ones(5) == pytest.approx(2.0, abs=1e-14)
     g2 = sf.Grid(0.0, 0.25, 4)
-    assert sf.InputSignal.scalar(g2, g2.points()).l1_norm() == pytest.approx(0.5, abs=1e-14)
+    assert scalar_signal(g2, g2.points()).l1_norm() == pytest.approx(0.5, abs=1e-14)
 
 
 def test_quad_exponential_analytic():
     g = sf.Grid(0.0, 2.0 ** -10, 2 ** 10)
-    integral = sf.InputSignal.scalar(g, np.exp(-g.points())).l1_norm()
+    integral = scalar_signal(g, np.exp(-g.points())).l1_norm()
     assert integral == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
     assert integral == pytest.approx(0.63212056, abs=1e-6)
 
@@ -137,7 +138,7 @@ def test_quad_second_order_convergence():
     errs = []
     for n in (64, 128, 256):
         g = sf.Grid(0.0, 1.0 / n, n)
-        errs.append(abs(sf.InputSignal.scalar(g, np.exp(-g.points())).l1_norm() - exact))
+        errs.append(abs(scalar_signal(g, np.exp(-g.points())).l1_norm() - exact))
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(order) >= 1.9
 
@@ -183,7 +184,7 @@ def test_product_space_norm_is_sum():
 
 def test_input_signal_l1_and_running():
     g = sf.time_grid(1.0, 0.25)
-    u = sf.InputSignal.scalar(g, [0.0, 1.0, 1.0, 1.0, 0.0])
+    u = scalar_signal(g, [0.0, 1.0, 1.0, 1.0, 0.0])
     assert u.l1_norm() == pytest.approx(0.75)
     run = u.running_l1()
     assert run[0] == 0.0

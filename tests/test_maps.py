@@ -8,7 +8,7 @@ import semflow as sf
 from semflow import _kernels, cli
 from semflow import neutral as nt
 from semflow.errors import ConfigurationError, ContractionViolation, NoConvergence
-from helpers import mixed_system, neutral_initial, scalar_mv, smooth_signal
+from helpers import mixed_system, neutral_initial, scalar_mv, scalar_signal, smooth_signal
 from oracles import (boundary_control_closed_form, control_map_loop,
                      observation_step_loop, semigroup_apply)
 
@@ -49,7 +49,7 @@ def test_control_map_dirichlet_formula_literal():
     triple = sf.PerturbationTriple(base, sf.DirichletControl(sf.DirichletSpec(1.0)),
                                    mu.observation_row(grid))
     tg = sf.time_grid(1.0, h)
-    u = sf.InputSignal.scalar(tg, tg.points() ** 2)
+    u = scalar_signal(tg, tg.points() ** 2)
     out = sf.control_map(triple, 1.0, u)
     s_idx = grid.index_of(-0.5)
     assert out.coords[s_idx] == pytest.approx(0.25, abs=1e-12)
@@ -87,7 +87,7 @@ def test_control_map_equals_the_closed_form_on_a_translation_base():
                                    sf.MeasureSpec(atoms=((-1.0, 0.5),)).observation_row(grid))
     tg = sf.time_grid(4.0, h)
     raw = np.random.default_rng(3).standard_normal(tg.count + 1)
-    u = sf.InputSignal.scalar(tg, np.concatenate([[0.0], raw[1:]]))
+    u = scalar_signal(tg, np.concatenate([[0.0], raw[1:]]))
     for t in (h, 0.5, 2.0, 3.0, 4.0):
         got = sf.control_map(triple, t, u).coords
         assert np.array_equal(got, boundary_control_closed_form(spec, t, u, grid).coords)

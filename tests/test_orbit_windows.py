@@ -6,6 +6,7 @@ writes those bytes too; drawn tables of either kind match the row-by-row
 oracles."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,29 @@ def test_trajectory_csv_matches_row_loop(tmp_path, seed, rows, stride, heads, wi
     cli.write_csv(tmp_path / "fast.csv", header, columns, trajectory=traj, stride=stride)
     csv_rows_loop(tmp_path / "loop.csv", header, columns)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_trajectory_csv_completes_short_writes(tmp_path, monkeypatch):
+    # a writev that takes at most 1,000 bytes, so most calls stop inside a
+    # buffer, some inside a row's newline; the rows fill several calls
+    rows, stride, heads, width = 2000, 3, 2, 7
+    traj = drawn_values(5, (rows - 1) * stride + width)
+    windows = np.lib.stride_tricks.sliding_window_view(traj, width)[::stride]
+    columns = [drawn_values(6 + j, rows) for j in range(heads)] + list(windows.T)
+    header = [f"c{j}" for j in range(heads + width)]
+    writev, calls = os.writev, []
+
+    def short(fd, buffers):
+        calls.append(len(buffers))
+        return writev(fd, [b"".join(buffers)[:1000]])
+
+    monkeypatch.setattr(os, "writev", short)
+    cli.write_csv(tmp_path / "short.csv", header, columns, trajectory=traj, stride=stride)
+    monkeypatch.undo()
+    csv_rows_loop(tmp_path / "loop.csv", header, columns)
+    expected = (tmp_path / "loop.csv").read_bytes()
+    assert (tmp_path / "short.csv").read_bytes() == expected
+    assert len(calls) >= len(expected) // 1000
 
 
 def plain_table_shape(ncols):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import semflow as sf
 from semflow.errors import DimensionError, DomainError, GridAlignmentError
+from helpers import scalar_signal
 from oracles import (boundary_control_by_quadrature, boundary_control_closed_form,
                      control_dropped_mass, dirichlet_apply, io_infty_closed_form,
                      mass_at_zero, measure_observation, observation_row_loop,
@@ -52,7 +53,7 @@ def test_dirichlet_apply_point_value():
 def test_boundary_control_zero_input():
     g = space_grid(2.0, 0.01)
     tg = sf.time_grid(1.0, 0.01)
-    u = sf.InputSignal.scalar(tg, np.zeros(tg.count + 1))
+    u = scalar_signal(tg, np.zeros(tg.count + 1))
     out = boundary_control_closed_form(sf.DirichletSpec(1.0), 1.0, u, g)
     assert out.norm() == 0.0
 
@@ -62,7 +63,7 @@ def test_boundary_control_pointwise_formula():
     h = 0.01
     g = space_grid(2.0, h)
     tg = sf.time_grid(1.0, h)
-    u = sf.InputSignal.scalar(tg, tg.points())
+    u = scalar_signal(tg, tg.points())
     out = boundary_control_closed_form(sf.DirichletSpec(1.0), 1.0, u, g)
     assert out.coords[g.index_of(-0.25)] == pytest.approx(0.75, abs=1e-12)
     assert out.coords[g.index_of(-1.5)] == 0.0
@@ -71,7 +72,7 @@ def test_boundary_control_pointwise_formula():
 def test_boundary_control_warns_on_nonzero_start():
     g = space_grid(2.0, 0.01)
     tg = sf.time_grid(1.0, 0.01)
-    u = sf.InputSignal.scalar(tg, np.ones(tg.count + 1))
+    u = scalar_signal(tg, np.ones(tg.count + 1))
     with pytest.warns(UserWarning, match="u\\(0\\)"):
         boundary_control_closed_form(sf.DirichletSpec(1.0), 1.0, u, g)
 
@@ -84,7 +85,7 @@ def test_boundary_control_contraction_100_seeds():
     for _ in range(100):
         raw = rng.standard_normal(tg.count + 1)
         raw[0] = 0.0
-        u = sf.InputSignal.scalar(tg, raw)
+        u = scalar_signal(tg, raw)
         out = boundary_control_closed_form(sf.DirichletSpec(1.0), 2.0, u, g)
         assert out.norm() <= u.l1_norm() * (1.0 + 1e-10)
 
@@ -94,7 +95,7 @@ def test_boundary_control_quadrature_route_agrees():
     g = space_grid(10.0, h)
     tg = sf.time_grid(2.0, h)
     t = tg.points()
-    u = sf.InputSignal.scalar(tg, np.sin(np.pi * t) ** 2 * (1.0 + 0.3 * t))
+    u = scalar_signal(tg, np.sin(np.pi * t) ** 2 * (1.0 + 0.3 * t))
     spec = sf.DirichletSpec(1.0)
     cf = boundary_control_closed_form(spec, 1.5, u, g)
     qd = boundary_control_by_quadrature(spec, 1.5, u, g)
@@ -105,7 +106,7 @@ def test_control_dropped_mass():
     h = 0.01
     g = space_grid(2.0, h)
     tg = sf.time_grid(3.0, h)
-    u = sf.InputSignal.scalar(tg, np.ones(tg.count + 1))
+    u = scalar_signal(tg, np.ones(tg.count + 1))
     assert control_dropped_mass(1.5, u, g) == 0.0
     # at t0 = 3, inputs from [0, 1] have translated past -L = -2
     assert control_dropped_mass(3.0, u, g) == pytest.approx(1.0, abs=1e-12)
@@ -202,12 +203,12 @@ def test_observation_row_rejects_a_weight_of_the_wrong_shape(mu):
 def test_io_infty_zero_and_pure_delay():
     h = 1e-3
     tg = sf.time_grid(6.0, h)
-    zero = sf.InputSignal.scalar(tg, np.zeros(tg.count + 1))
+    zero = scalar_signal(tg, np.zeros(tg.count + 1))
     mu = sf.MeasureSpec(atoms=((-1.0, 0.8),))
     assert io_infty_closed_form(mu, zero).l1_norm() == 0.0
     t = tg.points()
     vals = np.where((t > 0.5) & (t < 3.5), np.sin(t) ** 2, 0.0)
-    u = sf.InputSignal.scalar(tg, vals)
+    u = scalar_signal(tg, vals)
     fu = io_infty_closed_form(mu, u)
     # pure delay: (F u)(t) = 0.8 u(t-1) for t >= 1
     k = tg.index_of(2.0)
@@ -227,7 +228,7 @@ def test_io_infty_contraction_with_density():
     for _ in range(20):
         raw = rng.standard_normal(tg.count + 1)
         raw[0] = 0.0
-        u = sf.InputSignal.scalar(tg, raw)
+        u = scalar_signal(tg, raw)
         fu = io_infty_closed_form(mu, u)
         assert fu.l1_norm() <= tv * u.l1_norm() * (1.0 + 1e-12)
 
@@ -242,7 +243,7 @@ def test_io_infty_cross_check_against_io_map():
                                    mu.observation_row(g))
     tg = sf.time_grid(4.0, h)
     t = tg.points()
-    u = sf.InputSignal.scalar(tg, np.sin(np.pi * t / 4.0) ** 2 * np.cos(3 * t))
+    u = scalar_signal(tg, np.sin(np.pi * t / 4.0) ** 2 * np.cos(3 * t))
     direct = io_infty_closed_form(mu, u)
     generic = sf.io_map(triple, 4.0, u)
     diff = sf.InputSignal(tg, direct.values - generic.values, u.point_space)
@@ -304,7 +305,7 @@ def test_boundary_quadrature_first_order_convergence():
         g = space_grid(6.0, h)
         tg = sf.time_grid(2.0, h)
         t = tg.points()
-        u = sf.InputSignal.scalar(tg, np.sin(np.pi * t) ** 2 * (1.0 + 0.3 * t))
+        u = scalar_signal(tg, np.sin(np.pi * t) ** 2 * (1.0 + 0.3 * t))
         cf = boundary_control_closed_form(spec, 1.5, u, g)
         qd = boundary_control_by_quadrature(spec, 1.5, u, g)
         devs.append(cf.space.norm(cf.coords - qd.coords))

@@ -1,27 +1,33 @@
-"""Feedback/convolution kernels, the hot paths of the package.
+"""Feedback kernels, the hot paths of the package.
 
-Matrix bases: every loop is one linear recurrence, evaluated by the
-vectorized numpy scan ``causal_scan``; the neutral input-output map
-``neutral_volterra_apply`` is a shift-and-add over its nonzero taps plus a
-scan, and the delay-line input-output map is one ``np.convolve``.
+Every base is one strictly causal system on the grid (``maps.Realization``):
 
-The delay-line solve, ``neutral_feedback_loop`` and ``mos_loop`` run by the
-blocked method of steps (Bellen & Zennaro, *Numerical Methods for Delay
-Differential Equations*, OUP 2003).  Delay kernels put no mass at 0, so a
-step reads the trajectory m or more steps back, m >= 1 being the smallest
-delay that carries weight: the first nonzero ``lag[j]`` with j >= 1 for a
-delay line, N minus the last nonzero history row of ``prow``/``krow`` for
-the neutral loops.  The outputs of m consecutive steps thus read only values
-from before them, and each block of m steps takes one sliding-window product
-for its history reads, one ``causal_scan`` for the ODE state and one slice
-assignment placing the recovered values.  m comes from the taps alone.
+    z_{k+1} = E z_k + h E B w_k,   z_0 = y,
+    w_k = v_k + C z_k + sum_i taps[i] X_{k+i},
+
+X being the trajectory of the placed channel: the history f in its first
+H = len(taps) rows, then the last columns of w_k in row H + k for
+k >= ``first``.  ``volterra_apply`` is F, the system from zero initial data
+with the feedback opened; ``volterra_solve`` is the forward substitution of
+the closed loop from (y, f).  The five named entries put one base's
+arguments into one of the two.
+
+Both run by the blocked method of steps (Bellen & Zennaro, *Numerical
+Methods for Delay Differential Equations*, OUP 2003).  Delay kernels put no
+mass at 0, so a step reads the trajectory m or more steps back, m >= 1 being
+the smallest delay that carries weight, read from the taps.  The outputs of
+m consecutive steps thus read only values from before them, and each block
+of m steps takes one sliding-window product for its history reads, one
+``causal_scan`` for the state and one slice assignment placing the
+recovered values.  Within a block the state runs the closed loop
+M = E (I + h B C), which is E on a neutral base (B C = 0); with no tap that
+carries weight the steps are one block, so a matrix-base solve is one scan.
 
 Discretization: the inner quadrature of every causal convolution is the
 left-endpoint rule, so the input-output map reads strictly past samples and
 ``I - F`` is unit lower triangular in time.  Forward substitution is then an
-exact solve.  ``maps._direct`` picks each base's one Direct kernel, a closed
-loop from the initial data: ``matrix_volterra_solve`` from y,
-``delay_volterra_solve`` from the history f, ``neutral_feedback_loop`` from (y, f0).
+exact solve.  ``mos_loop`` is the independent method-of-steps oracle of the
+``neutral-compare`` command.
 """
 
 from __future__ import annotations
@@ -29,21 +35,16 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+_NO_TAPS = np.zeros((0, 0, 0))
+_NO_STATE = np.zeros((0, 0))
+_ONE_INPUT = np.zeros((0, 1))  # B of a delay line: one input, no state
 
-# ---------------------------------------------------------------------------
-# matrix-exponential convolution kernels
-# ---------------------------------------------------------------------------
-# Every matrix-base loop is the discrete LTI recurrence z_{k+1} = M z_k + f_k.
-# (F u)_k = h * C @ z_k with z_k = sum_{j<k} E^(k-j) B u_j, i.e. M = E and
-# f = E B u.  The solve variant is forward substitution for (I - F) w = v
-# from the state y: with w_k = v_k + C x_k and x_{k+1} = E x_k + h E B w_k,
-# x_0 = y, the state obeys the closed-loop recurrence M = E (I + h B C),
-# f = h E B v, and x_k = T(t_k) y + B_{t_k} w.
 
-def causal_scan(M, f, z0=None):
+def causal_scan(M, f, z0=None, out=None):
     """Rows z_0..z_{n-1} of z_{k+1} = M z_k + f_k, with z_0 = z0 (zero if omitted).
 
-    ``f`` has shape (n, d); its last row never enters.  A log-depth doubling
+    ``f`` has shape (n, d); its last row never enters.  The rows go into
+    ``out`` when given, which z0 may be a row of.  A log-depth doubling
     (Hillis-Steele) scan: after the pass with shift s every row holds its
     partial sum over the last 2s inputs, so ceil(log2 n) vectorized passes
     replace the sequential loop.
@@ -57,7 +58,7 @@ def causal_scan(M, f, z0=None):
     still stalls now and then, whichever factor it gets.
     """
     n = f.shape[0]
-    z = np.empty((n, M.shape[0]))
+    z = np.empty((n, M.shape[0])) if out is None else out
     z[:1] = 0.0 if z0 is None else z0
     z[1:] = f[:-1]
     s, Q = 1, np.ascontiguousarray(M.T)
@@ -69,142 +70,126 @@ def causal_scan(M, f, z0=None):
     return z
 
 
-def matrix_volterra_apply(E, B, C, u, h):
-    """h C z_k for every k; with ``C`` None, the control map h z_k itself."""
+def _blocks(X, taps, n1):
+    """Steps 0..n1-1 in blocks [b, e), each with the reads of its windows,
+    None when no tap carries weight (then the steps are one block).  The
+    reads stop at L, the newest tap row that carries weight, plus one, and
+    blocks are m = H + 1 - L steps long: window k is X[k:k+L] flattened
+    times the first L tap rows, and ends m steps before row H + k.  Reads are
+    taken as a block is yielded, so they see the rows the caller placed in X
+    for the blocks before (X is C-contiguous, so the windows are a view)."""
+    H, q, out = taps.shape
+    live = np.flatnonzero(np.any(taps != 0.0, axis=(1, 2)))
+    if not live.size:
+        yield 0, n1, None
+        return
+    L = live[-1] + 1
+    rows = taps[:L].reshape(L * q, out)
+    win = sliding_window_view(X.reshape(-1), L * q)[::q]
+    for b in range(0, n1, H + 1 - L):
+        e = min(b + H + 1 - L, n1)
+        yield b, e, win[b:e] @ rows
+
+
+def volterra_apply(E, B, C, u, h, taps=_NO_TAPS, first=0):
+    """F u from zero initial data: h C z_k plus the tap reads of the
+    trajectory that places u, where z_{k+1} = E (z_k + B u_k); with ``C``
+    None, the control map h z_k itself."""
     z = causal_scan(E, u @ np.ascontiguousarray((E @ B).T))
     if C is None:
         return h * z
-    return h * (z @ np.ascontiguousarray(C.T))
+    out = h * (z @ np.ascontiguousarray(C.T))
+    H, q = taps.shape[:2]
+    X = np.zeros((u.shape[0] + H, q))
+    X[H + first:] = u[first:, u.shape[1] - q:]
+    for b, e, reads in _blocks(X, taps, u.shape[0]):
+        if reads is not None:
+            out[b:e] += reads
+    return out
+
+
+def volterra_solve(E, B, C, v, h, y=None, taps=_NO_TAPS, first=0, f=None):
+    """Forward substitution of w = v + C z + the tap reads, from the state
+    z_0 = y and the history f (zero if omitted); returns w, the states z and
+    the trajectory X."""
+    n1, H, q = v.shape[0], taps.shape[0], taps.shape[1]
+    M = E @ (np.eye(E.shape[0]) + h * (B @ C))
+    G = np.ascontiguousarray(h * (E @ B).T)
+    Ct = np.ascontiguousarray(C.T)
+    w = np.array(v, dtype=float)
+    z = np.empty((n1, E.shape[0]))
+    z[:1] = 0.0 if y is None else y
+    X = np.zeros((n1 + H, q))
+    if f is not None:
+        X[: H + first] = f[: H + first]
+    for b, e, reads in _blocks(X, taps, n1):
+        if reads is not None:
+            w[b:e] += reads
+        # z_{k+1} = M z_k + h E B (v_k + reads_k); row e of w never enters
+        causal_scan(M, w[b: e + 1] @ G, z[b], z[b: e + 1])
+        w[b:e] += z[b:e] @ Ct
+        s = max(b, first)
+        X[H + s: H + e] = w[s:e, w.shape[1] - q:]
+    return w, z, X
+
+
+# ---------------------------------------------------------------------------
+# the entries of the three bases
+# ---------------------------------------------------------------------------
+
+def matrix_volterra_apply(E, B, C, u, h):
+    """h C z_k for every k; with ``C`` None, the control map h z_k itself."""
+    return volterra_apply(E, B, C, u, h)
 
 
 def matrix_volterra_solve(E, B, C, v, h, y=None):
     """The closed loop from x_0 = y (zero if omitted); returns (v + C x, x)."""
-    M = E @ (np.eye(E.shape[0]) + h * (B @ C))
-    x = causal_scan(M, v @ np.ascontiguousarray(h * (E @ B).T), y)
-    return v + x @ np.ascontiguousarray(C.T), x
+    return volterra_solve(E, B, C, v, h, y)[:2]
 
-
-# ---------------------------------------------------------------------------
-# the blocked method of steps
-# ---------------------------------------------------------------------------
-
-def _blocks(X, rows, m, n1):
-    """Steps 0..n1-1 in blocks [b, e) of at most m, each with the reads of
-    its windows: window k is X[k:k+L] flattened (L*d = len(rows)) times
-    ``rows``.  Reads are taken as a block is yielded, so they see the rows the
-    caller placed in X for the blocks before (X is C-contiguous, so the
-    windows are a view of it); window k must end m steps before the value
-    recovered at step k."""
-    d = X.shape[1]
-    win = sliding_window_view(X.reshape(-1), rows.shape[0])[::d]
-    for b in range(0, n1, m):
-        e = min(b + m, n1)
-        yield b, e, win[b:e] @ rows
-
-
-def _neutral_start(prow, krow, f0, y, n):
-    """Trajectory X with the history f0 in rows 0..N, states zs with zs[0] = y,
-    and the blocks of steps 0..n.  m and the reads (L*d, 2d) come from the P
-    and K rows up to the last nonzero one; all-zero taps read one zero row."""
-    N, d = prow.shape[:2]
-    live = np.flatnonzero(np.any((prow != 0.0) | (krow != 0.0), axis=(1, 2)))
-    L = live[-1] + 1 if live.size else 1
-    rows = np.concatenate([prow[:L], krow[:L]], axis=1).transpose(0, 2, 1)
-    X = np.zeros((n + N + 1, d))
-    X[: N + 1] = f0
-    zs = np.empty((n + 1, d))
-    zs[0] = y
-    return N, X, zs, _blocks(X, rows.reshape(L * d, 2 * d), N + 1 - L, n + 1)
-
-
-# ---------------------------------------------------------------------------
-# delay-line kernels (scalar channel)
-# ---------------------------------------------------------------------------
-# lag[j] weighs the sample j steps back; lag[0] is never read.
 
 def delay_volterra_apply(lag, u):
-    return np.convolve(u, np.concatenate([[0.0], lag[1:]]))[: u.shape[0]]
+    """out_k = sum_{j>=1} lag_j u_{k-j}; lag[0] is never read."""
+    taps = lag[:0:-1, None, None]  # taps[i] reads X_{k+i}, lag W - i
+    return volterra_apply(_NO_STATE, _ONE_INPUT, _ONE_INPUT.T, u[:, None], 1.0, taps)[:, 0]
 
 
 def delay_volterra_solve(lag, v, f=None):
     """w_k = v_k + sum_{j>=1} lag_j X_{W+k-j} on the trajectory
     X = [f[:W], w_0, w_1, ...], the history f zero if omitted; returns w and
     X as a (W + len(v), 1) column."""
-    W = lag.shape[0] - 1
-    X = np.zeros((W + v.shape[0], 1))
-    if f is not None:
-        X[:W, 0] = f[:W]
-    taps = np.flatnonzero(lag[1:])
-    if not taps.size:
-        X[W:, 0] = v
-        return X[W:, 0], X
-    m = taps[0] + 1
-    # window k = X[k : k+W-m+1], the values m..W steps before w_k
-    for b, e, reads in _blocks(X, lag[W:m - 1:-1, None], m, v.shape[0]):
-        X[W + b: W + e, 0] = v[b:e] + reads[:, 0]
-    return X[W:, 0], X
-
-
-# ---------------------------------------------------------------------------
-# neutral-equation kernels
-# ---------------------------------------------------------------------------
-# X[j] holds the trajectory: X[0..N] the initial history, X[N+k] (k>=1) the
-# recovered state at t_k.  prow/krow are (N, d, d) read weights over the
-# history window X[k:k+N]; they carry no weight at offset 0 (kernels have no
-# mass in 0), so every step only touches strictly past values.
-
-def neutral_feedback_loop(E, C, prow, krow, f0, y, h, n, v):
-    """Forward substitution with initial data (y, f0) and right-hand side v
-    (n+1, 2d): w1_k = v1_k + P x_{t_k}, w2_k = v2_k + K x_{t_k} + C z_k and
-    x(t_k) = w2_k for k >= 1, where z_{k+1} = E z_k + h E w1_k, z_0 = y."""
-    d = E.shape[0]
-    Et, Ct = np.ascontiguousarray(E.T), np.ascontiguousarray(C.T)
-    N, X, zs, blocks = _neutral_start(prow, krow, f0, y, n)
-    w = np.array(v, dtype=float)
-    for b, e, reads in blocks:
-        w[b:e] += reads
-        # z_{k+1} = E z_k + h E w1_k; row e of w never enters the scan
-        zs[b: e + 1] = causal_scan(E, h * (w[b: e + 1, :d] @ Et), zs[b])
-        w[b:e, d:] += zs[b:e] @ Ct
-        s = max(b, 1)
-        X[N + s: N + e] = w[s:e, d:]
-    return w[:, :d], w[:, d:], zs, X
+    X = volterra_solve(_NO_STATE, _ONE_INPUT, _ONE_INPUT.T, v[:, None], 1.0, None,
+                       lag[:0:-1, None, None], 0, None if f is None else f[:, None])[2]
+    return X[lag.shape[0] - 1:, 0], X
 
 
 def neutral_volterra_apply(E, C, prow, krow, u1, u2, h):
-    """Input-output map of the neutral perturbation: zero initial data, the
-    placed channel carries u2, the convolution channel is driven by u1.
-
-    The history reads are a shift-and-add over the taps that carry weight;
-    the convolution state is the scan zc_{k+1} = E (zc_k + u1_k).
-    """
+    """Input-output map of the neutral perturbation, (P, K) reads and
+    B = [I 0], C -> [0; C]: u1 drives the state, u2 is placed from step 1."""
     d = E.shape[0]
-    N = prow.shape[0]
-    n1 = u1.shape[0]
-    X = np.zeros((n1 + N, d))
-    X[N + 1:] = u2[1:]
-    out1 = np.zeros((n1, d))
-    out2 = h * (causal_scan(E, u1 @ np.ascontiguousarray(E.T)) @ np.ascontiguousarray(C.T))
-    for out, row in ((out1, prow), (out2, krow)):
-        for i in np.flatnonzero(np.any(row != 0.0, axis=(1, 2))):
-            out += X[i: i + n1] @ np.ascontiguousarray(row[i].T)
-    return out1, out2
+    out = volterra_apply(E, np.eye(d, 2 * d), np.eye(2 * d, d, -d) @ C, np.hstack([u1, u2]),
+                         h, np.concatenate([prow, krow], axis=1).transpose(0, 2, 1), 1)
+    return out[:, :d], out[:, d:]
 
 
-def mos_loop(E, C, prow, krow, f0, y, h, n):
+def mos_loop(E, C, taps, f0, y, h, n):
     """Method of steps: exponential-trapezoid step on z' = A z + P x_t,
     z_{k+1} = E z_k + h/2 (E P x_{t_k} + P x_{t_{k+1}}), with the explicit
-    recovery x(t_k) = C z_k + K x_{t_k} for k >= 1."""
-    d = E.shape[0]
+    recovery x(t_k) = C z_k + K x_{t_k} for k >= 1; ``taps`` (N, d, 2d) are
+    the neutral realization's (P, K) reads of the history window."""
+    d, N = E.shape[0], taps.shape[0]
     Et, Ct = np.ascontiguousarray(E.T), np.ascontiguousarray(C.T)
-    N, X, zs, blocks = _neutral_start(prow, krow, f0, y, n)
+    X = np.zeros((n + N + 1, d))
+    X[: N + 1] = f0
+    zs = np.empty((n + 1, d))
+    zs[0] = y
     G = np.zeros((n + 2, 2 * d))  # (P x_{t_k}, K x_{t_k}); row n+1 stays zero
-    for b, e, reads in blocks:
-        G[b:e] = reads
+    for b, e, reads in _blocks(X, taps, n + 1):
+        if reads is not None:
+            G[b:e] = reads
         # steps s -> e-1 need P x_t up to t_{e-1}; row e of G never enters
         s = max(b - 1, 0)
         f = 0.5 * h * (G[s:e, :d] @ Et + G[s + 1: e + 1, :d])
-        zs[s:e] = causal_scan(E, f, zs[s])
+        causal_scan(E, f, zs[s], zs[s:e])
         s = max(b, 1)
         X[N + s: N + e] = zs[s:e] @ Ct + G[s:e, d:]
     return zs, X

@@ -21,7 +21,7 @@ import numpy as np
 from .core import Draws, Grid, InputSignal, Record, StateVector, time_grid
 from .errors import ConfigurationError, GridAlignmentError
 from .maps import (DirectSolve, IdentityControl, Method, PerturbationTriple,
-                   _apply_io, _compose, _io_exp, estimate_io_norm, invert_io,
+                   Realization, _compose, _realize, estimate_io_norm, invert_io,
                    observation_map)
 from .semigroups import _free_parts, _norms
 
@@ -76,12 +76,13 @@ def _extend_signal(u: InputSignal, grid: Grid) -> InputSignal:
 
 
 def _control_track_norms(triple: PerturbationTriple, u: InputSignal,
-                         e: Optional[np.ndarray] = None) -> np.ndarray:
+                         r: Realization) -> np.ndarray:
     """State norms of the left-endpoint control map B_t u for every grid t:
     the compose step from the zero state, whose free parts need no scan and
-    take ``e = _io_exp(triple, h)`` when given, its rows never assembled."""
-    free = _free_parts(triple.base, np.zeros(triple.base.space.dim), u.grid, e)
-    return _norms(triple.base, u.grid, *_compose(triple, free, u.values, u.grid))
+    take the exp(hA) of ``r``, the realization at u's step, its rows never
+    assembled."""
+    free = _free_parts(triple.base, np.zeros(triple.base.space.dim), u.grid, r.e)
+    return _norms(triple.base, u.grid, *_compose(r, free, u.values, u.grid))
 
 
 def _worst(values) -> float:
@@ -102,13 +103,13 @@ def _worst_tracks(triple, probes, signals, grid, method, est):
     ``grid``: M_B, M_C, M_BC and the inverse observation (running_l1 is
     nondecreasing, so the last two are maxima over [0, t_k] already).
     np.maximum keeps a nan."""
-    e = _io_exp(triple, grid.step)
+    r = _realize(triple, grid.step)
     m_b = m_c = m_bc = inv = np.zeros(grid.count + 1)
     for u in signals:
         uu = _extend_signal(u, grid)
         run_u = uu.running_l1()
-        m_b = np.maximum(m_b, _ratio_track(_control_track_norms(triple, uu, e), run_u))
-        fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step, e), triple.u_space)
+        m_b = np.maximum(m_b, _ratio_track(_control_track_norms(triple, uu, r), run_u))
+        fu = InputSignal(grid, r.apply(uu.values), triple.u_space)
         m_bc = np.maximum(m_bc, _ratio_track(fu.running_l1(), run_u))
     for x in probes:
         nx = x.norm()
@@ -141,7 +142,7 @@ def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector]
         raise ConfigurationError("estimate_constants needs a nonempty probe set")
     if not signals:
         raise ConfigurationError("estimate_constants needs a nonempty signal set")
-    h = step if step is not None else triple.default_step()
+    h = step if step is not None else triple.base_step
     if h is None:
         h = signals[0].grid.step
     n1 = time_grid(horizon, h).count

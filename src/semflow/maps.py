@@ -10,15 +10,20 @@ and the perturbed semigroup is evaluated through
 
     T_BC(t) x = T(t) x + B_t (I - F_t)^{-1} C_t x
 
-by two routes.  Direct (``_direct``, the one place a Direct kernel is picked)
-runs the closed loop w = v + F w + C_t x from the initial data on every base,
-reading x from its own trajectory.  Neumann runs three steps on the free
-evolution t_k -> T(t_k) x that ``semigroups._free_parts`` builds once:
-observe (``_observe``, v = C_t x, read from it), solve (``invert_io``, the
-series for w = (I - F_t)^{-1} v) and compose (``_compose``, which only adds
-B_{t_k} w to it).  ``semigroups._assemble`` turns either result into an
-orbit.  The layout of a variant's signal is read in ``_apply_io`` and
-``_direct``.
+by two routes.  Direct (``_direct``) runs the closed loop w = v + F w + C_t x
+from the initial data on every base, reading x from its own trajectory.
+Neumann runs three steps on the free evolution t_k -> T(t_k) x that
+``semigroups._free_parts`` builds once: observe (``_observe``, v = C_t x,
+read from it), solve (``invert_io``, the series for w = (I - F_t)^{-1} v)
+and compose (``_compose``, which only adds B_{t_k} w to it).
+``semigroups._assemble`` turns either result into an orbit.
+
+Both routes run on the triple's ``Realization`` at the time step, built by
+``_realize``: exp(hA), the input and output maps of the ODE state, the tap
+rows that read the placed channel's trajectory, and the base's kernel
+entries for F and for the closed loop.  ``_realize`` is the one place,
+besides the triple's validation, that reads the control variant, so the
+layout of a variant's signal is read there and nowhere else.
 
 The discrete input-output map uses left-endpoint quadrature inside, so it is
 strictly causal and ``I - F`` is unit lower triangular: forward substitution
@@ -35,14 +40,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .core import (Grid, InputSignal, ProductSpace, Record, Space, StateVector,
-                   SupSpace, matexp, time_grid)
+from .core import (DERIVED, Grid, InputSignal, ProductSpace, Record, Space,
+                   StateVector, SupSpace, matexp, time_grid)
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence)
 from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
@@ -113,11 +118,15 @@ class PerturbationTriple(Record):
     """Base semigroup with a control variant and a dense observation operator.
 
     ``observe`` maps discretized states to U.  For the neutral variant it is
-    the 2x2 block operator ((0, P), (C, K)) acting on (x, f)."""
+    the 2x2 block operator ((0, P), (C, K)) acting on (x, f).  The input
+    space ``u_space`` and the step ``base_step`` of a shift base (None on a
+    matrix base) are read from the variant here."""
 
     base: Semigroup
     control: ControlSpec
     observe: np.ndarray
+    u_space: Space = DERIVED
+    base_step: Optional[float] = DERIVED
 
     def __post_init__(self):
         obs = np.atleast_2d(np.asarray(self.observe, dtype=float))
@@ -126,14 +135,15 @@ class PerturbationTriple(Record):
         if obs.shape[1] != dim:
             raise DimensionError(
                 f"observation operator must have {dim} columns, got {obs.shape[1]}")
+        u_space, step = SupSpace(obs.shape[0]), None
         if isinstance(self.control, (BoundedControl, IdentityControl)):
             if not isinstance(self.base, MatrixSemigroup):
                 raise ConfigurationError(
                     "bounded/identity control requires a matrix base semigroup")
-            if obs.shape[0] != self.u_dim:
+            bounded = isinstance(self.control, BoundedControl)
+            if obs.shape[0] != (self.control.matrix.shape[1] if bounded else dim):
                 raise DimensionError("observation output does not match the input space")
-            if isinstance(self.control, BoundedControl) and \
-                    self.control.matrix.shape[0] != dim:
+            if bounded and self.control.matrix.shape[0] != dim:
                 raise DimensionError("control matrix does not map into the state space")
         elif isinstance(self.control, DirichletControl):
             if not isinstance(self.base, LeftTranslation):
@@ -144,6 +154,7 @@ class PerturbationTriple(Record):
                 raise ConfigurationError(
                     "observation weight at s = 0 breaks causality of the discrete "
                     "input-output map (no instantaneous mass allowed)")
+            step = self.base.grid.step
         elif isinstance(self.control, NeutralBoundaryControl):
             base = self.base
             if not (isinstance(base, BlockDiag) and len(base.parts) == 2
@@ -163,69 +174,103 @@ class PerturbationTriple(Record):
                 raise ConfigurationError(
                     "observation weight at the history endpoint s = 0 breaks "
                     "causality (kernels must have no mass in 0)")
+            u_space, step = ProductSpace((SupSpace(d), SupSpace(d))), base.parts[1].grid.step
         else:
             raise ConfigurationError(f"unknown control variant {self.control!r}")
-
-    # -- derived structure ---------------------------------------------------
+        object.__setattr__(self, "u_space", u_space)
+        object.__setattr__(self, "base_step", step)
 
     @property
     def u_dim(self) -> int:
-        if isinstance(self.control, BoundedControl):
-            return self.control.matrix.shape[1]
-        if isinstance(self.control, IdentityControl):
-            return self.base.space.dim
-        if isinstance(self.control, DirichletControl):
-            return 1
-        return 2 * self.base.parts[0].space.dim
+        return self.observe.shape[0]
 
-    @property
-    def u_space(self) -> Space:
-        if isinstance(self.control, NeutralBoundaryControl):
-            d = self.base.parts[0].space.dim
-            return ProductSpace((SupSpace(d), SupSpace(d)))
-        return SupSpace(self.u_dim)
 
-    @property
-    def b_matrix(self) -> np.ndarray:
-        """Dense control matrix for the bounded variants."""
-        if isinstance(self.control, BoundedControl):
-            return self.control.matrix
-        if isinstance(self.control, IdentityControl):
-            return np.eye(self.base.space.dim)
-        raise ConfigurationError("boundary controls have no dense matrix form")
+class Realization(Record):
+    """A triple at one time step h as the one strictly causal system of
+    ``_kernels``: the state z_{k+1} = e z_k + h e b w_k, a placed channel
+    that puts the last ``width`` columns of w_k in row H + k of a trajectory
+    X for k >= ``first``, behind the H history rows, and the output
+    w_k = v_k + c z_k + sum_i taps[i] X_{k+i}.  ``taps`` is (H, width,
+    u_dim), H being ``history``; the kernels read their block length from
+    it.  A matrix base places nothing (H = width = 0), a delay line has no
+    state (e is 0x0), and on a neutral base ``first`` is 1: row H keeps
+    f(0) = x(0).
+
+    ``apply`` (F on (n+1, u_dim) samples) and ``solve`` (the closed loop
+    from the state y and the (H+1, width) history f, giving w, the states and
+    X, a missing block None) are the base's kernel entries."""
+
+    e: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    taps: np.ndarray
+    history: int
+    width: int
+    first: int
+    apply: Callable
+    solve: Callable
 
     def is_zero(self) -> bool:
-        if np.all(self.observe == 0.0):
-            return True
-        return isinstance(self.control, BoundedControl) and \
-            np.all(self.control.matrix == 0.0)
+        """Whether F and B_t C_t vanish: nothing observed, or nothing
+        controlled (a zero b and no placed channel)."""
+        return not (self.c.any() or self.taps.any()) or not (self.b.any() or self.width)
 
-    def default_step(self) -> Optional[float]:
-        if isinstance(self.base, (NilpotentShift, LeftTranslation)):
-            return self.base.grid.step
-        if isinstance(self.base, BlockDiag):
-            return self.base.parts[1].grid.step
-        return None
 
-    # pieces of the neutral block observation
-    def neutral_blocks(self):
-        d = self.base.parts[0].space.dim
-        npts = self.base.parts[1].grid.count + 1
-        obs = self.observe
-        c_block = obs[d:, :d]
-        prow = obs[:d, d:].reshape(d, npts, d).transpose(1, 0, 2)[:-1]
-        krow = obs[d:, d:].reshape(d, npts, d).transpose(1, 0, 2)[:-1]
-        return c_block, prow, krow
+def _realize(triple: PerturbationTriple, h: float) -> Realization:
+    """The realization of ``triple`` at step h, the one place outside the
+    triple's validation that reads its control variant.  exp(hA) is computed
+    here once for every F application, solve and free evolution that takes
+    the realization; a delay line has none."""
+    base, obs, control = triple.base, triple.observe, triple.control
+    # each base's entries read e, c and taps, which are set below the branches
+    if isinstance(control, DirichletControl):
+        a, b, H, first = np.zeros((0, 0)), np.zeros((0, 1)), base.grid.count, 0
+        lag = obs[0, ::-1]  # lag j reads weight at s = -j*h
+
+        def apply(u):
+            return _kernels.delay_volterra_apply(lag, u[:, 0])[:, None]
+
+        def solve(v, y, f):
+            X = _kernels.delay_volterra_solve(lag, v[:, 0], f[:, 0])[1]
+            return X[H:], None, X
+    elif isinstance(control, NeutralBoundaryControl):
+        a, H, first = base.parts[0].a, base.parts[1].grid.count, 1
+        b = np.eye(a.shape[0], obs.shape[0])  # the first channel drives the state
+
+        def apply(u):
+            d, rows = a.shape[0], taps.transpose(0, 2, 1)  # the P and K rows
+            return np.hstack(_kernels.neutral_volterra_apply(
+                e, c[d:], rows[:, :d], rows[:, d:], u[:, :d], u[:, d:], h))
+
+        def solve(v, y, f):
+            return _kernels.volterra_solve(e, b, c, v, h, y, taps, first, f)
+    else:
+        a, H, first = base.a, 0, 0
+        b = control.matrix if isinstance(control, BoundedControl) else np.eye(a.shape[0])
+
+        def apply(u):
+            return _kernels.matrix_volterra_apply(e, b, c, u, h)
+
+        def solve(v, y, f):
+            return (*_kernels.matrix_volterra_solve(e, b, c, v, h, y), None)
+    p = a.shape[0]
+    e = matexp(a, h) if p else a
+    c, width = obs[:, :p], (obs.shape[1] - p) // (H + 1)
+    taps = obs[:, p:].reshape(obs.shape[0], H + 1, width).transpose(1, 2, 0)[:H]
+    return Realization(e, b, c, taps, H, width, first, apply, solve)
+
+
+def _check_step(triple: PerturbationTriple, h: float):
+    if triple.base_step is not None and abs(h - triple.base_step) > 1e-12 * triple.base_step:
+        raise GridAlignmentError(
+            f"time step {h} must equal the base grid step {triple.base_step} for shift bases")
 
 
 def _resolve_grid(triple: PerturbationTriple, t: float, step: Optional[float]) -> Grid:
-    h = step if step is not None else triple.default_step()
+    h = step if step is not None else triple.base_step
     if h is None:
         raise ConfigurationError("a time step is required for matrix base semigroups")
-    base_step = triple.default_step()
-    if base_step is not None and abs(h - base_step) > 1e-12 * base_step:
-        raise GridAlignmentError(
-            f"time step {h} must equal the base grid step {base_step} for shift bases")
+    _check_step(triple, h)
     return time_grid(t, h)
 
 
@@ -233,11 +278,6 @@ def _check_signal(triple: PerturbationTriple, u: InputSignal):
     if u.values.shape[1] != triple.u_dim:
         raise DimensionError(
             f"signal has {u.values.shape[1]} channels, the triple expects {triple.u_dim}")
-
-
-def _split_channels(triple: PerturbationTriple, values: np.ndarray):
-    d = triple.base.parts[0].space.dim
-    return values[:, :d], values[:, d:]
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +295,9 @@ def control_map(triple: PerturbationTriple, t: float, u: InputSignal) -> StateVe
     if k == 0:
         return StateVector(np.zeros(space.dim), space)
     grid = _resolve_grid(triple, t, u.grid.step)
-    free = _free_parts(triple.base, np.zeros(space.dim), grid)
-    parts = _compose(triple, free, u.values[: k + 1], grid)
+    r = _realize(triple, grid.step)
+    free = _free_parts(triple.base, np.zeros(space.dim), grid, r.e)
+    parts = _compose(r, free, u.values[: k + 1], grid)
     return _assemble(triple.base, grid, *parts).state(k)
 
 
@@ -266,24 +307,25 @@ def observation_map(triple: PerturbationTriple, t: float, x: StateVector,
     if x.space != triple.base.space:
         raise DimensionError("state does not live in the base space")
     grid = _resolve_grid(triple, t, step)
-    return _observe(triple, _free(triple, x, grid), grid)
+    return _observe(triple, _free(triple, _realize(triple, grid.step), x, grid), grid)
 
 
-def _free(triple: PerturbationTriple, x: StateVector, grid: Grid):
-    """The free parts ``(e, head, X, m)`` of x (``semigroups._free_parts``),
-    which the observe and the compose step share.  The trajectory drops f(0),
-    as the shift does, except on a neutral base, where every route reads f(0)
-    as x(0)."""
-    free = _free_parts(triple.base, x.coords, grid)
-    if isinstance(triple.control, NeutralBoundaryControl):  # f(0) into row N
-        free[2][triple.base.parts[1].grid.count] = x.coords[-free[2].shape[1]:]
+def _free(triple: PerturbationTriple, r: Realization, x: StateVector, grid: Grid):
+    """The free parts ``(head, X, m)`` of x (``semigroups._free_parts``,
+    with the realization's exp(hA)), which the observe and the compose step
+    share.  The trajectory drops f(0), as the shift does, except where the
+    realization places from step 1 (a neutral base): there every route reads
+    f(0) as x(0)."""
+    free = _free_parts(triple.base, x.coords, grid, r.e)
+    if r.first:  # f(0) into row H
+        free[1][r.history] = x.coords[x.coords.shape[0] - r.width:]
     return free
 
 
 def free_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid) -> OrbitSeries:
     """The orbit t_k -> T(t_k)x as the perturbed routes read x: on a neutral
     base f(0) stays x(0), so a vanishing perturbation converges to it."""
-    return _assemble(triple.base, grid, *_free(triple, x, grid)[1:])
+    return _assemble(triple.base, grid, *_free(triple, _realize(triple, grid.step), x, grid))
 
 
 def _observe(triple: PerturbationTriple, free, grid: Grid) -> InputSignal:
@@ -291,7 +333,7 @@ def _observe(triple: PerturbationTriple, free, grid: Grid) -> InputSignal:
     is the shift grid's, so m = 1 and row k reads the window of N points
     ``X[k : k+N]``, one matrix-vector product per observation row; a matrix
     product would copy the overlapping windows)."""
-    _, head, X, _ = free
+    head, X, _ = free
     obs = triple.observe
     if X is None:
         return InputSignal(grid, head @ obs.T, triple.u_space)
@@ -306,39 +348,11 @@ def _observe(triple: PerturbationTriple, free, grid: Grid) -> InputSignal:
     return InputSignal(grid, vals, triple.u_space)
 
 
-def _io_exp(triple: PerturbationTriple, h: float) -> Optional[np.ndarray]:
-    """exp(hA) of the base's matrix block, read by every F application on a
-    matrix or neutral base; None on a translation base."""
-    if isinstance(triple.control, DirichletControl):
-        return None
-    base = triple.base
-    return matexp(base.a if isinstance(base, MatrixSemigroup) else base.parts[0].a, h)
-
-
-def _apply_io(triple: PerturbationTriple, values: np.ndarray, h: float,
-              e: Optional[np.ndarray]) -> np.ndarray:
-    """Discrete F applied to raw signal samples (left-endpoint rule inside);
-    ``e`` is ``_io_exp(triple, h)``, computed once by callers that apply F
-    repeatedly."""
-    if isinstance(triple.control, (BoundedControl, IdentityControl)):
-        return _kernels.matrix_volterra_apply(e, triple.b_matrix, triple.observe, values, h)
-    if isinstance(triple.control, DirichletControl):
-        row = triple.observe[0]
-        lag = row[::-1]  # lag j reads weight at s = -j*h
-        out = _kernels.delay_volterra_apply(lag, values[:, 0])
-        return out[:, None]
-    c_block, prow, krow = triple.neutral_blocks()
-    u1, u2 = _split_channels(triple, values)
-    o1, o2 = _kernels.neutral_volterra_apply(e, c_block, prow, krow, u1, u2, h)
-    return np.hstack([o1, o2])
-
-
 def io_map(triple: PerturbationTriple, t: float, u: InputSignal) -> InputSignal:
     """Evaluate the input-output map F_t u = [r -> C B_r u] on [0, t]."""
     _check_signal(triple, u)
     k = u.grid.index_of(t)
-    h = u.grid.step
-    out = _apply_io(triple, u.values[: k + 1], h, _io_exp(triple, h))
+    out = _realize(triple, u.grid.step).apply(u.values[: k + 1])
     return InputSignal(Grid(0.0, u.grid.step, k), out, triple.u_space)
 
 
@@ -354,13 +368,14 @@ def estimate_io_norm(triple: PerturbationTriple, t: float,
     h, twice its trapezoid weight, so u(0) != 0 can exceed U."""
     grid = _resolve_grid(triple, t, step)
     h, n1, m = grid.step, grid.count + 1, triple.u_dim
-    e = _io_exp(triple, h)
+    r = _realize(triple, h)
     resp = np.empty((n1, m, m))  # resp[k, :, j] = R_k e_j
     for j in range(m):
         impulse = np.zeros((n1, m))
         impulse[1, j] = 1.0 / h
-        resp[:, :, j] = _apply_io(triple, impulse, h, e)
-    b = 2 if isinstance(triple.control, NeutralBoundaryControl) else 1
+        resp[:, :, j] = r.apply(impulse)
+    # the halves of sup (+)_1 sup: a state channel and a placed channel
+    b = 2 if 0 < r.width < m else 1
     # the largest row sum of |R_k| in each (output block, input half)
     rows = np.abs(resp).reshape(n1, b, m // b, b, m // b).sum(axis=4).max(axis=2)
     return float(np.max(grid.trapezoid_weights() @ rows.sum(axis=1)))
@@ -384,7 +399,8 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
     vals = v.values[: k + 1]
     grid = Grid(0.0, h, k)
     if isinstance(method, DirectSolve):
-        return InputSignal(grid, _direct(triple, grid, vals)[0], triple.u_space)
+        w = _direct(_realize(triple, h), vals, np.zeros(triple.base.space.dim))[0]
+        return InputSignal(grid, w, triple.u_space)
     est = contraction_estimate
     if est is None:
         est = estimate_io_norm(triple, t, step=h)
@@ -392,11 +408,11 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
         raise ContractionViolation(
             f"estimated ||F_t|| = {est:.4g} >= 1; Neumann series refused", est)
     target = method.tol * max(1.0 - est, 1e-6)
-    e = _io_exp(triple, h)
+    r = _realize(triple, h)
     w = vals.copy()
     term = vals
     for _ in range(method.max_terms):
-        term = _apply_io(triple, term, h, e)
+        term = r.apply(term)
         w = w + term
         sig_norm = InputSignal(grid, term, triple.u_space).l1_norm()
         if sig_norm <= target:
@@ -406,56 +422,38 @@ def invert_io(triple: PerturbationTriple, t: float, v: InputSignal,
         f"(last term norm {sig_norm:.3e})", method.max_terms, sig_norm)
 
 
-def _direct(triple: PerturbationTriple, grid: Grid, v: np.ndarray,
-            x: Optional[np.ndarray] = None):
-    """The Direct route, the one place a Direct kernel is picked: forward
-    substitution of the closed loop w = v + F w + C_t x from the state
-    coordinates x (zero if None), which never forms C_t x.  Returns w and the
-    parts ``(head, X, m)`` of T(t_k) x + B_{t_k} w, as ``_compose`` does."""
-    h = grid.step
-    x = np.zeros(triple.base.space.dim) if x is None else x
-    e = _io_exp(triple, h)
-    if isinstance(triple.control, (BoundedControl, IdentityControl)):
-        w, states = _kernels.matrix_volterra_solve(e, triple.b_matrix, triple.observe,
-                                                   v, h, x)
-        return w, (states, None, None)
-    if isinstance(triple.control, DirichletControl):
-        w, X = _kernels.delay_volterra_solve(triple.observe[0, ::-1], v[:, 0], x)
-        return w[:, None], (None, X, 1)
-    # the neutral loop keeps f(0) = x(0) in row N of its trajectory
-    c_block, prow, krow = triple.neutral_blocks()
-    y, f = triple.base.space.split(x)
-    w1, w2, zs, X = _kernels.neutral_feedback_loop(
-        e, c_block, prow, krow, f.reshape(-1, y.shape[0]), y, h, grid.count, v)
-    return np.hstack([w1, w2]), (zs, X, 1)
+def _direct(r: Realization, v: np.ndarray, x: np.ndarray):
+    """The Direct route: forward substitution of the closed loop
+    w = v + F w + C_t x from the state coordinates x, which never forms
+    C_t x.  Returns w and the parts ``(head, X, m)`` of T(t_k) x + B_{t_k} w,
+    as ``_compose`` does."""
+    p = r.e.shape[0]
+    w, head, X = r.solve(v, x[:p], x[p:].reshape(r.history + 1, r.width))
+    return w, (head, X, None if X is None else 1)
 
 
 # ---------------------------------------------------------------------------
 # perturbed semigroup
 # ---------------------------------------------------------------------------
 
-def _compose(triple: PerturbationTriple, free, w: np.ndarray, grid: Grid):
+def _compose(r: Realization, free, w: np.ndarray, grid: Grid):
     """The compose step: adds B_{t_k} w, in the feedback loop's left-endpoint
-    rule, to the free parts ``(e, head, X, m)`` of x and returns the parts
+    rule, to the free parts ``(head, X, m)`` of x and returns the parts
     ``(head, X, m)`` of T(t_k) x + B_{t_k} w for every t_k of ``grid``; ``w``
     holds the (count+1, u_dim) samples of the solved signal.
 
-    Matrix block: the left-rule control map of the matrix channel is added to
-    the rows.  Shift block: w is placed behind the initial profile, so that
-    the window at t_k holds w on [-t_k, 0], from w_0 at s + t = 0 on a
-    translation base and from w_1 on a neutral base, whose row N keeps
-    f(0) = x(0).  ``X`` is written in place, so observe x first.
+    Matrix block: the left-rule control map of ``r.b`` w is added to the
+    rows.  Shift block: the placed columns of w go behind the initial
+    profile, so that the window at t_k holds w on [-t_k, 0], from sample
+    ``r.first`` on: w_0 at s + t = 0 on a translation base, w_1 on a neutral
+    base, whose row N keeps f(0) = x(0).  ``X`` is written in place, so
+    observe x first.
     """
-    e, head, X, m = free
+    head, X, m = free
     if head is not None:
-        if X is None:
-            b, w1 = triple.b_matrix, w
-        else:  # the neutral matrix channel, B = I on the first d columns
-            b, w1 = np.eye(head.shape[1]), w[:, : head.shape[1]]
-        head = head + _kernels.matrix_volterra_apply(e, b, None, w1, grid.step)
-    if X is not None:  # the shift channel, the last columns of w
-        first = 0 if head is None else 1  # the first sample of w placed
-        X[X.shape[0] - grid.count - 1 + first:] = w[first:, -X.shape[1]:]
+        head = head + _kernels.matrix_volterra_apply(r.e, r.b, None, w, grid.step)
+    if X is not None:
+        X[X.shape[0] - grid.count - 1 + r.first:] = w[r.first:, w.shape[1] - r.width:]
     return head, X, m
 
 
@@ -477,17 +475,16 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
         raise DimensionError("state does not live in the base space")
     if abs(grid.start) > 1e-12:
         raise DomainError("orbit grids must start at t = 0")
-    if triple.is_zero():
-        return free_orbit(triple, x, grid)
-    base_step = triple.default_step()
-    if base_step is not None and abs(grid.step - base_step) > 1e-12 * base_step:
-        raise GridAlignmentError("time step must equal the base grid step")
+    r = _realize(triple, grid.step)
+    if r.is_zero():
+        return _assemble(triple.base, grid, *_free(triple, r, x, grid))
+    _check_step(triple, grid.step)
     if isinstance(method, DirectSolve):
-        _, parts = _direct(triple, grid, np.zeros((grid.count + 1, triple.u_dim)), x.coords)
+        _, parts = _direct(r, np.zeros((grid.count + 1, triple.u_dim)), x.coords)
     else:
-        free = _free(triple, x, grid)
+        free = _free(triple, r, x, grid)
         w = invert_io(triple, grid.end, _observe(triple, free, grid), method).values
-        parts = _compose(triple, free, w, grid)
+        parts = _compose(r, free, w, grid)
     return _assemble(triple.base, grid, *parts)
 
 

@@ -18,10 +18,10 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
-from .core import Grid, Record, StateVector, matexp
+from .core import Grid, Record, StateVector
 from .errors import ConfigurationError, DimensionError, GridAlignmentError
 from .maps import (DirectSolve, Method, NeutralBoundaryControl,
-                   PerturbationTriple, perturbed_orbit)
+                   PerturbationTriple, _realize, perturbed_orbit)
 from .semigroups import (BlockDiag, MatrixSemigroup, NilpotentShift, OrbitSeries,
                          _assemble)
 from .translation import MeasureSpec
@@ -167,8 +167,7 @@ def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeri
     """
     _check_time_grid(sys, grid)
     y, f = _initial_pair(sys, *initial)
-    _, prow, krow = build_perturbation(sys).neutral_blocks()
-    e = matexp(sys.a, grid.step)
-    zs, X = _kernels.mos_loop(e, sys.c, prow, krow, f, y, grid.step, grid.count)
+    r = _realize(build_perturbation(sys), grid.step)
+    zs, X = _kernels.mos_loop(r.e, sys.c, r.taps, f, y, grid.step, grid.count)
     return _assemble(build_a0(sys), grid, zs, X, 1)
 

@@ -185,18 +185,17 @@ def orbit(sg: Semigroup, x: StateVector, grid: Grid) -> OrbitSeries:
         raise DomainError("orbit grids must start at t = 0")
     if x.space != sg.space:
         raise DimensionError("state does not live in the semigroup's space")
-    _, head, X, m = _free_parts(sg, x.coords, grid)
-    return _assemble(sg, grid, head, X, m)
+    return _assemble(sg, grid, *_free_parts(sg, x.coords, grid))
 
 
 def _free_parts(sg: Semigroup, coords: np.ndarray, grid: Grid,
                 e: Optional[np.ndarray] = None):
-    """The free evolution t_k -> T(t_k)x on ``grid`` as ``(e, head, X, m)``:
-    ``e = exp(hA)`` (computed unless given) and ``head`` the rows of the
-    causal scan of the matrix block, which a zero block skips, and ``X`` the
-    trajectory ``[f[:N], 0, 0, ...]`` of the shift block
-    with ``m`` grid points per time step, so that the block at t_k is the
-    window ``X[k*m : k*m + N + 1]``; the parts of a missing block are None.
+    """The free evolution t_k -> T(t_k)x on ``grid`` as ``(head, X, m)``:
+    ``head`` the rows of the causal scan of the matrix block by
+    ``e = exp(hA)`` (computed unless given), which a zero block skips, and
+    ``X`` the trajectory ``[f[:N], 0, 0, ...]`` of the shift block with ``m``
+    grid points per time step, so that the block at t_k is the window
+    ``X[k*m : k*m + N + 1]``; the parts of a missing block are None.
     The window at t = 0 reads zero at s = 0, as the shift drops f(0), a
     sample the left-endpoint L1 norm does not weigh."""
     if isinstance(sg, BlockDiag) and len(sg.parts) == 2 \
@@ -225,7 +224,7 @@ def _free_parts(sg: Semigroup, coords: np.ndarray, grid: Grid,
         N = shift.grid.count
         X = np.zeros((grid.count * m + N + 1, shift.point_dim))
         X[:N] = shift.space.values(f)[:N]
-    return e, head, X, m
+    return head, X, m
 
 
 def _norms(sg: Semigroup, grid: Grid, head: Optional[np.ndarray],

@@ -32,7 +32,7 @@ from semflow import neutral as nt
 from semflow.core import Grid, InputSignal, L1Space, StateVector, matexp, time_grid
 from semflow.errors import DimensionError, DomainError, GridAlignmentError, SemflowError
 from semflow.maps import (DirichletControl, IdentityControl, Neumann,
-                          NeutralBoundaryControl, _apply_io, _io_exp, estimate_io_norm,
+                          NeutralBoundaryControl, _realize, estimate_io_norm,
                           invert_io, observation_map, perturbed_orbit)
 from semflow.semigroups import BlockDiag, MatrixSemigroup, OrbitSeries, orbit
 from semflow.translation import MeasureSpec
@@ -126,7 +126,7 @@ def control_map_loop(triple, k, u, rule):
         u1 = u.values[:, :d]
     else:
         a = triple.base.a
-        b = triple.b_matrix
+        b = _realize(triple, h).b
         u1 = u.values
     e = matexp(a, h)
     acc = np.zeros(a.shape[0])
@@ -306,17 +306,17 @@ def mos_step_loop(E, C, prow, krow, f0, y, h, n):
 
 
 def io_apply_loop(triple, values, h):
-    """Discrete F applied through the sequential kernel loops, exp(hA) fresh."""
+    """Discrete F applied through the sequential kernel loops, with the
+    realization's exp(hA), B and P and K rows."""
     if isinstance(triple.control, DirichletControl):
         return delay_volterra_apply_loop(triple.observe[0, ::-1], values[:, 0])[:, None]
+    r = _realize(triple, h)
     if isinstance(triple.control, NeutralBoundaryControl):
-        d = triple.base.parts[0].space.dim
-        c_block, prow, krow = triple.neutral_blocks()
+        d = r.e.shape[0]
+        rows = r.taps.transpose(0, 2, 1)
         return np.hstack(neutral_volterra_apply_loop(
-            matexp(triple.base.parts[0].a, h), c_block, prow, krow,
-            values[:, :d], values[:, d:], h))
-    return matrix_volterra_apply_loop(matexp(triple.base.a, h), triple.b_matrix,
-                                      triple.observe, values, h)
+            r.e, r.c[d:], rows[:, :d], rows[:, d:], values[:, :d], values[:, d:], h))
+    return matrix_volterra_apply_loop(r.e, r.b, triple.observe, values, h)
 
 
 def io_norm_extreme_points(triple, t, step):
@@ -359,13 +359,13 @@ def _constants_at_loop(triple, probes, signals, grid, method):
         mask = ~(den <= adm.RATIO_FLOOR)
         return float(np.max(num[mask] / den[mask], initial=0.0))
 
-    e = _io_exp(triple, grid.step)
+    r = _realize(triple, grid.step)
     m_b, m_bc = [], []
     for u in signals:
         uu = adm._extend_signal(u, grid) if u.grid.count < grid.count else u
         run_u = uu.running_l1()
-        m_b.append(max_ratio(adm._control_track_norms(triple, uu), run_u))
-        fu = InputSignal(grid, _apply_io(triple, uu.values, grid.step, e), triple.u_space)
+        m_b.append(max_ratio(adm._control_track_norms(triple, uu, r), run_u))
+        fu = InputSignal(grid, r.apply(uu.values), triple.u_space)
         m_bc.append(max_ratio(fu.running_l1(), run_u))
     m_c, sup_inv = [], []
     est = estimate_io_norm(triple, grid.end, step=grid.step) \
@@ -868,7 +868,7 @@ def check_desch_schappacher(triple, probes, omega, m=1.0, horizon=40.0, step=2.5
         m_est = max(m_est, float(np.max(orb.norms * np.exp(omega * ts))) / x.norm())
     b_norm = opnorm_sup(triple.control.matrix)
     rho = m * b_norm / omega
-    e = _io_exp(triple, step)
+    r = _realize(triple, step)
     ok = rho < 1.0
     per_probe = []
     for x, orb in zip(probes, orbits):
@@ -876,7 +876,7 @@ def check_desch_schappacher(triple, probes, omega, m=1.0, horizon=40.0, step=2.5
         for n in range(n_terms + 1):
             norms.append(InputSignal(grid, term, triple.u_space).l1_norm())
             margins.append((rho ** n) * (m_est / omega) * x.norm() + term_tol - norms[-1])
-            term = _apply_io(triple, term, step, e)
+            term = r.apply(term)
         total = float(np.sum(norms))
         total_bound = m_est / (omega - m * b_norm) * x.norm() if rho < 1.0 else np.inf
         ok &= bool(np.min(margins) >= 0.0) and total <= total_bound + term_tol

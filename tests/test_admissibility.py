@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import semflow as sf
+from semflow import _kernels
 from semflow import admissibility as adm
 from semflow import maps
 from semflow import neutral as nt
@@ -50,7 +51,7 @@ def test_neumann_estimates_the_contraction_once_per_run(monkeypatch):
     calls = count_calls(monkeypatch, maps.estimate_io_norm)
     observe = count_calls(monkeypatch, maps.observation_map)
     solve = count_calls(monkeypatch, maps.invert_io)
-    applies = count_calls(monkeypatch, maps._apply_io)
+    applies = count_calls(monkeypatch, _kernels.matrix_volterra_apply)
     rep = adm.estimate_constants(triple, probes, sigs, 5.0, step=0.01,
                                  method=sf.Neumann(tol=1e-12))
     # one bound over [0, 2T] gates every solve and is io_norm_est
@@ -58,7 +59,7 @@ def test_neumann_estimates_the_contraction_once_per_run(monkeypatch):
     # every map runs on the [0, 2T] grid only: F on each signal, in the
     # estimate and in the Neumann terms
     assert [c[1] for c in observe + solve] == [10.0] * 6
-    assert applies and {c[1].shape[0] for c in applies} == {1001}
+    assert applies and {c[3].shape[0] for c in applies} == {1001}
     assert rep.sup_inv_obs_est == pytest.approx(direct.sup_inv_obs_est, rel=1e-9)
 
 

@@ -1,9 +1,11 @@
 import gc
+import importlib
 import json
 import runpy
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +335,37 @@ def test_module_entry_runs_main_on_a_frozen_heap(monkeypatch):
     assert exit_.value.code == 3
     # the objects that existed before main ran, the test process's too
     assert len(seen) == 1 and seen[0] > frozen
+
+
+def test_installed_script_target_freezes_and_runs(tmp_path, monkeypatch):
+    # the [project.scripts] target of pyproject.toml, which the installed
+    # semflow command calls: importing it runs nothing, calling it runs main
+    # on a frozen heap, and as a process of its own it runs a config
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, name = target["semflow"].split(":")
+    entry = getattr(importlib.import_module(module), name)
+    seen = []
+
+    def stub(argv=None):
+        seen.append(gc.get_freeze_count())
+        return 3
+
+    monkeypatch.setattr(sys.modules[module], "main", stub)
+    frozen = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            entry()
+    finally:
+        gc.unfreeze()
+    assert exit_.value.code == 3 and len(seen) == 1 and seen[0] > frozen
+    path = write_cfg(tmp_path / "cfg.json", scalar_cfg(c=0.5, horizon=1.0))
+    code = f"import sys; from {module} import {name}; sys.exit({name}())"
+    proc = subprocess.run([sys.executable, "-c", code, "simulate", "--config", path,
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "out" / "orbit.csv").is_file()
 
 
 @pytest.mark.parametrize("out", ["a-file", "a-file/sub"])

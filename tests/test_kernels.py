@@ -1,10 +1,10 @@
 """The kernels must agree with independent implementations.
 
-Every kernel is one numpy implementation: the matrix kernels and
-``neutral_volterra_apply`` run on the vectorized scan, the delay-line solve,
-``neutral_feedback_loop`` and ``mos_loop`` on the blocked method of steps.
-Each is checked against the sequential loops in ``oracles.py``, the blocked
-ones at lengths around their block edges.
+Every base runs on one apply (``volterra_apply``) and one solve
+(``volterra_solve``), the blocked method of steps over the vectorized scan;
+``mos_loop`` shares the blocks.  Each base's entries and the two kernels on
+matrix, delay-line and neutral data are checked against the sequential loops
+in ``oracles.py``, at lengths around the block edges.
 """
 
 import numpy as np
@@ -111,9 +111,10 @@ def test_neutral_kernels_agree(data):
     y = rng.standard_normal(d)
     n = 300
     v = rng.standard_normal((n + 1, 2 * d))
-    fast = K.neutral_feedback_loop(e, c, prow, krow, f0, y, h, n, v)
+    E, B, C, taps = neutral(e, c, prow, krow)
+    w, zs, X = K.volterra_solve(E, B, C, v, h, y, taps, 1, f0)
     loop = neutral_feedback_step_loop(e, c, prow, krow, f0, y, h, n, v)
-    for a_, b_ in zip(fast, loop):
+    for a_, b_ in zip((w[:, :d], w[:, d:], zs, X), loop):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
     u1 = rng.standard_normal((n + 1, d))
     u2 = rng.standard_normal((n + 1, d))
@@ -121,10 +122,18 @@ def test_neutral_kernels_agree(data):
     la = neutral_volterra_apply_loop(e, c, prow, krow, u1, u2, h)
     for a_, b_ in zip(fa, la):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
-    fm = K.mos_loop(e, c, prow, krow, f0, y, h, n)
+    fm = K.mos_loop(e, c, taps, f0, y, h, n)
     lm = mos_step_loop(e, c, prow, krow, f0, y, h, n)
     for a_, b_ in zip(fm, lm):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
+
+
+def neutral(e, c, prow, krow):
+    """E, B = [I 0], C -> [0; C] and the (P, K) reads of the neutral pair, as
+    a realization lays them out: taps[i] (d, 2d) reads X_{k+i}."""
+    d = e.shape[0]
+    C = np.vstack([np.zeros((d, d)), c])
+    return e, np.eye(d, 2 * d), C, np.concatenate([prow, krow], axis=1).transpose(0, 2, 1)
 
 
 def _taps(rng, N, d, m):
@@ -151,7 +160,9 @@ SMALLEST_LAGS = {"m1": 1, "m2": 2, "quarter": 8, "zero": 0}  # N = 32
     (t, n) for t in SMALLEST_LAGS for n in LENGTHS if (t, n) != ("m1", "m-1")])
 def test_blocked_kernels_agree_around_block_edges(data, taps, length):
     # blocks of m steps: lengths on both sides of one and two block edges,
-    # against the step-by-step oracles; all-zero taps run in blocks of N
+    # the one apply and the one solve on the neutral, delay-line and matrix
+    # data against the step-by-step oracles; without a tap that carries
+    # weight the steps are one block
     rng, h, d, e, b, c = data
     N = 32
     m = SMALLEST_LAGS[taps]
@@ -160,28 +171,47 @@ def test_blocked_kernels_agree_around_block_edges(data, taps, length):
     f0 = rng.standard_normal((N + 1, d))
     y = rng.standard_normal(d)
     v = rng.standard_normal((n1, 2 * d))
-    fast = K.neutral_feedback_loop(e, c, prow, krow, f0, y, h, n1 - 1, v)
+    # neutral: from (y, f0), f(0) kept in row N, w2 placed from step 1
+    E, B, C, T = neutral(e, c, prow, krow)
+    w, zs, X = K.volterra_solve(E, B, C, v, h, y, T, 1, f0)
     loop = neutral_feedback_step_loop(e, c, prow, krow, f0, y, h, n1 - 1, v)
-    for a_, b_ in zip(fast, loop):
+    for a_, b_ in zip((w[:, :d], w[:, d:], zs, X), loop):
         assert a_.shape == b_.shape
         assert np.max(np.abs(a_ - b_)) <= 1e-12
-    fast = K.mos_loop(e, c, prow, krow, f0, y, h, n1 - 1)
+    out = K.volterra_apply(E, B, C, v, h, T, 1)
+    ref = np.hstack(neutral_volterra_apply_loop(e, c, prow, krow, v[:, :d], v[:, d:], h))
+    assert out.shape == ref.shape and np.max(np.abs(out - ref)) <= 1e-12
+    fast = K.mos_loop(e, c, T, f0, y, h, n1 - 1)
     loop = mos_step_loop(e, c, prow, krow, f0, y, h, n1 - 1)
     for a_, b_ in zip(fast, loop):
         assert a_.shape == b_.shape
         assert np.max(np.abs(a_ - b_)) <= 1e-12
     # the delay line on W = N lags, the solve from the history f; lag[0]
-    # carries weight the kernels never read
+    # carries weight the kernels never read.  No state: E is 0x0
     lag = np.zeros(N + 1)
     lag[0] = 1.0
     if m:
         lag[m] = 0.5
         lag[m + 1:] = 1e-2 * rng.standard_normal(N - m)
     u, f = v[:, 0], f0[:, 0]
+    none, one = np.zeros((0, 0)), np.zeros((0, 1))
+    T = lag[:0:-1, None, None]
+    _, z, X = K.volterra_solve(none, one, one.T, u[:, None], h, None, T, 0, f[:, None])
+    assert z.shape == (n1, 0) and np.array_equal(X[:N, 0], f[:N])
     for out, ref in ((K.delay_volterra_apply(lag, u), delay_volterra_apply_loop(lag, u)),
-                     (K.delay_volterra_solve(lag, u, f)[0], delay_volterra_solve_loop(lag, u, f))):
+                     (K.volterra_apply(none, one, one.T, u[:, None], h, T)[:, 0],
+                      delay_volterra_apply_loop(lag, u)),
+                     (K.delay_volterra_solve(lag, u, f)[0], delay_volterra_solve_loop(lag, u, f)),
+                     (X[N:, 0], delay_volterra_solve_loop(lag, u, f))):
         assert out.shape == (n1,)
         assert np.max(np.abs(out - ref)) <= 1e-13
+    # the matrix base places nothing: one block of n1 steps, from y
+    w, z, X = K.volterra_solve(e, b, c, v[:, :d], h, y)
+    wl, zl = matrix_volterra_solve_loop(e, b, c, v[:, :d], h, y)
+    assert X.shape == (n1, 0)
+    assert np.max(np.abs(w - wl)) <= 1e-13 and np.max(np.abs(z - zl)) <= 1e-13
+    out = K.volterra_apply(e, b, c, v[:, :d], h)
+    assert np.max(np.abs(out - matrix_volterra_apply_loop(e, b, c, v[:, :d], h))) <= 1e-14
 
 
 def test_strict_causality_of_discrete_io():

@@ -8,6 +8,7 @@ import semflow as sf
 from semflow import _kernels, cli
 from semflow import neutral as nt
 from semflow.errors import ConfigurationError, ContractionViolation, NoConvergence
+from semflow.maps import _realize
 from helpers import mixed_system, neutral_initial, scalar_mv, scalar_signal, smooth_signal
 from oracles import (boundary_control_closed_form, control_map_loop,
                      observation_step_loop, semigroup_apply)
@@ -103,7 +104,7 @@ def test_control_map_matches_step_loop(rule, k):
         sf.BoundedControl([[1.0, 0.0], [0.5, -1.0]]), np.eye(2))
     neutral = nt.build_perturbation(mixed_system())
     d = neutral.base.parts[0].space.dim
-    cases = [(bounded, bounded.base.a, bounded.b_matrix),
+    cases = [(bounded, bounded.base.a, _realize(bounded, 1.0 / 40).b),
              (neutral, neutral.base.parts[0].a, np.eye(d))]
     for triple, a, b in cases:
         grid = sf.Grid(0.0, 1.0 / 40, 150)
@@ -163,12 +164,10 @@ def test_observation_map_is_what_the_neutral_direct_loop_inverts():
     grid = sf.time_grid(3.0, sys0.history_grid.step)
     v = sf.observation_map(triple, grid.end, nt.pack_initial(sys0, y, f))
     w = sf.invert_io(triple, grid.end, v, sf.DirectSolve())
-    c_block, prow, krow = triple.neutral_blocks()
-    e = sf.matexp(sys0.a, grid.step)
-    w1, w2, _, _ = _kernels.neutral_feedback_loop(
-        e, c_block, prow, krow, f, y, grid.step, grid.count,
-        np.zeros((grid.count + 1, 2 * sys0.dim)))
-    ref = np.hstack([w1, w2])
+    r = _realize(triple, grid.step)
+    ref, _, _ = _kernels.volterra_solve(
+        r.e, r.b, r.c, np.zeros((grid.count + 1, 2 * sys0.dim)), grid.step, y, r.taps,
+        r.first, f)
     assert np.max(np.abs(w.values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -188,7 +187,7 @@ def test_solved_signal_is_the_observation_of_the_perturbed_orbit(name):
         x, horizon = cli.build_initial(TRANSLATION_SIMULATE, triple), 8.0
     else:
         triple, x, horizon = observation_case(name)
-    grid = sf.time_grid(horizon, triple.default_step() or 0.01)
+    grid = sf.time_grid(horizon, triple.base_step or 0.01)
     v = sf.observation_map(triple, grid.end, x, step=grid.step)
     w = sf.invert_io(triple, grid.end, v).values
     cx = sf.perturbed_orbit(triple, x, grid).states @ triple.observe.T
@@ -454,11 +453,11 @@ def test_prop_bound_chain():
     signals = [smooth_signal(grid, seed=s) for s in range(3)] + [w]
     m_b = 0.0
     for u in signals:
-        track = _control_track_norms(triple, u)
+        track = _control_track_norms(triple, u, _realize(triple, grid.step))
         run = u.running_l1()
         mask = run > 1e-12
         m_b = max(m_b, float(np.max(track[mask] / run[mask])))
-    bt_norms = _control_track_norms(triple, w)
+    bt_norms = _control_track_norms(triple, w, _realize(triple, grid.step))
     assert float(np.max(bt_norms)) <= m_b * sup_w + 1e-12
 
 
@@ -471,7 +470,7 @@ def compose_case(name):
         s = triple.base.grid.points()
         x = sf.StateVector.grid_function(
             np.where(s > -0.2, np.sin(np.pi * s / 0.2) ** 2, 0.0), triple.base.grid)
-    return triple, x, horizon, triple.default_step() or 0.01
+    return triple, x, horizon, triple.base_step or 0.01
 
 
 @pytest.mark.parametrize("name", ["matrix", "translation", "neutral"])
@@ -485,7 +484,7 @@ def test_control_track_norms_match_the_control_map(name):
     grid = sf.time_grid(horizon, h)
     u = sf.InputSignal(grid, smooth_signal(grid, seed=5, dim=triple.u_dim).values,
                        triple.u_space)
-    track = _control_track_norms(triple, u)
+    track = _control_track_norms(triple, u, _realize(triple, u.grid.step))
     for k in (1, 2, grid.count // 3, grid.count // 2, grid.count):
         ref = triple.base.space.norm(control_map_loop(triple, k, u, "left"))
         assert track[k] == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -544,9 +543,10 @@ def test_composing_a_zero_signal_gives_the_free_orbit(name):
         sys0 = mixed_system(n_hist=16)
         y, f = neutral_initial(sys0, seed=3)
         triple, x = nt.build_perturbation(sys0), nt.pack_initial(sys0, y, f)
-    grid = sf.time_grid(horizon, triple.default_step() or 0.01)
+    grid = sf.time_grid(horizon, triple.base_step or 0.01)
     w = np.zeros((grid.count + 1, triple.u_dim))
-    orb = _assemble(triple.base, grid, *_compose(triple, _free(triple, x, grid), w, grid))
+    r = _realize(triple, grid.step)
+    orb = _assemble(triple.base, grid, *_compose(r, _free(triple, r, x, grid), w, grid))
     base = sf.orbit(triple.base, x, grid)
     if name != "neutral":
         assert np.array_equal(orb.states, base.states)

@@ -21,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 import semflow as sf
 from semflow import neutral as nt
+from semflow.maps import _realize
 from helpers import mixed_system
 from oracles import io_norm_extreme_points, total_variation
 
@@ -50,7 +51,8 @@ def test_impulse_moves_output_only_after_its_step(triple, data):
     u[k, channel] = 1.0
     out = sf.io_map(triple, GRID.end, sf.InputSignal(GRID, u, triple.u_space)).values
     assert np.all(out[: k + 1] == 0.0)
-    first = H * (triple.observe @ (sf.matexp(triple.base.a, H) @ triple.b_matrix)[:, channel])
+    r = _realize(triple, H)
+    first = H * (triple.observe @ (r.e @ r.b)[:, channel])
     assert np.allclose(out[k + 1], first, rtol=1e-12, atol=1e-15)
 
 
@@ -116,7 +118,7 @@ def _translation_triple():
 def test_io_norm_bound_dominates_every_extreme_point_on_shift_bases(build, t):
     # t reaches the atoms at -1, so the responses do not vanish
     triple = build()
-    _check_bound_against_extreme_points(triple, t, triple.default_step())
+    _check_bound_against_extreme_points(triple, t, triple.base_step)
 
 
 def test_io_norm_bound_is_the_total_variation_once_t_covers_the_measure():
@@ -129,7 +131,7 @@ def test_io_norm_bound_is_the_total_variation_once_t_covers_the_measure():
                         .map(lambda build: build())),
        data=st.data())
 def test_io_norm_bound_holds_for_signals_that_start_at_zero(triple, data):
-    h = triple.default_step() or H
+    h = triple.base_step or H
     grid = sf.time_grid(2.0, h)
     vals = data.draw(hnp.arrays(float, (grid.count + 1, triple.u_dim), elements=entries),
                      label="u")

@@ -7,6 +7,7 @@ import semflow as sf
 from semflow import admissibility as adm
 from semflow import neutral as nt
 from semflow.errors import ConfigurationError, DomainError, GridAlignmentError
+from semflow.maps import _realize
 from helpers import atom_system, block_deviation, mixed_system, neutral_initial
 from oracles import history_segment, neutral_direct_solve_loop, scaling_conjugation
 
@@ -301,7 +302,10 @@ def test_direct_solve_matches_oracle():
     sys0 = mixed_system()
     triple = nt.build_perturbation(sys0)
     h = sys0.history_grid.step
-    c_block, prow, krow = triple.neutral_blocks()
+    r = _realize(triple, h)
+    d = sys0.dim
+    c_block, prow, krow = r.c[d:], r.taps[:, :, :d], r.taps[:, :, d:]
+    prow, krow = prow.transpose(0, 2, 1), krow.transpose(0, 2, 1)
     assert np.any(prow[-1] != 0.0) and np.any(krow[-1] != 0.0)
     grid = sf.time_grid(3.0, h)
     rng = np.random.default_rng(5)

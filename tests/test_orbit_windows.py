@@ -134,6 +134,7 @@ def test_control_track_assembles_no_state_rows():
     # control track's peak was 0.23 MB; (2561, 260) assembled state rows
     # would take 5.3 MB
     from semflow.admissibility import _control_track_norms
+    from semflow.maps import _realize
 
     cfg = {"system": {"kind": "neutral", "a": [[-1.0, 0.3], [0.0, -1.5]],
                       "c": [[0.5, 0.0], [0.1, 0.4]],
@@ -146,7 +147,7 @@ def test_control_track_assembles_no_state_rows():
     u = sf.InputSignal(grid, np.ones((grid.count + 1, triple.u_dim)), triple.u_space)
     tracemalloc.start()
     try:
-        norms = _control_track_norms(triple, u)
+        norms = _control_track_norms(triple, u, _realize(triple, grid.step))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

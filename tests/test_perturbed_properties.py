@@ -32,10 +32,10 @@ def cases(draw):
         triple, h = draw(matrix_triples()), 0.01
     elif kind == "translation":
         triple = draw(delay_lines())[0]
-        h = triple.default_step()
+        h = triple.base_step
     else:
         triple = nt.build_perturbation(draw(neutral_systems))
-        h = triple.default_step()
+        h = triple.base_step
     seed = draw(st.integers(0, 2 ** 16), label="seed")
     coords = np.random.default_rng(seed).uniform(-2.0, 2.0, triple.base.space.dim)
     return triple, sf.StateVector(coords, triple.base.space), h

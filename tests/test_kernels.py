@@ -97,6 +97,14 @@ def test_delay_kernels_agree(data):
     assert np.max(np.abs(w - delay_volterra_solve_loop(lag, v, f))) <= 1e-13
 
 
+def neutral(e, c, prow, krow):
+    """E, B = [I 0], C -> [0; C] and the (P, K) reads of the neutral pair, as
+    a realization lays them out: taps[i] (d, 2d) reads X_{k+i}."""
+    d = e.shape[0]
+    C = np.vstack([np.zeros((d, d)), c])
+    return e, np.eye(d, 2 * d), C, np.concatenate([prow, krow], axis=1).transpose(0, 2, 1)
+
+
 def test_neutral_kernels_agree(data):
     rng, h, d, e, b, c = data
     N = 48
@@ -126,14 +134,6 @@ def test_neutral_kernels_agree(data):
     lm = mos_step_loop(e, c, prow, krow, f0, y, h, n)
     for a_, b_ in zip(fm, lm):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
-
-
-def neutral(e, c, prow, krow):
-    """E, B = [I 0], C -> [0; C] and the (P, K) reads of the neutral pair, as
-    a realization lays them out: taps[i] (d, 2d) reads X_{k+i}."""
-    d = e.shape[0]
-    C = np.vstack([np.zeros((d, d)), c])
-    return e, np.eye(d, 2 * d), C, np.concatenate([prow, krow], axis=1).transpose(0, 2, 1)
 
 
 def _taps(rng, N, d, m):

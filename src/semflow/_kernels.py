@@ -9,8 +9,9 @@ X being the trajectory of the placed channel: the history f in its first
 H = len(taps) rows, then the last columns of w_k in row H + k for
 k >= ``first``.  ``volterra_apply`` is F, the system from zero initial data
 with the feedback opened; ``volterra_solve`` is the forward substitution of
-the closed loop from (y, f).  The five named entries put one base's
-arguments into one of the two.
+the closed loop from (y, f).  The five named entries take a realization's
+own arrays, (E, B, C, signal, h, ...) in one signature with the signal at
+position 3, and are each one call of the two: a name per base, for tracing.
 
 Both run by the blocked method of steps (Bellen & Zennaro, *Numerical
 Methods for Delay Differential Equations*, OUP 2003).  Delay kernels put no
@@ -22,6 +23,9 @@ of m steps takes one sliding-window product for its history reads, one
 recovered values.  Within a block the state runs the closed loop
 M = E (I + h B C), which is E on a neutral base (B C = 0); with no tap that
 carries weight the steps are one block, so a matrix-base solve is one scan.
+``_blocks`` is the one history read: the two kernels, ``mos_loop`` and,
+through ``add_reads``, the observe step of ``maps`` take their tap reads
+from it.
 
 Discretization: the inner quadrature of every causal convolution is the
 left-endpoint rule, so the input-output map reads strictly past samples and
@@ -36,8 +40,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 _NO_TAPS = np.zeros((0, 0, 0))
-_NO_STATE = np.zeros((0, 0))
-_ONE_INPUT = np.zeros((0, 1))  # B of a delay line: one input, no state
 
 
 def causal_scan(M, f, z0=None, out=None):
@@ -91,6 +93,15 @@ def _blocks(X, taps, n1):
         yield b, e, win[b:e] @ rows
 
 
+def add_reads(out, X, taps):
+    """Adds the tap reads sum_i taps[i] X_{k+i} of the trajectory X to every
+    row k of ``out``, block by block; returns ``out``."""
+    for b, e, reads in _blocks(X, taps, out.shape[0]):
+        if reads is not None:
+            out[b:e] += reads
+    return out
+
+
 def volterra_apply(E, B, C, u, h, taps=_NO_TAPS, first=0):
     """F u from zero initial data: h C z_k plus the tap reads of the
     trajectory that places u, where z_{k+1} = E (z_k + B u_k); with ``C``
@@ -98,14 +109,10 @@ def volterra_apply(E, B, C, u, h, taps=_NO_TAPS, first=0):
     z = causal_scan(E, u @ np.ascontiguousarray((E @ B).T))
     if C is None:
         return h * z
-    out = h * (z @ np.ascontiguousarray(C.T))
     H, q = taps.shape[:2]
     X = np.zeros((u.shape[0] + H, q))
     X[H + first:] = u[first:, u.shape[1] - q:]
-    for b, e, reads in _blocks(X, taps, u.shape[0]):
-        if reads is not None:
-            out[b:e] += reads
-    return out
+    return add_reads(h * (z @ np.ascontiguousarray(C.T)), X, taps)
 
 
 def volterra_solve(E, B, C, v, h, y=None, taps=_NO_TAPS, first=0, f=None):
@@ -137,38 +144,32 @@ def volterra_solve(E, B, C, v, h, y=None, taps=_NO_TAPS, first=0, f=None):
 # the entries of the three bases
 # ---------------------------------------------------------------------------
 
-def matrix_volterra_apply(E, B, C, u, h):
-    """h C z_k for every k; with ``C`` None, the control map h z_k itself."""
-    return volterra_apply(E, B, C, u, h)
+def matrix_volterra_apply(E, B, C, u, h, taps=_NO_TAPS, first=0):
+    """F of a matrix base, h C z_k; with ``C`` None, the control map h z_k."""
+    return volterra_apply(E, B, C, u, h, taps, first)
 
 
-def matrix_volterra_solve(E, B, C, v, h, y=None):
-    """The closed loop from x_0 = y (zero if omitted); returns (v + C x, x)."""
-    return volterra_solve(E, B, C, v, h, y)[:2]
+def matrix_volterra_solve(E, B, C, v, h, y=None, taps=_NO_TAPS, first=0, f=None):
+    """The closed loop of a matrix base from x_0 = y (zero if omitted):
+    (v + C x, x, an empty trajectory)."""
+    return volterra_solve(E, B, C, v, h, y, taps, first, f)
 
 
-def delay_volterra_apply(lag, u):
-    """out_k = sum_{j>=1} lag_j u_{k-j}; lag[0] is never read."""
-    taps = lag[:0:-1, None, None]  # taps[i] reads X_{k+i}, lag W - i
-    return volterra_apply(_NO_STATE, _ONE_INPUT, _ONE_INPUT.T, u[:, None], 1.0, taps)[:, 0]
+def delay_volterra_apply(E, B, C, u, h, taps=_NO_TAPS, first=0):
+    """F of a delay line (E 0x0, one placed channel): the tap reads of u."""
+    return volterra_apply(E, B, C, u, h, taps, first)
 
 
-def delay_volterra_solve(lag, v, f=None):
-    """w_k = v_k + sum_{j>=1} lag_j X_{W+k-j} on the trajectory
-    X = [f[:W], w_0, w_1, ...], the history f zero if omitted; returns w and
-    X as a (W + len(v), 1) column."""
-    X = volterra_solve(_NO_STATE, _ONE_INPUT, _ONE_INPUT.T, v[:, None], 1.0, None,
-                       lag[:0:-1, None, None], 0, None if f is None else f[:, None])[2]
-    return X[lag.shape[0] - 1:, 0], X
+def delay_volterra_solve(E, B, C, v, h, y=None, taps=_NO_TAPS, first=0, f=None):
+    """The closed loop of a delay line from the history f: (w, no state, X)."""
+    return volterra_solve(E, B, C, v, h, y, taps, first, f)
 
 
-def neutral_volterra_apply(E, C, prow, krow, u1, u2, h):
-    """Input-output map of the neutral perturbation, (P, K) reads and
-    B = [I 0], C -> [0; C]: u1 drives the state, u2 is placed from step 1."""
-    d = E.shape[0]
-    out = volterra_apply(E, np.eye(d, 2 * d), np.eye(2 * d, d, -d) @ C, np.hstack([u1, u2]),
-                         h, np.concatenate([prow, krow], axis=1).transpose(0, 2, 1), 1)
-    return out[:, :d], out[:, d:]
+def neutral_volterra_apply(E, B, C, u, h, taps=_NO_TAPS, first=0):
+    """F of the neutral perturbation: B = [I 0], C = [0; C] and the (P, K)
+    reads; the first half of u drives the state, the second is placed from
+    step ``first`` = 1."""
+    return volterra_apply(E, B, C, u, h, taps, first)
 
 
 def mos_loop(E, C, taps, f0, y, h, n):

@@ -20,10 +20,13 @@ and compose (``_compose``, which only adds B_{t_k} w to it).
 
 Both routes run on the triple's ``Realization`` at the time step, built by
 ``_realize``: exp(hA), the input and output maps of the ODE state, the tap
-rows that read the placed channel's trajectory, and the base's kernel
-entries for F and for the closed loop.  ``_realize`` is the one place,
-besides the triple's validation, that reads the control variant, so the
-layout of a variant's signal is read there and nowhere else.
+rows that read the placed channel's trajectory, and the names of the base's
+kernel entries for F and for the closed loop.  ``_realize`` is the one
+place, besides the triple's validation, that reads the control variant or
+the observation operator's layout, so the layout of a variant's signal is
+read there and nowhere else: the observe step too takes v = C_t x through
+the realization's output map and taps, the taps by the kernels' one
+history read (``_kernels.add_reads``).
 
 The discrete input-output map uses left-endpoint quadrature inside, so it is
 strictly causal and ``I - F`` is unit lower triangular: forward substitution
@@ -40,10 +43,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .core import (DERIVED, Grid, InputSignal, ProductSpace, Record, Space,
@@ -194,21 +196,31 @@ class Realization(Record):
     u_dim), H being ``history``; the kernels read their block length from
     it.  A matrix base places nothing (H = width = 0), a delay line has no
     state (e is 0x0), and on a neutral base ``first`` is 1: row H keeps
-    f(0) = x(0).
+    f(0) = x(0).  c and the taps are the only reading of the observation's
+    layout: the observe step and both kernels take C_t x through them.
 
     ``apply`` (F on (n+1, u_dim) samples) and ``solve`` (the closed loop
     from the state y and the (H+1, width) history f, giving w, the states and
-    X, a missing block None) are the base's kernel entries."""
+    X) pass these arrays to the base's two ``_kernels`` entries, named in
+    ``entries`` and looked up at each call, so a traced entry sees it."""
 
     e: np.ndarray
     b: np.ndarray
     c: np.ndarray
     taps: np.ndarray
+    h: float
     history: int
     width: int
     first: int
-    apply: Callable
-    solve: Callable
+    entries: Tuple[str, str]
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return getattr(_kernels, self.entries[0])(
+            self.e, self.b, self.c, u, self.h, self.taps, self.first)
+
+    def solve(self, v: np.ndarray, y: np.ndarray, f: np.ndarray):
+        return getattr(_kernels, self.entries[1])(
+            self.e, self.b, self.c, v, self.h, y, self.taps, self.first, f)
 
     def is_zero(self) -> bool:
         """Whether F and B_t C_t vanish: nothing observed, or nothing
@@ -218,46 +230,27 @@ class Realization(Record):
 
 def _realize(triple: PerturbationTriple, h: float) -> Realization:
     """The realization of ``triple`` at step h, the one place outside the
-    triple's validation that reads its control variant.  exp(hA) is computed
+    triple's validation that reads its control variant or the layout of its
+    observation.  It picks the base's kernel entries; exp(hA) is computed
     here once for every F application, solve and free evolution that takes
-    the realization; a delay line has none."""
+    the realization, and a delay line has none."""
     base, obs, control = triple.base, triple.observe, triple.control
-    # each base's entries read e, c and taps, which are set below the branches
     if isinstance(control, DirichletControl):
         a, b, H, first = np.zeros((0, 0)), np.zeros((0, 1)), base.grid.count, 0
-        lag = obs[0, ::-1]  # lag j reads weight at s = -j*h
-
-        def apply(u):
-            return _kernels.delay_volterra_apply(lag, u[:, 0])[:, None]
-
-        def solve(v, y, f):
-            X = _kernels.delay_volterra_solve(lag, v[:, 0], f[:, 0])[1]
-            return X[H:], None, X
+        entries = ("delay_volterra_apply", "delay_volterra_solve")
     elif isinstance(control, NeutralBoundaryControl):
         a, H, first = base.parts[0].a, base.parts[1].grid.count, 1
         b = np.eye(a.shape[0], obs.shape[0])  # the first channel drives the state
-
-        def apply(u):
-            d, rows = a.shape[0], taps.transpose(0, 2, 1)  # the P and K rows
-            return np.hstack(_kernels.neutral_volterra_apply(
-                e, c[d:], rows[:, :d], rows[:, d:], u[:, :d], u[:, d:], h))
-
-        def solve(v, y, f):
-            return _kernels.volterra_solve(e, b, c, v, h, y, taps, first, f)
+        entries = ("neutral_volterra_apply", "volterra_solve")
     else:
         a, H, first = base.a, 0, 0
         b = control.matrix if isinstance(control, BoundedControl) else np.eye(a.shape[0])
-
-        def apply(u):
-            return _kernels.matrix_volterra_apply(e, b, c, u, h)
-
-        def solve(v, y, f):
-            return (*_kernels.matrix_volterra_solve(e, b, c, v, h, y), None)
+        entries = ("matrix_volterra_apply", "matrix_volterra_solve")
     p = a.shape[0]
     e = matexp(a, h) if p else a
     c, width = obs[:, :p], (obs.shape[1] - p) // (H + 1)
     taps = obs[:, p:].reshape(obs.shape[0], H + 1, width).transpose(1, 2, 0)[:H]
-    return Realization(e, b, c, taps, H, width, first, apply, solve)
+    return Realization(e, b, c, taps, h, H, width, first, entries)
 
 
 def _check_step(triple: PerturbationTriple, h: float):
@@ -307,7 +300,8 @@ def observation_map(triple: PerturbationTriple, t: float, x: StateVector,
     if x.space != triple.base.space:
         raise DimensionError("state does not live in the base space")
     grid = _resolve_grid(triple, t, step)
-    return _observe(triple, _free(triple, _realize(triple, grid.step), x, grid), grid)
+    r = _realize(triple, grid.step)
+    return _observe(triple, r, _free(triple, r, x, grid), grid)
 
 
 def _free(triple: PerturbationTriple, r: Realization, x: StateVector, grid: Grid):
@@ -328,24 +322,15 @@ def free_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid) -> OrbitS
     return _assemble(triple.base, grid, *_free(triple, _realize(triple, grid.step), x, grid))
 
 
-def _observe(triple: PerturbationTriple, free, grid: Grid) -> InputSignal:
-    """The observe step: v = C_t x from the free parts of x (the time step
-    is the shift grid's, so m = 1 and row k reads the window of N points
-    ``X[k : k+N]``, one matrix-vector product per observation row; a matrix
-    product would copy the overlapping windows)."""
+def _observe(triple: PerturbationTriple, r: Realization, free, grid: Grid) -> InputSignal:
+    """The observe step: v = C_t x, the realization's c times the rows of
+    the free parts of x plus its tap reads of their trajectory (the time
+    step is the shift grid's, so the trajectory moves one row a step)."""
     head, X, _ = free
-    obs = triple.observe
-    if X is None:
-        return InputSignal(grid, head @ obs.T, triple.u_space)
-    n, d = grid.count, X.shape[1]
-    N = X.shape[0] - n - 1
-    d0 = 0 if head is None else head.shape[1]
-    rows = obs[:, d0: d0 + N * d]
-    win = sliding_window_view(X.ravel(), N * d)[::d][: n + 1]
-    vals = np.stack([win @ r for r in rows], axis=1)
-    if head is not None:
-        vals += head @ obs[:, :d0].T
-    return InputSignal(grid, vals, triple.u_space)
+    v = np.zeros((grid.count + 1, triple.u_dim)) if head is None else head @ r.c.T
+    if X is not None:
+        _kernels.add_reads(v, X, r.taps)
+    return InputSignal(grid, v, triple.u_space)
 
 
 def io_map(triple: PerturbationTriple, t: float, u: InputSignal) -> InputSignal:
@@ -429,7 +414,8 @@ def _direct(r: Realization, v: np.ndarray, x: np.ndarray):
     as ``_compose`` does."""
     p = r.e.shape[0]
     w, head, X = r.solve(v, x[:p], x[p:].reshape(r.history + 1, r.width))
-    return w, (head, X, None if X is None else 1)
+    # a zero-width block is a missing one
+    return w, (head if p else None, X if r.width else None, 1 if r.width else None)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +437,7 @@ def _compose(r: Realization, free, w: np.ndarray, grid: Grid):
     """
     head, X, m = free
     if head is not None:
-        head = head + _kernels.matrix_volterra_apply(r.e, r.b, None, w, grid.step)
+        head = head + _kernels.matrix_volterra_apply(r.e, r.b, None, w, r.h)
     if X is not None:
         X[X.shape[0] - grid.count - 1 + r.first:] = w[r.first:, w.shape[1] - r.width:]
     return head, X, m
@@ -475,15 +461,15 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
         raise DimensionError("state does not live in the base space")
     if abs(grid.start) > 1e-12:
         raise DomainError("orbit grids must start at t = 0")
+    _check_step(triple, grid.step)
     r = _realize(triple, grid.step)
     if r.is_zero():
         return _assemble(triple.base, grid, *_free(triple, r, x, grid))
-    _check_step(triple, grid.step)
     if isinstance(method, DirectSolve):
         _, parts = _direct(r, np.zeros((grid.count + 1, triple.u_dim)), x.coords)
     else:
         free = _free(triple, r, x, grid)
-        w = invert_io(triple, grid.end, _observe(triple, free, grid), method).values
+        w = invert_io(triple, grid.end, _observe(triple, r, free, grid), method).values
         parts = _compose(r, free, w, grid)
     return _assemble(triple.base, grid, *parts)
 

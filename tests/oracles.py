@@ -25,7 +25,6 @@ import warnings
 
 import numpy as np
 
-from semflow import _kernels
 from semflow import admissibility as adm
 from semflow import asymptotics as asy
 from semflow import neutral as nt
@@ -793,7 +792,7 @@ def io_infty_closed_form(mu, u):
             v = density_at(mu, -j * h)
             if v is not None:
                 lag[j] = h * float(v)
-        out += _kernels.delay_volterra_apply(lag, uvals)
+        out += np.convolve(lag, uvals)[: n + 1]  # lag[0] is 0
     return scalar_signal(u.grid, out)
 
 

@@ -4,7 +4,9 @@ Every base runs on one apply (``volterra_apply``) and one solve
 (``volterra_solve``), the blocked method of steps over the vectorized scan;
 ``mos_loop`` shares the blocks.  Each base's entries and the two kernels on
 matrix, delay-line and neutral data are checked against the sequential loops
-in ``oracles.py``, at lengths around the block edges.
+in ``oracles.py``, at lengths around the block edges.  The entries take a
+realization's arrays; ``layout`` lays the oracles' ``lag`` and (P, K) rows
+out so.
 """
 
 import numpy as np
@@ -37,13 +39,14 @@ def test_matrix_kernels_agree(data):
     fast = K.matrix_volterra_apply(e, b, c, u, h)
     loop = matrix_volterra_apply_loop(e, b, c, u, h)
     assert np.max(np.abs(fast - loop)) <= 1e-14
-    wf, btf = K.matrix_volterra_solve(e, b, c, u, h)
+    wf, btf, X = K.matrix_volterra_solve(e, b, c, u, h)
     wl, btl = matrix_volterra_solve_loop(e, b, c, u, h)
+    assert X.shape == (u.shape[0], 0)
     assert np.max(np.abs(wf - wl)) <= 1e-14
     assert np.max(np.abs(btf - btl)) <= 1e-14
     # the closed loop from a state: the perturbed orbit and its observation
     y = rng.uniform(0.5, 2.0, size=d)
-    for a_, b_ in zip(K.matrix_volterra_solve(e, b, c, u, h, y),
+    for a_, b_ in zip(K.matrix_volterra_solve(e, b, c, u, h, y)[:2],
                       matrix_volterra_solve_loop(e, b, c, u, h, y)):
         assert np.max(np.abs(a_ - b_)) <= 1e-13
 
@@ -61,9 +64,9 @@ def test_matrix_scan_lengths(n, d):
     out = K.matrix_volterra_apply(e, b, c, u, h)
     assert out.shape == (n, d)
     assert np.max(np.abs(out - matrix_volterra_apply_loop(e, b, c, u, h))) <= 1e-14
-    w, bt = K.matrix_volterra_solve(e, b, c, u, h)
+    w, bt, X = K.matrix_volterra_solve(e, b, c, u, h)
     wl, btl = matrix_volterra_solve_loop(e, b, c, u, h)
-    assert w.shape == (n, d) and bt.shape == (n, d)
+    assert w.shape == (n, d) and bt.shape == (n, d) and X.shape == (n, 0)
     assert np.max(np.abs(w - wl)) <= 1e-14
     assert np.max(np.abs(bt - btl)) <= 1e-14
     # non-square control and observation: d states, d + 1 inputs, 2 outputs
@@ -80,29 +83,37 @@ def test_matrix_scan_lengths(n, d):
     assert np.max(np.abs(K.causal_scan(e, zero, x) - causal_scan_loop(e, zero, x))) <= 1e-13
 
 
+def layout(lag=None, e=None, c=None, prow=None, krow=None):
+    """(E, B, C, taps, first) as a realization lays out a delay line's
+    ``lag`` (lag j reads X_{k-j}: no state, one placed channel, taps[i]
+    reads X_{k+i} with lag W - i) or a neutral pair's E, C and (P, K) rows
+    (B = [I 0], C -> [0; C], taps[i] (d, 2d) reads X_{k+i}, the second
+    channel placed from step 1)."""
+    if lag is not None:
+        none, one = np.zeros((0, 0)), np.zeros((0, 1))
+        return none, one, one.T, lag[:0:-1, None, None], 0
+    d = e.shape[0]
+    C = np.vstack([np.zeros((d, d)), c])
+    return e, np.eye(d, 2 * d), C, np.concatenate([prow, krow], axis=1).transpose(0, 2, 1), 1
+
+
 def test_delay_kernels_agree(data):
-    rng = data[0]
+    rng, h = data[0], data[1]
     lag = np.zeros(81)
     lag[80] = 0.6
     lag[1:40] = 1e-3 * rng.standard_normal(39)
     v = rng.standard_normal(500)
-    assert np.max(np.abs(K.delay_volterra_apply(lag, v)
+    E, B, C, T, first = layout(lag)
+    assert np.max(np.abs(K.delay_volterra_apply(E, B, C, v[:, None], h, T, first)[:, 0]
                          - delay_volterra_apply_loop(lag, v))) <= 1e-13
-    assert np.max(np.abs(K.delay_volterra_solve(lag, v)[0]
+    assert np.max(np.abs(K.delay_volterra_solve(E, B, C, v[:, None], h, None, T, first)[0][:, 0]
                          - delay_volterra_solve_loop(lag, v))) <= 1e-13
     # from a history: the trajectory is [f[:80], w_0, w_1, ...]
     f = rng.standard_normal(81)
-    w, X = K.delay_volterra_solve(lag, v, f)
-    assert np.array_equal(X[:80, 0], f[:80]) and np.shares_memory(w, X)
-    assert np.max(np.abs(w - delay_volterra_solve_loop(lag, v, f))) <= 1e-13
-
-
-def neutral(e, c, prow, krow):
-    """E, B = [I 0], C -> [0; C] and the (P, K) reads of the neutral pair, as
-    a realization lays them out: taps[i] (d, 2d) reads X_{k+i}."""
-    d = e.shape[0]
-    C = np.vstack([np.zeros((d, d)), c])
-    return e, np.eye(d, 2 * d), C, np.concatenate([prow, krow], axis=1).transpose(0, 2, 1)
+    w, z, X = K.delay_volterra_solve(E, B, C, v[:, None], h, None, T, first, f[:, None])
+    assert z.shape == (500, 0)
+    assert np.array_equal(X[:80, 0], f[:80]) and np.array_equal(X[80:], w)
+    assert np.max(np.abs(w[:, 0] - delay_volterra_solve_loop(lag, v, f))) <= 1e-13
 
 
 def test_neutral_kernels_agree(data):
@@ -119,16 +130,16 @@ def test_neutral_kernels_agree(data):
     y = rng.standard_normal(d)
     n = 300
     v = rng.standard_normal((n + 1, 2 * d))
-    E, B, C, taps = neutral(e, c, prow, krow)
-    w, zs, X = K.volterra_solve(E, B, C, v, h, y, taps, 1, f0)
+    E, B, C, taps, first = layout(e=e, c=c, prow=prow, krow=krow)
+    w, zs, X = K.volterra_solve(E, B, C, v, h, y, taps, first, f0)
     loop = neutral_feedback_step_loop(e, c, prow, krow, f0, y, h, n, v)
     for a_, b_ in zip((w[:, :d], w[:, d:], zs, X), loop):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
     u1 = rng.standard_normal((n + 1, d))
     u2 = rng.standard_normal((n + 1, d))
-    fa = K.neutral_volterra_apply(e, c, prow, krow, u1, u2, h)
+    fa = K.neutral_volterra_apply(E, B, C, np.hstack([u1, u2]), h, taps, first)
     la = neutral_volterra_apply_loop(e, c, prow, krow, u1, u2, h)
-    for a_, b_ in zip(fa, la):
+    for a_, b_ in zip((fa[:, :d], fa[:, d:]), la):
         assert np.max(np.abs(a_ - b_)) <= 1e-12
     fm = K.mos_loop(e, c, taps, f0, y, h, n)
     lm = mos_step_loop(e, c, prow, krow, f0, y, h, n)
@@ -172,15 +183,16 @@ def test_blocked_kernels_agree_around_block_edges(data, taps, length):
     y = rng.standard_normal(d)
     v = rng.standard_normal((n1, 2 * d))
     # neutral: from (y, f0), f(0) kept in row N, w2 placed from step 1
-    E, B, C, T = neutral(e, c, prow, krow)
-    w, zs, X = K.volterra_solve(E, B, C, v, h, y, T, 1, f0)
+    E, B, C, T, first = layout(e=e, c=c, prow=prow, krow=krow)
+    w, zs, X = K.volterra_solve(E, B, C, v, h, y, T, first, f0)
     loop = neutral_feedback_step_loop(e, c, prow, krow, f0, y, h, n1 - 1, v)
     for a_, b_ in zip((w[:, :d], w[:, d:], zs, X), loop):
         assert a_.shape == b_.shape
         assert np.max(np.abs(a_ - b_)) <= 1e-12
-    out = K.volterra_apply(E, B, C, v, h, T, 1)
     ref = np.hstack(neutral_volterra_apply_loop(e, c, prow, krow, v[:, :d], v[:, d:], h))
-    assert out.shape == ref.shape and np.max(np.abs(out - ref)) <= 1e-12
+    for out in (K.volterra_apply(E, B, C, v, h, T, first),
+                K.neutral_volterra_apply(E, B, C, v, h, T, first)):
+        assert out.shape == ref.shape and np.max(np.abs(out - ref)) <= 1e-12
     fast = K.mos_loop(e, c, T, f0, y, h, n1 - 1)
     loop = mos_step_loop(e, c, prow, krow, f0, y, h, n1 - 1)
     for a_, b_ in zip(fast, loop):
@@ -194,14 +206,16 @@ def test_blocked_kernels_agree_around_block_edges(data, taps, length):
         lag[m] = 0.5
         lag[m + 1:] = 1e-2 * rng.standard_normal(N - m)
     u, f = v[:, 0], f0[:, 0]
-    none, one = np.zeros((0, 0)), np.zeros((0, 1))
-    T = lag[:0:-1, None, None]
-    _, z, X = K.volterra_solve(none, one, one.T, u[:, None], h, None, T, 0, f[:, None])
+    E, B, C, T, first = layout(lag)
+    _, z, X = K.volterra_solve(E, B, C, u[:, None], h, None, T, first, f[:, None])
     assert z.shape == (n1, 0) and np.array_equal(X[:N, 0], f[:N])
-    for out, ref in ((K.delay_volterra_apply(lag, u), delay_volterra_apply_loop(lag, u)),
-                     (K.volterra_apply(none, one, one.T, u[:, None], h, T)[:, 0],
+    w, z, Xd = K.delay_volterra_solve(E, B, C, u[:, None], h, None, T, first, f[:, None])
+    assert z.shape == (n1, 0) and np.array_equal(Xd, X)
+    for out, ref in ((K.delay_volterra_apply(E, B, C, u[:, None], h, T, first)[:, 0],
                       delay_volterra_apply_loop(lag, u)),
-                     (K.delay_volterra_solve(lag, u, f)[0], delay_volterra_solve_loop(lag, u, f)),
+                     (K.volterra_apply(E, B, C, u[:, None], h, T, first)[:, 0],
+                      delay_volterra_apply_loop(lag, u)),
+                     (w[:, 0], delay_volterra_solve_loop(lag, u, f)),
                      (X[N:, 0], delay_volterra_solve_loop(lag, u, f))):
         assert out.shape == (n1,)
         assert np.max(np.abs(out - ref)) <= 1e-13

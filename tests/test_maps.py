@@ -7,7 +7,8 @@ import scipy.linalg
 import semflow as sf
 from semflow import _kernels, cli
 from semflow import neutral as nt
-from semflow.errors import ConfigurationError, ContractionViolation, NoConvergence
+from semflow.errors import (ConfigurationError, ContractionViolation, GridAlignmentError,
+                            NoConvergence)
 from semflow.maps import _realize
 from helpers import mixed_system, neutral_initial, scalar_mv, scalar_signal, smooth_signal
 from oracles import (boundary_control_closed_form, control_map_loop,
@@ -124,7 +125,10 @@ def test_control_map_matches_step_loop(rule, k):
 # ---------------------------------------------------------------------------
 
 def observation_case(name):
-    """(triple, state, horizon) on the matrix, translation or neutral base."""
+    """(triple, state, horizon) on the matrix, translation or neutral base;
+    "neutral-admissibility" is that benchmark's system, whose newest tap
+    that carries weight is row L = 96 of 128, so the observe step reads it
+    in blocks of m = 33 steps (on ``mixed_system`` m is 1)."""
     matrix = sf.PerturbationTriple(
         sf.MatrixSemigroup([[-1.0, 0.3], [-0.2, -0.5]]),
         sf.BoundedControl([[1.0], [0.5]]), [[0.7, -0.4]])
@@ -135,16 +139,23 @@ def observation_case(name):
         mu.observation_row(g))
     sys0 = mixed_system()
     y, f = neutral_initial(sys0, seed=3)
+    bench = cli.build_system({"system": {
+        "kind": "neutral", "a": [[-1.0, 0.3], [0.0, -1.5]], "c": [[0.5, 0.0], [0.1, 0.4]],
+        "p_atoms": [[-1.0, 0.3]], "p_density": [[-0.75, -0.25, 0.2]],
+        "k_atoms": [[-1.0, 0.25]], "k_density": [[-1.0, -0.5, 0.1]],
+        "history_steps": 128}, "grid": {"step": 1.0 / 128}})
     return {
         "matrix": (matrix, sf.StateVector.sup([1.0, -2.0]), 5.0),
         "translation": (translation,
                         sf.StateVector.grid_function(np.cos(3.0 * g.points()) + 1.5, g),
                         3.0),
         "neutral": (nt.build_perturbation(sys0), nt.pack_initial(sys0, y, f), 3.0),
+        "neutral-admissibility": (nt.build_perturbation(bench),
+                                  nt.pack_initial(bench, *neutral_initial(bench, seed=3)), 10.0),
     }[name]
 
 
-@pytest.mark.parametrize("name", ["matrix", "translation", "neutral"])
+@pytest.mark.parametrize("name", ["matrix", "translation", "neutral", "neutral-admissibility"])
 def test_observation_map_matches_step_loop(name):
     # the structured read of each base equals the history stepped one sample
     # at a time as the orbit route steps it (measured at most 5.2e-16)
@@ -408,6 +419,19 @@ def test_perturbed_orbit_zero_state():
     triple = scalar_mv(0.5)
     orb = sf.perturbed_orbit(triple, sf.StateVector.sup([0.0]), sf.time_grid(2.0, 0.01))
     assert np.all(orb.norms == 0.0)
+
+
+@pytest.mark.parametrize("weight", [0.5, 0.0])
+def test_perturbed_orbit_rejects_a_step_off_the_shift_grid(weight):
+    # the step is checked before the data: a zero perturbation, which skips
+    # the solve, rejects the step as a nonzero one does
+    g = sf.Grid(-2.0, 0.05, 40)
+    triple = sf.PerturbationTriple(
+        sf.LeftTranslation(g), sf.DirichletControl(sf.DirichletSpec(1.0)),
+        sf.MeasureSpec(atoms=((-1.0, weight),)).observation_row(g))
+    x = sf.StateVector.grid_function(np.cos(g.points()), g)
+    with pytest.raises(GridAlignmentError):
+        sf.perturbed_orbit(triple, x, sf.time_grid(1.0, 0.1))
 
 
 def test_perturbed_orbit_scalar_norm_track():

@@ -127,9 +127,9 @@ def _worst_tracks(triple, probes, signals, grid, method, est):
 @np.errstate(over="ignore", invalid="ignore")
 def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector],
                        signals: Sequence[InputSignal], horizon: float,
-                       step: Optional[float] = None,
                        method: Method = DirectSolve()) -> AdmissibilityReport:
-    """Estimate the admissibility constants of the triple over [0, horizon].
+    """Estimate the admissibility constants of the triple over [0, horizon],
+    on the time grid of the signals' step.
 
     Estimates are maxima over the probe states / input signals (lower bounds
     of the true constants); the verdicts record contraction of the
@@ -142,9 +142,7 @@ def estimate_constants(triple: PerturbationTriple, probes: Sequence[StateVector]
         raise ConfigurationError("estimate_constants needs a nonempty probe set")
     if not signals:
         raise ConfigurationError("estimate_constants needs a nonempty signal set")
-    h = step if step is not None else triple.base_step
-    if h is None:
-        h = signals[0].grid.step
+    h = signals[0].grid.step
     n1 = time_grid(horizon, h).count
     grid = time_grid(2.0 * horizon, h)
     io_norm = estimate_io_norm(triple, 2.0 * horizon, step=h)

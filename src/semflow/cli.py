@@ -38,8 +38,6 @@ _VALIDATION_ERRORS = (ConfigurationError, DimensionError, DomainError,
 _NUMERICAL_ERRORS = (ContractionViolation, NoConvergence, NumericalFailure,
                      FloatingPointError, np.linalg.LinAlgError)
 
-_TOP_KEYS = {"system", "grid", "method", "neumann", "seed", "initial", "probes",
-             "signals", "admissibility", "asymptotics"}
 _SYSTEM_KEYS = {
     "scalar": {"kind", "a", "b", "c"},
     "matrix": {"kind", "a", "b", "c"},
@@ -53,21 +51,24 @@ _INITIAL_KEYS = {"scalar": {"x"}, "matrix": {"x"},
                  "translation": {"f_kind", "amplitude", "values"},
                  "neutral": {"f_kind", "amplitude", "frequency", "offset", "values", "y"}}
 
+# asymptotics keys passed on to RobustnessConfig only when the config gives
+# them, so each of their defaults, and their validation, lives in
+# RobustnessConfig alone
+_ASYMPTOTICS_KEYS = ("tol", "ergodic_tol", "uniform_window", "shifts", "n_synthetic")
+
+# the keys of each optional config section; "initial"'s are by system kind
+_SECTION_KEYS = {"grid": {"step", "horizon"}, "neumann": {"tol", "max_terms"},
+                 "probes": {"count"}, "signals": {"count"},
+                 "admissibility": {"horizon", "q_threshold"},
+                 "asymptotics": {"properties", "tail_window", "bound_hint",
+                                 *_ASYMPTOTICS_KEYS}}
+_TOP_KEYS = {"system", "method", "seed", "initial", *_SECTION_KEYS}
+
 
 def _reject_unknown(d: dict, allowed: set, where: str):
     unknown = set(d) - allowed
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _section(cfg: dict, key: str, allowed: set) -> dict:
-    """The config's ``key`` section, {} if it is absent: a JSON object that
-    holds no key outside ``allowed``."""
-    section = cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"'{key}' must be a JSON object, got {section!r}")
-    _reject_unknown(section, allowed, key)
-    return section
 
 
 def _count(section: dict, where: str) -> int:
@@ -92,7 +93,7 @@ def _finite_float(text: str) -> float:
 
 def _check_grid(cfg: dict) -> None:
     """grid.step and grid.horizon, where given, must be finite and positive."""
-    grid = _section(cfg, "grid", {"step", "horizon"})
+    grid = cfg["grid"]
     for key in ("step", "horizon"):
         if key not in grid:
             continue
@@ -127,6 +128,12 @@ def load_config(path: str) -> dict:
     _reject_unknown(system, _SYSTEM_KEYS[kind], "system")
     if "grid" not in cfg:
         raise ConfigurationError("config needs a 'grid' object")
+    # every section given, whichever command reads it
+    for key, allowed in {**_SECTION_KEYS, "initial": _INITIAL_KEYS[kind]}.items():
+        section = cfg.get(key, {})
+        if not isinstance(section, dict):
+            raise ConfigurationError(f"'{key}' must be a JSON object, got {section!r}")
+        _reject_unknown(section, allowed, key)
     _check_grid(cfg)
     return cfg
 
@@ -176,7 +183,7 @@ def build_system(cfg: dict):
 def build_initial(cfg: dict, target):
     """Initial state for a simulation run."""
     kind = cfg["system"]["kind"]
-    init = _section(cfg, "initial", _INITIAL_KEYS[kind])
+    init = cfg.get("initial", {})
     if kind in ("scalar", "matrix"):
         x = np.asarray(init.get("x", np.ones(target.base.space.dim)), dtype=float)
         return StateVector.sup(x)
@@ -212,7 +219,7 @@ def build_probes(cfg: dict, target, seed: int):
     """The run's ``probes.count`` initial states: first the unit vectors of a
     matrix system or ``exp`` on a shift, then states whose coefficients are
     normals drawn from ``Draws(seed)``, so the seed alone fixes them."""
-    count = _count(_section(cfg, "probes", {"count"}), "probes")
+    count = _count(cfg.get("probes", {}), "probes")
     if count < 1:
         raise ConfigurationError("probe count must be positive")
     rng = Draws(seed)
@@ -249,7 +256,7 @@ def method_from(cfg: dict):
     if name == "direct":
         return DirectSolve()
     if name == "neumann":
-        return Neumann(**_section(cfg, "neumann", {"tol", "max_terms"}))
+        return Neumann(**cfg.get("neumann", {}))
     raise ConfigurationError(f"unknown method {name!r}")
 
 
@@ -652,7 +659,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
 def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     started = time.time()
     target = build_system(cfg)
-    acfg = _section(cfg, "admissibility", {"horizon", "q_threshold"})
+    acfg = cfg.get("admissibility", {})
     if isinstance(target, nt.NeutralSystem):
         triple = nt.build_perturbation(target)
     else:
@@ -661,9 +668,9 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     step = float(cfg["grid"]["step"])
     horizon = float(acfg.get("horizon", cfg["grid"]["horizon"]))
     grid = time_grid(horizon, step)
-    count = _count(_section(cfg, "signals", {"count"}), "signals")
+    count = _count(cfg.get("signals", {}), "signals")
     signals = adm.probe_signals(triple, grid, count, seed=seed)
-    report = adm.estimate_constants(triple, probes, signals, horizon, step=step,
+    report = adm.estimate_constants(triple, probes, signals, horizon,
                                     method=method_from(cfg))
     payload = report.to_dict()
     if "q_threshold" in acfg:
@@ -677,12 +684,6 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-# asymptotics keys passed on to RobustnessConfig only when the config gives
-# them, so each of their defaults, and their validation, lives in
-# RobustnessConfig alone
-_ASYMPTOTICS_KEYS = ("tol", "ergodic_tol", "uniform_window", "shifts", "n_synthetic")
-
-
 def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
     started = time.time()
     target = build_system(cfg)
@@ -691,8 +692,7 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
     else:
         triple = target
     probes = build_probes(cfg, target, seed)
-    acfg = _section(cfg, "asymptotics",
-                    {"properties", "tail_window", "bound_hint", *_ASYMPTOTICS_KEYS})
+    acfg = cfg.get("asymptotics", {})
     props = acfg.get("properties", ["BOUNDED", "STRONGLY_STABLE", "MEAN_ERGODIC"])
     if not (isinstance(props, list) and all(isinstance(p, str) for p in props)):
         raise ConfigurationError(

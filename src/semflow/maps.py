@@ -18,15 +18,17 @@ read from it), solve (``invert_io``, the series for w = (I - F_t)^{-1} v)
 and compose (``_compose``, which only adds B_{t_k} w to it).
 ``semigroups._assemble`` turns either result into an orbit.
 
-Both routes run on the triple's ``Realization`` at the time step, built by
-``_realize``: exp(hA), the input and output maps of the ODE state, the tap
+Both routes run on the triple's ``Realization`` at the time step.  The
+triple's validation (``PerturbationTriple.__post_init__``) is the one place
+that reads the control variant, the base type or the observation operator's
+layout: it derives the triple's ``layout``, the realization less its step
+(the ODE generator A, the input and output maps of the ODE state, the tap
 rows that read the placed channel's trajectory, and the names of the base's
-kernel entries for F and for the closed loop.  ``_realize`` is the one
-place, besides the triple's validation, that reads the control variant or
-the observation operator's layout, so the layout of a variant's signal is
-read there and nowhere else: the observe step too takes v = C_t x through
-the realization's output map and taps, the taps by the kernels' one
-history read (``_kernels.add_reads``).
+kernel entries for F and for the closed loop).  ``_realize`` is the one
+place where a time step meets a triple: it checks the step against the
+shift grid and adds exp(hA).  The observe step too takes v = C_t x through
+the realization's output map and taps, the taps by the kernels' one history
+read (``_kernels.add_reads``).
 
 The discrete input-output map uses left-endpoint quadrature inside, so it is
 strictly causal and ``I - F`` is unit lower triangular: forward substitution
@@ -121,44 +123,47 @@ class PerturbationTriple(Record):
 
     ``observe`` maps discretized states to U.  For the neutral variant it is
     the 2x2 block operator ((0, P), (C, K)) acting on (x, f).  The input
-    space ``u_space`` and the step ``base_step`` of a shift base (None on a
-    matrix base) are read from the variant here."""
+    space ``u_space``, the step ``base_step`` of a shift base (None on a
+    matrix base) and the ``layout`` are read from the variant here, the one
+    reading of the variant and of the observation's layout.  ``layout`` is
+    the triple's ``Realization`` less its step: the ODE generator A (0x0 on
+    a delay line), then b, c, taps, history, width, first and entries as
+    ``Realization`` names them."""
 
     base: Semigroup
     control: ControlSpec
     observe: np.ndarray
     u_space: Space = DERIVED
     base_step: Optional[float] = DERIVED
+    layout: tuple = DERIVED
 
     def __post_init__(self):
         obs = np.atleast_2d(np.asarray(self.observe, dtype=float))
         object.__setattr__(self, "observe", obs)
-        dim = self.base.space.dim
+        base, control, dim = self.base, self.control, self.base.space.dim
         if obs.shape[1] != dim:
             raise DimensionError(
                 f"observation operator must have {dim} columns, got {obs.shape[1]}")
-        u_space, step = SupSpace(obs.shape[0]), None
-        if isinstance(self.control, (BoundedControl, IdentityControl)):
-            if not isinstance(self.base, MatrixSemigroup):
+        u_space, step, H, first = SupSpace(obs.shape[0]), None, 0, 0
+        if isinstance(control, (BoundedControl, IdentityControl)):
+            if not isinstance(base, MatrixSemigroup):
                 raise ConfigurationError(
                     "bounded/identity control requires a matrix base semigroup")
-            bounded = isinstance(self.control, BoundedControl)
-            if obs.shape[0] != (self.control.matrix.shape[1] if bounded else dim):
+            bounded = isinstance(control, BoundedControl)
+            if obs.shape[0] != (control.matrix.shape[1] if bounded else dim):
                 raise DimensionError("observation output does not match the input space")
-            if bounded and self.control.matrix.shape[0] != dim:
+            if bounded and control.matrix.shape[0] != dim:
                 raise DimensionError("control matrix does not map into the state space")
-        elif isinstance(self.control, DirichletControl):
-            if not isinstance(self.base, LeftTranslation):
+            a, b = base.a, control.matrix if bounded else np.eye(dim)
+            entries = ("matrix_volterra_apply", "matrix_volterra_solve")
+        elif isinstance(control, DirichletControl):
+            if not isinstance(base, LeftTranslation):
                 raise ConfigurationError("Dirichlet control requires a translation base")
             if obs.shape[0] != 1:
                 raise DimensionError("the boundary channel is one-dimensional")
-            if abs(obs[0, -1]) > 0.0:
-                raise ConfigurationError(
-                    "observation weight at s = 0 breaks causality of the discrete "
-                    "input-output map (no instantaneous mass allowed)")
-            step = self.base.grid.step
-        elif isinstance(self.control, NeutralBoundaryControl):
-            base = self.base
+            a, b, H, step = np.zeros((0, 0)), np.zeros((0, 1)), base.grid.count, base.grid.step
+            entries = ("delay_volterra_apply", "delay_volterra_solve")
+        elif isinstance(control, NeutralBoundaryControl):
             if not (isinstance(base, BlockDiag) and len(base.parts) == 2
                     and isinstance(base.parts[0], MatrixSemigroup)
                     and isinstance(base.parts[1], NilpotentShift)):
@@ -171,16 +176,23 @@ class PerturbationTriple(Record):
                 raise DimensionError(f"neutral observation must have {2 * d} rows")
             if np.any(obs[:d, :d] != 0.0):
                 raise ConfigurationError("the (1,1) observation block must vanish")
-            # no instantaneous reads of the history endpoint s = 0
-            if np.any(obs[:, dim - d:] != 0.0):
-                raise ConfigurationError(
-                    "observation weight at the history endpoint s = 0 breaks "
-                    "causality (kernels must have no mass in 0)")
-            u_space, step = ProductSpace((SupSpace(d), SupSpace(d))), base.parts[1].grid.step
+            u_space, history = ProductSpace((SupSpace(d), SupSpace(d))), base.parts[1].grid
+            a, H, first, step = base.parts[0].a, history.count, 1, history.step
+            b = np.eye(d, 2 * d)  # the first channel drives the state
+            entries = ("neutral_volterra_apply", "volterra_solve")
         else:
-            raise ConfigurationError(f"unknown control variant {self.control!r}")
+            raise ConfigurationError(f"unknown control variant {control!r}")
+        p = a.shape[0]
+        width = (dim - p) // (H + 1)
+        taps = obs[:, p:].reshape(obs.shape[0], H + 1, width).transpose(1, 2, 0)
+        # no instantaneous reads: the tap row of the shift block's s = 0 is zero
+        if np.any(taps[H] != 0.0):
+            raise ConfigurationError(
+                "observation weight at s = 0 breaks causality of the discrete "
+                "input-output map (kernels must have no mass in 0)")
         object.__setattr__(self, "u_space", u_space)
         object.__setattr__(self, "base_step", step)
+        object.__setattr__(self, "layout", (a, b, obs[:, :p], taps[:H], H, width, first, entries))
 
     @property
     def u_dim(self) -> int:
@@ -196,8 +208,9 @@ class Realization(Record):
     u_dim), H being ``history``; the kernels read their block length from
     it.  A matrix base places nothing (H = width = 0), a delay line has no
     state (e is 0x0), and on a neutral base ``first`` is 1: row H keeps
-    f(0) = x(0).  c and the taps are the only reading of the observation's
-    layout: the observe step and both kernels take C_t x through them.
+    f(0) = x(0).  Every field but e = exp(hA) and h comes from the triple's
+    ``layout``; the observe step and both kernels take C_t x through c and
+    the taps.
 
     ``apply`` (F on (n+1, u_dim) samples) and ``solve`` (the closed loop
     from the state y and the (H+1, width) history f, giving w, the states and
@@ -205,10 +218,10 @@ class Realization(Record):
     ``entries`` and looked up at each call, so a traced entry sees it."""
 
     e: np.ndarray
+    h: float
     b: np.ndarray
     c: np.ndarray
     taps: np.ndarray
-    h: float
     history: int
     width: int
     first: int
@@ -222,48 +235,23 @@ class Realization(Record):
         return getattr(_kernels, self.entries[1])(
             self.e, self.b, self.c, v, self.h, y, self.taps, self.first, f)
 
-    def is_zero(self) -> bool:
-        """Whether F and B_t C_t vanish: nothing observed, or nothing
-        controlled (a zero b and no placed channel)."""
-        return not (self.c.any() or self.taps.any()) or not (self.b.any() or self.width)
-
 
 def _realize(triple: PerturbationTriple, h: float) -> Realization:
-    """The realization of ``triple`` at step h, the one place outside the
-    triple's validation that reads its control variant or the layout of its
-    observation.  It picks the base's kernel entries; exp(hA) is computed
-    here once for every F application, solve and free evolution that takes
-    the realization, and a delay line has none."""
-    base, obs, control = triple.base, triple.observe, triple.control
-    if isinstance(control, DirichletControl):
-        a, b, H, first = np.zeros((0, 0)), np.zeros((0, 1)), base.grid.count, 0
-        entries = ("delay_volterra_apply", "delay_volterra_solve")
-    elif isinstance(control, NeutralBoundaryControl):
-        a, H, first = base.parts[0].a, base.parts[1].grid.count, 1
-        b = np.eye(a.shape[0], obs.shape[0])  # the first channel drives the state
-        entries = ("neutral_volterra_apply", "volterra_solve")
-    else:
-        a, H, first = base.a, 0, 0
-        b = control.matrix if isinstance(control, BoundedControl) else np.eye(a.shape[0])
-        entries = ("matrix_volterra_apply", "matrix_volterra_solve")
-    p = a.shape[0]
-    e = matexp(a, h) if p else a
-    c, width = obs[:, :p], (obs.shape[1] - p) // (H + 1)
-    taps = obs[:, p:].reshape(obs.shape[0], H + 1, width).transpose(1, 2, 0)[:H]
-    return Realization(e, b, c, taps, h, H, width, first, entries)
-
-
-def _check_step(triple: PerturbationTriple, h: float):
+    """The realization of ``triple`` at step h, the one place where a time
+    step meets a triple: a shift base's step must be its grid's.  exp(hA)
+    is computed here once for every F application, solve and free evolution
+    that takes the realization, and a delay line has none."""
     if triple.base_step is not None and abs(h - triple.base_step) > 1e-12 * triple.base_step:
         raise GridAlignmentError(
             f"time step {h} must equal the base grid step {triple.base_step} for shift bases")
+    a, *layout = triple.layout
+    return Realization(matexp(a, h) if a.size else a, h, *layout)
 
 
 def _resolve_grid(triple: PerturbationTriple, t: float, step: Optional[float]) -> Grid:
     h = step if step is not None else triple.base_step
     if h is None:
         raise ConfigurationError("a time step is required for matrix base semigroups")
-    _check_step(triple, h)
     return time_grid(t, h)
 
 
@@ -461,10 +449,7 @@ def perturbed_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid,
         raise DimensionError("state does not live in the base space")
     if abs(grid.start) > 1e-12:
         raise DomainError("orbit grids must start at t = 0")
-    _check_step(triple, grid.step)
     r = _realize(triple, grid.step)
-    if r.is_zero():
-        return _assemble(triple.base, grid, *_free(triple, r, x, grid))
     if isinstance(method, DirectSolve):
         _, parts = _direct(r, np.zeros((grid.count + 1, triple.u_dim)), x.coords)
     else:

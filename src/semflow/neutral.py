@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .core import Grid, Record, StateVector
-from .errors import ConfigurationError, DimensionError, GridAlignmentError
+from .errors import ConfigurationError, DimensionError
 from .maps import (DirectSolve, Method, NeutralBoundaryControl,
                    PerturbationTriple, _realize, perturbed_orbit)
 from .semigroups import (BlockDiag, MatrixSemigroup, NilpotentShift, OrbitSeries,
@@ -130,14 +130,6 @@ class NeutralOrbitResult(Record):
 COMPAT_TOL = 1e-8
 
 
-def _check_time_grid(sys: NeutralSystem, grid: Grid):
-    h = sys.history_grid.step
-    if abs(grid.step - h) > 1e-12 * h:
-        raise GridAlignmentError(
-            f"time step {grid.step} must equal the history step {h} "
-            "(unit delay divided evenly)")
-
-
 # quiet on overflow, as maps.perturbed_orbit
 @np.errstate(over="ignore", invalid="ignore")
 def neutral_orbit(sys: NeutralSystem, initial: Tuple, grid: Grid,
@@ -147,7 +139,6 @@ def neutral_orbit(sys: NeutralSystem, initial: Tuple, grid: Grid,
     Incompatible initial data are not rejected: the orbit is the mild solution
     and the result is flagged.
     """
-    _check_time_grid(sys, grid)
     y, f = _initial_pair(sys, *initial)
     resid = compatibility_residual(sys, y, f)
     scale = max(1.0, float(np.max(np.abs(f))), float(np.max(np.abs(y))))
@@ -165,7 +156,6 @@ def method_of_steps(sys: NeutralSystem, initial: Tuple, grid: Grid) -> OrbitSeri
     Shares only the measure-read weights with the formula route; the stepping
     scheme and the feedback treatment are different.
     """
-    _check_time_grid(sys, grid)
     y, f = _initial_pair(sys, *initial)
     r = _realize(build_perturbation(sys), grid.step)
     zs, X = _kernels.mos_loop(r.e, sys.c, r.taps, f, y, grid.step, grid.count)

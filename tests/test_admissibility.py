@@ -16,7 +16,7 @@ def test_estimate_constants_zero_control():
     triple = sf.PerturbationTriple(base, sf.BoundedControl([[0.0]]), [[0.7]])
     x = sf.StateVector.sup([1.0])
     sigs = adm.probe_signals(triple, sf.time_grid(5.0, 0.01), 2, seed=0)
-    rep = adm.estimate_constants(triple, [x], sigs, 5.0, step=0.01)
+    rep = adm.estimate_constants(triple, [x], sigs, 5.0)
     assert rep.m_b_est == 0.0
     assert rep.m_bc_est == 0.0
     assert rep.io_norm_est == 0.0
@@ -28,7 +28,7 @@ def test_estimate_constants_scalar_mv():
     x = sf.StateVector.sup([1.0])
     h = 1e-3
     sigs = adm.probe_signals(triple, sf.time_grid(20.0, h), 3, seed=1)
-    rep = adm.estimate_constants(triple, [x], sigs, 20.0, step=h)
+    rep = adm.estimate_constants(triple, [x], sigs, 20.0)
     assert rep.q_est == pytest.approx(q, abs=1e-6)
     assert rep.m_c_est == pytest.approx(q, abs=1e-6)
     # Miyadera-Voigt chain: sup_t ||(I-F_t)^{-1} C_t x|| <= q/(1-q)
@@ -38,7 +38,7 @@ def test_estimate_constants_scalar_mv():
                  "io_contraction"):
         assert rep.verdicts[name]["verdict"] == "PASS"
     # estimates are nondecreasing in the probe/signal sets
-    rep_small = adm.estimate_constants(triple, [x], sigs[:1], 20.0, step=h)
+    rep_small = adm.estimate_constants(triple, [x], sigs[:1], 20.0)
     assert rep_small.m_b_est <= rep.m_b_est + 1e-15
     assert rep_small.m_bc_est <= rep.m_bc_est + 1e-15
 
@@ -47,12 +47,12 @@ def test_neumann_estimates_the_contraction_once_per_run(monkeypatch):
     triple = scalar_mv(0.5)
     probes = [sf.StateVector.sup([v]) for v in (1.0, -2.0, 0.5)]
     sigs = adm.probe_signals(triple, sf.time_grid(5.0, 0.01), 2, seed=0)
-    direct = adm.estimate_constants(triple, probes, sigs, 5.0, step=0.01)
+    direct = adm.estimate_constants(triple, probes, sigs, 5.0)
     calls = count_calls(monkeypatch, maps.estimate_io_norm)
     observe = count_calls(monkeypatch, maps.observation_map)
     solve = count_calls(monkeypatch, maps.invert_io)
     applies = count_calls(monkeypatch, _kernels.matrix_volterra_apply)
-    rep = adm.estimate_constants(triple, probes, sigs, 5.0, step=0.01,
+    rep = adm.estimate_constants(triple, probes, sigs, 5.0,
                                  method=sf.Neumann(tol=1e-12))
     # one bound over [0, 2T] gates every solve and is io_norm_est
     assert [c[1] for c in calls] == [10.0]
@@ -104,7 +104,7 @@ def _neutral_case():
 def test_one_pass_matches_the_two_pass_oracle(case, method):
     triple, probes, horizon, h = case()
     sigs = adm.probe_signals(triple, sf.time_grid(horizon, h), 3, seed=4)
-    rep = adm.estimate_constants(triple, probes, sigs, horizon, step=h, method=method)
+    rep = adm.estimate_constants(triple, probes, sigs, horizon, method=method)
     ref = estimate_constants_two_pass(triple, probes, sigs, horizon, h, method)
     got, want = rep.to_dict(), ref.to_dict()
     if isinstance(method, sf.DirectSolve):
@@ -129,7 +129,7 @@ def test_estimate_constants_translation_atom():
         mu.observation_row(g))
     f = sf.StateVector.grid_function(np.exp(g.points()), g)
     sigs = adm.probe_signals(triple, sf.time_grid(8.0, h), 3, seed=2)
-    rep = adm.estimate_constants(triple, [f], sigs, 8.0, step=h)
+    rep = adm.estimate_constants(triple, [f], sigs, 8.0)
     assert rep.io_norm_est == pytest.approx(0.8, rel=1e-12)  # |mu|(R_-) is the io norm
     assert rep.m_b_est <= 1.0 + 1e-9      # the boundary control is a contraction
     assert rep.verdicts["io_contraction"]["verdict"] == "PASS"
@@ -139,16 +139,18 @@ def test_estimate_constants_requires_probes():
     triple = scalar_mv(0.5)
     sigs = adm.probe_signals(triple, sf.time_grid(1.0, 0.01), 1, seed=0)
     with pytest.raises(ConfigurationError):
-        adm.estimate_constants(triple, [], sigs, 1.0, step=0.01)
+        adm.estimate_constants(triple, [], sigs, 1.0)
 
 
-@pytest.mark.parametrize("horizon, step", [(12.0, 0.01), (5.0, 0.02)],
+@pytest.mark.parametrize("grids", [[(12.0, 0.01)], [(5.0, 0.01), (5.0, 0.02)]],
                          ids=["past-2T", "other-step"])
-def test_estimate_constants_rejects_signals_off_the_grid(horizon, step):
+def test_estimate_constants_rejects_signals_off_the_grid(grids):
+    # the grid is the first signal's: every signal must share its step and
+    # end by 2T
     triple = scalar_mv(0.5)
-    sigs = adm.probe_signals(triple, sf.time_grid(horizon, step), 1, seed=0)
+    sigs = [adm.probe_signals(triple, sf.time_grid(*g), 1, seed=0)[0] for g in grids]
     with pytest.raises(GridAlignmentError):
-        adm.estimate_constants(triple, [sf.StateVector.sup([1.0])], sigs, 5.0, step=0.01)
+        adm.estimate_constants(triple, [sf.StateVector.sup([1.0])], sigs, 5.0)
 
 
 def test_miyadera_voigt_examples():
@@ -220,7 +222,7 @@ def test_estimates_nondecreasing_in_horizon():
     x = sf.StateVector.sup([1.0])
     h = 1e-3
     sigs = adm.probe_signals(triple, sf.time_grid(5.0, h), 2, seed=3)
-    r1 = adm.estimate_constants(triple, [x], sigs, 5.0, step=h)
-    r2 = adm.estimate_constants(triple, [x], sigs, 10.0, step=h)
+    r1 = adm.estimate_constants(triple, [x], sigs, 5.0)
+    r2 = adm.estimate_constants(triple, [x], sigs, 10.0)
     assert r2.m_c_est >= r1.m_c_est - 1e-15
     assert r2.sup_inv_obs_est >= r1.sup_inv_obs_est - 1e-15

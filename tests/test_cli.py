@@ -600,27 +600,30 @@ def test_malformed_asymptotics_setting_exits_2_and_names_it(tmp_path, capsys, ke
     assert list(out.iterdir()) == []
 
 
-# the command that reads each optional config section
-SECTION_COMMANDS = {"grid": "simulate", "initial": "simulate", "neumann": "simulate",
-                    "probes": "admissibility", "signals": "admissibility",
-                    "admissibility": "admissibility", "asymptotics": "asymptotics"}
+COMMANDS = list(cli._COMMANDS)
+SECTIONS = ["grid", "initial", "neumann", "probes", "signals", "admissibility", "asymptotics"]
 
 
 @pytest.mark.parametrize("value", [[], "exp", 3], ids=["list", "string", "number"])
-@pytest.mark.parametrize("key", list(SECTION_COMMANDS))
+@pytest.mark.parametrize("key", SECTIONS)
 def test_config_section_that_is_no_object_exits_2_and_names_it(tmp_path, capsys, key, value):
     # "initial": [] used to end in an AttributeError traceback, and "exp"
-    # was read as its characters ("unknown keys in initial: ['e', 'p', 'x']")
-    cfg = scalar_cfg(c=0.5, horizon=1.0, step=0.01)
-    cfg["method"] = "neumann"
-    cfg[key] = value
-    path = write_cfg(tmp_path / "cfg.json", cfg)
-    out = tmp_path / "out"
-    assert main([SECTION_COMMANDS[key], "--config", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"validation failure: '{key}' must be a JSON object, got ")
-    assert "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    # was read as its characters ("unknown keys in initial: ['e', 'p', 'x']");
+    # every command checks every section, also one it does not read: a
+    # simulate with "signals": "exp", or a direct run with "neumann": 3,
+    # used to exit 0
+    for command in COMMANDS:
+        for method in ("direct", "neumann"):
+            cfg = scalar_cfg(c=0.5, horizon=1.0, step=0.01)
+            cfg["method"] = method
+            cfg[key] = value
+            path = write_cfg(tmp_path / "cfg.json", cfg)
+            out = tmp_path / "out"
+            assert main([command, "--config", path, "--out", str(out)]) == 2, (command, method)
+            err = capsys.readouterr().err
+            assert err.startswith(f"validation failure: '{key}' must be a JSON object, got ")
+            assert "Traceback" not in err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("command, section, key, value, must", [
@@ -666,7 +669,17 @@ def test_malformed_seed_exits_2_and_names_it(tmp_path, capsys, command, seed, fl
 @pytest.mark.parametrize("command, section, key", [
     ("admissibility", "probes", "kind"),
     ("admissibility", "signals", "kind"),
-    ("simulate", "grid", "surprise")])
+    ("simulate", "grid", "surprise"),
+    # a section the command does not read, each of which used to exit 0
+    ("simulate", "admissibility", "hoizon"),
+    ("simulate", "asymptotics", "bogus"),
+    ("admissibility", "initial", "xx"),
+    ("asymptotics", "initial", "xx"),
+    # "neumann" on a direct run, the method of scalar_cfg
+    ("simulate", "neumann", "tool"),
+    ("admissibility", "neumann", "tool"),
+    ("asymptotics", "neumann", "tool"),
+    ("neutral-compare", "neumann", "tool")])
 def test_unknown_section_key_exits_2_and_names_it(tmp_path, capsys, command, section, key):
     cfg = scalar_cfg(c=0.5, horizon=1.0, step=0.01)
     cfg.setdefault(section, {})[key] = "no-such-kind"

@@ -9,7 +9,7 @@ from semflow import _kernels, cli
 from semflow import neutral as nt
 from semflow.errors import (ConfigurationError, ContractionViolation, GridAlignmentError,
                             NoConvergence)
-from semflow.maps import _realize
+from semflow.maps import _realize, free_orbit
 from helpers import mixed_system, neutral_initial, scalar_mv, scalar_signal, smooth_signal
 from oracles import (boundary_control_closed_form, control_map_loop,
                      observation_step_loop, semigroup_apply)
@@ -390,7 +390,7 @@ def test_perturbed_apply_unperturbed_when_c_zero():
     triple = scalar_mv(0.0)
     x = sf.StateVector.sup([2.0])
     out = sf.perturbed_apply(triple, 1.0, x, step=0.01)
-    # the zero perturbation takes the orbit route: the base stepped by exp(hA)
+    # the Direct route on a zero perturbation is the base stepped by exp(hA)
     stepped = sf.orbit(triple.base, x, sf.time_grid(1.0, 0.01)).states[-1]
     assert out.coords[0] == stepped[0]
     assert out.coords[0] == pytest.approx(semigroup_apply(triple.base, 1.0, x.coords)[0],
@@ -423,15 +423,39 @@ def test_perturbed_orbit_zero_state():
 
 @pytest.mark.parametrize("weight", [0.5, 0.0])
 def test_perturbed_orbit_rejects_a_step_off_the_shift_grid(weight):
-    # the step is checked before the data: a zero perturbation, which skips
-    # the solve, rejects the step as a nonzero one does
+    # the step is checked where it meets the triple, in _realize, so every
+    # public route rejects twice the shift grid's step, before the data: a
+    # zero perturbation rejects it as a nonzero one does
     g = sf.Grid(-2.0, 0.05, 40)
     triple = sf.PerturbationTriple(
         sf.LeftTranslation(g), sf.DirichletControl(sf.DirichletSpec(1.0)),
         sf.MeasureSpec(atoms=((-1.0, weight),)).observation_row(g))
     x = sf.StateVector.grid_function(np.cos(g.points()), g)
-    with pytest.raises(GridAlignmentError):
-        sf.perturbed_orbit(triple, x, sf.time_grid(1.0, 0.1))
+    grid = sf.time_grid(1.0, 2 * g.step)
+    u = sf.InputSignal(grid, np.sin(grid.points())[:, None], triple.u_space)
+    sys0 = mixed_system(p=weight, n_hist=20)
+    initial = neutral_initial(sys0, seed=0)
+    routes = {
+        "perturbed_orbit": lambda: sf.perturbed_orbit(triple, x, grid),
+        "perturbed_orbit neumann": lambda: sf.perturbed_orbit(triple, x, grid, sf.Neumann()),
+        "io_map": lambda: sf.io_map(triple, 1.0, u),
+        "invert_io": lambda: sf.invert_io(triple, 1.0, u),
+        "invert_io neumann": lambda: sf.invert_io(triple, 1.0, u, sf.Neumann()),
+        "invert_io neumann, bound given": lambda: sf.invert_io(
+            triple, 1.0, u, sf.Neumann(), contraction_estimate=0.5),
+        "free_orbit": lambda: free_orbit(triple, x, grid),
+        "observation_map": lambda: sf.observation_map(triple, 1.0, x, step=grid.step),
+        "control_map": lambda: sf.control_map(triple, 1.0, u),
+        "method_of_steps": lambda: nt.method_of_steps(sys0, initial, grid),
+    }
+    missed = []
+    for name, route in routes.items():
+        try:
+            route()
+        except GridAlignmentError:
+            continue
+        missed.append(name)
+    assert missed == []
 
 
 def test_perturbed_orbit_scalar_norm_track():
@@ -587,9 +611,8 @@ def test_composing_a_zero_signal_gives_the_free_orbit(name):
 
 
 def test_vanishing_neutral_perturbation_gives_the_free_orbit():
-    # every route reads f(0) as x(0), the zero-perturbation shortcut,
-    # perturbed_apply and the base orbit of asymptotics_run too: C -> 0
-    # converges to the C = 0 orbit
+    # every route reads f(0) as x(0), perturbed_apply and the base orbit of
+    # asymptotics_run too: C -> 0 converges to the C = 0 orbit
     from semflow import asymptotics as asy
 
     sys0 = mixed_system(n_hist=16)
@@ -606,6 +629,24 @@ def test_vanishing_neutral_perturbation_gives_the_free_orbit():
     cfg = asy.RobustnessConfig(horizon=grid.end, step=grid.step)
     base = asy.asymptotics_run(triple, [], [x], cfg, tracks=True).tracks[0].base_norms
     assert np.max(np.abs(base - small.norms)) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["matrix c=0", "matrix b=0", "translation", "neutral"])
+@pytest.mark.parametrize("method", [sf.DirectSolve(), sf.Neumann()], ids=["direct", "neumann"])
+def test_a_vanishing_perturbation_gives_the_free_orbit_by_both_routes(case, method):
+    # no route forks on a zero perturbation: the general ones give the free
+    # orbit, bit for bit (a -0.0 of the free orbit may come out +0.0 by
+    # Neumann, whose compose step adds a zero control term)
+    name = case.split()[0]
+    triple, x, horizon = observation_case(name)
+    base, control, observe = triple.base, triple.control, 0.0 * triple.observe
+    if case == "matrix b=0":
+        control, observe = sf.BoundedControl(0.0 * control.matrix), triple.observe
+    triple = sf.PerturbationTriple(base, control, observe)
+    grid = sf.time_grid(horizon, triple.base_step or 0.01)
+    orb, free = sf.perturbed_orbit(triple, x, grid, method), free_orbit(triple, x, grid)
+    assert np.array_equal(orb.states, free.states)
+    assert np.array_equal(orb.norms, free.norms)
 
 
 def test_direct_vs_neumann_on_neutral_triple():

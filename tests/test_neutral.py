@@ -250,7 +250,7 @@ def test_neutral_admissibility_chain():
     horizon = 6.0
     probes = [nt.pack_initial(sys0, *neutral_initial(sys0, seed=s)) for s in range(3)]
     signals = adm.probe_signals(triple, sf.time_grid(horizon, h), 3, seed=0)
-    rep = adm.estimate_constants(triple, probes, signals, horizon, step=h)
+    rep = adm.estimate_constants(triple, probes, signals, horizon)
     assert rep.m_b_est <= 1.0 * (1.0 + 1e-6)  # M = 1 for A = -1
     assert rep.io_norm_est <= p + k + q + 1e-6
     # sup_t ||(I-F_t)^{-1} C_t (x,f)|| <= (1-||F||)^{-1} (q||x|| + (k+p)||f||_1)

@@ -1,11 +1,11 @@
-"""Realization guard: ``maps.py`` reads the control variant and the base
-semigroup's type only where a triple is validated
-(``PerturbationTriple.__post_init__``) and where its discrete realization is
-built (``_realize``).  Every other function works on the realization, so a
-new base or a new kernel route is written once, not once per variant.  The
-observation operator's layout is read there too, and by
-``PerturbationTriple.u_dim`` for its row count: the observe step takes
-C_t x through the realization, like the kernels."""
+"""Realization guard: ``maps.py`` reads the control variant, the base
+semigroup's type and the observation operator's layout only where a triple
+is validated (``PerturbationTriple.__post_init__``), which derives the
+triple's layout, its discrete realization less the time step.  Every other
+function works on the realization, so a new base or a new kernel route is
+written once, not once per variant.  ``PerturbationTriple.u_dim`` reads the
+observation's row count too: the observe step takes C_t x through the
+realization, like the kernels."""
 
 import ast
 import inspect
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from semflow import maps, semigroups
 
-ALLOWED = {"PerturbationTriple.__post_init__", "_realize"}
+ALLOWED = {"PerturbationTriple.__post_init__"}
 OBSERVE_READERS = ALLOWED | {"PerturbationTriple.u_dim"}
 
 
@@ -63,7 +63,7 @@ def type_tests(tree: ast.AST):
     return scopes(tree, hit)
 
 
-def test_variants_are_read_only_in_validation_and_realize():
+def test_variants_are_read_only_in_validation():
     tree = ast.parse(Path(maps.__file__).read_text(encoding="utf-8"))
     found = type_tests(tree)
     assert {scope for scope, _ in found} == ALLOWED
@@ -79,12 +79,13 @@ def test_the_guard_sees_a_type_test_elsewhere():
     assert type_tests(ast.parse(source)) == [("u_dim", 2)]
 
 
-def test_the_observation_layout_is_read_only_by_the_triple_and_realize():
+def test_the_observation_layout_is_read_only_by_the_triple():
     tree = ast.parse(Path(maps.__file__).read_text(encoding="utf-8"))
     found = observe_reads(tree)
     assert {scope for scope, _ in found} == OBSERVE_READERS
     assert [(scope, line) for scope, line in found if scope not in OBSERVE_READERS] == []
-    # _realize picks the kernel entries by name and wraps no closure around them
+    # _realize adds the step to the triple's layout and wraps no closure
+    # around the kernel entries it names
     realize = next(node for node in tree.body
                    if isinstance(node, ast.FunctionDef) and node.name == "_realize")
     assert not [node for node in ast.walk(realize)

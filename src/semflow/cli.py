@@ -36,7 +36,7 @@ from .translation import DirichletSpec, MeasureSpec
 _VALIDATION_ERRORS = (ConfigurationError, DimensionError, DomainError,
                       GridAlignmentError, KeyError, TypeError, ValueError)
 _NUMERICAL_ERRORS = (ContractionViolation, NoConvergence, NumericalFailure,
-                     FloatingPointError, np.linalg.LinAlgError)
+                     FloatingPointError, MemoryError, np.linalg.LinAlgError)
 
 _SYSTEM_KEYS = {
     "scalar": {"kind", "a", "b", "c"},
@@ -591,79 +591,90 @@ def _strict_json(name: str, obj) -> str:
         raise NumericalFailure(f"{name} would hold a non-finite number") from exc
 
 
-def write_json(path: Path, obj: dict):
-    """``obj`` as strict JSON; if it is not finite nothing is written."""
-    text = _strict_json(path.name, obj)
+def write_json(path: Path, text: str):
+    """Write the JSON ``text`` that ``_strict_json`` encoded, and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
-def _require_finite(*orbits):
-    """Refuse to write an orbit holding inf or nan."""
-    if not all(orb.all_finite() for orb in orbits):
+def _write_run(out: Path, cfg: dict, seed: int, started: float, name: str, grid: Grid,
+               diagnostics: dict, payload=None, orbits=(), tables=()) -> int:
+    """Write every artifact of one run, or none of them.
+
+    ``orbits`` are (file, orbit) pairs and ``tables`` (file, header,
+    columns) plot tables, each written by ``write_csv``; ``name`` is the
+    JSON artifact: the run's manifest, under "manifest" in ``payload`` if
+    one is given.  Every orbit and table column must be finite and the JSON
+    must encode strictly before any file is written."""
+    if not all(orb.all_finite() for _, orb in orbits):
         raise NumericalFailure("the orbit is not finite (overflow or nan); "
                                "nothing is written")
+    if not all(np.all(np.isfinite(col)) for _, _, cols in tables for col in cols):
+        raise NumericalFailure("the plot data is not finite (overflow or nan); "
+                               "nothing is written")
+    manifest = {"config": cfg, "seed": seed,
+                "grid": {"step": grid.step, "horizon": grid.end, "count": grid.count},
+                "diagnostics": diagnostics, "timing_seconds": time.time() - started}
+    text = _strict_json(name, manifest if payload is None else {**payload, "manifest": manifest})
+    for file, orb in orbits:
+        header = ["t", "norm", *(f"x{j}" for j in range(orb.states.shape[1]))]
+        write_csv(out / file, header, [orb.grid.points(), orb.norms, *orb.states.T],
+                  trajectory=orb.trajectory, stride=orb.stride)
+    for file, header, cols in tables:
+        write_csv(out / file, header, cols)
+    write_json(out / name, text)
+    return 0
 
 
-def _orbit_csv(path: Path, orb):
-    cols = [orb.grid.points(), orb.norms]
-    header = ["t", "norm"]
-    for j in range(orb.states.shape[1]):
-        header.append(f"x{j}")
-        cols.append(orb.states[:, j])
-    write_csv(path, header, cols, trajectory=orb.trajectory, stride=orb.stride)
+def _triple(target):
+    """The perturbation triple of a built system: a neutral system's own."""
+    return nt.build_perturbation(target) if isinstance(target, nt.NeutralSystem) else target
 
 
-def _manifest(cfg, seed, grid, diagnostics, started):
-    return {
-        "config": cfg,
-        "seed": seed,
-        "grid": {"step": grid.step, "horizon": grid.end, "count": grid.count},
-        "diagnostics": diagnostics,
-        "timing_seconds": time.time() - started,
-    }
+@np.errstate(over="ignore", invalid="ignore")
+def _deviation(a, b) -> float:
+    """max |a - b|: nan or inf on orbits that are not finite, which
+    ``_write_run`` refuses."""
+    return float(np.max(np.abs(a - b)))
 
 
-def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
-    started = time.time()
+def _formula_and_oracle(cfg: dict, target, grid: Grid, method):
+    """The neutral system's orbit from the config's initial state by the
+    composition formula (with its compatibility report) and by the method
+    of steps."""
+    initial = build_initial(cfg, target)
+    res = nt.neutral_orbit(target, initial, grid, method=method)
+    return res, nt.method_of_steps(target, initial, grid)
+
+
+def cmd_simulate(cfg: dict, out: Path, seed: int, started: float) -> int:
     target = build_system(cfg)
     grid = time_grid(float(cfg["grid"]["horizon"]), float(cfg["grid"]["step"]))
     method = method_from(cfg)
-    diagnostics = {}
     if isinstance(target, nt.NeutralSystem):
-        initial = build_initial(cfg, target)
-        res = nt.neutral_orbit(target, initial, grid, method=method)
-        oracle = nt.method_of_steps(target, initial, grid)
-        _require_finite(res.orbit, oracle)
-        _orbit_csv(out / "orbit_formula.csv", res.orbit)
-        _orbit_csv(out / "orbit_oracle.csv", oracle)
+        res, oracle = _formula_and_oracle(cfg, target, grid, method)
         diagnostics = {
             "compatibility_residual": res.compatibility_residual,
             "compatible": bool(res.compatible),
-            "max_norm_deviation": float(np.max(np.abs(res.orbit.norms - oracle.norms))),
-            "max_state_deviation": float(np.max(np.abs(res.orbit.states - oracle.states))),
+            "max_norm_deviation": _deviation(res.orbit.norms, oracle.norms),
+            "max_state_deviation": _deviation(res.orbit.states, oracle.states),
         }
+        orbits = (("orbit_formula.csv", res.orbit), ("orbit_oracle.csv", oracle))
     else:
-        x = build_initial(cfg, target)
-        orb = perturbed_orbit(target, x, grid, method=method)
-        _require_finite(orb)
-        _orbit_csv(out / "orbit.csv", orb)
+        orb = perturbed_orbit(target, build_initial(cfg, target), grid, method=method)
         diagnostics = {"initial_norm": orb.initial_norm(),
                        "final_norm": float(orb.norms[-1])}
         if isinstance(target.base, LeftTranslation):
             diagnostics["truncation_exact"] = bool(grid.end <= target.base.horizon)
-    write_json(out / "manifest.json", _manifest(cfg, seed, grid, diagnostics, started))
-    return 0
+        orbits = (("orbit.csv", orb),)
+    return _write_run(out, cfg, seed, started, "manifest.json", grid, diagnostics,
+                      orbits=orbits)
 
 
-def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
-    started = time.time()
+def cmd_admissibility(cfg: dict, out: Path, seed: int, started: float) -> int:
     target = build_system(cfg)
     acfg = cfg.get("admissibility", {})
-    if isinstance(target, nt.NeutralSystem):
-        triple = nt.build_perturbation(target)
-    else:
-        triple = target
+    triple = _triple(target)
     probes = build_probes(cfg, target, seed)
     step = float(cfg["grid"]["step"])
     horizon = float(acfg.get("horizon", cfg["grid"]["horizon"]))
@@ -679,18 +690,12 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int) -> int:
         payload["miyadera_voigt"] = {"verdict": mv.verdict,
                                      "ratio": mv.details["ratio"],
                                      "q_threshold": mv.details["q_threshold"]}
-    payload["manifest"] = _manifest(cfg, seed, grid, {}, started)
-    write_json(out / "admissibility.json", payload)
-    return 0
+    return _write_run(out, cfg, seed, started, "admissibility.json", grid, {}, payload)
 
 
-def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
-    started = time.time()
+def cmd_asymptotics(cfg: dict, out: Path, seed: int, started: float) -> int:
     target = build_system(cfg)
-    if isinstance(target, nt.NeutralSystem):
-        triple = nt.build_perturbation(target)
-    else:
-        triple = target
+    triple = _triple(target)
     probes = build_probes(cfg, target, seed)
     acfg = cfg.get("asymptotics", {})
     props = acfg.get("properties", ["BOUNDED", "STRONGLY_STABLE", "MEAN_ERGODIC"])
@@ -707,7 +712,6 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
     grid = time_grid(config.horizon, config.step)
     run = asy.asymptotics_run(triple, props, probes, config, tracks=True)
     matrix = {}
-    all_pass = True
     for prop in props:
         rep = run.reports[prop]
         matrix[prop] = {
@@ -716,7 +720,6 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
                            "ok": bool(p["ok"])} for p in rep.per_probe],
             "biinvariance_violations": rep.biinvariance_violations,
         }
-        all_pass &= rep.passes
     # plot data: norms and Cesaro residuals of base/perturbed orbits
     ts = grid.points()
     norm_cols, norm_head = [ts], ["t"]
@@ -726,49 +729,34 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int) -> int:
         norm_head += [f"base_norm_{i}", f"pert_norm_{i}"]
         ces_cols += [tr.base_cesaro, tr.pert_cesaro]
         ces_head += [f"base_cesaro_{i}", f"pert_cesaro_{i}"]
-    # every artifact is checked before any is written
-    if not all(np.all(np.isfinite(col)) for col in norm_cols + ces_cols):
-        raise NumericalFailure("the plot data is not finite (overflow or nan); "
-                               "nothing is written")
-    _strict_json("asymptotics.json", matrix)
-    write_csv(out / "plot_norms.csv", norm_head, norm_cols)
-    write_csv(out / "plot_cesaro.csv", ces_head, ces_cols)
-    payload = {"schema_version": 1, "verdicts": matrix, "all_pass": bool(all_pass),
-               "manifest": _manifest(cfg, seed, grid, {}, started)}
-    write_json(out / "asymptotics.json", payload)
-    return 0
+    payload = {"schema_version": 1, "verdicts": matrix,
+               "all_pass": all(v["passes"] for v in matrix.values())}
+    return _write_run(out, cfg, seed, started, "asymptotics.json", grid, {}, payload,
+                      tables=(("plot_norms.csv", norm_head, norm_cols),
+                              ("plot_cesaro.csv", ces_head, ces_cols)))
 
 
-def cmd_neutral_compare(cfg: dict, out: Path, seed: int) -> int:
-    started = time.time()
+def cmd_neutral_compare(cfg: dict, out: Path, seed: int, started: float) -> int:
     target = build_system(cfg)
     if not isinstance(target, nt.NeutralSystem):
         raise ConfigurationError("neutral-compare requires a neutral system")
     step = float(cfg["grid"]["step"])
     horizon = float(cfg["grid"]["horizon"])
     method = method_from(cfg)
-    runs = {}
+    orbits, devs = [], {}
     for tag, factor in (("coarse", 1), ("fine", 2)):
         sys_f = target if factor == 1 else nt.NeutralSystem(
             target.a, target.p_kernel, target.k_kernel, target.c,
             target.history_grid.refine(factor))
-        grid = time_grid(horizon, step / factor)
-        initial = build_initial(cfg, sys_f)
-        res = nt.neutral_orbit(sys_f, initial, grid, method=method)
-        runs[tag] = (res.orbit, nt.method_of_steps(sys_f, initial, grid))
-    _require_finite(*(orb for pair in runs.values() for orb in pair))
-    devs = {}
-    for tag, (formula, oracle) in runs.items():
-        _orbit_csv(out / f"orbit_formula_{tag}.csv", formula)
-        _orbit_csv(out / f"orbit_oracle_{tag}.csv", oracle)
-        devs[tag] = float(np.max(np.abs(formula.norms - oracle.norms)))
+        res, oracle = _formula_and_oracle(cfg, sys_f, time_grid(horizon, step / factor), method)
+        orbits += [(f"orbit_formula_{tag}.csv", res.orbit), (f"orbit_oracle_{tag}.csv", oracle)]
+        devs[tag] = _deviation(res.orbit.norms, oracle.norms)
     # undefined (null) when a route agrees exactly with the oracle
     order = float(np.log2(devs["coarse"] / devs["fine"])) \
         if devs["coarse"] > 0 and devs["fine"] > 0 else None
     diagnostics = {"deviation": devs, "empirical_order": order}
-    write_json(out / "manifest.json",
-               _manifest(cfg, seed, time_grid(horizon, step), diagnostics, started))
-    return 0
+    return _write_run(out, cfg, seed, started, "manifest.json", time_grid(horizon, step),
+                      diagnostics, orbits=orbits)
 
 
 _COMMANDS = {
@@ -811,7 +799,7 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 f"--out {args.out!r} is not a directory that can be created: "
                 f"{exc.strerror}") from None
-        return _COMMANDS[args.command](cfg, out, seed)
+        return _COMMANDS[args.command](cfg, out, seed, time.time())
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -304,6 +304,7 @@ def _free(triple: PerturbationTriple, r: Realization, x: StateVector, grid: Grid
     return free
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def free_orbit(triple: PerturbationTriple, x: StateVector, grid: Grid) -> OrbitSeries:
     """The orbit t_k -> T(t_k)x as the perturbed routes read x: on a neutral
     base f(0) stays x(0), so a vanishing perturbation converges to it."""

@@ -177,6 +177,7 @@ def _sliding_l1(point_norms: np.ndarray, window: int, h: float) -> np.ndarray:
     return h * (suffix + prefix).reshape(-1)[: max(n - window + 1, 0)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def orbit(sg: Semigroup, x: StateVector, grid: Grid) -> OrbitSeries:
     """Sampled orbit on ``grid`` (must start at 0) of a matrix block, a shift
     block, or a matrix block followed by a shift block: the free parts of

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from semflow.cli import build_probes, build_system, main
 from semflow.core import time_grid
 from helpers import count_calls
 
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 def write_cfg(path, cfg):
     path.write_text(json.dumps(cfg, indent=1))
@@ -230,6 +232,20 @@ def test_asymptotics_runs_harness_and_each_orbit_once(tmp_path, monkeypatch):
             assert np.array_equal(norms[:, 1 + 2 * i + j], orb.norms)
             assert np.array_equal(cesaro[:, 1 + 2 * i + j],
                                   asy.cesaro_residual_track(orb))
+
+
+@pytest.mark.parametrize("command", ["simulate", "admissibility", "asymptotics"])
+def test_each_run_encodes_its_json_once(tmp_path, monkeypatch, command):
+    # the one writer checks the artifacts, encodes the JSON and writes that
+    # text; before it, asymptotics encoded its verdicts a second time
+    cfg = scalar_cfg(c=0.5, horizon=10.0, step=0.01)
+    cfg["probes"] = {"count": 1}
+    cfg["asymptotics"] = {"tail_window": 2.5, "n_synthetic": 4}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    encoded = count_calls(monkeypatch, cli._strict_json)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    name = {"simulate": "manifest.json"}.get(command, f"{command}.json")
+    assert [args[0] for args in encoded] == [name]
 
 
 def test_asymptotics_empty_probes_exit_2(tmp_path):
@@ -503,6 +519,21 @@ def test_non_finite_neutral_compare_exits_1_and_writes_nothing(tmp_path, capsys)
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "neutral-compare"])
+def test_overflowing_neutral_routes_exit_1_quietly(tmp_path, capsys, command):
+    # both routes overflow to inf, so the deviation between them, taken
+    # before the writer refuses the orbits, meets inf - inf
+    path = write_cfg(tmp_path / "cfg.json", neutral_cfg(a=[[800.0, 0.3], [0.0, 800.0]]))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("numerical failure: the orbit is not finite "
+                                       "(overflow or nan); nothing is written\n")
+    assert list(out.iterdir()) == []
+
+
 def overflowing_scalar_cfg(horizon):
     # exp(20 t) overflows long before t = 50
     return {
@@ -537,6 +568,26 @@ def test_overflowing_asymptotics_exits_1_and_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert err.endswith("\n")
+    assert list(out.iterdir()) == []
+
+
+def test_memory_error_exits_1_in_one_line_and_writes_nothing(tmp_path):
+    # grid.step 1e-9 asks numpy for about 30 GiB of probe signals; the child
+    # caps its own address space at 2 GiB, so the allocation fails at once
+    cfg = json.loads((CONFIGS / "matrix-admissibility.json").read_text())
+    cfg["grid"]["step"] = 1e-9
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from semflow.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", code, "admissibility", "--config", path,
+                           "--out", str(out)], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numerical failure: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert list(out.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -647,6 +648,20 @@ def test_a_vanishing_perturbation_gives_the_free_orbit_by_both_routes(case, meth
     orb, free = sf.perturbed_orbit(triple, x, grid, method), free_orbit(triple, x, grid)
     assert np.array_equal(orb.states, free.states)
     assert np.array_equal(orb.norms, free.norms)
+
+
+def test_free_orbit_routes_are_quiet_on_overflow():
+    # exp(800 t) overflows before t = 1: both free routes return the
+    # non-finite orbit, which the CLI refuses, as perturbed_orbit does, and
+    # let no numpy warning out
+    sg = sf.MatrixSemigroup([[800.0]])
+    triple = sf.PerturbationTriple(sg, sf.IdentityControl(), [[0.0]])
+    x, grid = sf.StateVector.sup([1.0]), sf.time_grid(2.0, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbits = (free_orbit(triple, x, grid), sf.orbit(sg, x, grid),
+                  sf.perturbed_orbit(triple, x, grid))
+    assert not any(orb.all_finite() for orb in orbits)
 
 
 def test_direct_vs_neumann_on_neutral_triple():

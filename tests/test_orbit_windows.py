@@ -7,6 +7,7 @@ oracles."""
 
 import json
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -177,7 +178,8 @@ def test_orbit_csv_matches_row_loop_on_special_values(tmp_path):
                                              "values": SPECIAL_VALUES})
     orb = translation_orbit(cfg)
     assert orb.trajectory is not None
-    cli._orbit_csv(tmp_path / "fast.csv", orb)
+    assert cli._write_run(tmp_path, cfg, 42, time.time(), "manifest.json", orb.grid, {},
+                          orbits=[("fast.csv", orb)]) == 0
     orbit_csv_rows_loop(tmp_path / "loop.csv", orb)
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "loop.csv").read_bytes()

@@ -17,8 +17,6 @@ the start indices.
 
 from __future__ import annotations
 
-import math
-import numbers
 from functools import partial
 from itertools import islice
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -26,7 +24,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
-from .core import Draws, Grid, Record, Space, StateVector
+from .core import Draws, Grid, Record, Space, StateVector, checked, reals, time_grid
 from .errors import ConfigurationError, DomainError
 from .maps import DirectSolve, Method, PerturbationTriple, free_orbit, perturbed_orbit
 from .semigroups import OrbitSeries, orbit_from_states
@@ -358,26 +356,16 @@ class RobustnessConfig(Record):
 
     def __post_init__(self):
         for key in _POSITIVE_SETTINGS:
-            value = getattr(self, key)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
-                raise ConfigurationError(f"{key} must be a finite number > 0, got {value!r}")
-            object.__setattr__(self, key, float(value))
-        hint = self.bound_hint
-        if hint is not None and not (isinstance(hint, numbers.Real) and math.isfinite(hint)
-                                     and hint > 0.0):
-            raise ConfigurationError(f"bound_hint must be null or a finite number > 0, "
-                                     f"got {hint!r}")
-        if not (isinstance(self.n_synthetic, numbers.Integral) and self.n_synthetic >= 0):
-            raise ConfigurationError(
-                f"n_synthetic must be an integer >= 0, got {self.n_synthetic!r}")
-        object.__setattr__(self, "n_synthetic", int(self.n_synthetic))
+            object.__setattr__(self, key, checked(getattr(self, key), key, above=0.0))
+        object.__setattr__(self, "n_synthetic", checked(self.n_synthetic, "n_synthetic",
+                                                        integer=True, least=0))
+        # bound_hint and the shifts are kept as given: the verdicts echo them
+        if self.bound_hint is not None:
+            checked(self.bound_hint, "bound_hint", above=0.0)
         # the harness shifts orbits of the synthetic zoo
-        shifts = tuple(self.shifts)
-        if not all(isinstance(b, numbers.Real) and 0.0 <= b < SYNTHETIC_HORIZON
-                   for b in shifts):
-            raise ConfigurationError(
-                f"shifts must be numbers in [0, {SYNTHETIC_HORIZON:g}), got {self.shifts!r}")
-        object.__setattr__(self, "shifts", shifts)
+        for b in reals(self.shifts, "shifts").tolist():
+            checked(b, "shifts", least=0.0, below=SYNTHETIC_HORIZON)
+        object.__setattr__(self, "shifts", tuple(self.shifts))
 
 
 class RobustnessReport(Record):
@@ -524,7 +512,7 @@ def biinvariance_harness(checkers: Dict[str, Callable[[OrbitBlock, Sequence[int]
 def _harness_violations(config: RobustnessConfig) -> List[dict]:
     """The biinvariance harness of every checker on the seeded synthetic zoo,
     a block of HARNESS_BLOCK synthetic orbits alive at a time."""
-    sgrid = Grid(0.0, SYNTHETIC_STEP, int(round(SYNTHETIC_HORIZON / SYNTHETIC_STEP)))
+    sgrid = time_grid(SYNTHETIC_HORIZON, SYNTHETIC_STEP)
     zoo = synthetic_orbits(config.n_synthetic, sgrid, seed=config.seed)
     # the harness tail window must fit inside every shifted orbit, otherwise
     # the "same trailing samples" structure of the checkers is lost
@@ -557,8 +545,8 @@ def asymptotics_run(triple: PerturbationTriple, properties: Sequence[str],
             raise ConfigurationError(f"unknown property {prop!r}")
     if not probes:
         raise ConfigurationError("empty probe set")
+    grid = time_grid(config.horizon, config.step)
     violations = _harness_violations(config) if properties else []
-    grid = Grid(0.0, config.step, int(round(config.horizon / config.step)))
     checkers = {p: make_checker(p, config, triple.base.space.dim) for p in properties}
     rows = {p: [] for p in checkers}
     plot = []

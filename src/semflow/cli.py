@@ -23,7 +23,7 @@ import numpy as np
 from . import admissibility as adm
 from . import asymptotics as asy
 from . import neutral as nt
-from .core import Draws, Grid, StateVector, time_grid, valid_seed
+from .core import Draws, Grid, StateVector, checked, reals, time_grid
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence,
                      NumericalFailure, SemflowError)
@@ -71,12 +71,10 @@ def _reject_unknown(d: dict, allowed: set, where: str):
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _count(section: dict, where: str) -> int:
-    """The section's integer ``count``, 3 if it is absent."""
-    value = section.get("count", 3)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where}.count must be an integer, got {value!r}")
-    return value
+def _count(cfg: dict, section: str) -> int:
+    """The section's ``count``, an integer >= 1, 3 if it is absent."""
+    return checked(cfg.get(section, {}).get("count", 3), f"{section}.count",
+                   integer=True, least=1)
 
 
 def _reject_constant(name: str):
@@ -91,19 +89,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _grid(cfg: dict, key: str) -> float:
+    """grid.step or grid.horizon, a finite number > 0."""
+    return checked(cfg["grid"][key], f"grid.{key}", above=0.0)
+
+
 def _check_grid(cfg: dict) -> None:
     """grid.step and grid.horizon, where given, must be finite and positive."""
-    grid = cfg["grid"]
     for key in ("step", "horizon"):
-        if key not in grid:
-            continue
-        try:
-            value = float(grid[key])
-        except (TypeError, ValueError):
-            value = math.nan
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigurationError(
-                f"grid.{key} must be a finite positive number, got {grid[key]!r}")
+        if key in cfg["grid"]:
+            _grid(cfg, key)
 
 
 def load_config(path: str) -> dict:
@@ -138,46 +133,46 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _measure_from(atoms, density) -> MeasureSpec:
-    return MeasureSpec(atoms=tuple((float(a), float(w)) for a, w in (atoms or [])),
-                       density=tuple((float(a), float(b), float(v))
-                                     for a, b, v in (density or [])))
+def _matrix(system: dict, key: str) -> np.ndarray:
+    """``system[key]``, a number or a matrix of numbers, as a 2-d array."""
+    return np.atleast_2d(reals(system[key], f"system.{key}"))
+
+
+def _measure_from(system: dict, atoms: str, density: str) -> MeasureSpec:
+    """The measure whose atoms and density segments are the rows of
+    ``system[atoms]`` and ``system[density]`` (none where absent)."""
+    return MeasureSpec(*(tuple(map(tuple, reals(system.get(key, []), f"system.{key}").tolist()))
+                         for key in (atoms, density)))
 
 
 def build_system(cfg: dict):
     """Build the triple (or neutral system) described by the config."""
     system = cfg["system"]
     kind = system["kind"]
-    step = float(cfg["grid"]["step"])
+    step = _grid(cfg, "step")
     if kind in ("scalar", "matrix"):
-        a = np.atleast_2d(np.asarray(system["a"], dtype=float))
-        sg = MatrixSemigroup(a)
-        b = system.get("b", "identity")
-        control = IdentityControl() if b == "identity" else \
-            BoundedControl(np.atleast_2d(np.asarray(b, dtype=float)))
-        c = np.atleast_2d(np.asarray(system["c"], dtype=float))
-        return PerturbationTriple(sg, control, c)
+        sg = MatrixSemigroup(_matrix(system, "a"))
+        control = IdentityControl() if system.get("b", "identity") == "identity" else \
+            BoundedControl(_matrix(system, "b"))
+        return PerturbationTriple(sg, control, _matrix(system, "c"))
     if kind == "translation":
-        L = float(system.get("L", 10.0))
+        L = checked(system.get("L", 10.0), "system.L", above=0.0)
         n = int(round(L / step))
         grid = Grid(-n * step, step, n)
         base = LeftTranslation(grid)
-        mu = _measure_from(system.get("atoms"), system.get("density"))
-        row = mu.observation_row(grid, point_dim=1)
-        control = DirichletControl(DirichletSpec(float(system.get("lambda", 1.0))))
-        return PerturbationTriple(base, control, row)
+        row = _measure_from(system, "atoms", "density").observation_row(grid, point_dim=1)
+        lam = checked(system.get("lambda", 1.0), "system.lambda", above=0.0)
+        return PerturbationTriple(base, DirichletControl(DirichletSpec(lam)), row)
     # neutral
-    N = int(system.get("history_steps", round(1.0 / step)))
+    N = checked(system.get("history_steps", round(1.0 / step)), "system.history_steps",
+                integer=True, least=1)
     if abs(N * step - 1.0) > 1e-9:
         raise ConfigurationError("history_steps * step must equal the unit delay")
-    hist = Grid(-1.0, step, N)
-    a = np.atleast_2d(np.asarray(system["a"], dtype=float))
-    c = np.atleast_2d(np.asarray(system["c"], dtype=float))
     return nt.NeutralSystem(
-        a=a,
-        p_kernel=_measure_from(system.get("p_atoms"), system.get("p_density")),
-        k_kernel=_measure_from(system.get("k_atoms"), system.get("k_density")),
-        c=c, history_grid=hist)
+        a=_matrix(system, "a"),
+        p_kernel=_measure_from(system, "p_atoms", "p_density"),
+        k_kernel=_measure_from(system, "k_atoms", "k_density"),
+        c=_matrix(system, "c"), history_grid=Grid(-1.0, step, N))
 
 
 def build_initial(cfg: dict, target):
@@ -185,33 +180,32 @@ def build_initial(cfg: dict, target):
     kind = cfg["system"]["kind"]
     init = cfg.get("initial", {})
     if kind in ("scalar", "matrix"):
-        x = np.asarray(init.get("x", np.ones(target.base.space.dim)), dtype=float)
-        return StateVector.sup(x)
+        return StateVector.sup(reals(init.get("x", np.ones(target.base.space.dim)),
+                                     "initial.x"))
     if kind == "translation":
         grid = target.base.grid
         s = grid.points()
         fk = init.get("f_kind", "exp")
         if fk == "exp":
-            vals = float(init.get("amplitude", 1.0)) * np.exp(s)
+            vals = checked(init.get("amplitude", 1.0), "initial.amplitude") * np.exp(s)
         elif fk == "values":
-            vals = np.asarray(init["values"], dtype=float)
+            vals = reals(init["values"], "initial.values")
         else:
             raise ConfigurationError(f"unknown translation profile {fk!r}")
         return StateVector.grid_function(vals, grid)
     s = target.history_grid.points()
     fk = init.get("f_kind", "cosine")
     if fk == "cosine":
-        vals = (float(init.get("amplitude", 1.0))
-                * np.cos(float(init.get("frequency", 2.0)) * s)
-                + float(init.get("offset", 0.5)))
+        vals = (checked(init.get("amplitude", 1.0), "initial.amplitude")
+                * np.cos(checked(init.get("frequency", 2.0), "initial.frequency") * s)
+                + checked(init.get("offset", 0.5), "initial.offset"))
         f = np.tile(vals[:, None], (1, target.dim))
     elif fk == "values":
-        f = np.asarray(init["values"], dtype=float).reshape(-1, target.dim)
+        f = reals(init["values"], "initial.values").reshape(-1, target.dim)
     else:
         raise ConfigurationError(f"unknown neutral profile {fk!r}")
     yspec = init.get("y", "compatible")
-    y = nt.compatible_y(target, f) if yspec == "compatible" \
-        else np.asarray(yspec, dtype=float)
+    y = nt.compatible_y(target, f) if yspec == "compatible" else reals(yspec, "initial.y")
     return y, f
 
 
@@ -219,9 +213,7 @@ def build_probes(cfg: dict, target, seed: int):
     """The run's ``probes.count`` initial states: first the unit vectors of a
     matrix system or ``exp`` on a shift, then states whose coefficients are
     normals drawn from ``Draws(seed)``, so the seed alone fixes them."""
-    count = _count(cfg.get("probes", {}), "probes")
-    if count < 1:
-        raise ConfigurationError("probe count must be positive")
+    count = _count(cfg, "probes")
     rng = Draws(seed)
     out = []
     if isinstance(target, nt.NeutralSystem):
@@ -649,7 +641,7 @@ def _formula_and_oracle(cfg: dict, target, grid: Grid, method):
 
 def cmd_simulate(cfg: dict, out: Path, seed: int, started: float) -> int:
     target = build_system(cfg)
-    grid = time_grid(float(cfg["grid"]["horizon"]), float(cfg["grid"]["step"]))
+    grid = time_grid(_grid(cfg, "horizon"), _grid(cfg, "step"))
     method = method_from(cfg)
     if isinstance(target, nt.NeutralSystem):
         res, oracle = _formula_and_oracle(cfg, target, grid, method)
@@ -676,17 +668,18 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int, started: float) -> int:
     acfg = cfg.get("admissibility", {})
     triple = _triple(target)
     probes = build_probes(cfg, target, seed)
-    step = float(cfg["grid"]["step"])
-    horizon = float(acfg.get("horizon", cfg["grid"]["horizon"]))
+    step = _grid(cfg, "step")
+    horizon = checked(acfg.get("horizon", cfg["grid"]["horizon"]), "admissibility.horizon",
+                      above=0.0)
     grid = time_grid(horizon, step)
-    count = _count(cfg.get("signals", {}), "signals")
-    signals = adm.probe_signals(triple, grid, count, seed=seed)
+    q_threshold = checked(acfg["q_threshold"], "admissibility.q_threshold") \
+        if "q_threshold" in acfg else None
+    signals = adm.probe_signals(triple, grid, _count(cfg, "signals"), seed=seed)
     report = adm.estimate_constants(triple, probes, signals, horizon,
                                     method=method_from(cfg))
     payload = report.to_dict()
-    if "q_threshold" in acfg:
-        mv = adm.check_miyadera_voigt(triple, probes, horizon,
-                                      float(acfg["q_threshold"]), step=step)
+    if q_threshold is not None:
+        mv = adm.check_miyadera_voigt(triple, probes, horizon, q_threshold, step=step)
         payload["miyadera_voigt"] = {"verdict": mv.verdict,
                                      "ratio": mv.details["ratio"],
                                      "q_threshold": mv.details["q_threshold"]}
@@ -702,11 +695,11 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int, started: float) -> int:
     if not (isinstance(props, list) and all(isinstance(p, str) for p in props)):
         raise ConfigurationError(
             f"asymptotics.properties must be a list of property names, got {props!r}")
-    grid_cfg = cfg["grid"]
+    horizon = _grid(cfg, "horizon")
     given = {key: acfg[key] for key in _ASYMPTOTICS_KEYS if key in acfg}
     config = asy.RobustnessConfig(
-        horizon=float(grid_cfg["horizon"]), step=float(grid_cfg["step"]),
-        tail_window=acfg.get("tail_window", 0.25 * float(grid_cfg["horizon"])),
+        horizon=horizon, step=_grid(cfg, "step"),
+        tail_window=acfg.get("tail_window", 0.25 * horizon),
         bound_hint=acfg.get("bound_hint"), seed=seed, method=method_from(cfg),
         **given)
     grid = time_grid(config.horizon, config.step)
@@ -740,8 +733,7 @@ def cmd_neutral_compare(cfg: dict, out: Path, seed: int, started: float) -> int:
     target = build_system(cfg)
     if not isinstance(target, nt.NeutralSystem):
         raise ConfigurationError("neutral-compare requires a neutral system")
-    step = float(cfg["grid"]["step"])
-    horizon = float(cfg["grid"]["horizon"])
+    step, horizon = _grid(cfg, "step"), _grid(cfg, "horizon")
     method = method_from(cfg)
     orbits, devs = [], {}
     for tag, factor in (("coarse", 1), ("fine", 2)):
@@ -790,7 +782,8 @@ def main(argv=None) -> int:
         if args.method is not None:
             cfg["method"] = args.method
         _check_grid(cfg)
-        seed = valid_seed(args.seed if args.seed is not None else cfg.get("seed", 42))
+        seed = checked(args.seed if args.seed is not None else cfg.get("seed", 42), "seed",
+                       integer=True, least=0)
         cfg["seed"] = seed
         out = Path(args.out)
         try:

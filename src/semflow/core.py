@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from typing import Tuple
 
@@ -113,11 +114,51 @@ class Record:
         return type(self)(**{**{n: getattr(self, n) for n in self._init_fields}, **changes})
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` itself, once every entry is known to be finite."""
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{what} has non-finite entries")
-    return values
+def checked(value, name: str, *, above=None, least=None, below=None,
+            integer: bool = False):
+    """``value`` as a ``float`` (as an ``int`` when ``integer``), once it is
+    a finite real number (an integer) within the given bounds: above
+    ``above``, at least ``least``, below ``below``.  A ``bool`` is no number,
+    nor is a string; anything else raises ``DomainError`` with the message
+    ``<name> must be <what>, got <value!r>``.  The one rule for every number
+    that a caller or a config gives the package."""
+    number = None
+    if (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, (bool, np.bool_))):
+        try:
+            number = int(value) if integer else float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    if (number is None or not (integer or math.isfinite(number))
+            or (above is not None and not number > above)
+            or (least is not None and not number >= least)
+            or (below is not None and not number < below)):
+        what = ("an integer" if integer else "a finite number") + " and".join(
+            f" {op} {bound:g}" for op, bound in ((">", above), (">=", least), ("<", below))
+            if bound is not None)
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return number
+
+
+def _each(value, name: str) -> None:
+    """``checked`` on every leaf of a number or of nested lists and arrays."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _each(item, name)
+    else:
+        checked(value, name)
+
+
+def reals(value, name: str) -> np.ndarray:
+    """``value`` -- a number, nested lists of numbers or a numeric array --
+    as a float array, once ``checked`` passes every entry.  A real or
+    integer array is checked by its dtype and ``isfinite`` in one pass."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"
+            and np.isfinite(value).all()):
+        _each(value, name)
+    return np.asarray(value, dtype=float)
 
 
 class Grid(Record):
@@ -128,13 +169,10 @@ class Grid(Record):
     count: int
 
     def __post_init__(self):
-        if not math.isfinite(self.start):
-            raise DomainError(f"grid start must be finite, got {self.start}")
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise DomainError(f"grid step must be finite and positive, got {self.step}")
-        if not (math.isfinite(self.count) and int(self.count) == self.count >= 1):
-            raise DomainError(f"grid count must be a positive integer, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "start", checked(self.start, "grid start"))
+        object.__setattr__(self, "step", checked(self.step, "grid step", above=0.0))
+        object.__setattr__(self, "count", checked(self.count, "grid count", integer=True,
+                                                  least=1))
 
     @property
     def end(self) -> float:
@@ -291,12 +329,12 @@ class StateVector(Record):
 
     @staticmethod
     def sup(coords) -> "StateVector":
-        coords = _finite(np.asarray(coords, dtype=float).ravel(), "state")
+        coords = reals(coords, "state").ravel()
         return StateVector(coords, SupSpace(coords.shape[0]))
 
     @staticmethod
     def grid_function(values, grid: Grid) -> "StateVector":
-        values = _finite(np.asarray(values, dtype=float), "grid function")
+        values = reals(values, "grid function")
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != grid.count + 1:
@@ -374,14 +412,6 @@ def matexp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     return r
 
 
-def valid_seed(seed) -> int:
-    """``seed`` itself, once it is known to be a non-negative integer."""
-    # a bool is an int, and random.Random would silently take abs(seed)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
-
-
 class Draws:
     """Seeded stream of uniform and standard normal draws.
 
@@ -395,7 +425,7 @@ class Draws:
     """
 
     def __init__(self, seed: int):
-        self._bits = random.Random(valid_seed(seed)).randbytes
+        self._bits = random.Random(checked(seed, "seed", integer=True, least=0)).randbytes
 
     def uniform(self, low: float, high: float) -> float:
         """One draw, uniform on ``[low, high)``."""

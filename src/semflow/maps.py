@@ -43,15 +43,13 @@ enter only through the shift placement of the input signal.
 
 from __future__ import annotations
 
-import math
-import numbers
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
 from .core import (DERIVED, Grid, InputSignal, ProductSpace, Record, Space,
-                   StateVector, SupSpace, matexp, time_grid)
+                   StateVector, SupSpace, checked, matexp, time_grid)
 from .errors import (ConfigurationError, ContractionViolation, DimensionError,
                      DomainError, GridAlignmentError, NoConvergence)
 from .semigroups import (BlockDiag, LeftTranslation, MatrixSemigroup,
@@ -100,15 +98,9 @@ class Neumann(Record):
     max_terms: int = 300
 
     def __post_init__(self):
-        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol)
-                and self.tol >= 0.0):
-            raise ConfigurationError(f"Neumann tol must be a finite number >= 0, "
-                                     f"got {self.tol!r}")
-        if not (isinstance(self.max_terms, numbers.Integral) and self.max_terms >= 1):
-            raise ConfigurationError(f"Neumann max_terms must be a positive integer, "
-                                     f"got {self.max_terms!r}")
-        object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "max_terms", int(self.max_terms))
+        object.__setattr__(self, "tol", checked(self.tol, "Neumann tol", least=0.0))
+        object.__setattr__(self, "max_terms", checked(self.max_terms, "Neumann max_terms",
+                                                      integer=True, least=1))
 
 
 class DirectSolve(Record):

@@ -96,26 +96,24 @@ def pack_initial(sys: NeutralSystem, y, f_values) -> StateVector:
     return StateVector(np.concatenate([y, f.ravel()]), build_a0(sys).space)
 
 
-def apply_kernel(sys: NeutralSystem, which: str, f_values: np.ndarray) -> np.ndarray:
-    """Evaluate P f or K f for history samples f (left-endpoint density reads)."""
-    ker = sys.p_kernel if which == "p" else sys.k_kernel
-    row = ker.observation_row(sys.history_grid, point_dim=sys.dim)
-    return row @ np.asarray(f_values, dtype=float).ravel()
+def _boundary_value(sys: NeutralSystem, f: np.ndarray) -> np.ndarray:
+    """f(0) - K f for history samples f (left-endpoint density reads), the
+    value that C y must take for compatible initial data."""
+    krow = sys.k_kernel.observation_row(sys.history_grid, point_dim=sys.dim)
+    return f[-1] - krow @ f.ravel()
 
 
 def compatibility_residual(sys: NeutralSystem, y, f_values) -> float:
     """Sup-norm of C y - (f(0) - K f), the domain/compatibility condition."""
     y, f = _initial_pair(sys, y, f_values)
-    rhs = f[-1] - apply_kernel(sys, "k", f)
-    return float(np.max(np.abs(sys.c @ y - rhs)))
+    return float(np.max(np.abs(sys.c @ y - _boundary_value(sys, f))))
 
 
 def compatible_y(sys: NeutralSystem, f_values) -> np.ndarray:
     """Solve C y = f(0) - K f for y (requires invertible C)."""
     _, f = _initial_pair(sys, np.zeros(sys.dim), f_values)
-    rhs = f[-1] - apply_kernel(sys, "k", f)
     try:
-        return np.linalg.solve(sys.c, rhs)
+        return np.linalg.solve(sys.c, _boundary_value(sys, f))
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError(
             f"a compatible y needs an invertible C ({exc}); give 'y' explicitly") from exc

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import causal_scan
 from .core import (DERIVED, Grid, L1Space, ProductSpace, Record, Space, StateVector,
-                   SupSpace, _finite, matexp, row_sup)
+                   SupSpace, matexp, reals, row_sup)
 from .errors import DimensionError, DomainError, GridAlignmentError
 
 
@@ -32,10 +32,10 @@ class MatrixSemigroup(Record, Semigroup):
     space: Space = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        a = np.atleast_2d(reals(self.a, "generator"))
         if a.shape[0] != a.shape[1]:
             raise DimensionError(f"generator must be square, got shape {a.shape}")
-        object.__setattr__(self, "a", _finite(a, "generator"))
+        object.__setattr__(self, "a", a)
         if self.space is None:
             object.__setattr__(self, "space", SupSpace(a.shape[0]))
 

@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import Grid, Record
+from .core import Grid, Record, checked, reals
 from .errors import DimensionError, DomainError, GridAlignmentError
 
 
@@ -35,16 +35,15 @@ class MeasureSpec(Record):
     density: Tuple = ()
 
     def __post_init__(self):
-        atoms = tuple((float(loc), w) for loc, w in self.atoms)
+        atoms = tuple((checked(loc, "atom location"), w) for loc, w in self.atoms)
         for loc, w in atoms:
-            if not (np.isfinite(loc) and np.all(np.isfinite(w))):
-                raise DomainError(f"atom ({loc}, {w}) is not finite")
+            reals(w, "atom weight")
             if loc > 1e-12:
                 raise DomainError(f"atom location must be <= 0, got {loc}")
-        dens = tuple((float(a), float(b), v) for a, b, v in self.density)
+        dens = tuple((checked(a, "density start"), checked(b, "density end"), v)
+                     for a, b, v in self.density)
         for a, b, v in dens:
-            if not np.all(np.isfinite([a, b])) or not np.all(np.isfinite(v)):
-                raise DomainError(f"density segment ({a}, {b}, {v}) is not finite")
+            reals(v, "density value")
             if not (a < b <= 1e-12):
                 raise DomainError(f"density segment must satisfy a < b <= 0, got ({a}, {b})")
         object.__setattr__(self, "atoms", atoms)
@@ -103,7 +102,5 @@ class DirichletSpec(Record):
     lam: float
 
     def __post_init__(self):
-        if not (np.isrealobj(self.lam) and float(self.lam) > 0.0):
-            raise DomainError(f"Dirichlet parameter needs a real lam > 0, got {self.lam}")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", checked(self.lam, "Dirichlet lam", above=0.0))
 

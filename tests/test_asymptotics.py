@@ -6,7 +6,7 @@ import pytest
 import semflow as sf
 from semflow import asymptotics as asy
 from semflow import neutral as nt
-from semflow.errors import ConfigurationError, DomainError
+from semflow.errors import ConfigurationError, DomainError, GridAlignmentError
 from semflow.maps import free_orbit, perturbed_orbit
 from semflow.semigroups import orbit, orbit_from_states
 from helpers import count_calls, mixed_system, neutral_initial, scalar_mv
@@ -209,7 +209,7 @@ def test_ergodic_checkers_share_each_blocks_cesaro_sums(monkeypatch):
 @pytest.mark.parametrize("key", asy._POSITIVE_SETTINGS)
 def test_robustness_config_rejects_a_setting_that_is_not_positive(key):
     for value in (0.0, -1.0, float("nan"), float("inf"), "1.0", None):
-        with pytest.raises(ConfigurationError, match=f"^{key} must be a finite number > 0"):
+        with pytest.raises(DomainError, match=f"^{key} must be a finite number > 0, got "):
             asy.RobustnessConfig(**{key: value})
 
 
@@ -218,14 +218,14 @@ def test_robustness_config_checks_the_hint_the_zoo_size_and_the_shifts():
     assert type(config.tol) is float and type(config.n_synthetic) is int
     assert config.shifts == (5.0,)
     for value in (-1, 2.5, "8"):
-        with pytest.raises(ConfigurationError, match="^n_synthetic must be an integer >= 0"):
+        with pytest.raises(DomainError, match="^n_synthetic must be an integer >= 0, got "):
             asy.RobustnessConfig(n_synthetic=value)
     for value in (0.0, -1.0, float("inf"), "2"):
-        with pytest.raises(ConfigurationError, match="^bound_hint must be null or"):
+        with pytest.raises(DomainError, match="^bound_hint must be a finite number > 0, got "):
             asy.RobustnessConfig(bound_hint=value)
     assert asy.RobustnessConfig(bound_hint=2).bound_hint == 2
     for value in ((-1.0,), (float("nan"),), (asy.SYNTHETIC_HORIZON,), ("5",)):
-        with pytest.raises(ConfigurationError, match="^shifts must be numbers in"):
+        with pytest.raises(DomainError, match="^shifts must be a finite number"):
             asy.RobustnessConfig(shifts=value)
 
 
@@ -295,6 +295,13 @@ def test_robustness_rejects_unknown_property():
                             [sf.StateVector.sup([1.0])])
     with pytest.raises(ConfigurationError):
         asy.asymptotics_run(scalar_mv(0.1), ["BOUNDED"], [])
+
+
+def test_run_refuses_a_horizon_that_is_no_multiple_of_the_step():
+    # 10.005 / 0.01 used to be rounded to 1,001 steps, a horizon of 10.01
+    cfg = asy.RobustnessConfig(horizon=10.005, step=0.01)
+    with pytest.raises(GridAlignmentError, match="horizon 10.005 is not a positive multiple"):
+        asy.asymptotics_run(scalar_mv(0.1), ["BOUNDED"], [sf.StateVector.sup([1.0])], cfg)
 
 
 def assert_same_report(a, b):

@@ -435,7 +435,7 @@ def test_nonpositive_grid_value_exits_2(tmp_path, capsys, key, value):
     path = write_cfg(tmp_path / "cfg.json", cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"validation failure: grid.{key} must be a finite positive number" in err
+    assert f"validation failure: grid.{key} must be a finite number > 0, got " in err
     assert "Traceback" not in err
     assert not (tmp_path / "orbit.csv").exists()
 
@@ -444,7 +444,7 @@ def test_zero_step_flag_exits_2(tmp_path, capsys):
     path = write_cfg(tmp_path / "cfg.json", scalar_cfg())
     assert main(["simulate", "--config", path, "--out", str(tmp_path),
                  "--step", "0"]) == 2
-    assert "grid.step must be a finite positive number" in capsys.readouterr().err
+    assert "grid.step must be a finite number > 0, got 0.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, a", [("simulate", 1e308), ("admissibility", -1e308)])
@@ -678,9 +678,9 @@ def test_config_section_that_is_no_object_exits_2_and_names_it(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, section, key, value, must", [
-    ("admissibility", "probes", "count", "3", "be an integer"),
-    ("admissibility", "probes", "count", 2.5, "be an integer"),
-    ("admissibility", "signals", "count", True, "be an integer"),
+    ("admissibility", "probes", "count", "3", "be an integer >= 1"),
+    ("admissibility", "probes", "count", 2.5, "be an integer >= 1"),
+    ("admissibility", "signals", "count", True, "be an integer >= 1"),
     ("asymptotics", "asymptotics", "properties", "BOUNDED", "be a list of property names"),
     ("asymptotics", "asymptotics", "properties", ["BOUNDED", 1],
      "be a list of property names")])
@@ -712,7 +712,7 @@ def test_malformed_seed_exits_2_and_names_it(tmp_path, capsys, command, seed, fl
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out), *flag]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("validation failure: seed must be a non-negative integer, got ")
+    assert err.startswith("validation failure: seed must be an integer >= 0, got ")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -738,4 +738,110 @@ def test_unknown_section_key_exits_2_and_names_it(tmp_path, capsys, command, sec
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert f"unknown keys in {section}: ['{key}']" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def number_bases():
+    """A valid config of each command that reads a number of the README
+    schema, and the numbers of the schema in it, one path each."""
+    scalar = scalar_cfg(c=0.5, horizon=1.0, step=0.1)
+    neumann = {**scalar, "method": "neumann", "neumann": {"tol": 1e-10, "max_terms": 300}}
+    matrix = {**scalar, "system": {"kind": "matrix", "a": [[-1.0]], "b": [[1.0]],
+                                   "c": [[0.5]]}}
+    admissibility = {**scalar, "probes": {"count": 1}, "signals": {"count": 1},
+                     "admissibility": {"horizon": 1.0, "q_threshold": 0.9}}
+    asymptotics = {**scalar_cfg(c=0.5, horizon=20.0, step=0.01),
+                   "asymptotics": {"tail_window": 5.0, "tol": 1e-3, "ergodic_tol": 1e-2,
+                                   "uniform_window": 6.2832, "bound_hint": 2.0,
+                                   "shifts": [5.0], "n_synthetic": 4}}
+    translation = {"system": {"kind": "translation", "lambda": 1.0, "L": 1.0,
+                              "atoms": [[-0.5, 0.5]], "density": [[-1.0, -0.5, 0.1]]},
+                   "grid": {"step": 0.1, "horizon": 0.5},
+                   "initial": {"f_kind": "exp", "amplitude": 1.0}}
+    neutral = neutral_cfg(p_density=[[-0.75, -0.25, 0.2]], k_density=[[-1.0, -0.5, 0.1]])
+    neutral["initial"] = {"f_kind": "cosine", "amplitude": 1.0, "frequency": 2.0,
+                          "offset": 0.5, "y": [1.0, 1.0]}
+    measures = [(key, i) for key in ("atoms", "density") for i in range(2 + (key == "density"))]
+    return [
+        ("simulate", scalar, [("system", "a"), ("system", "c"), ("initial", "x", 0),
+                              ("grid", "step"), ("grid", "horizon"), ("seed",)]),
+        ("simulate", {**scalar, "system": {**scalar["system"], "b": 1.0}}, [("system", "b")]),
+        ("simulate", matrix, [("system", key, 0, 0) for key in "abc"]),
+        ("simulate", neumann, [("neumann", "tol"), ("neumann", "max_terms")]),
+        ("admissibility", admissibility,
+         [("probes", "count"), ("signals", "count"), ("admissibility", "horizon"),
+          ("admissibility", "q_threshold")]),
+        ("asymptotics", asymptotics,
+         [("asymptotics", key) for key in asymptotics["asymptotics"] if key != "shifts"]
+         + [("asymptotics", "shifts", 0)]),
+        ("simulate", translation,
+         [("system", "lambda"), ("system", "L"), ("initial", "amplitude")]
+         + [("system", key, 0, i) for key, i in measures]),
+        ("simulate", {**translation, "initial": {"f_kind": "values", "values": [1.0] * 11}},
+         [("initial", "values", 0)]),
+        ("simulate", neutral,
+         [("system", "a", 0, 0), ("system", "c", 0, 0), ("system", "history_steps"),
+          ("initial", "amplitude"), ("initial", "frequency"), ("initial", "offset"),
+          ("initial", "y", 0)]
+         + [("system", side + key, 0, i) for side in ("p_", "k_") for key, i in measures]),
+        ("simulate", {**neutral, "initial": {"f_kind": "values", "values": [0.5] * 34}},
+         [("initial", "values", 0)]),
+    ]
+
+
+INTEGER_KEYS = {"seed", "probes.count", "signals.count", "neumann.max_terms",
+                "asymptotics.n_synthetic", "system.history_steps"}
+
+
+def malformed_numbers():
+    """(command, config, dotted key) with one number of the config replaced
+    by true, by false, by its text, and for an integer key by 1.5."""
+    for command, base, paths in number_bases():
+        for path in paths:
+            key = ".".join(p for p in path if isinstance(p, str))
+            *parents, last = path
+            here = base
+            for p in parents:
+                here = here[p]
+            bad = [True, False, str(here[last])] + [1.5] * (key in INTEGER_KEYS)
+            for value in bad:
+                cfg = json.loads(json.dumps(base))
+                here = cfg
+                for p in parents:
+                    here = here[p]
+                here[last] = value
+                yield pytest.param(command, cfg, key,
+                                   id=f"{'.'.join(map(str, path))}={value!r}")
+
+
+@pytest.mark.parametrize("command, cfg, key", malformed_numbers())
+def test_a_number_that_is_a_bool_a_string_or_a_fraction_exits_2_and_names_it(
+        tmp_path, capsys, command, cfg, key):
+    # true and false used to run as 1.0 and 0.0 where float() or numpy read
+    # them, "0.1" as 0.1, and an integer key's 1.5 as 1
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    section, name = key.split(".")[0], key.split(".")[-1]
+    shown = {"neumann": f"Neumann {name}", "asymptotics": name}.get(section, key)
+    assert err.startswith(f"validation failure: {shown} must be ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+
+def test_tol_true_is_no_tolerance_of_one(tmp_path, capsys):
+    # the perturbed orbit of a = -1, c = 1.5 grows like exp(t / 2): at the
+    # default tol neither stability survives the perturbation, and tol true,
+    # once run as tol 1.0, reported both as robust
+    cfg = scalar_cfg(c=1.5, horizon=20.0, step=0.01)
+    cfg["asymptotics"] = {"properties": ["STRONGLY_STABLE", "WEAKLY_STABLE"]}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    assert main(["asymptotics", "--config", path, "--out", str(tmp_path / "default")]) == 0
+    verdicts = json.loads((tmp_path / "default" / "asymptotics.json").read_text())["verdicts"]
+    assert [v["passes"] for v in verdicts.values()] == [False, False]
+    cfg["asymptotics"]["tol"] = True
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "true"
+    assert main(["asymptotics", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "validation failure: tol must be a finite number > 0, got True\n"
     assert not out.exists() or list(out.iterdir()) == []

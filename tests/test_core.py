@@ -242,7 +242,7 @@ def test_record_binds_positional_keyword_and_default_arguments():
     class Labelled(sf.Grid):  # a subclass adds its fields after its bases'
         label: str = "t"
 
-    lab = Labelled(0, 0.5, 4.0, label="s")
+    lab = Labelled(0, 0.5, np.int64(4), label="s")
     assert lab._asdict() == {"start": 0, "step": 0.5, "count": 4, "label": "s"}
     assert lab != sf.Grid(0, 0.5, 4) and Labelled(0, 0.5, 4).label == "t"
 
@@ -265,11 +265,12 @@ def test_record_rejects_a_missing_or_unknown_argument(build, words):
 
 
 def test_record_runs_post_init_validation_and_normalisation():
-    g = sf.Grid(0, 0.1, 10.0)
-    assert g.count == 10 and type(g.count) is int
+    g = sf.Grid(0, 0.1, np.int64(10))
+    assert g.count == 10 and type(g.count) is int and type(g.start) is float
     assert sf.NilpotentShift(sf.Grid(-1.0, 0.5, 2)).space == sf.L1Space(sf.Grid(-1.0, 0.5, 2))
-    with pytest.raises(DomainError):
-        sf.Grid(0.0, 0.1, 2.5)
+    for count in (2.5, 10.0, True):
+        with pytest.raises(DomainError, match="^grid count must be an integer >= 1, got "):
+            sf.Grid(0.0, 0.1, count)
 
 
 def test_record_assignment_and_deletion_raise():
@@ -370,7 +371,7 @@ def test_draws_have_the_moments_of_their_distributions():
 
 @pytest.mark.parametrize("seed", [-1, 2.0, True, "42", None])
 def test_draws_refuse_a_seed_that_is_no_non_negative_integer(seed):
-    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+    with pytest.raises(DomainError, match="^seed must be an integer >= 0, got "):
         Draws(seed)
 
 

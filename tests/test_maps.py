@@ -8,7 +8,7 @@ import scipy.linalg
 import semflow as sf
 from semflow import _kernels, cli
 from semflow import neutral as nt
-from semflow.errors import (ConfigurationError, ContractionViolation, GridAlignmentError,
+from semflow.errors import (ContractionViolation, DomainError, GridAlignmentError,
                             NoConvergence)
 from semflow.maps import _realize, free_orbit
 from helpers import mixed_system, neutral_initial, scalar_mv, scalar_signal, smooth_signal
@@ -373,7 +373,7 @@ def test_neumann_no_convergence_diagnostics():
     ({"max_terms": 2.0}, "max_terms"), ({"tol": -1.0}, "tol"),
     ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol"), ({"tol": "0.1"}, "tol")])
 def test_neumann_rejects_malformed_settings(kwargs, key):
-    with pytest.raises(ConfigurationError, match=f"Neumann {key} must be"):
+    with pytest.raises(DomainError, match=f"^Neumann {key} must be "):
         sf.Neumann(**kwargs)
 
 

@@ -33,48 +33,90 @@ from .maps import (BoundedControl, DirectSolve, DirichletControl,
 from .semigroups import LeftTranslation, MatrixSemigroup
 from .translation import DirichletSpec, MeasureSpec
 
-_VALIDATION_ERRORS = (ConfigurationError, DimensionError, DomainError,
-                      GridAlignmentError, KeyError, TypeError, ValueError)
+_VALIDATION_ERRORS = (ConfigurationError, DimensionError, DomainError, GridAlignmentError)
 _NUMERICAL_ERRORS = (ContractionViolation, NoConvergence, NumericalFailure,
                      FloatingPointError, MemoryError, np.linalg.LinAlgError)
 
-_SYSTEM_KEYS = {
-    "scalar": {"kind", "a", "b", "c"},
-    "matrix": {"kind", "a", "b", "c"},
-    "translation": {"kind", "lambda", "L", "atoms", "density"},
-    "neutral": {"kind", "a", "c", "p_atoms", "p_density", "k_atoms", "k_density",
-                "history_steps"},
+
+def _words(*words, otherwise=None):
+    """The rule of a key that holds one of ``words``, or else a value that
+    passes the rule ``otherwise``."""
+    def rule(value, name):
+        if value not in words:
+            if otherwise is None:
+                raise ConfigurationError(
+                    f"{name} must be one of {', '.join(map(repr, words))}, got {value!r}")
+            otherwise(value, name)
+    return rule
+
+
+def _rows(width: int):
+    """The rule of a list of rows of ``width`` numbers each."""
+    def rule(value, name):
+        if value != [] and reals(value, name).shape[1:] != (width,):
+            raise DomainError(f"{name} must be a list of rows of {width} numbers, got {value!r}")
+    return rule
+
+
+def _field(cls, field: str):
+    """The rule of a key that becomes the field of a ``cls``: building one."""
+    return lambda value, name: cls(**{field: value})
+
+
+def _properties(value, name):
+    if not (isinstance(value, list) and all(p in asy.PROPERTIES for p in value)):
+        raise ConfigurationError(f"{name} must be a list of property names, got {value!r}")
+
+
+# The rule of each config key, called with the value and the key's dotted
+# name, raises on a value it refuses; a dict holds a section's rules, those of
+# "system" and "initial" by system kind.  A key of "neumann" or "asymptotics"
+# is checked by building the Neumann or RobustnessConfig it becomes.
+_POSITIVE = functools.partial(checked, above=0.0)
+_COUNT = functools.partial(checked, integer=True, least=1)
+_KIND = _words("scalar", "matrix", "translation", "neutral")
+_MATRIX = ({"kind": _KIND, "a": reals, "b": _words("identity", otherwise=reals), "c": reals},
+           {"x": reals})
+_SYSTEMS = {
+    "scalar": _MATRIX, "matrix": _MATRIX,
+    "translation": ({"kind": _KIND, "lambda": _POSITIVE, "L": _POSITIVE,
+                     "atoms": _rows(2), "density": _rows(3)},
+                    {"f_kind": _words("exp", "values"), "amplitude": checked, "values": reals}),
+    "neutral": ({"kind": _KIND, "a": reals, "c": reals, "history_steps": _COUNT,
+                 **{side + key: _rows(width) for side in ("p_", "k_")
+                    for key, width in (("atoms", 2), ("density", 3))}},
+                {"f_kind": _words("cosine", "values"), "amplitude": checked,
+                 "frequency": checked, "offset": checked, "values": reals,
+                 "y": _words("compatible", otherwise=reals)}),
 }
+_RULES = {
+    "seed": functools.partial(checked, integer=True, least=0),
+    "method": _words("direct", "neumann"),
+    "grid": {"step": _POSITIVE, "horizon": _POSITIVE},
+    "neumann": {key: _field(Neumann, key) for key in ("tol", "max_terms")},
+    "probes": {"count": _COUNT}, "signals": {"count": _COUNT},
+    "admissibility": {"horizon": _POSITIVE, "q_threshold": checked},
+    "asymptotics": {"properties": _properties,
+                    **{key: _field(asy.RobustnessConfig, key)
+                       for key in ("tail_window", "bound_hint", "tol", "ergodic_tol",
+                                   "uniform_window", "shifts", "n_synthetic")}},
+}
+_REQUIRED = {"grid.step", "grid.horizon", "system.a", "system.c"}
 
 
-_INITIAL_KEYS = {"scalar": {"x"}, "matrix": {"x"},
-                 "translation": {"f_kind", "amplitude", "values"},
-                 "neutral": {"f_kind", "amplitude", "frequency", "offset", "values", "y"}}
-
-# asymptotics keys passed on to RobustnessConfig only when the config gives
-# them, so each of their defaults, and their validation, lives in
-# RobustnessConfig alone
-_ASYMPTOTICS_KEYS = ("tol", "ergodic_tol", "uniform_window", "shifts", "n_synthetic")
-
-# the keys of each optional config section; "initial"'s are by system kind
-_SECTION_KEYS = {"grid": {"step", "horizon"}, "neumann": {"tol", "max_terms"},
-                 "probes": {"count"}, "signals": {"count"},
-                 "admissibility": {"horizon", "q_threshold"},
-                 "asymptotics": {"properties", "tail_window", "bound_hint",
-                                 *_ASYMPTOTICS_KEYS}}
-_TOP_KEYS = {"system", "method", "seed", "initial", *_SECTION_KEYS}
-
-
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _check(values: dict, rules: dict, where: str = "") -> None:
+    """Check the section ``where`` ("" for the config), ``values``, against ``rules``."""
+    unknown = set(values) - set(rules)
     if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _count(cfg: dict, section: str) -> int:
-    """The section's ``count``, an integer >= 1, 3 if it is absent."""
-    return checked(cfg.get(section, {}).get("count", 3), f"{section}.count",
-                   integer=True, least=1)
+        raise ConfigurationError(f"unknown keys in {where or 'config'}: {sorted(unknown)}")
+    for key, rule in rules.items():
+        name = f"{where}.{key}" if where else key
+        if isinstance(rule, dict):
+            _check(values.get(key, {}), rule, name)
+        elif key in values:
+            rule(values[key], name)
+        elif name in _REQUIRED:
+            raise ConfigurationError(f"config needs {name}")
 
 
 def _reject_constant(name: str):
@@ -89,19 +131,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _grid(cfg: dict, key: str) -> float:
-    """grid.step or grid.horizon, a finite number > 0."""
-    return checked(cfg["grid"][key], f"grid.{key}", above=0.0)
-
-
-def _check_grid(cfg: dict) -> None:
-    """grid.step and grid.horizon, where given, must be finite and positive."""
-    for key in ("step", "horizon"):
-        if key in cfg["grid"]:
-            _grid(cfg, key)
-
-
-def load_config(path: str) -> dict:
+def load_config(path: str, *, seed=None, horizon=None, step=None, method=None) -> dict:
+    """The run config at ``path``, the flags given in place of its keys, once
+    every key of every section given passes its rule in ``_RULES``, whichever
+    command runs, and the required keys are there: the one reader that
+    decides whether a config is valid.  The rules check and never rewrite, so
+    the config is returned as given and the manifest echoes it."""
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -113,66 +148,55 @@ def load_config(path: str) -> dict:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
-    _reject_unknown(cfg, _TOP_KEYS, "config")
     system = cfg.get("system")
     if not isinstance(system, dict) or "kind" not in system:
         raise ConfigurationError("config needs a 'system' object with a 'kind'")
-    kind = system["kind"]
-    if kind not in _SYSTEM_KEYS:
-        raise ConfigurationError(f"unknown system kind {kind!r}")
-    _reject_unknown(system, _SYSTEM_KEYS[kind], "system")
-    if "grid" not in cfg:
-        raise ConfigurationError("config needs a 'grid' object")
-    # every section given, whichever command reads it
-    for key, allowed in {**_SECTION_KEYS, "initial": _INITIAL_KEYS[kind]}.items():
-        section = cfg.get(key, {})
-        if not isinstance(section, dict):
-            raise ConfigurationError(f"'{key}' must be a JSON object, got {section!r}")
-        _reject_unknown(section, allowed, key)
-    _check_grid(cfg)
+    _KIND(system["kind"], "system.kind")
+    rules = dict(zip(("system", "initial"), _SYSTEMS[system["kind"]]), **_RULES)
+    for key, rule in rules.items():
+        if isinstance(rule, dict) and not isinstance(cfg.get(key, {}), dict):
+            raise ConfigurationError(f"'{key}' must be a JSON object, got {cfg[key]!r}")
+    grid = cfg.setdefault("grid", {})
+    for section, key, flag in ((cfg, "seed", seed), (cfg, "method", method),
+                               (grid, "horizon", horizon), (grid, "step", step)):
+        if flag is not None:
+            section[key] = flag
+    _check(cfg, rules)
+    initial = cfg.get("initial", {})
+    if initial.get("f_kind") == "values" and "values" not in initial:
+        raise ConfigurationError("config needs initial.values when initial.f_kind is 'values'")
     return cfg
-
-
-def _matrix(system: dict, key: str) -> np.ndarray:
-    """``system[key]``, a number or a matrix of numbers, as a 2-d array."""
-    return np.atleast_2d(reals(system[key], f"system.{key}"))
 
 
 def _measure_from(system: dict, atoms: str, density: str) -> MeasureSpec:
     """The measure whose atoms and density segments are the rows of
     ``system[atoms]`` and ``system[density]`` (none where absent)."""
-    return MeasureSpec(*(tuple(map(tuple, reals(system.get(key, []), f"system.{key}").tolist()))
-                         for key in (atoms, density)))
+    return MeasureSpec(*(tuple(map(tuple, system.get(key, ()))) for key in (atoms, density)))
 
 
 def build_system(cfg: dict):
     """Build the triple (or neutral system) described by the config."""
     system = cfg["system"]
     kind = system["kind"]
-    step = _grid(cfg, "step")
+    step = cfg["grid"]["step"]
     if kind in ("scalar", "matrix"):
-        sg = MatrixSemigroup(_matrix(system, "a"))
         control = IdentityControl() if system.get("b", "identity") == "identity" else \
-            BoundedControl(_matrix(system, "b"))
-        return PerturbationTriple(sg, control, _matrix(system, "c"))
+            BoundedControl(system["b"])
+        return PerturbationTriple(MatrixSemigroup(system["a"]), control, system["c"])
     if kind == "translation":
-        L = checked(system.get("L", 10.0), "system.L", above=0.0)
-        n = int(round(L / step))
+        n = time_grid(system.get("L", 10.0), step, "system.L").count
         grid = Grid(-n * step, step, n)
-        base = LeftTranslation(grid)
         row = _measure_from(system, "atoms", "density").observation_row(grid, point_dim=1)
-        lam = checked(system.get("lambda", 1.0), "system.lambda", above=0.0)
-        return PerturbationTriple(base, DirichletControl(DirichletSpec(lam)), row)
+        return PerturbationTriple(LeftTranslation(grid),
+                                  DirichletControl(DirichletSpec(system.get("lambda", 1.0))), row)
     # neutral
-    N = checked(system.get("history_steps", round(1.0 / step)), "system.history_steps",
-                integer=True, least=1)
+    N = system.get("history_steps", round(1.0 / step))
     if abs(N * step - 1.0) > 1e-9:
         raise ConfigurationError("history_steps * step must equal the unit delay")
     return nt.NeutralSystem(
-        a=_matrix(system, "a"),
-        p_kernel=_measure_from(system, "p_atoms", "p_density"),
+        a=system["a"], p_kernel=_measure_from(system, "p_atoms", "p_density"),
         k_kernel=_measure_from(system, "k_atoms", "k_density"),
-        c=_matrix(system, "c"), history_grid=Grid(-1.0, step, N))
+        c=system["c"], history_grid=Grid(-1.0, step, N))
 
 
 def build_initial(cfg: dict, target):
@@ -180,32 +204,24 @@ def build_initial(cfg: dict, target):
     kind = cfg["system"]["kind"]
     init = cfg.get("initial", {})
     if kind in ("scalar", "matrix"):
-        return StateVector.sup(reals(init.get("x", np.ones(target.base.space.dim)),
-                                     "initial.x"))
+        return StateVector.sup(init.get("x", np.ones(target.base.space.dim)))
     if kind == "translation":
         grid = target.base.grid
-        s = grid.points()
-        fk = init.get("f_kind", "exp")
-        if fk == "exp":
-            vals = checked(init.get("amplitude", 1.0), "initial.amplitude") * np.exp(s)
-        elif fk == "values":
-            vals = reals(init["values"], "initial.values")
-        else:
-            raise ConfigurationError(f"unknown translation profile {fk!r}")
+        vals = init["values"] if init.get("f_kind") == "values" else \
+            init.get("amplitude", 1.0) * np.exp(grid.points())
         return StateVector.grid_function(vals, grid)
     s = target.history_grid.points()
-    fk = init.get("f_kind", "cosine")
-    if fk == "cosine":
-        vals = (checked(init.get("amplitude", 1.0), "initial.amplitude")
-                * np.cos(checked(init.get("frequency", 2.0), "initial.frequency") * s)
-                + checked(init.get("offset", 0.5), "initial.offset"))
-        f = np.tile(vals[:, None], (1, target.dim))
-    elif fk == "values":
-        f = reals(init["values"], "initial.values").reshape(-1, target.dim)
+    if init.get("f_kind") == "values":
+        f = np.asarray(init["values"], dtype=float)
+        if f.size % target.dim:
+            raise DimensionError(f"initial.values must be k * {target.dim} numbers, got {f.size}")
+        f = f.reshape(-1, target.dim)
     else:
-        raise ConfigurationError(f"unknown neutral profile {fk!r}")
+        vals = (init.get("amplitude", 1.0) * np.cos(init.get("frequency", 2.0) * s)
+                + init.get("offset", 0.5))
+        f = np.tile(vals[:, None], (1, target.dim))
     yspec = init.get("y", "compatible")
-    y = nt.compatible_y(target, f) if yspec == "compatible" else reals(yspec, "initial.y")
+    y = nt.compatible_y(target, f) if yspec == "compatible" else np.asarray(yspec, dtype=float)
     return y, f
 
 
@@ -213,7 +229,7 @@ def build_probes(cfg: dict, target, seed: int):
     """The run's ``probes.count`` initial states: first the unit vectors of a
     matrix system or ``exp`` on a shift, then states whose coefficients are
     normals drawn from ``Draws(seed)``, so the seed alone fixes them."""
-    count = _count(cfg, "probes")
+    count = cfg.get("probes", {}).get("count", 3)
     rng = Draws(seed)
     out = []
     if isinstance(target, nt.NeutralSystem):
@@ -244,12 +260,9 @@ def build_probes(cfg: dict, target, seed: int):
 
 
 def method_from(cfg: dict):
-    name = cfg.get("method", "direct")
-    if name == "direct":
-        return DirectSolve()
-    if name == "neumann":
+    if cfg.get("method", "direct") == "neumann":
         return Neumann(**cfg.get("neumann", {}))
-    raise ConfigurationError(f"unknown method {name!r}")
+    return DirectSolve()
 
 
 # _format17 decides the 17 significant digits of b"%.17g" % v in array
@@ -641,7 +654,7 @@ def _formula_and_oracle(cfg: dict, target, grid: Grid, method):
 
 def cmd_simulate(cfg: dict, out: Path, seed: int, started: float) -> int:
     target = build_system(cfg)
-    grid = time_grid(_grid(cfg, "horizon"), _grid(cfg, "step"))
+    grid = time_grid(cfg["grid"]["horizon"], cfg["grid"]["step"])
     method = method_from(cfg)
     if isinstance(target, nt.NeutralSystem):
         res, oracle = _formula_and_oracle(cfg, target, grid, method)
@@ -668,18 +681,15 @@ def cmd_admissibility(cfg: dict, out: Path, seed: int, started: float) -> int:
     acfg = cfg.get("admissibility", {})
     triple = _triple(target)
     probes = build_probes(cfg, target, seed)
-    step = _grid(cfg, "step")
-    horizon = checked(acfg.get("horizon", cfg["grid"]["horizon"]), "admissibility.horizon",
-                      above=0.0)
-    grid = time_grid(horizon, step)
-    q_threshold = checked(acfg["q_threshold"], "admissibility.q_threshold") \
-        if "q_threshold" in acfg else None
-    signals = adm.probe_signals(triple, grid, _count(cfg, "signals"), seed=seed)
+    horizon = float(acfg.get("horizon", cfg["grid"]["horizon"]))
+    grid = time_grid(horizon, cfg["grid"]["step"])
+    signals = adm.probe_signals(triple, grid, cfg.get("signals", {}).get("count", 3), seed=seed)
     report = adm.estimate_constants(triple, probes, signals, horizon,
                                     method=method_from(cfg))
     payload = report.to_dict()
-    if q_threshold is not None:
-        mv = adm.check_miyadera_voigt(triple, probes, horizon, q_threshold, step=step)
+    if "q_threshold" in acfg:
+        mv = adm.check_miyadera_voigt(triple, probes, horizon, float(acfg["q_threshold"]),
+                                      step=grid.step)
         payload["miyadera_voigt"] = {"verdict": mv.verdict,
                                      "ratio": mv.details["ratio"],
                                      "q_threshold": mv.details["q_threshold"]}
@@ -690,18 +700,12 @@ def cmd_asymptotics(cfg: dict, out: Path, seed: int, started: float) -> int:
     target = build_system(cfg)
     triple = _triple(target)
     probes = build_probes(cfg, target, seed)
-    acfg = cfg.get("asymptotics", {})
-    props = acfg.get("properties", ["BOUNDED", "STRONGLY_STABLE", "MEAN_ERGODIC"])
-    if not (isinstance(props, list) and all(isinstance(p, str) for p in props)):
-        raise ConfigurationError(
-            f"asymptotics.properties must be a list of property names, got {props!r}")
-    horizon = _grid(cfg, "horizon")
-    given = {key: acfg[key] for key in _ASYMPTOTICS_KEYS if key in acfg}
+    given = dict(cfg.get("asymptotics", {}))
+    props = given.pop("properties", ["BOUNDED", "STRONGLY_STABLE", "MEAN_ERGODIC"])
+    horizon = cfg["grid"]["horizon"]
     config = asy.RobustnessConfig(
-        horizon=horizon, step=_grid(cfg, "step"),
-        tail_window=acfg.get("tail_window", 0.25 * horizon),
-        bound_hint=acfg.get("bound_hint"), seed=seed, method=method_from(cfg),
-        **given)
+        horizon=horizon, step=cfg["grid"]["step"], seed=seed, method=method_from(cfg),
+        **{"tail_window": 0.25 * horizon, **given})
     grid = time_grid(config.horizon, config.step)
     run = asy.asymptotics_run(triple, props, probes, config, tracks=True)
     matrix = {}
@@ -733,7 +737,7 @@ def cmd_neutral_compare(cfg: dict, out: Path, seed: int, started: float) -> int:
     target = build_system(cfg)
     if not isinstance(target, nt.NeutralSystem):
         raise ConfigurationError("neutral-compare requires a neutral system")
-    step, horizon = _grid(cfg, "step"), _grid(cfg, "horizon")
+    step, horizon = cfg["grid"]["step"], cfg["grid"]["horizon"]
     method = method_from(cfg)
     orbits, devs = [], {}
     for tag, factor in (("coarse", 1), ("fine", 2)):
@@ -774,17 +778,9 @@ def main(argv=None) -> int:
         p.add_argument("--method", choices=["neumann", "direct"], default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.horizon is not None:
-            cfg["grid"]["horizon"] = args.horizon
-        if args.step is not None:
-            cfg["grid"]["step"] = args.step
-        if args.method is not None:
-            cfg["method"] = args.method
-        _check_grid(cfg)
-        seed = checked(args.seed if args.seed is not None else cfg.get("seed", 42), "seed",
-                       integer=True, least=0)
-        cfg["seed"] = seed
+        cfg = load_config(args.config, seed=args.seed, horizon=args.horizon, step=args.step,
+                          method=args.method)
+        seed = cfg.setdefault("seed", 42)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

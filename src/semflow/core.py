@@ -158,7 +158,11 @@ def reals(value, name: str) -> np.ndarray:
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"
             and np.isfinite(value).all()):
         _each(value, name)
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:  # lists of unequal lengths
+        raise DomainError(f"{name} must be a number or lists of numbers of equal "
+                          f"lengths, got {value!r}") from None
 
 
 class Grid(Record):
@@ -202,11 +206,11 @@ class Grid(Record):
         return Grid(self.start, self.step / factor, self.count * factor)
 
 
-def time_grid(horizon: float, step: float) -> Grid:
-    """Grid on ``[0, horizon]`` with the given step (horizon must be commensurate)."""
+def time_grid(horizon: float, step: float, name: str = "horizon") -> Grid:
+    """Grid on ``[0, horizon]`` with the given step (horizon, ``name``, must be commensurate)."""
     n = int(round(horizon / step))
     if abs(horizon - n * step) > ALIGN_RTOL * step or n < 1:
-        raise GridAlignmentError(f"horizon {horizon} is not a positive multiple of step {step}")
+        raise GridAlignmentError(f"{name} {horizon} is not a positive multiple of step {step}")
     return Grid(0.0, step, n)
 
 

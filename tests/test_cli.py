@@ -626,7 +626,7 @@ def test_malformed_neumann_setting_exits_2_and_names_it(tmp_path, capsys, key, v
     err = capsys.readouterr().err
     assert err.startswith(f"validation failure: Neumann {key} must be ")
     assert "Traceback" not in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -648,7 +648,7 @@ def test_malformed_asymptotics_setting_exits_2_and_names_it(tmp_path, capsys, ke
     err = capsys.readouterr().err
     assert err.startswith(f"validation failure: {key} must be ")
     assert "Traceback" not in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 COMMANDS = list(cli._COMMANDS)
@@ -695,7 +695,7 @@ def test_malformed_count_or_properties_exits_2_and_names_it(tmp_path, capsys, co
     assert main([command, "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"validation failure: {section}.{key} must {must}, got ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed, flag", [
@@ -845,3 +845,68 @@ def test_tol_true_is_no_tolerance_of_one(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "validation failure: tol must be a finite number > 0, got True\n"
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("neumann", "tol", True, "Neumann tol must be a finite number >= 0, got True"),
+    ("asymptotics", "tol", True, "tol must be a finite number > 0, got True"),
+    ("admissibility", "horizon", "x",
+     "admissibility.horizon must be a finite number > 0, got 'x'"),
+    ("probes", "count", 0, "probes.count must be an integer >= 1, got 0"),
+    ("asymptotics", "properties", "BOUNDED",
+     "asymptotics.properties must be a list of property names, got 'BOUNDED'")])
+def test_a_section_the_command_does_not_read_is_checked_in_full(tmp_path, capsys, section,
+                                                                key, value, message):
+    # a direct simulate reads none of these sections, and each used to exit 0
+    cfg = scalar_cfg(c=0.5, horizon=1.0, step=0.01)
+    cfg[section] = {key: value}
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
+    assert not out.exists()
+
+
+def translation_cfg(**system):
+    return {"system": {"kind": "translation", "L": 4.0, "atoms": [[-1.0, 0.5]], **system},
+            "grid": {"step": 0.001, "horizon": 0.5}}
+
+
+def misshapen_configs():
+    """(config, message) of configs that miss a required key or hold a list
+    of the wrong shape, or an L off the step."""
+    no_horizon, no_a = scalar_cfg(), scalar_cfg()
+    del no_horizon["grid"]["horizon"], no_a["system"]["a"]
+    no_values = {**translation_cfg(), "initial": {"f_kind": "values"}}
+    ragged = [[1.0, 2.0], [3.0]]
+    return [
+        (no_horizon, "config needs grid.horizon"),
+        (no_a, "config needs system.a"),
+        (no_values, "config needs initial.values when initial.f_kind is 'values'"),
+        (translation_cfg(atoms=[[-1.0, 0.5, 2.0]]),
+         "system.atoms must be a list of rows of 2 numbers, got [[-1.0, 0.5, 2.0]]"),
+        (neutral_cfg(p_density=[[-0.75, 0.2]]),
+         "system.p_density must be a list of rows of 3 numbers, got [[-0.75, 0.2]]"),
+        ({**scalar_cfg(), "system": {"kind": "matrix", "a": ragged, "c": [[0.5]]}},
+         f"system.a must be a number or lists of numbers of equal lengths, got {ragged}"),
+        ({**neutral_cfg(), "initial": {"f_kind": "values", "values": ragged}},
+         f"initial.values must be a number or lists of numbers of equal lengths, got {ragged}"),
+        ({**neutral_cfg(), "initial": {"f_kind": "values", "values": [0.5] * 33}},
+         "initial.values must be k * 2 numbers, got 33"),
+        # L used to be rounded to the grid: 4.0004 ran as 4.000, 1.0006 as 1.001
+        (translation_cfg(L=4.0004), "system.L 4.0004 is not a positive multiple of step 0.001"),
+        (translation_cfg(L=1.0006), "system.L 1.0006 is not a positive multiple of step 0.001"),
+    ]
+
+
+@pytest.mark.parametrize("cfg, message", misshapen_configs())
+def test_a_missing_key_a_misshapen_list_or_an_l_off_the_step_exits_2_and_names_it(
+        tmp_path, capsys, cfg, message):
+    # each of these but L used to reach exit 2 only through a catch-all of
+    # KeyError, TypeError and ValueError, with messages such as 'horizon' or
+    # "too many values to unpack (expected 2)"
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
